@@ -24,6 +24,7 @@ from .trainer import (
     AdamState,
     GlmWeights,
     TrainConfig,
+    _average_cost_and_gap,
     coordination_pass,
 )
 
@@ -209,13 +210,5 @@ def evaluate_fixed_solutions(
     problem_evaluator,
 ) -> tuple[float, float]:
     """Average cost and gap of one fixed solution per context (median policy)."""
-    costs = []
-    gaps = []
-    for scenario in data:
-        y = solutions_by_context[scenario.context_id]
-        cost = problem_evaluator.policy_cost(y, scenario)
-        anticipative = problem_evaluator.anticipative_cost(scenario)
-        costs.append(cost)
-        denom = abs(anticipative)
-        gaps.append((cost - anticipative) / denom if denom > 1e-9 else cost - anticipative)
-    return float(np.mean(costs)), float(np.mean(gaps))
+    decisions = ((solutions_by_context[s.context_id], s) for s in data)
+    return _average_cost_and_gap(decisions, problem_evaluator)

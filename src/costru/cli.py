@@ -43,7 +43,7 @@ class ConfigError(ValueError):
 # Section -> key -> type.  Unknown sections or keys are rejected.
 _SCHEMA: dict[str, dict[str, type]] = {
     "problem": {"kind": str},
-    "run": {"seed": int, "workers": int},
+    "run": {"seed": int},
     "generate": {
         "rows": int, "cols": int, "train_instances": int, "val_instances": int,
         "test_instances": int, "scenarios_per_instance": int, "feature_dim": int,
@@ -62,7 +62,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
 
 _DEFAULTS: dict[str, dict] = {
     "problem": {"kind": "mst"},
-    "run": {"seed": 0, "workers": 1},
+    "run": {"seed": 0},
     "generate": {
         "rows": 20, "cols": 20, "train_instances": 50, "val_instances": 50,
         "test_instances": 50, "scenarios_per_instance": 20, "feature_dim": 5,
@@ -134,12 +134,12 @@ def write_csv(path: Path, header: list[str], rows: list[list], chash: str, seed:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _train_config(cfg: dict, seed: int, workers: int) -> TrainConfig:
+def _train_config(cfg: dict, seed: int) -> TrainConfig:
     t = cfg["train"]
     return TrainConfig(
         nb_iterations=t["nb_iterations"], nb_scenarios=t["nb_scenarios"],
         nb_samples=t["nb_samples"], nb_epochs=t["nb_epochs"], lr_init=t["lr_init"],
-        epsilon=t["epsilon"], kappa=t["kappa"], seed=seed, workers=workers,
+        epsilon=t["epsilon"], kappa=t["kappa"], seed=seed,
     )
 
 
@@ -187,10 +187,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _train_toy(args, cfg, seed, workers, chash, out: Path) -> int:
+def _train_toy(args, cfg, seed, chash, out: Path) -> int:
     data = toy_dataset()
     oracle = ToyOracle()
-    config = _train_config(cfg, seed, workers)
+    config = _train_config(cfg, seed)
     if args.method == "primal-dual":
         start = time.perf_counter()
         trajectory = train_primal_dual(data, oracle, config)
@@ -216,14 +216,14 @@ def _train_toy(args, cfg, seed, workers, chash, out: Path) -> int:
     return EXIT_OK
 
 
-def _train_mst(args, cfg, seed, workers, chash, out: Path) -> int:
+def _train_mst(args, cfg, seed, chash, out: Path) -> int:
     splits = _load_mst_data(Path(args.data))
     train_insts, train_data = splits["train"]
     _, val_data = splits["val"]
     _, test_data = splits["test"]
     oracle = MstOracle(train_insts[0].rows, train_insts[0].cols)
     evaluator = MstEvaluator(oracle)
-    config = _train_config(cfg, seed, workers)
+    config = _train_config(cfg, seed)
     start = time.perf_counter()
 
     if args.method == "primal-dual":
@@ -282,16 +282,15 @@ def _train_mst(args, cfg, seed, workers, chash, out: Path) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    workers = args.workers if args.workers is not None else cfg["run"]["workers"]
     chash = config_hash(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg["problem"]["kind"] == "toy":
-        return _train_toy(args, cfg, seed, workers, chash, out)
+        return _train_toy(args, cfg, seed, chash, out)
     if args.data is None:
         log.error("--data is required for the spanning-tree problem")
         return EXIT_USAGE
-    return _train_mst(args, cfg, seed, workers, chash, out)
+    return _train_mst(args, cfg, seed, chash, out)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -419,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="key/value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
 
     p = sub.add_parser("generate", help="write dataset containers and manifest")
     common(p)

@@ -100,7 +100,7 @@ class RngStream:
     (SeedSequence spawn-key construction).  ``generator()`` returns a fresh
     generator each call, so two calls on the same stream see the same
     draws -- this is what makes common-random-number estimator pairing and
-    worker-count independence trivial.
+    processing-order independence trivial.
     """
 
     seed: int

@@ -45,18 +45,39 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _select_acyclic(order, heads, tails, parent, limit: int) -> list[int]:
-    """Greedy acyclic edge selection along ``order`` (in-place union-find)."""
-    chosen: list[int] = []
-    for e in order:
-        ru = _find(parent, heads[e])
-        rv = _find(parent, tails[e])
-        if ru != rv:
-            parent[ru] = rv
-            chosen.append(e)
-            if len(chosen) == limit:
-                break
-    return chosen
+def _kruskal_rows(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[list[int]]:
+    """Greedy acyclic edge selection, one pass per row of the (m, E) ``keys``.
+
+    Every spanning-tree oracle is this loop under its own keys: edges are
+    taken in increasing key order, ties to the lower index, skipping cycles;
+    an edge whose key is +inf (or NaN) is never taken, and a row stops at
+    n_nodes - 1 edges.  Returns each row's chosen edges in selection order.
+    """
+    orders = np.argsort(keys, axis=1, kind="stable").tolist()
+    takeable = (keys < np.inf).sum(axis=1).tolist()
+    limit = n_nodes - 1
+    rows = []
+    for order, count in zip(orders, takeable):
+        parent = list(range(n_nodes))
+        chosen = []
+        for e in order[:count]:
+            u, v = edges[e]
+            ru = _find(parent, u)
+            rv = _find(parent, v)
+            if ru != rv:
+                parent[ru] = rv
+                chosen.append(e)
+                if len(chosen) == limit:
+                    break
+        rows.append(chosen)
+    return rows
+
+
+def _indicators(rows: list[list[int]], n_edges: int) -> np.ndarray:
+    out = np.zeros((len(rows), n_edges))
+    for r, chosen in enumerate(rows):
+        out[r, chosen] = 1.0
+    return out
 
 
 def is_forest(y: np.ndarray, edges: EdgeList, n_nodes: int) -> bool:
@@ -71,28 +92,21 @@ def is_forest(y: np.ndarray, edges: EdgeList, n_nodes: int) -> bool:
     return True
 
 
+def _max_weight_forests(weights: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
+    """Row-wise maximum-weight forests of an (m, E) weight array."""
+    w = np.asarray(weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise InputError("weights must be finite")
+    keys = np.where(w > 0.0, -w, np.inf)
+    return _indicators(_kruskal_rows(keys, edges, n_nodes), w.shape[1])
+
+
 def kruskal_max_weight_forest(
     weights: np.ndarray, edges: EdgeList, n_nodes: int
 ) -> np.ndarray:
     """Maximum-total-weight forest: greedy by decreasing weight, ties by
     index, skipping cycles and edges with weight <= 0."""
-    w = np.asarray(weights, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise InputError("weights must be finite")
-    order = np.argsort(-w, kind="stable")
-    heads = [e[0] for e in edges]
-    tails = [e[1] for e in edges]
-    parent = list(range(n_nodes))
-    y = np.zeros(len(edges))
-    for e in order.tolist():
-        if w[e] <= 0.0:
-            break
-        ru = _find(parent, heads[e])
-        rv = _find(parent, tails[e])
-        if ru != rv:
-            parent[ru] = rv
-            y[e] = 1.0
-    return y
+    return _max_weight_forests(np.asarray(weights, dtype=float)[None, :], edges, n_nodes)[0]
 
 
 def second_stage_value(
@@ -100,30 +114,34 @@ def second_stage_value(
 ) -> tuple[float, np.ndarray]:
     """Minimum-cost completion of the forest y into a spanning tree.
 
-    Kruskal in increasing second-stage cost over the edges not in y, with
-    y's components pre-merged.  Returns the completion cost and indicator.
+    Kruskal with y's edges first, then the other edges in increasing
+    second-stage cost.  Returns the completion cost and indicator.
     """
     d = np.asarray(second_stage_costs, dtype=float)
-    parent = list(range(n_nodes))
-    merged = 0
-    for e, flag in enumerate(y):
-        if flag > 0.5:
-            ru = _find(parent, edges[e][0])
-            rv = _find(parent, edges[e][1])
-            if ru == rv:
-                raise InputError("first-stage selection contains a cycle")
-            parent[ru] = rv
-            merged += 1
-    remaining = [e for e in range(len(edges)) if y[e] <= 0.5]
-    order = sorted(remaining, key=lambda e: (d[e], e))
-    heads = [e[0] for e in edges]
-    tails = [e[1] for e in edges]
-    chosen = _select_acyclic(order, heads, tails, parent, n_nodes - 1 - merged)
-    if merged + len(chosen) != n_nodes - 1:
+    in_y = np.asarray(y) > 0.5
+    (chosen,) = _kruskal_rows(np.where(in_y, -np.inf, d)[None, :], edges, n_nodes)
+    n_first = int(np.count_nonzero(in_y))
+    if np.count_nonzero(in_y[chosen]) != n_first:
+        raise InputError("first-stage selection contains a cycle")
+    if len(chosen) != n_nodes - 1:
         raise InfeasibleError("graph is disconnected; no spanning completion")
+    completion = chosen[n_first:]
     z = np.zeros(len(edges))
-    z[chosen] = 1.0
-    return float(d[chosen].sum()), z
+    z[completion] = 1.0
+    return float(d[completion].sum()), z
+
+
+def _two_stage_splits(
+    eff: np.ndarray, second: np.ndarray, edges: EdgeList, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise (y, z) splits for an (m, E) array of effective first-stage
+    costs against one second-stage cost vector."""
+    rows = _kruskal_rows(np.minimum(eff, second), edges, n_nodes)
+    if any(len(chosen) != n_nodes - 1 for chosen in rows):
+        raise InfeasibleError("graph is disconnected")
+    tree = _indicators(rows, eff.shape[1])
+    y = tree * (eff <= second)
+    return y, tree - y
 
 
 def two_stage_mst_split(
@@ -136,21 +154,8 @@ def two_stage_mst_split(
     """
     eff = np.asarray(eff_first, dtype=float)
     d = np.asarray(second, dtype=float)
-    w = np.minimum(eff, d)
-    order = np.argsort(w, kind="stable")
-    heads = [e[0] for e in edges]
-    tails = [e[1] for e in edges]
-    parent = list(range(n_nodes))
-    chosen = _select_acyclic(order.tolist(), heads, tails, parent, n_nodes - 1)
-    if len(chosen) != n_nodes - 1:
-        raise InfeasibleError("graph is disconnected")
-    y = np.zeros(len(edges))
-    z = np.zeros(len(edges))
-    for e in chosen:
-        if eff[e] <= d[e]:
-            y[e] = 1.0
-        else:
-            z[e] = 1.0
+    y, z = _two_stage_splits(eff[None, :], d, edges, n_nodes)
+    y, z = y[0], z[0]
     value = float(eff @ y + d @ z)
     return y, z, value
 
@@ -189,9 +194,12 @@ class GridInstance:
             raise InputError("feature rows do not match the edge count")
         if self.scenario_costs.ndim != 2 or self.scenario_costs.shape[1] != expected:
             raise InputError("scenario costs do not match the edge count")
+        arrays = (self.first_stage_costs, self.features, self.scenario_costs)
+        if not all(np.all(np.isfinite(arr)) for arr in arrays):
+            raise InputError("costs and features must be finite")
         if np.any(self.scenario_costs <= 0.0):
             raise InputError("second-stage costs must be positive")
-        for arr in (self.first_stage_costs, self.features, self.scenario_costs):
+        for arr in arrays:
             arr.setflags(write=False)
 
     @property
@@ -234,28 +242,12 @@ class MstOracle(LinearOracle):
         self.edges = grid_edges(rows, cols)
         self.n_nodes = rows * cols
         self.n_edges = len(self.edges)
-        self._heads = [e[0] for e in self.edges]
-        self._tails = [e[1] for e in self.edges]
 
     def argmax_linear(self, theta: np.ndarray) -> np.ndarray:
         return kruskal_max_weight_forest(theta, self.edges, self.n_nodes)
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        orders = np.argsort(-thetas, axis=1, kind="stable")
-        out = np.zeros_like(thetas)
-        for r in range(thetas.shape[0]):
-            parent = list(range(self.n_nodes))
-            row = thetas[r]
-            for e in orders[r].tolist():
-                if row[e] <= 0.0:
-                    break
-                ru = _find(parent, self._heads[e])
-                rv = _find(parent, self._tails[e])
-                if ru != rv:
-                    parent[ru] = rv
-                    out[r, e] = 1.0
-        return out
+        return _max_weight_forests(thetas, self.edges, self.n_nodes)
 
     def _payload(self, scenario: Scenario) -> TwoStageCosts:
         payload = scenario.noise_payload
@@ -273,22 +265,8 @@ class MstOracle(LinearOracle):
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         payload = self._payload(scenario)
         eff = payload.first_stage[None, :] - kappa * np.asarray(theta_tildes, dtype=float)
-        w = np.minimum(eff, payload.second_stage[None, :])
-        orders = np.argsort(w, axis=1, kind="stable")
-        target = self.n_nodes - 1
-        out = np.zeros_like(w)
-        for r in range(w.shape[0]):
-            parent = list(range(self.n_nodes))
-            chosen = _select_acyclic(
-                orders[r].tolist(), self._heads, self._tails, parent, target
-            )
-            if len(chosen) != target:
-                raise InfeasibleError("graph is disconnected")
-            row_eff = eff[r]
-            for e in chosen:
-                if row_eff[e] <= payload.second_stage[e]:
-                    out[r, e] = 1.0
-        return out
+        y, _ = _two_stage_splits(eff, payload.second_stage, self.edges, self.n_nodes)
+        return y
 
 
 class MstEvaluator:
@@ -365,8 +343,3 @@ def brute_force_two_stage_pair(
                 best = (y.copy(), z, value)
     return best
 
-
-def brute_force_two_stage_value(
-    eff_first: np.ndarray, second: np.ndarray, edges: EdgeList, n_nodes: int
-) -> float:
-    return brute_force_two_stage_pair(eff_first, second, edges, n_nodes)[2]

@@ -10,7 +10,6 @@ is tracked alongside the iterates themselves.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ class TrainConfig:
     # unperturbed single-scenario solutions (used by the first-iteration
     # identity with uncoordinated imitation).
     unperturbed_targets: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         counts = (self.nb_iterations, self.nb_scenarios, self.nb_samples, self.nb_epochs)
@@ -46,8 +44,6 @@ class TrainConfig:
             raise InputError("all iteration/sample counts must be >= 1")
         if min(self.lr_init, self.epsilon, self.kappa) <= 0:
             raise InputError("lr_init, epsilon and kappa must be positive")
-        if self.workers < 1:
-            raise InputError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,7 @@ def decomposition_pass(
     """Per-scenario target moments from the cost-shifted perturbed problems.
 
     Each batch slot draws from its own sub-stream, so the result is
-    independent of processing order and worker count.
+    independent of processing order.
     """
     if not batch:
         raise InputError("decomposition needs a nonempty batch")
@@ -117,9 +113,6 @@ def decomposition_pass(
             config.nb_samples, rng.split(slot),
         )
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(solve, range(len(batch))))
     return [solve(slot) for slot in range(len(batch))]
 
 
@@ -238,7 +231,16 @@ def evaluate_policy(
     oracle: LinearOracle,
     problem_evaluator,
 ) -> tuple[float, float]:
-    """Deploy the unregularized argmax policy and average cost and gap.
+    """Deploy the unregularized argmax policy and average cost and gap."""
+    decisions = (
+        (oracle.argmax_linear(score_instance(weights, scenario)), scenario)
+        for scenario in data
+    )
+    return _average_cost_and_gap(decisions, problem_evaluator)
+
+
+def _average_cost_and_gap(decisions, problem_evaluator) -> tuple[float, float]:
+    """Mean cost and mean gap over (decision, scenario) pairs.
 
     The per-scenario gap is relative to the anticipative optimum,
     (cost - anticipative) / |anticipative|; when the anticipative cost is
@@ -246,9 +248,7 @@ def evaluate_policy(
     """
     costs = []
     gaps = []
-    for scenario in data:
-        theta = score_instance(weights, scenario)
-        y = oracle.argmax_linear(theta)
+    for y, scenario in decisions:
         cost = problem_evaluator.policy_cost(y, scenario)
         anticipative = problem_evaluator.anticipative_cost(scenario)
         costs.append(cost)

@@ -198,6 +198,19 @@ class TestEvaluate:
         assert rows[0] == ["split", "mean_cost", "mean_gap"]
         assert rows[1][0] == "test"
 
+    def test_nan_costs_exit_two(self, tmp_path, mst_config, mst_data):
+        with np.load(Path(mst_data) / "test.npz") as split:
+            arrays = dict(split)
+        arrays["scenario_costs"][0, 0, 0] = np.nan
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        np.savez(bad / "test.npz", **arrays)
+        weights = tmp_path / "weights.npz"
+        np.savez(weights, weights=np.zeros(arrays["features"].shape[-1]))
+        assert cli.main(["evaluate", "--config", mst_config, "--weights", str(weights),
+                         "--data", str(bad), "--split", "test",
+                         "--out", str(tmp_path / "eval.csv")]) == 2
+
 
 class TestVerify:
     def test_jensen_gap_suite_passes(self, tmp_path, toy_config):

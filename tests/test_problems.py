@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from costru.core import make_rng
+from costru.core import Scenario, make_rng
 from costru.problems.datasets import (
     GenConfig,
     context_signal,
@@ -18,8 +20,10 @@ from costru.problems.datasets import (
 from costru.problems.spanning_tree import (
     InfeasibleError,
     MstOracle,
+    TwoStageCosts,
     brute_force_max_weight_forest_value,
     brute_force_two_stage_pair,
+    enumerate_forests,
     grid_edges,
     is_forest,
     kruskal_max_weight_forest,
@@ -28,6 +32,7 @@ from costru.problems.spanning_tree import (
     two_stage_mst_split,
 )
 from costru.problems.toy import TOY_COSTS, ToyOracle, toy_cost_table, toy_oracle
+from costru.verification import _SMALL_GRAPHS
 
 TRIANGLE = (((0, 1), (1, 2), (0, 2)), 3)
 
@@ -218,6 +223,106 @@ class TestMstOracleBatch:
         batch = oracle.argmax_linear_many(thetas)
         singles = np.stack([oracle.argmax_linear(t) for t in thetas])
         np.testing.assert_array_equal(batch, singles)
+
+
+# Integer weights in [-3, 3] make ties common, so these properties also
+# exercise the lowest-index rule and the ties-to-stage-one attribution.
+_TIED = st.integers(-3, 3)
+_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def small_graph_costs(draw, n_vectors):
+    edges, n_nodes = draw(st.sampled_from(_SMALL_GRAPHS))
+    vectors = [np.array(draw(st.lists(_TIED, min_size=len(edges), max_size=len(edges))),
+                        dtype=float) for _ in range(n_vectors)]
+    return edges, n_nodes, vectors
+
+
+@st.composite
+def grid_thetas(draw):
+    oracle = MstOracle(draw(st.integers(1, 3)), draw(st.integers(2, 3)))
+    n_rows = draw(st.integers(1, 4))
+    flat = draw(st.lists(_TIED, min_size=n_rows * oracle.n_edges,
+                         max_size=n_rows * oracle.n_edges))
+    costs = draw(st.lists(st.integers(1, 4), min_size=2 * oracle.n_edges,
+                          max_size=2 * oracle.n_edges))
+    scenario = Scenario(0, np.zeros((oracle.n_edges, 1)),
+                        TwoStageCosts(np.array(costs[:oracle.n_edges], dtype=float),
+                                      np.array(costs[oracle.n_edges:], dtype=float)))
+    return oracle, np.array(flat, dtype=float).reshape(n_rows, oracle.n_edges), scenario
+
+
+class TestOracleProperties:
+    @_PROPERTY
+    @given(small_graph_costs(1))
+    def test_forest_matches_enumeration(self, case):
+        edges, n, (w,) = case
+        y = kruskal_max_weight_forest(w, edges, n)
+        assert is_forest(y, edges, n)
+        assert float(w @ y) == brute_force_max_weight_forest_value(w, edges, n)
+
+    @_PROPERTY
+    @given(small_graph_costs(2))
+    def test_split_matches_enumeration_and_ties_go_to_stage_one(self, case):
+        edges, n, (eff, d) = case
+        y, z, value = two_stage_mst_split(eff, d, edges, n)
+        assert y.sum() + z.sum() == n - 1 and is_forest(y + z, edges, n)
+        assert value == float(eff @ y + d @ z)
+        assert value == brute_force_two_stage_pair(eff, d, edges, n)[2]
+        chosen = (y + z) > 0.5
+        np.testing.assert_array_equal(y, (chosen & (eff <= d)).astype(float))
+
+    @_PROPERTY
+    @given(small_graph_costs(1), st.data())
+    def test_completion_matches_enumeration(self, case, data):
+        edges, n, (d,) = case
+        forests = enumerate_forests(edges, n)
+        y = data.draw(st.sampled_from(forests))
+        value, z = second_stage_value(y, d, edges, n)
+        assert np.all(y + z <= 1.0) and (y + z).sum() == n - 1
+        assert is_forest(y + z, edges, n)
+        trees = [f for f in forests if f.sum() == n - 1 and np.all(f >= y)]
+        assert value == min(float(d @ (f - y)) for f in trees)
+
+    @_PROPERTY
+    @given(grid_thetas(), st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    def test_batched_calls_equal_single_rows(self, case, kappa):
+        oracle, thetas, scenario = case
+        np.testing.assert_array_equal(
+            oracle.argmax_linear_many(thetas),
+            np.stack([oracle.argmax_linear(t) for t in thetas]))
+        np.testing.assert_array_equal(
+            oracle.argmin_shifted_many(thetas, kappa, scenario),
+            np.stack([oracle.argmin_shifted(t, kappa, scenario) for t in thetas]))
+
+    def test_tied_instances_pin_lowest_index(self):
+        edges, n = grid_edges(2, 2), 4
+        forest = {(1, 1, 1, 1): (1, 1, 1, 0), (2, 1, 1, 2): (1, 1, 0, 1),
+                  (0, 1, 1, 1): (0, 1, 1, 1), (1, -1, 1, 1): (1, 0, 1, 1)}
+        for w, expected in forest.items():
+            y = kruskal_max_weight_forest(np.array(w, dtype=float), edges, n)
+            np.testing.assert_array_equal(y, np.array(expected, dtype=float))
+        splits = [((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 0), (0, 0, 0, 0)),
+                  ((2, 1, 1, 2), (1, 2, 2, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
+                  ((1, 2, 1, 2), (1, 1, 2, 1), (1, 0, 1, 0), (0, 1, 0, 0))]
+        for eff, d, y_expected, z_expected in splits:
+            y, z, value = two_stage_mst_split(np.array(eff, dtype=float),
+                                              np.array(d, dtype=float), edges, n)
+            np.testing.assert_array_equal(y, np.array(y_expected, dtype=float))
+            np.testing.assert_array_equal(z, np.array(z_expected, dtype=float))
+            assert value == 3.0
+        completions = [((0, 0, 0, 0), (1, 1, 1, 1), 3.0, (1, 1, 1, 0)),
+                       ((0, 0, 0, 1), (1, 1, 1, 1), 2.0, (1, 1, 0, 0)),
+                       ((0, 0, 1, 0), (2, 1, 1, 1), 2.0, (0, 1, 0, 1))]
+        for y, d, expected_value, z_expected in completions:
+            value, z = second_stage_value(np.array(y, dtype=float),
+                                          np.array(d, dtype=float), edges, n)
+            assert value == expected_value
+            np.testing.assert_array_equal(z, np.array(z_expected, dtype=float))
+        np.testing.assert_array_equal(
+            MstOracle(2, 2).argmax_linear_many(np.array([[1.0, 1, 1, 1], [2, 1, 1, 2]])),
+            np.array([[1.0, 1, 1, 0], [1, 1, 0, 1]]))
 
 
 class TestGenerator:

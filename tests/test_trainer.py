@@ -116,14 +116,6 @@ class TestDecompositionPass:
         assert targets[0][0] != targets[1][0]  # distinct draws per slot
         assert abs(targets[0][0] - targets[1][0]) < 0.1  # same expectation
 
-    def test_worker_count_invariance(self):
-        oracle = ToyOracle()
-        base = decomposition_pass(np.zeros(1), toy_scenarios(), oracle, toy_config(),
-                                  make_rng(0).split(1, 1))
-        threaded = decomposition_pass(np.zeros(1), toy_scenarios(), oracle,
-                                      toy_config(workers=4), make_rng(0).split(1, 1))
-        np.testing.assert_array_equal(np.stack(base), np.stack(threaded))
-
 
 class TestCoordinationPass:
     def test_fixed_point_leaves_weights_unchanged(self):
