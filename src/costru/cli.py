@@ -297,11 +297,16 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     chash = config_hash(cfg)
+    if cfg["problem"]["kind"] != "toy" and args.data is None:
+        log.error("--data is required for the spanning-tree problem")
+        return EXIT_USAGE
     with np.load(args.weights) as data:
         if "final_average" in data:
             w = data["final_average"]
-        else:
+        elif "weights" in data:
             w = data["weights"]
+        else:
+            raise InputError(f"{args.weights} holds neither final_average nor weights")
     if cfg["problem"]["kind"] == "toy":
         dataset = toy_dataset()
         cost, gap = evaluate_policy(np.atleast_1d(w), dataset, ToyOracle(), ToyEvaluator())

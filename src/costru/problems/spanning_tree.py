@@ -10,8 +10,15 @@ chosen edge goes to the cheaper stage, ties to stage one.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import tempfile
 from dataclasses import dataclass
+from importlib import resources
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +29,25 @@ EdgeList = tuple[tuple[int, int], ...]
 
 class InfeasibleError(RuntimeError):
     """The graph cannot be spanned (disconnected input)."""
+
+
+class _GridEdges(tuple):
+    """An EdgeList that also holds its endpoints as a read-only (E, 2) int64
+    array, made once so that kernel calls need not convert the tuple."""
+
+    def __new__(cls, pairs):
+        edges = super().__new__(cls, pairs)
+        edges.ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        edges.ends.setflags(write=False)
+        return edges
+
+    def __reduce__(self):
+        return _GridEdges, (tuple(self),)
+
+
+def _endpoints(edges: EdgeList) -> np.ndarray:
+    ends = getattr(edges, "ends", None)
+    return np.array(edges, dtype=np.int64).reshape(-1, 2) if ends is None else ends
 
 
 def grid_edges(rows: int, cols: int) -> EdgeList:
@@ -35,7 +61,7 @@ def grid_edges(rows: int, cols: int) -> EdgeList:
     for r in range(rows - 1):
         for c in range(cols):
             edges.append((r * cols + c, (r + 1) * cols + c))
-    return tuple(edges)
+    return _GridEdges(edges)
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -45,13 +71,15 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _kruskal_rows(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[list[int]]:
+def _kruskal_rows_py(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[list[int]]:
     """Greedy acyclic edge selection, one pass per row of the (m, E) ``keys``.
 
     Every spanning-tree oracle is this loop under its own keys: edges are
     taken in increasing key order, ties to the lower index, skipping cycles;
     an edge whose key is +inf (or NaN) is never taken, and a row stops at
     n_nodes - 1 edges.  Returns each row's chosen edges in selection order.
+    The compiled kernel (``_kruskal.c``) follows the same rules; this loop
+    is its reference and the fallback when it cannot be built.
     """
     orders = np.argsort(keys, axis=1, kind="stable").tolist()
     takeable = (keys < np.inf).sum(axis=1).tolist()
@@ -73,10 +101,76 @@ def _kruskal_rows(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[list[
     return rows
 
 
-def _indicators(rows: list[list[int]], n_edges: int) -> np.ndarray:
-    out = np.zeros((len(rows), n_edges))
-    for r, chosen in enumerate(rows):
-        out[r, chosen] = 1.0
+def _build_kernel() -> Path:
+    """Compile ``_kruskal.c`` with the local C compiler into this package's
+    ``__pycache__``, named after a hash of the source, unless it is there."""
+    import subprocess  # imported on the first build only, to keep the package import fast
+
+    source = resources.files(__package__).joinpath("_kruskal.c").read_bytes()
+    cache = Path(__file__).with_name("__pycache__")
+    target = cache / f"_kruskal-{hashlib.sha256(source).hexdigest()[:16]}.so"
+    if not target.exists():
+        cache.mkdir(exist_ok=True)
+        fd, partial = tempfile.mkstemp(dir=cache, prefix="_kruskal-", suffix=".tmp")
+        os.close(fd)
+        try:
+            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", partial],
+                           input=source, capture_output=True, check=True, timeout=120)
+            os.chmod(partial, 0o755)  # mkstemp made it private to this user
+            os.replace(partial, target)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    return target
+
+
+@functools.cache
+def _compiled_kernel():
+    """The C ``kruskal_rows`` through ctypes, built and loaded on first use;
+    None when that fails, and the pure-Python loop runs instead."""
+    import subprocess
+
+    try:
+        kernel = ctypes.CDLL(str(_build_kernel())).kruskal_rows
+    except (OSError, subprocess.SubprocessError):
+        return None
+    kernel.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def _kruskal_rows(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
+    """``_kruskal_rows_py`` as an (m, n_nodes) int64 array: row r holds its
+    chosen edges in selection order, then zeros, and its count in the last
+    column.  Runs the compiled kernel when it is available."""
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    if n_nodes < 1:
+        raise InputError("a graph needs at least one node")
+    if keys.shape[1] != len(edges):
+        raise InputError("keys need one column per edge")
+    out = np.zeros((keys.shape[0], n_nodes), dtype=np.int64)
+    kernel = _compiled_kernel()
+    if kernel is None:
+        for row, chosen in zip(out, _kruskal_rows_py(keys, edges, n_nodes)):
+            row[:len(chosen)] = chosen
+            row[-1] = len(chosen)
+        return out
+    ends = _endpoints(edges)  # a local name keeps a converted array alive during the call
+    status = kernel(keys.ctypes.data, ends.ctypes.data, keys.shape[0], keys.shape[1],
+                    n_nodes, out.ctypes.data)
+    if status == -1:
+        raise MemoryError("no workspace for the Kruskal kernel")
+    if status != 0:
+        raise InputError("edge endpoints must lie in [0, n_nodes)")
+    return out
+
+
+def _indicators(picks: np.ndarray, n_edges: int) -> np.ndarray:
+    """0/1 rows of the edges that each row of ``_kruskal_rows`` chose."""
+    chosen = np.arange(picks.shape[1] - 1) < picks[:, -1:]
+    out = np.zeros((picks.shape[0], n_edges))
+    out[np.nonzero(chosen)[0], picks[:, :-1][chosen]] = 1.0
     return out
 
 
@@ -111,24 +205,35 @@ def kruskal_max_weight_forest(
 
 def second_stage_value(
     y: np.ndarray, second_stage_costs: np.ndarray, edges: EdgeList, n_nodes: int
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Minimum-cost completion of the forest y into a spanning tree.
 
     Kruskal with y's edges first, then the other edges in increasing
-    second-stage cost.  Returns the completion cost and indicator.
+    second-stage cost.  Returns the completion cost and indicator; for a
+    (K, E) stack of second-stage costs, a (K,) cost array and (K, E)
+    indicators, row k being the single call on row k.
     """
     d = np.asarray(second_stage_costs, dtype=float)
     in_y = np.asarray(y) > 0.5
-    (chosen,) = _kruskal_rows(np.where(in_y, -np.inf, d)[None, :], edges, n_nodes)
+    d_rows = d[None, :] if d.ndim == 1 else d
+    picks = _kruskal_rows(np.where(in_y, -np.inf, d_rows), edges, n_nodes)
     n_first = int(np.count_nonzero(in_y))
-    if np.count_nonzero(in_y[chosen]) != n_first:
+    chosen, counts = picks[:, :-1], picks[:, -1]
+    taken_y = in_y[chosen] & (np.arange(n_nodes - 1) < counts[:, None])
+    if (taken_y.sum(axis=1) != n_first).any():
         raise InputError("first-stage selection contains a cycle")
-    if len(chosen) != n_nodes - 1:
+    if (counts != n_nodes - 1).any():
         raise InfeasibleError("graph is disconnected; no spanning completion")
-    completion = chosen[n_first:]
-    z = np.zeros(len(edges))
-    z[completion] = 1.0
-    return float(d[completion].sum()), z
+    rows = np.arange(d_rows.shape[0])[:, None]
+    completion = chosen[:, n_first:]
+    # The (K, L) gather is C-contiguous, so each row is summed in selection
+    # order with the pairwise order of a 1-D sum.
+    values = d_rows[rows, completion].sum(axis=1)
+    z = np.zeros(d_rows.shape)
+    z[rows, completion] = 1.0
+    if d.ndim == 1:
+        return float(values[0]), z[0]
+    return values, z
 
 
 def _two_stage_splits(
@@ -136,10 +241,10 @@ def _two_stage_splits(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (y, z) splits for an (m, E) array of effective first-stage
     costs against one second-stage cost vector."""
-    rows = _kruskal_rows(np.minimum(eff, second), edges, n_nodes)
-    if any(len(chosen) != n_nodes - 1 for chosen in rows):
+    picks = _kruskal_rows(np.minimum(eff, second), edges, n_nodes)
+    if (picks[:, -1] != n_nodes - 1).any():
         raise InfeasibleError("graph is disconnected")
-    tree = _indicators(rows, eff.shape[1])
+    tree = _indicators(picks, eff.shape[1])
     y = tree * (eff <= second)
     return y, tree - y
 

@@ -231,12 +231,22 @@ def evaluate_policy(
     oracle: LinearOracle,
     problem_evaluator,
 ) -> tuple[float, float]:
-    """Deploy the unregularized argmax policy and average cost and gap."""
-    decisions = (
-        (oracle.argmax_linear(score_instance(weights, scenario)), scenario)
-        for scenario in data
-    )
-    return _average_cost_and_gap(decisions, problem_evaluator)
+    """Deploy the unregularized argmax policy and average cost and gap.
+
+    The decision depends on a scenario only through its features, so it is
+    solved again only when the feature array is not the very object of the
+    previous scenario (consecutive scenarios of one context share it).
+    """
+
+    def decisions():
+        features = y = None
+        for scenario in data:
+            if scenario.features is not features:
+                features = scenario.features
+                y = oracle.argmax_linear(score_instance(weights, scenario))
+            yield y, scenario
+
+    return _average_cost_and_gap(decisions(), problem_evaluator)
 
 
 def _average_cost_and_gap(decisions, problem_evaluator) -> tuple[float, float]:

@@ -211,6 +211,18 @@ class TestEvaluate:
                          "--data", str(bad), "--split", "test",
                          "--out", str(tmp_path / "eval.csv")]) == 2
 
+    def test_mst_requires_data(self, tmp_path):
+        weights = tmp_path / "weights.npz"
+        np.savez(weights, weights=np.zeros(5))
+        assert cli.main(["evaluate", "--weights", str(weights),
+                         "--out", str(tmp_path / "eval.csv")]) == 2
+
+    def test_weights_file_without_weights_exits_two(self, tmp_path, mst_config, mst_data):
+        weights = tmp_path / "weights.npz"
+        np.savez(weights, per_iteration=np.zeros((2, 5)))
+        assert cli.main(["evaluate", "--config", mst_config, "--weights", str(weights),
+                         "--data", mst_data, "--out", str(tmp_path / "eval.csv")]) == 2
+
 
 class TestVerify:
     def test_jensen_gap_suite_passes(self, tmp_path, toy_config):

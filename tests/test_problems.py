@@ -1,11 +1,19 @@
 """Toy problem, spanning-tree oracles, generator, and containers."""
 
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import minimum_spanning_tree
 
-from costru.core import Scenario, make_rng
+from costru.core import Dataset, InputError, Scenario, make_rng
+from costru.problems import spanning_tree
 from costru.problems.datasets import (
     GenConfig,
     context_signal,
@@ -19,6 +27,7 @@ from costru.problems.datasets import (
 )
 from costru.problems.spanning_tree import (
     InfeasibleError,
+    MstEvaluator,
     MstOracle,
     TwoStageCosts,
     brute_force_max_weight_forest_value,
@@ -32,6 +41,7 @@ from costru.problems.spanning_tree import (
     two_stage_mst_split,
 )
 from costru.problems.toy import TOY_COSTS, ToyOracle, toy_cost_table, toy_oracle
+from costru.trainer import _average_cost_and_gap, evaluate_policy, score_instance
 from costru.verification import _SMALL_GRAPHS
 
 TRIANGLE = (((0, 1), (1, 2), (0, 2)), 3)
@@ -123,12 +133,15 @@ class TestSecondStage:
         np.testing.assert_array_equal(z, np.array([0.0, 0.0, 1.0]))
 
     def test_empty_first_stage_is_mst(self):
+        """With nothing built in stage one the completion is a minimum
+        spanning tree; SciPy's MST is the independent reference."""
         edges, n = grid_edges(3, 3), 9
+        u, v = np.array(edges).T
         g = make_rng(3, 0).generator()
         for _ in range(20):
             d = g.uniform(1, 10, len(edges))
             value, z = second_stage_value(np.zeros(len(edges)), d, edges, n)
-            _, _, best = brute_force_two_stage_pair(np.full(len(edges), 1e9), d, edges, n)
+            best = minimum_spanning_tree(csr_matrix((d, (u, v)), shape=(n, n))).sum()
             assert value == pytest.approx(best, abs=1e-9)
 
     def test_cycle_in_first_stage_rejected(self):
@@ -323,6 +336,193 @@ class TestOracleProperties:
         np.testing.assert_array_equal(
             MstOracle(2, 2).argmax_linear_many(np.array([[1.0, 1, 1, 1], [2, 1, 1, 2]])),
             np.array([[1.0, 1, 1, 0], [1, 1, 0, 1]]))
+
+
+# Kernel keys: integer ties, both infinities, NaN and both zeros.
+_KEYS = st.one_of(_TIED.map(float), st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0]))
+# Every small graph with an arbitrary subset of its edges (often disconnected),
+# one-node graphs, whose only edges are self-loops, and grids with more edges
+# than one insertion-sorted run of the C kernel (16), so that merges happen.
+_KERNEL_GRAPHS = _SMALL_GRAPHS + [((), 1), (((0, 0),), 1), (((0, 0), (0, 0)), 1),
+                                  (grid_edges(3, 4), 12), (grid_edges(4, 5), 20)]
+
+
+@st.composite
+def kernel_cases(draw):
+    edges, n_nodes = draw(st.sampled_from(_KERNEL_GRAPHS))
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        edges = tuple(e for e, k in zip(edges, keep) if k)
+    m = draw(st.integers(0, 4))
+    flat = draw(st.lists(_KEYS, min_size=m * len(edges), max_size=m * len(edges)))
+    return edges, n_nodes, np.array(flat, dtype=float).reshape(m, len(edges))
+
+
+def _reference_picks(keys, edges, n_nodes):
+    """The pure-Python loop's rows in the kernel's zero-padded layout."""
+    out = np.zeros((keys.shape[0], n_nodes), dtype=np.int64)
+    for row, chosen in zip(out, spanning_tree._kruskal_rows_py(keys, edges, n_nodes)):
+        row[:len(chosen)] = chosen
+        row[-1] = len(chosen)
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (InputError, InfeasibleError) as exc:
+        return type(exc)
+
+
+@pytest.fixture
+def replace_builder(monkeypatch, request):
+    """Replace the kernel's build step and forget the loaded kernel; the
+    real kernel is loaded again after the test."""
+    request.addfinalizer(spanning_tree._compiled_kernel.cache_clear)
+
+    def replace(build):
+        monkeypatch.setattr(spanning_tree, "_build_kernel", build)
+        spanning_tree._compiled_kernel.cache_clear()
+
+    return replace
+
+
+def _raise(exc):
+    def build():
+        raise exc
+    return build
+
+
+def _oracle_outputs():
+    """Outputs of every spanning-tree oracle on 6x6 and 20x20 inputs, with
+    tied integer scores and integer stage costs."""
+    g = make_rng(11, 0).generator()
+    outputs = []
+    for rows, cols in ((6, 6), (20, 20)):
+        oracle = MstOracle(rows, cols)
+        edges, n, n_edges = oracle.edges, oracle.n_nodes, oracle.n_edges
+        thetas = np.round(g.normal(0.0, 2.0, (5, n_edges)))
+        c, d = g.integers(5, 10, n_edges) * 1.0, g.integers(2, 12, (3, n_edges)) * 1.0
+        scenario = Scenario(0, np.zeros((n_edges, 1)), TwoStageCosts(c, d[0]))
+        y = oracle.argmax_linear(thetas[0])
+        outputs += [oracle.argmax_linear_many(thetas), oracle.argmax_linear(thetas[1]),
+                    oracle.argmin_shifted_many(thetas, 1.0, scenario),
+                    oracle.argmin_shifted(thetas[2], 0.5, scenario),
+                    *two_stage_mst_split(c, d[1], edges, n),
+                    *second_stage_value(y, d, edges, n),
+                    *second_stage_value(y, d[2], edges, n)]
+    return outputs
+
+
+class TestCompiledKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases())
+    def test_matches_python_reference(self, case):
+        if spanning_tree._compiled_kernel() is None:
+            pytest.skip("no C compiler: the pure-Python loop is the kernel")
+        edges, n_nodes, keys = case
+        np.testing.assert_array_equal(spanning_tree._kruskal_rows(keys, edges, n_nodes),
+                                      _reference_picks(keys, edges, n_nodes))
+
+    def test_concurrent_calls_match_sequential(self):
+        """The kernel runs without the GIL on a per-call workspace, so calls
+        from more threads than cores give the sequential results."""
+        oracle = MstOracle(6, 6)
+        thetas = make_rng(13, 0).generator().normal(size=(64, 20, oracle.n_edges))
+        expected = [oracle.argmax_linear_many(t) for t in thetas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(oracle.argmax_linear_many, thetas, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, e in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(g, e)
+
+    def test_source_ships_as_package_data(self):
+        source = resources.files("costru.problems").joinpath("_kruskal.c")
+        assert source.is_file()
+        assert "int kruskal_rows(" in source.read_text()
+
+    @pytest.mark.parametrize("build", [
+        _raise(FileNotFoundError("cc")),
+        _raise(subprocess.CalledProcessError(1, ["cc"])),
+        _raise(PermissionError("read-only package directory")),
+        "not a shared library",
+    ], ids=["no-compiler", "compile-error", "unwritable", "failed-dlopen"])
+    def test_failed_loader_falls_back_to_identical_outputs(self, build, replace_builder,
+                                                           tmp_path):
+        compiled = _oracle_outputs()
+        if isinstance(build, str):
+            junk = tmp_path / "junk.so"
+            junk.write_text(build)
+            build = lambda: junk  # noqa: E731
+        replace_builder(build)
+        assert spanning_tree._compiled_kernel() is None
+        for got, expected in zip(_oracle_outputs(), compiled, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def completion_cases(draw):
+    edges, n_nodes = draw(st.sampled_from(_SMALL_GRAPHS))
+    y = np.array(draw(st.lists(st.booleans(), min_size=len(edges),
+                               max_size=len(edges))), dtype=float)
+    k = draw(st.integers(1, 4))
+    costs = st.one_of(st.integers(1, 4).map(float), st.just(np.inf))
+    flat = draw(st.lists(costs, min_size=k * len(edges), max_size=k * len(edges)))
+    return edges, n_nodes, y, np.array(flat).reshape(k, len(edges))
+
+
+class TestBatchedCompletion:
+    @_PROPERTY
+    @given(completion_cases())
+    def test_stack_equals_single_rows(self, case):
+        """Row k of a (K, E) call is the call on row k; a failing row makes
+        the whole call raise what the first failing row raises."""
+        edges, n, y, d = case
+        singles = [_outcome(lambda: second_stage_value(y, row, edges, n)) for row in d]
+        batched = _outcome(lambda: second_stage_value(y, d, edges, n))
+        failures = [s for s in singles if isinstance(s, type)]
+        if failures:
+            assert batched is failures[0]
+            return
+        values, z = batched
+        assert values.shape == (len(d),) and z.shape == d.shape
+        for k, (value, z_k) in enumerate(singles):
+            assert values[k] == value
+            np.testing.assert_array_equal(z[k], z_k)
+
+
+def _per_scenario_policy(weights, data, oracle, evaluator):
+    """evaluate_policy's reference: one argmax per scenario."""
+    decisions = ((oracle.argmax_linear(score_instance(weights, s)), s) for s in data)
+    return _average_cost_and_gap(decisions, evaluator)
+
+
+class TestPerContextEvaluation:
+    @_PROPERTY
+    @given(st.lists(_TIED, min_size=5, max_size=5), st.sampled_from(["shared", "copied",
+                                                                      "distinct"]))
+    def test_equals_per_scenario_decisions(self, weights, features):
+        cfg = GenConfig(rows=2, cols=3, train_instances=3, val_instances=1,
+                        test_instances=1, scenarios_per_instance=3)
+        scenarios = []
+        for ctx, inst in enumerate(generate_mst_split(cfg, 12, "train")):
+            for k in range(inst.n_scenarios):
+                s = inst.scenario(ctx, k)
+                if features == "copied":
+                    s = Scenario(ctx, s.features.copy(), s.noise_payload)
+                elif features == "distinct":
+                    s = Scenario(ctx, s.features + k * np.arange(s.features.shape[1]),
+                                 s.noise_payload)
+                scenarios.append(s)
+        data = Dataset(tuple(scenarios))
+        oracle = MstOracle(2, 3)
+        w = np.array(weights, dtype=float) / 4
+        expected = _per_scenario_policy(w, data, oracle, MstEvaluator(oracle))
+        assert evaluate_policy(w, data, oracle, MstEvaluator(oracle)) == expected
 
 
 class TestGenerator:
