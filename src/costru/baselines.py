@@ -17,6 +17,7 @@ from .core import Dataset, InputError, LinearOracle, Scenario, make_rng
 from .problems.spanning_tree import (
     MstOracle,
     TwoStageCosts,
+    _two_stage_splits,
     kruskal_max_weight_forest,
     second_stage_value,
 )
@@ -60,16 +61,8 @@ def _shared_costs(scenarios: list[Scenario]) -> tuple[np.ndarray, np.ndarray]:
     return c, np.stack([p.second_stage for p in payloads])
 
 
-def _anticipative_solution(
-    oracle: LinearOracle, scenario: Scenario, first_stage: np.ndarray | None = None
-) -> np.ndarray:
-    """Single-scenario optimum, optionally with overridden first-stage costs."""
-    if first_stage is not None:
-        scenario = Scenario(
-            scenario.context_id,
-            scenario.features,
-            TwoStageCosts(first_stage, scenario.noise_payload.second_stage),
-        )
+def _anticipative_solution(oracle: LinearOracle, scenario: Scenario) -> np.ndarray:
+    """Single-scenario optimum."""
     zeros = np.zeros(scenario.dim)
     return np.asarray(oracle.argmin_shifted(zeros, 0.0, scenario), dtype=float)
 
@@ -129,10 +122,8 @@ def lagrangian_saa_solution(
         candidates.setdefault(y.tobytes(), y)
 
     for j in range(1, saa.lagrangian_iters + 1):
-        ys = np.stack([
-            _anticipative_solution(oracle, scenarios[k], first_stage=c + lam[k])
-            for k in range(n_scen)
-        ])
+        # Row k is the anticipative solution of scenario k at costs c + lam[k].
+        ys, _ = _two_stage_splits(c + lam, d_all, oracle.edges, oracle.n_nodes)
         for y in ys:
             add_candidate(y)
         y_bar = ys.mean(axis=0)

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: generate, train, verify, sweep-epsilon, evaluate.
-Exit codes: 0 ok, 1 verification failure, 2 usage/config error, 3 IO error.
+Exit codes: 0 ok, 1 verification failure, 2 usage/config error, 3 IO error,
+4 internal error (a non-finite gradient, a disconnected graph or an iterate
+on the simplex boundary).
 Every command is deterministic given (config, seed); all CSVs carry a
 comment line recording the config hash and seed, then a header row.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from . import baselines, experiments, simplex_lab, verification
 from .core import CheckRow, InputError, make_rng
 from .problems import datasets as ds
-from .problems.spanning_tree import MstEvaluator, MstOracle
+from .problems.spanning_tree import InfeasibleError, MstEvaluator, MstOracle
 from .problems.toy import ToyEvaluator, ToyOracle, toy_dataset
 from .trainer import TrainConfig, evaluate_policy, train_primal_dual
 
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(ValueError):
@@ -152,12 +155,20 @@ def _saa_config(cfg: dict) -> baselines.SaaConfig:
 
 
 def _load_mst_data(data_dir: Path):
+    """The three splits; every instance must lie on train's grid, the one
+    the oracle is built for."""
     splits = {}
     for split in ("train", "val", "test"):
         path = data_dir / f"{split}.npz"
         if not path.exists():
             raise ConfigError(f"missing dataset file {path}")
         splits[split] = ds.load_split(path)
+    train = splits["train"][0][0]
+    for split, (instances, _) in splits.items():
+        for inst in instances:
+            if (inst.rows, inst.cols) != (train.rows, train.cols):
+                raise InputError(f"the {split} split is on a {inst.rows}x{inst.cols} grid, "
+                                 f"train on {train.rows}x{train.cols}")
     return splits
 
 
@@ -482,6 +493,10 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         print(f"costru: io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (FloatingPointError, InfeasibleError, simplex_lab.BoundaryError) as exc:
+        log.error("%s: %s", type(exc).__name__, exc)
+        print(f"costru: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

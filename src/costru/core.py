@@ -25,7 +25,7 @@ class InputError(ValueError):
 
 def ensure_finite(x: np.ndarray, name: str = "input") -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise InputError(f"{name} contains non-finite entries")
     return x
 

@@ -10,6 +10,7 @@ chosen edge goes to the cheaper stage, ties to stage one.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -33,21 +34,27 @@ class InfeasibleError(RuntimeError):
 
 class _GridEdges(tuple):
     """An EdgeList that also holds its endpoints as a read-only (E, 2) int64
-    array, made once so that kernel calls need not convert the tuple."""
+    array and that array's address, made once so that kernel calls need not
+    convert the tuple."""
 
     def __new__(cls, pairs):
         edges = super().__new__(cls, pairs)
         edges.ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
         edges.ends.setflags(write=False)
+        edges.ends_address = edges.ends.ctypes.data
         return edges
 
     def __reduce__(self):
         return _GridEdges, (tuple(self),)
 
 
-def _endpoints(edges: EdgeList) -> np.ndarray:
-    ends = getattr(edges, "ends", None)
-    return np.array(edges, dtype=np.int64).reshape(-1, 2) if ends is None else ends
+def _endpoints(edges: EdgeList) -> tuple[np.ndarray, int]:
+    """Endpoints as an (E, 2) int64 array and its address; the caller keeps
+    the array alive while the kernel reads it."""
+    if isinstance(edges, _GridEdges):
+        return edges.ends, edges.ends_address
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return ends, ends.ctypes.data
 
 
 def grid_edges(rows: int, cols: int) -> EdgeList:
@@ -79,7 +86,8 @@ def _kruskal_rows_py(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[li
     an edge whose key is +inf (or NaN) is never taken, and a row stops at
     n_nodes - 1 edges.  Returns each row's chosen edges in selection order.
     The compiled kernel (``_kruskal.c``) follows the same rules; this loop
-    is its reference and the fallback when it cannot be built.
+    and the ``_*_py`` oracle paths around it are its reference and the
+    fallback when it cannot be built.
     """
     orders = np.argsort(keys, axis=1, kind="stable").tolist()
     takeable = (keys < np.inf).sum(axis=1).tolist()
@@ -103,7 +111,8 @@ def _kruskal_rows_py(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[li
 
 def _build_kernel() -> Path:
     """Compile ``_kruskal.c`` with the local C compiler into this package's
-    ``__pycache__``, named after a hash of the source, unless it is there."""
+    ``__pycache__``, named after a hash of the source, unless it is there.
+    A new build deletes the libraries of other sources left there."""
     import subprocess  # imported on the first build only, to keep the package import fast
 
     source = resources.files(__package__).joinpath("_kruskal.c").read_bytes()
@@ -121,53 +130,75 @@ def _build_kernel() -> Path:
         finally:
             if os.path.exists(partial):
                 os.unlink(partial)
+        for stale in cache.glob("_kruskal-*.so"):
+            if stale != target:
+                with contextlib.suppress(OSError):  # best effort; the new build stands
+                    stale.unlink()
     return target
 
 
 @functools.cache
 def _compiled_kernel():
-    """The C ``kruskal_rows`` through ctypes, built and loaded on first use;
-    None when that fails, and the pure-Python loop runs instead."""
+    """The library of ``_kruskal.c`` through ctypes, built and loaded on
+    first use; None when that fails, and the ``_*_py`` paths run instead."""
     import subprocess
 
     try:
-        kernel = ctypes.CDLL(str(_build_kernel())).kruskal_rows
+        lib = ctypes.CDLL(str(_build_kernel()))
     except (OSError, subprocess.SubprocessError):
         return None
-    kernel.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-    kernel.restype = ctypes.c_int
-    return kernel
+    ptr, size = ctypes.c_void_p, ctypes.c_int64
+    for name, argtypes in (
+        ("forest_rows", [ptr, ptr, size, size, size, ptr]),
+        ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr]),
+        ("completion_rows", [ptr, ptr, ptr, size, size, size, ptr]),
+    ):
+        fn = getattr(lib, name)
+        fn.argtypes = argtypes
+        fn.restype = ctypes.c_int64
+    return lib
 
 
-def _kruskal_rows(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
-    """``_kruskal_rows_py`` as an (m, n_nodes) int64 array: row r holds its
-    chosen edges in selection order, then zeros, and its count in the last
-    column.  Runs the compiled kernel when it is available."""
-    keys = np.ascontiguousarray(keys, dtype=np.float64)
-    if n_nodes < 1:
-        raise InputError("a graph needs at least one node")
-    if keys.shape[1] != len(edges):
-        raise InputError("keys need one column per edge")
-    out = np.zeros((keys.shape[0], n_nodes), dtype=np.int64)
-    kernel = _compiled_kernel()
-    if kernel is None:
-        for row, chosen in zip(out, _kruskal_rows_py(keys, edges, n_nodes)):
-            row[:len(chosen)] = chosen
-            row[-1] = len(chosen)
-        return out
-    ends = _endpoints(edges)  # a local name keeps a converted array alive during the call
-    status = kernel(keys.ctypes.data, ends.ctypes.data, keys.shape[0], keys.shape[1],
-                    n_nodes, out.ctypes.data)
+_DISCONNECTED = "graph is disconnected"
+_NO_COMPLETION = "graph is disconnected; no spanning completion"
+
+
+def _raise_status(status: int, disconnected: str = _DISCONNECTED) -> None:
+    """Raise what a negative status of the kernel (see ``_kruskal.c``) means."""
     if status == -1:
         raise MemoryError("no workspace for the Kruskal kernel")
-    if status != 0:
+    if status == -2:
         raise InputError("edge endpoints must lie in [0, n_nodes)")
+    if status == -3:
+        raise InputError("weights must be finite")
+    if status == -4:
+        raise InfeasibleError(disconnected)
+    raise InputError("first-stage selection contains a cycle")
+
+
+def _rows(values, edges: EdgeList, n_nodes: int) -> np.ndarray:
+    """``values`` as a C-contiguous (m, E) float64 array for the kernel."""
+    rows = np.ascontiguousarray(values, dtype=np.float64)
+    if n_nodes < 1:
+        raise InputError("a graph needs at least one node")
+    if rows.ndim != 2 or rows.shape[1] != len(edges):
+        raise InputError("keys need one column per edge")
+    return rows
+
+
+def _picks_py(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
+    """``_kruskal_rows_py`` as an (m, n_nodes) int64 array: row r holds its
+    chosen edges in selection order, then zeros, and its count in the last
+    column."""
+    out = np.zeros((keys.shape[0], n_nodes), dtype=np.int64)
+    for row, chosen in zip(out, _kruskal_rows_py(keys, edges, n_nodes)):
+        row[:len(chosen)] = chosen
+        row[-1] = len(chosen)
     return out
 
 
 def _indicators(picks: np.ndarray, n_edges: int) -> np.ndarray:
-    """0/1 rows of the edges that each row of ``_kruskal_rows`` chose."""
+    """0/1 rows of the edges that each row of ``_picks_py`` chose."""
     chosen = np.arange(picks.shape[1] - 1) < picks[:, -1:]
     out = np.zeros((picks.shape[0], n_edges))
     out[np.nonzero(chosen)[0], picks[:, :-1][chosen]] = 1.0
@@ -186,13 +217,27 @@ def is_forest(y: np.ndarray, edges: EdgeList, n_nodes: int) -> bool:
     return True
 
 
-def _max_weight_forests(weights: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
-    """Row-wise maximum-weight forests of an (m, E) weight array."""
-    w = np.asarray(weights, dtype=float)
+def _max_weight_forests_py(w: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
+    """Reference and fallback of ``_max_weight_forests``."""
     if not np.isfinite(w).all():
         raise InputError("weights must be finite")
     keys = np.where(w > 0.0, -w, np.inf)
-    return _indicators(_kruskal_rows(keys, edges, n_nodes), w.shape[1])
+    return _indicators(_picks_py(keys, edges, n_nodes), w.shape[1])
+
+
+def _max_weight_forests(weights: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
+    """Row-wise maximum-weight forests of an (m, E) weight array."""
+    w = _rows(weights, edges, n_nodes)
+    kernel = _compiled_kernel()
+    if kernel is None:
+        return _max_weight_forests_py(w, edges, n_nodes)
+    ends, address = _endpoints(edges)  # ``ends`` stays alive during the call
+    out = np.empty(w.shape)
+    status = kernel.forest_rows(w.ctypes.data, address, w.shape[0], w.shape[1], n_nodes,
+                                out.ctypes.data)
+    if status < 0:
+        _raise_status(status)
+    return out
 
 
 def kruskal_max_weight_forest(
@@ -201,6 +246,52 @@ def kruskal_max_weight_forest(
     """Maximum-total-weight forest: greedy by decreasing weight, ties by
     index, skipping cycles and edges with weight <= 0."""
     return _max_weight_forests(np.asarray(weights, dtype=float)[None, :], edges, n_nodes)[0]
+
+
+def _completions_py(
+    y: np.ndarray, d: np.ndarray, edges: EdgeList, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference and fallback of ``_completions``."""
+    in_y = y > 0.5
+    picks = _picks_py(np.where(in_y, -np.inf, d), edges, n_nodes)
+    n_first = int(np.count_nonzero(in_y))
+    chosen, counts = picks[:, :-1], picks[:, -1]
+    taken = np.arange(n_nodes - 1) < counts[:, None]
+    taken_y = np.zeros(chosen.shape, dtype=bool)
+    taken_y[taken] = in_y[chosen[taken]]  # no padding index reaches in_y, even when E = 0
+    if (taken_y.sum(axis=1) != n_first).any():
+        raise InputError("first-stage selection contains a cycle")
+    if (counts != n_nodes - 1).any():
+        raise InfeasibleError(_NO_COMPLETION)
+    rows = np.arange(d.shape[0])[:, None]
+    completion = chosen[:, n_first:]
+    z = np.zeros(d.shape)
+    z[rows, completion] = 1.0
+    return d[rows, completion], z
+
+
+def _completions(
+    y: np.ndarray, d: np.ndarray, edges: EdgeList, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Completions of the forest y, a float (E,) array, under each row of the
+    (K, E) second-stage costs d: a C-contiguous (K, L) array of the costs of
+    each row's completion edges in selection order, and their (K, E) 0/1
+    rows."""
+    kernel = _compiled_kernel()
+    if kernel is None:
+        return _completions_py(y, d, edges, n_nodes)
+    ends, address = _endpoints(edges)
+    k, n_edges = d.shape
+    # One buffer: the (K, L) costs packed from its start, L = n_nodes - 1 -
+    # n_first being known only after the call, and the (K, E) rows of z
+    # after the K * (n_nodes - 1) entries that L can reach.
+    out = np.empty(k * (n_nodes - 1 + n_edges))
+    status = kernel.completion_rows(y.ctypes.data, d.ctypes.data, address, k, n_edges,
+                                    n_nodes, out.ctypes.data)
+    if status < 0:
+        _raise_status(status, _NO_COMPLETION)
+    width = max(n_nodes - 1 - status, 0)  # a y with n_nodes or more edges meets no row
+    return out[:k * width].reshape(k, width), out[k * (n_nodes - 1):].reshape(k, n_edges)
 
 
 def second_stage_value(
@@ -214,39 +305,51 @@ def second_stage_value(
     indicators, row k being the single call on row k.
     """
     d = np.asarray(second_stage_costs, dtype=float)
-    in_y = np.asarray(y) > 0.5
-    d_rows = d[None, :] if d.ndim == 1 else d
-    picks = _kruskal_rows(np.where(in_y, -np.inf, d_rows), edges, n_nodes)
-    n_first = int(np.count_nonzero(in_y))
-    chosen, counts = picks[:, :-1], picks[:, -1]
-    taken_y = in_y[chosen] & (np.arange(n_nodes - 1) < counts[:, None])
-    if (taken_y.sum(axis=1) != n_first).any():
-        raise InputError("first-stage selection contains a cycle")
-    if (counts != n_nodes - 1).any():
-        raise InfeasibleError("graph is disconnected; no spanning completion")
-    rows = np.arange(d_rows.shape[0])[:, None]
-    completion = chosen[:, n_first:]
-    # The (K, L) gather is C-contiguous, so each row is summed in selection
-    # order with the pairwise order of a 1-D sum.
-    values = d_rows[rows, completion].sum(axis=1)
-    z = np.zeros(d_rows.shape)
-    z[rows, completion] = 1.0
+    d_rows = _rows(d[None, :] if d.ndim == 1 else d, edges, n_nodes)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    if y.shape != (len(edges),):
+        raise InputError("y needs one entry per edge")
+    costs, z = _completions(y, d_rows, edges, n_nodes)
+    # The costs are C-contiguous, so each row is summed in selection order
+    # with the pairwise order of a 1-D sum.
+    values = costs.sum(axis=1)
     if d.ndim == 1:
         return float(values[0]), z[0]
     return values, z
 
 
+def _two_stage_splits_py(
+    eff: np.ndarray, d: np.ndarray, edges: EdgeList, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reference and fallback of ``_two_stage_splits``."""
+    picks = _picks_py(np.minimum(eff, d), edges, n_nodes)
+    if (picks[:, -1] != n_nodes - 1).any():
+        raise InfeasibleError(_DISCONNECTED)
+    tree = _indicators(picks, eff.shape[1])
+    y = tree * (eff <= d)
+    return y, tree - y
+
+
 def _two_stage_splits(
     eff: np.ndarray, second: np.ndarray, edges: EdgeList, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise (y, z) splits for an (m, E) array of effective first-stage
-    costs against one second-stage cost vector."""
-    picks = _kruskal_rows(np.minimum(eff, second), edges, n_nodes)
-    if (picks[:, -1] != n_nodes - 1).any():
-        raise InfeasibleError("graph is disconnected")
-    tree = _indicators(picks, eff.shape[1])
-    y = tree * (eff <= second)
-    return y, tree - y
+    """Row-wise (y, z) splits of an (m, E) array of effective first-stage
+    costs against second-stage costs: one (E,) vector for every row, or an
+    (m, E) array, row by row."""
+    eff = _rows(eff, edges, n_nodes)
+    d = np.ascontiguousarray(second, dtype=np.float64)
+    if d.shape != eff.shape and d.shape != eff.shape[1:]:
+        raise InputError("second-stage costs need shape (E,) or (m, E)")
+    kernel = _compiled_kernel()
+    if kernel is None:
+        return _two_stage_splits_py(eff, d, edges, n_nodes)
+    ends, address = _endpoints(edges)
+    yz = np.empty((2, *eff.shape))  # y rows, then z rows: one buffer to pass
+    status = kernel.split_rows(eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1),
+                               address, eff.shape[0], eff.shape[1], n_nodes, yz.ctypes.data)
+    if status < 0:
+        _raise_status(status)
+    return yz[0], yz[1]
 
 
 def two_stage_mst_split(

@@ -143,7 +143,7 @@ def coordination_pass(
                 rng.split(epoch, slot),
             )
             g_w = scenario.features.T @ g_theta
-            if not np.all(np.isfinite(g_w)):
+            if not np.isfinite(g_w).all():
                 raise FloatingPointError(
                     f"non-finite gradient at epoch {epoch}, example {slot}"
                 )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costru.baselines import (
     SaaConfig,
@@ -14,12 +16,14 @@ from costru.baselines import (
     saa_objective,
     uncoordinated_imitation,
 )
-from costru.core import make_rng
+from costru.core import Scenario, make_rng
 from costru.problems.datasets import GenConfig, dataset_from_instances, generate_mst_split
 from costru.problems.spanning_tree import (
     GridInstance,
     MstEvaluator,
     MstOracle,
+    TwoStageCosts,
+    _two_stage_splits,
     enumerate_forests,
     second_stage_value,
 )
@@ -119,6 +123,28 @@ class TestLagrangianSaa:
         for scenario in scenarios:
             cand = oracle.argmin_shifted(np.zeros(oracle.n_edges), 0.0, scenario)
             assert value <= saa_objective(cand, c, d, oracle) + 1e-9
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), st.integers(2, 3), st.integers(2, 5), st.data())
+    def test_batched_round_equals_single_solves(self, rows, cols, n_scen, data):
+        """A multiplier round is one split call on (c + lam, d_all): row k is
+        the single solve of scenario k at first-stage costs c + lam[k].
+        Integer costs and half-integer multipliers make ties common."""
+        oracle = MstOracle(rows, cols)
+        n_edges = oracle.n_edges
+
+        def draw(low, high, shape):
+            flat = data.draw(st.lists(st.integers(low, high), min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape))))
+            return np.array(flat, dtype=float).reshape(shape)
+
+        c, d_all = draw(1, 4, n_edges), draw(1, 4, (n_scen, n_edges))
+        lam = draw(-3, 3, (n_scen, n_edges)) / 2
+        ys, _ = _two_stage_splits(c + lam, d_all, oracle.edges, oracle.n_nodes)
+        for k in range(n_scen):
+            scenario = Scenario(0, np.zeros((n_edges, 1)), TwoStageCosts(c + lam[k], d_all[k]))
+            single = oracle.argmin_shifted(np.zeros(n_edges), 0.0, scenario)
+            assert ys[k].tobytes() == single.tobytes()
 
     def test_toy_analog_saa_optimum_is_one(self):
         """Exhaustive SAA objective over the two tabular decisions."""

@@ -10,6 +10,8 @@ import pytest
 
 from costru import cli
 from costru.core import CheckRow
+from costru.problems.spanning_tree import InfeasibleError
+from costru.simplex_lab import BoundaryError
 
 TOY_CONFIG = """
 [problem]
@@ -174,6 +176,20 @@ class TestTrain:
         if method == "fully-coordinated":
             assert (out / "targets.npz").exists()
 
+    def test_splits_on_another_grid_exit_two_before_training(
+            self, tmp_path, monkeypatch, capsys, mst_config, mst_data):
+        other = tmp_path / "other.ini"
+        other.write_text(MST_CONFIG.replace("rows = 3", "rows = 2"))
+        other_data = tmp_path / "other-data"
+        assert cli.main(["generate", "--config", str(other), "--out", str(other_data)]) == 0
+        (other_data / "val.npz").replace(Path(mst_data) / "val.npz")
+        trained = []
+        monkeypatch.setattr(cli, "train_primal_dual", lambda *args: trained.append(args))
+        assert cli.main(["train", "primal-dual", "--config", mst_config,
+                         "--data", mst_data, "--out", str(tmp_path / "run")]) == 2
+        assert trained == []
+        assert "val split is on a 2x3 grid, train on 3x3" in capsys.readouterr().err
+
     def test_rerun_byte_identical_csv(self, tmp_path, mst_config, mst_data):
         outs = []
         for name in ("r1", "r2"):
@@ -247,6 +263,17 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_verify_suite", lambda *a, **k: failing)
         out = tmp_path / "report.csv"
         assert cli.main(["verify", "jensen-gap", "--out", str(out)]) == 1
+
+    @pytest.mark.parametrize("error", [FloatingPointError("non-finite gradient"),
+                                       InfeasibleError("graph is disconnected"),
+                                       BoundaryError("iterate left the simplex")],
+                             ids=lambda exc: type(exc).__name__)
+    def test_internal_error_exits_four(self, tmp_path, monkeypatch, capsys, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "run_verify_suite", fail)
+        assert cli.main(["verify", "jensen-gap", "--out", str(tmp_path / "r.csv")]) == 4
+        assert f"internal error: {type(error).__name__}" in capsys.readouterr().err
 
     def test_io_failure_exits_three(self, tmp_path):
         cfg = tmp_path / "v.ini"

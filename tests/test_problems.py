@@ -1,5 +1,7 @@
 """Toy problem, spanning-tree oracles, generator, and containers."""
 
+import ctypes
+import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -338,8 +340,9 @@ class TestOracleProperties:
             np.array([[1.0, 1, 1, 0], [1, 1, 0, 1]]))
 
 
-# Kernel keys: integer ties, both infinities, NaN and both zeros.
-_KEYS = st.one_of(_TIED.map(float), st.sampled_from([np.inf, -np.inf, np.nan, -0.0, 0.0]))
+# Kernel inputs: integer ties, both infinities, NaN and both zeros.
+_ZEROS = st.sampled_from([-0.0, 0.0])
+_KEYS = st.one_of(_TIED.map(float), _ZEROS, st.sampled_from([np.inf, -np.inf, np.nan]))
 # Every small graph with an arbitrary subset of its edges (often disconnected),
 # one-node graphs, whose only edges are self-loops, and grids with more edges
 # than one insertion-sorted run of the C kernel (16), so that merges happen.
@@ -348,23 +351,17 @@ _KERNEL_GRAPHS = _SMALL_GRAPHS + [((), 1), (((0, 0),), 1), (((0, 0), (0, 0)), 1)
 
 
 @st.composite
-def kernel_cases(draw):
+def kernel_cases(draw, values=_KEYS):
+    """(edges, n_nodes, (m, E) values, E values) with m in 0..4."""
     edges, n_nodes = draw(st.sampled_from(_KERNEL_GRAPHS))
     if draw(st.booleans()):
         keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
         edges = tuple(e for e, k in zip(edges, keep) if k)
     m = draw(st.integers(0, 4))
-    flat = draw(st.lists(_KEYS, min_size=m * len(edges), max_size=m * len(edges)))
-    return edges, n_nodes, np.array(flat, dtype=float).reshape(m, len(edges))
-
-
-def _reference_picks(keys, edges, n_nodes):
-    """The pure-Python loop's rows in the kernel's zero-padded layout."""
-    out = np.zeros((keys.shape[0], n_nodes), dtype=np.int64)
-    for row, chosen in zip(out, spanning_tree._kruskal_rows_py(keys, edges, n_nodes)):
-        row[:len(chosen)] = chosen
-        row[-1] = len(chosen)
-    return out
+    flat = draw(st.lists(values, min_size=(m + 1) * len(edges),
+                         max_size=(m + 1) * len(edges)))
+    arr = np.array(flat, dtype=float)
+    return edges, n_nodes, arr[len(edges):].reshape(m, len(edges)), arr[:len(edges)]
 
 
 def _outcome(fn):
@@ -414,15 +411,75 @@ def _oracle_outputs():
     return outputs
 
 
+def _assert_same(compiled, reference):
+    """Equal outcomes of two calls: the same exception type, or arrays equal
+    in shape, dtype and every byte (so -0.0 != 0.0 and sums agree)."""
+    got, expected = _outcome(compiled), _outcome(reference)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    for g, e in zip(got, expected, strict=True):
+        assert (g.shape, g.dtype) == (e.shape, e.dtype)
+        assert g.tobytes() == e.tobytes()
+
+
+def _require_compiled():
+    if spanning_tree._compiled_kernel() is None:
+        pytest.skip("no C compiler: the pure-Python paths are the kernel")
+
+
 class TestCompiledKernel:
+    """Each compiled entry against its reference: ``_kruskal_rows_py`` under
+    the numpy glue that built its keys and read its picks."""
+
     @settings(max_examples=300, deadline=None)
-    @given(kernel_cases())
-    def test_matches_python_reference(self, case):
-        if spanning_tree._compiled_kernel() is None:
-            pytest.skip("no C compiler: the pure-Python loop is the kernel")
-        edges, n_nodes, keys = case
-        np.testing.assert_array_equal(spanning_tree._kruskal_rows(keys, edges, n_nodes),
-                                      _reference_picks(keys, edges, n_nodes))
+    @given(kernel_cases(st.one_of(_TIED.map(float), _ZEROS)), st.booleans())
+    def test_matches_python_reference(self, case, poison):
+        """The forest entry; a NaN or infinite weight raises InputError."""
+        _require_compiled()
+        edges, n_nodes, w, _ = case
+        if poison and w.size:
+            w[-1, -1] = np.nan if n_nodes % 2 else -np.inf
+        _assert_same(lambda: (spanning_tree._max_weight_forests(w, edges, n_nodes),),
+                     lambda: (spanning_tree._max_weight_forests_py(w, edges, n_nodes),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases(), kernel_cases(), st.booleans())
+    def test_split_matches_python_reference(self, case, other, per_row):
+        """The split entry, NaN propagating as in np.minimum, with one
+        second-stage vector for every row or one per row."""
+        _require_compiled()
+        edges, n_nodes, eff, d = case
+        if per_row:
+            d = np.resize(np.concatenate([other[2].ravel(), other[3]]), eff.shape)
+        _assert_same(lambda: spanning_tree._two_stage_splits(eff, d, edges, n_nodes),
+                     lambda: spanning_tree._two_stage_splits_py(eff, d, edges, n_nodes))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_cases(), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0, np.nan]))
+    def test_completion_matches_python_reference(self, case, y_value):
+        """The completion entry: its costs in selection order and indicators,
+        with cycles in y and disconnected rows raising as in the reference."""
+        _require_compiled()
+        edges, n_nodes, d, y = case
+        y = np.where(np.isfinite(y) & (y > 0.0), y_value, 0.0)
+        _assert_same(lambda: spanning_tree._completions(y, d, edges, n_nodes),
+                     lambda: spanning_tree._completions_py(y, d, edges, n_nodes))
+
+    @pytest.mark.parametrize("kernel", ["compiled", "fallback"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_forest_weights_raise(self, kernel, bad, replace_builder):
+        if kernel == "compiled":
+            _require_compiled()
+        else:
+            replace_builder(_raise(FileNotFoundError("cc")))
+        oracle = MstOracle(2, 3)
+        thetas = np.ones((3, oracle.n_edges))
+        thetas[1, 2] = bad
+        with pytest.raises(InputError, match="weights must be finite"):
+            oracle.argmax_linear_many(thetas)
+        with pytest.raises(InputError, match="weights must be finite"):
+            kruskal_max_weight_forest(thetas[1], oracle.edges, oracle.n_nodes)
 
     def test_concurrent_calls_match_sequential(self):
         """The kernel runs without the GIL on a per-call workspace, so calls
@@ -440,10 +497,33 @@ class TestCompiledKernel:
         for g, e in zip(got, expected, strict=True):
             np.testing.assert_array_equal(g, e)
 
+    def test_new_build_deletes_superseded_libraries(self, tmp_path, monkeypatch):
+        """A successful build removes the libraries of other sources from the
+        cache directory and nothing else; a failed build removes nothing."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler")
+        monkeypatch.setattr(spanning_tree, "__file__", str(tmp_path / "spanning_tree.py"))
+        cache = tmp_path / "__pycache__"
+        cache.mkdir()
+        stale = [cache / "_kruskal-0123456789abcdef.so", cache / "_kruskal-fedcba9876543210.so"]
+        kept = cache / "spanning_tree.cpython-311.pyc"
+        for path in (*stale, kept):
+            path.write_text("an older file")
+        with monkeypatch.context() as no_compiler:
+            no_compiler.setenv("PATH", str(tmp_path))
+            with pytest.raises(FileNotFoundError):
+                spanning_tree._build_kernel()
+        assert sorted(cache.iterdir()) == sorted([*stale, kept])
+        target = spanning_tree._build_kernel()
+        assert sorted(cache.iterdir()) == sorted([target, kept])
+        assert ctypes.CDLL(str(target)).forest_rows
+
     def test_source_ships_as_package_data(self):
         source = resources.files("costru.problems").joinpath("_kruskal.c")
         assert source.is_file()
-        assert "int kruskal_rows(" in source.read_text()
+        text = source.read_text()
+        for entry in ("forest_rows(", "split_rows(", "completion_rows("):
+            assert f"int64_t {entry}" in text
 
     @pytest.mark.parametrize("build", [
         _raise(FileNotFoundError("cc")),
