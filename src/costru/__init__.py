@@ -15,10 +15,10 @@ from .core import (
     Scenario,
     ScoreDirection,
     SolutionVector,
-    is_exposed_vertex,
     make_rng,
 )
 from .regularizers import RegularizerKind
+from .simplex_lab import is_exposed_vertex
 from .trainer import TrainConfig, WeightTrajectory, evaluate_policy, train_primal_dual
 
 __version__ = "0.1.0"

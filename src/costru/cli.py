@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -43,21 +45,26 @@ class ConfigError(ValueError):
     pass
 
 
+def _dataclass_section(cls, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
+    """(key -> type, key -> default) of a config section that mirrors ``cls``."""
+    types = typing.get_type_hints(cls)
+    keys = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    return ({f.name: types[f.name] for f in keys},
+            {f.name: f.default for f in keys if f.default is not dataclasses.MISSING})
+
+
+_GENERATE_TYPES, _GENERATE_DEFAULTS = _dataclass_section(ds.GenConfig)
+_SAA_TYPES, _SAA_DEFAULTS = _dataclass_section(baselines.SaaConfig)
+# [train] defaults depend on the problem kind (experiments.*_DEFAULTS).
+_TRAIN_TYPES, _ = _dataclass_section(TrainConfig, skip=("seed", "unperturbed_targets"))
+
 # Section -> key -> type.  Unknown sections or keys are rejected.
 _SCHEMA: dict[str, dict[str, type]] = {
     "problem": {"kind": str},
     "run": {"seed": int},
-    "generate": {
-        "rows": int, "cols": int, "train_instances": int, "val_instances": int,
-        "test_instances": int, "scenarios_per_instance": int, "feature_dim": int,
-        "cost_low": float, "cost_high": float, "noise_scale": float,
-        "noise_common": float, "ratio_low": float, "ratio_span": float,
-    },
-    "train": {
-        "nb_iterations": int, "nb_scenarios": int, "nb_samples": int,
-        "nb_epochs": int, "lr_init": float, "epsilon": float, "kappa": float,
-    },
-    "saa": {"n_saa_scenarios": int, "lagrangian_iters": int, "sigma0": float},
+    "generate": _GENERATE_TYPES,
+    "train": _TRAIN_TYPES,
+    "saa": _SAA_TYPES,
     "sweep": {"epsilons": str, "nb_seeds": int},
     "verify": {"instances": int, "probes": int, "trials": int, "iterations": int,
                "draws": int},
@@ -66,17 +73,25 @@ _SCHEMA: dict[str, dict[str, type]] = {
 _DEFAULTS: dict[str, dict] = {
     "problem": {"kind": "mst"},
     "run": {"seed": 0},
-    "generate": {
-        "rows": 20, "cols": 20, "train_instances": 50, "val_instances": 50,
-        "test_instances": 50, "scenarios_per_instance": 20, "feature_dim": 5,
-        "cost_low": 5.0, "cost_high": 10.0, "noise_scale": 1.0,
-        "noise_common": 0.6, "ratio_low": 0.5, "ratio_span": 6.0,
-    },
-    "saa": {"n_saa_scenarios": 20, "lagrangian_iters": 50, "sigma0": 1.0},
+    "generate": _GENERATE_DEFAULTS,
+    "saa": _SAA_DEFAULTS,
     "sweep": {"epsilons": "1,2,2.5,3,4,5,10,150", "nb_seeds": 30},
     "verify": {"instances": 0, "probes": 1000, "trials": 1000, "iterations": 50,
                "draws": 500},
 }
+
+
+def _sweep_epsilons(cfg: dict[str, dict]) -> list[float]:
+    """The comma-separated ``sweep.epsilons``: at least one, each finite and
+    positive."""
+    raw = cfg["sweep"]["epsilons"]
+    try:
+        epsilons = [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"bad value for sweep.epsilons: {raw!r}") from exc
+    if not epsilons or not all(np.isfinite(eps) and eps > 0 for eps in epsilons):
+        raise ConfigError(f"sweep.epsilons must list finite positive values: {raw!r}")
+    return epsilons
 
 
 def load_config(path: str | None) -> dict[str, dict]:
@@ -110,6 +125,9 @@ def load_config(path: str | None) -> dict[str, dict]:
     merged = dict(train_defaults)
     merged.update(cfg.get("train", {}))
     cfg["train"] = merged
+    _sweep_epsilons(cfg)
+    if cfg["sweep"]["nb_seeds"] < 1:
+        raise ConfigError("sweep.nb_seeds must be >= 1")
     return cfg
 
 
@@ -138,20 +156,11 @@ def write_csv(path: Path, header: list[str], rows: list[list], chash: str, seed:
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        nb_iterations=t["nb_iterations"], nb_scenarios=t["nb_scenarios"],
-        nb_samples=t["nb_samples"], nb_epochs=t["nb_epochs"], lr_init=t["lr_init"],
-        epsilon=t["epsilon"], kappa=t["kappa"], seed=seed,
-    )
+    return TrainConfig(**cfg["train"], seed=seed)
 
 
 def _saa_config(cfg: dict) -> baselines.SaaConfig:
-    s = cfg["saa"]
-    return baselines.SaaConfig(
-        n_saa_scenarios=s["n_saa_scenarios"], lagrangian_iters=s["lagrangian_iters"],
-        sigma0=s["sigma0"],
-    )
+    return baselines.SaaConfig(**cfg["saa"])
 
 
 def _load_mst_data(data_dir: Path):
@@ -407,14 +416,9 @@ def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg["run"]["seed"]
     chash = config_hash(cfg)
-    epsilons = [float(tok) for tok in cfg["sweep"]["epsilons"].split(",") if tok.strip()]
-    overrides = {
-        key: cfg["train"][key]
-        for key in ("nb_iterations", "nb_scenarios", "nb_samples", "nb_epochs",
-                    "lr_init", "kappa")
-    }
+    overrides = {key: value for key, value in cfg["train"].items() if key != "epsilon"}
     results = experiments.run_toy_epsilon_sweep(
-        epsilons, cfg["sweep"]["nb_seeds"], base_seed=seed, **overrides)
+        _sweep_epsilons(cfg), cfg["sweep"]["nb_seeds"], base_seed=seed, **overrides)
     write_csv(Path(args.out), ["epsilon", "proportion_optimal"],
               [[eps, prop] for eps, prop in results], chash, seed)
     return EXIT_OK

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -150,65 +150,6 @@ class LinearOracle(ABC):
         return np.array(
             [self.argmin_shifted(t, kappa, scenario) for t in theta_tildes], dtype=float
         )
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of v onto the probability simplex (sort method)."""
-    v = np.asarray(v, dtype=float)
-    n = v.size
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho = np.nonzero(u * np.arange(1, n + 1) > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
-def nearest_point_in_hull_sq(candidate: np.ndarray, others: np.ndarray,
-                             max_iters: int = 5000) -> float:
-    """Squared distance from ``candidate`` to conv(rows of ``others``).
-
-    Solved as min over simplex weights of ||candidate - others^T w||^2 with
-    an accelerated projected-gradient method; no LP dependency, desk scale
-    only.
-    """
-    o = np.asarray(others, dtype=float)  # (k, d)
-    c = np.asarray(candidate, dtype=float)
-    k = o.shape[0]
-    gram = o @ o.T
-    lin = o @ c
-    lip = 2.0 * max(np.linalg.norm(gram, 2), 1e-12)
-    w = np.full(k, 1.0 / k)
-    z = w.copy()
-    t_acc = 1.0
-    f_prev = np.inf
-    for _ in range(max_iters):
-        grad = 2.0 * (gram @ z - lin)
-        w_next = project_to_simplex(z - grad / lip)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = w_next + ((t_acc - 1.0) / t_next) * (w_next - w)
-        w, t_acc = w_next, t_next
-        diff = c - o.T @ w
-        f = float(diff @ diff)
-        if abs(f_prev - f) < 1e-16 * (1.0 + abs(f)):
-            break
-        f_prev = f
-    diff = c - o.T @ w
-    return float(diff @ diff)
-
-
-def is_exposed_vertex(candidate: np.ndarray, others: Sequence[np.ndarray]) -> bool:
-    """True iff ``candidate`` is not a convex combination of ``others``.
-
-    Membership is declared when the nearest-point-in-hull squared distance
-    falls below 1e-9.  Desk-scale only (|others| up to ~1e4).
-    """
-    c = ensure_finite(candidate, "candidate")
-    if len(others) == 0:
-        return True
-    o = np.asarray(others, dtype=float)
-    if o.ndim != 2 or o.shape[1] != c.shape[0]:
-        raise InputError("candidate and others must share one dimension")
-    return nearest_point_in_hull_sq(c, o) >= 1e-9
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,12 @@ class GapSeries:
     test_average: np.ndarray
 
 
+def gap_series(weights: np.ndarray, data: Dataset, oracle: MstOracle,
+               evaluator: MstEvaluator) -> np.ndarray:
+    """Mean gap on one split of each weight vector, one per row of ``weights``."""
+    return np.array([evaluate_policy(w, data, oracle, evaluator)[1] for w in weights])
+
+
 def mst_gap_series(
     trajectory: WeightTrajectory,
     val_data: Dataset,
@@ -103,17 +109,12 @@ def mst_gap_series(
     oracle: MstOracle,
 ) -> GapSeries:
     evaluator = MstEvaluator(oracle)
-    n = trajectory.per_iteration.shape[0]
-    series = {name: np.empty(n) for name in
-              ("val_current", "val_average", "test_current", "test_average")}
-    for t in range(n):
-        w = trajectory.per_iteration[t]
-        w_bar = trajectory.running_average[t]
-        series["val_current"][t] = evaluate_policy(w, val_data, oracle, evaluator)[1]
-        series["val_average"][t] = evaluate_policy(w_bar, val_data, oracle, evaluator)[1]
-        series["test_current"][t] = evaluate_policy(w, test_data, oracle, evaluator)[1]
-        series["test_average"][t] = evaluate_policy(w_bar, test_data, oracle, evaluator)[1]
-    return GapSeries(**series)
+    return GapSeries(
+        val_current=gap_series(trajectory.per_iteration, val_data, oracle, evaluator),
+        val_average=gap_series(trajectory.running_average, val_data, oracle, evaluator),
+        test_current=gap_series(trajectory.per_iteration, test_data, oracle, evaluator),
+        test_average=gap_series(trajectory.running_average, test_data, oracle, evaluator),
+    )
 
 
 def total_variation(series: np.ndarray) -> float:
@@ -165,14 +166,8 @@ def run_mst_method_benchmark(seeds=range(5)) -> MstBenchmarkResult:
                                        mst_bench_primal_dual_config(seed))
         pd.append(evaluate_policy(trajectory.final_average, test_data, oracle,
                                   evaluator)[1])
-        current = np.array([
-            evaluate_policy(trajectory.per_iteration[t], val_data, oracle, evaluator)[1]
-            for t in range(trajectory.per_iteration.shape[0])
-        ])
-        averaged = np.array([
-            evaluate_policy(trajectory.running_average[t], val_data, oracle, evaluator)[1]
-            for t in range(trajectory.running_average.shape[0])
-        ])
+        current = gap_series(trajectory.per_iteration, val_data, oracle, evaluator)
+        averaged = gap_series(trajectory.running_average, val_data, oracle, evaluator)
         ratios.append(total_variation(averaged) / total_variation(current))
 
         targets = baselines.lagrangian_targets(train_data, oracle, MST_BENCH_SAA)

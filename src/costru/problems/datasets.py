@@ -52,6 +52,8 @@ class GenConfig:
     ratio_span: float = 6.0
 
     def __post_init__(self):
+        if min(self.rows, self.cols) < 1:
+            raise InputError("grid rows and cols must be >= 1")
         if min(self.train_instances, self.val_instances, self.test_instances) < 1:
             raise InputError("split sizes must be >= 1")
         if self.scenarios_per_instance < 1:

@@ -19,7 +19,6 @@ from .core import (
     RngStream,
     Scenario,
     ensure_finite,
-    project_to_simplex,
 )
 
 NEGENTROPY = "negentropy"
@@ -66,83 +65,67 @@ class RegularizerKind:
         return self.tag in _EXACT_TAGS
 
 
-def validate_distribution(q: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Check q is a probability vector (entries >= 0, sums to 1 within tol)."""
+def validate_distribution(q: np.ndarray, tol: float = 1e-12, ndim: int = 1) -> np.ndarray:
+    """Check q is a probability vector (entries >= 0, sums to 1 within tol),
+    or with ``ndim=2`` an (N, |Y|) stack of them, one per row."""
     q = ensure_finite(q, "distribution")
-    if q.ndim != 1:
-        raise InputError("distribution must be one-dimensional")
+    if q.ndim != ndim:
+        raise InputError("distribution must be one-dimensional" if ndim == 1
+                         else "a product distribution must be an (N, |Y|) array")
     if np.any(q < -tol):
         raise InputError("distribution has negative entries")
-    if abs(float(q.sum()) - 1.0) > max(tol, 1e-12 * q.size):
-        raise InputError(f"distribution sums to {q.sum()!r}, not 1")
+    sums = q.sum(axis=-1)
+    off = np.abs(sums - 1.0) > max(tol, 1e-12 * q.shape[-1])
+    if np.any(off):
+        raise InputError(f"distribution sums to {sums[off][0]!r}, not 1")
     return q
 
 
 # ---------------------------------------------------------------------------
-# Exact maps on explicit sets
+# Exact maps on explicit sets, one row per score or distribution vector
 # ---------------------------------------------------------------------------
+# The maps take (N, K) arrays and are unchecked: callers validate input that
+# comes from outside.  A single vector is row 0 of a (1, K) array.
 
-def softmax_distribution(s: np.ndarray) -> np.ndarray:
-    """Exponential-family map q_y = exp(s_y - A(s)), computed stably."""
-    s = ensure_finite(s, "score")
-    shifted = s - s.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
-def logsumexp_conjugate(s: np.ndarray) -> float:
-    """log sum exp(s): the Fenchel conjugate of the simplex negentropy."""
-    s = ensure_finite(s, "score")
-    m = float(s.max())
-    return m + float(np.log(np.exp(s - m).sum()))
-
-
-def negentropy_value(q: np.ndarray) -> float:
-    """Sum q_y log q_y with the 0 log 0 = 0 convention."""
-    q = validate_distribution(q)
-    pos = q > 0.0
-    return float(np.sum(q[pos] * np.log(q[pos])))
-
-
-def sparsemax_distribution(s: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a score vector onto the simplex."""
-    return project_to_simplex(ensure_finite(s, "score"))
-
-
-def squared_l2_value(q: np.ndarray) -> float:
-    q = validate_distribution(q)
-    return 0.5 * float(q @ q)
-
-
-def squared_l2_conjugate(s: np.ndarray) -> float:
-    """max over the simplex of <s|q> - ||q||^2/2, via the projection."""
-    p = sparsemax_distribution(s)
-    return float(s @ p) - 0.5 * float(p @ p)
-
-
-def omega_value(q: np.ndarray, kind: RegularizerKind) -> float:
+def prediction_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
+    """Regularized prediction per row, the gradient of the conjugate:
+    softmax (negentropy) or the Euclidean projection onto the simplex,
+    sparsemax (squared l2)."""
     if kind.tag == NEGENTROPY:
-        return negentropy_value(q)
+        shifted = scores - scores.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
     if kind.tag == SQUARED_L2:
-        return squared_l2_value(q)
+        n, k = scores.shape
+        u = np.sort(scores, axis=1)[:, ::-1]
+        css = np.cumsum(u, axis=1) - 1.0
+        support = u * np.arange(1, k + 1) > css
+        rho = k - 1 - np.argmax(support[:, ::-1], axis=1)
+        tau = css[np.arange(n), rho] / (rho + 1.0)
+        return np.maximum(scores - tau[:, None], 0.0)
+    raise InputError(f"no exact prediction map for regularizer {kind.tag!r}")
+
+
+def value_rows(q: np.ndarray, kind: RegularizerKind) -> np.ndarray:
+    """Omega(q) per row: sum q log q with 0 log 0 = 0, or ||q||^2 / 2."""
+    if kind.tag == NEGENTROPY:
+        safe = np.where(q > 0.0, q, 1.0)
+        return np.sum(q * np.log(safe), axis=1)
+    if kind.tag == SQUARED_L2:
+        return 0.5 * np.einsum("ij,ij->i", q, q)
     raise InputError(f"no exact value for regularizer {kind.tag!r}")
 
 
-def omega_conjugate(s: np.ndarray, kind: RegularizerKind) -> float:
+def conjugate_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
+    """Omega*(s) per row: log-sum-exp, or max over the simplex of
+    <s|q> - ||q||^2 / 2 through the projection."""
     if kind.tag == NEGENTROPY:
-        return logsumexp_conjugate(s)
+        m = scores.max(axis=1)
+        return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
     if kind.tag == SQUARED_L2:
-        return squared_l2_conjugate(s)
+        p = prediction_rows(scores, kind)
+        return np.einsum("ij,ij->i", scores, p) - 0.5 * np.einsum("ij,ij->i", p, p)
     raise InputError(f"no exact conjugate for regularizer {kind.tag!r}")
-
-
-def omega_conjugate_grad(s: np.ndarray, kind: RegularizerKind) -> np.ndarray:
-    """The regularized prediction map: gradient of the conjugate at s."""
-    if kind.tag == NEGENTROPY:
-        return softmax_distribution(s)
-    if kind.tag == SQUARED_L2:
-        return sparsemax_distribution(s)
-    raise InputError(f"no exact prediction map for regularizer {kind.tag!r}")
 
 
 def fy_loss_exact(
@@ -159,8 +142,10 @@ def fy_loss_exact(
     target_q = validate_distribution(target_q)
     if s.shape != target_q.shape:
         raise InputError("score and target dimensions differ")
-    value = omega_conjugate(s, kind) + omega_value(target_q, kind) - float(s @ target_q)
-    gradient = omega_conjugate_grad(s, kind) - target_q
+    row, target_row = s[None, :], target_q[None, :]
+    value = (float(conjugate_rows(row, kind)[0]) + float(value_rows(target_row, kind)[0])
+             - float(s @ target_q))
+    gradient = prediction_rows(row, kind)[0] - target_q
     return value, gradient
 
 

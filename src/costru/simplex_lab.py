@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .core import (
     RngStream,
     Scenario,
     ensure_finite,
-    is_exposed_vertex,
     make_rng,
 )
 from .regularizers import (
@@ -29,11 +29,10 @@ from .regularizers import (
     SPARSE_PERTURBATION,
     SQUARED_L2,
     RegularizerKind,
-    logsumexp_conjugate,
-    omega_conjugate,
-    omega_conjugate_grad,
-    omega_value,
+    conjugate_rows,
+    prediction_rows,
     validate_distribution,
+    value_rows,
 )
 
 log = logging.getLogger(__name__)
@@ -50,6 +49,55 @@ class BoundaryError(RuntimeError):
         super().__init__(message)
         self.vertex = vertex
         self.iteration = iteration
+
+
+def nearest_point_in_hull_sq(candidate: np.ndarray, others: np.ndarray,
+                             max_iters: int = 5000) -> float:
+    """Squared distance from ``candidate`` to conv(rows of ``others``).
+
+    Solved as min over simplex weights of ||candidate - others^T w||^2 with
+    an accelerated projected-gradient method; no LP dependency, desk scale
+    only.
+    """
+    o = np.asarray(others, dtype=float)  # (k, d)
+    c = np.asarray(candidate, dtype=float)
+    k = o.shape[0]
+    projection = RegularizerKind.squared_l2()
+    gram = o @ o.T
+    lin = o @ c
+    lip = 2.0 * max(np.linalg.norm(gram, 2), 1e-12)
+    w = np.full(k, 1.0 / k)
+    z = w.copy()
+    t_acc = 1.0
+    f_prev = np.inf
+    for _ in range(max_iters):
+        grad = 2.0 * (gram @ z - lin)
+        w_next = prediction_rows((z - grad / lip)[None, :], projection)[0]
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        z = w_next + ((t_acc - 1.0) / t_next) * (w_next - w)
+        w, t_acc = w_next, t_next
+        diff = c - o.T @ w
+        f = float(diff @ diff)
+        if abs(f_prev - f) < 1e-16 * (1.0 + abs(f)):
+            break
+        f_prev = f
+    diff = c - o.T @ w
+    return float(diff @ diff)
+
+
+def is_exposed_vertex(candidate: np.ndarray, others: Sequence[np.ndarray]) -> bool:
+    """True iff ``candidate`` is not a convex combination of ``others``.
+
+    Membership is declared when the nearest-point-in-hull squared distance
+    falls below 1e-9.  Desk-scale only (|others| up to ~1e4).
+    """
+    c = ensure_finite(candidate, "candidate")
+    if len(others) == 0:
+        return True
+    o = np.asarray(others, dtype=float)
+    if o.ndim != 2 or o.shape[1] != c.shape[0]:
+        raise InputError("candidate and others must share one dimension")
+    return nearest_point_in_hull_sq(c, o) >= 1e-9
 
 
 @dataclass(frozen=True)
@@ -176,66 +224,19 @@ class LabConfig:
             raise InputError("max_iters must be >= 1")
 
 
-def validate_product_distribution(q_product: np.ndarray) -> np.ndarray:
-    q = np.asarray(q_product, dtype=float)
-    if q.ndim != 2:
-        raise InputError("a product distribution must be an (N, |Y|) array")
-    for row in q:
-        validate_distribution(row)
-    return q
-
-
-# ---------------------------------------------------------------------------
-# Row-vectorized regularizer maps (hot path for the iterative certificates)
-# ---------------------------------------------------------------------------
-
-def _sparsemax_rows(scores: np.ndarray) -> np.ndarray:
-    u = np.sort(scores, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1) - 1.0
-    ranks = np.arange(1, scores.shape[1] + 1)
-    support = u * ranks > css
-    rho = scores.shape[1] - 1 - np.argmax(support[:, ::-1], axis=1)
-    tau = css[np.arange(scores.shape[0]), rho] / (rho + 1.0)
-    return np.maximum(scores - tau[:, None], 0.0)
-
-
-def _grad_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
-    if kind.tag == NEGENTROPY:
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-    if kind.tag == SQUARED_L2:
-        return _sparsemax_rows(scores)
-    raise InputError(f"no exact prediction map for regularizer {kind.tag!r}")
-
-
-def _value_rows(q: np.ndarray, kind: RegularizerKind) -> np.ndarray:
-    if kind.tag == NEGENTROPY:
-        safe = np.where(q > 0.0, q, 1.0)
-        return np.sum(q * np.log(safe), axis=1)
-    if kind.tag == SQUARED_L2:
-        return 0.5 * np.einsum("ij,ij->i", q, q)
-    raise InputError(f"no exact value for regularizer {kind.tag!r}")
-
-
-def _conjugate_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
-    if kind.tag == NEGENTROPY:
-        m = scores.max(axis=1)
-        return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-    if kind.tag == SQUARED_L2:
-        p = _sparsemax_rows(scores)
-        return np.einsum("ij,ij->i", scores, p) - 0.5 * np.einsum("ij,ij->i", p, p)
-    raise InputError(f"no exact conjugate for regularizer {kind.tag!r}")
-
-
 def _partial_min_fast(q: np.ndarray, gamma: np.ndarray, kappa: float,
                       kind: RegularizerKind) -> float:
     n = q.shape[0]
     cost_part = float(np.einsum("ij,ij->", gamma, q)) / n
-    values = _value_rows(q, kind)
+    values = value_rows(q, kind)
     q_bar = q.mean(axis=0)
-    bar_value = float(_value_rows(q_bar[None, :], kind)[0])
+    bar_value = float(value_rows(q_bar[None, :], kind)[0])
     return cost_part + (kappa / n) * (float(values.sum()) - n * bar_value)
+
+
+def _jensen_gap_fast(q: np.ndarray, kind: RegularizerKind) -> float:
+    mean_value = float(value_rows(q, kind).mean())
+    return mean_value - float(value_rows(q.mean(axis=0)[None, :], kind)[0])
 
 
 def _coordination_fast(q: np.ndarray, kind: RegularizerKind, strict: bool) -> np.ndarray:
@@ -277,7 +278,7 @@ def surrogate_value(
 
     ``s_product`` may be one common score vector or one row per scenario.
     """
-    q = validate_product_distribution(q_product)
+    q = validate_distribution(q_product, ndim=2)
     n, k = q.shape
     s = np.asarray(s_product, dtype=float)
     if s.ndim == 1:
@@ -285,8 +286,8 @@ def surrogate_value(
     if s.shape != (n, k) or costs.gamma.shape != (n, k):
         raise InputError("inconsistent surrogate dimensions")
     fy = (
-        _conjugate_rows(s, kind)
-        + _value_rows(q, kind)
+        conjugate_rows(s, kind)
+        + value_rows(q, kind)
         - np.einsum("ij,ij->i", s, q)
     )
     per_scenario = np.einsum("ij,ij->i", costs.gamma, q) + kappa * fy
@@ -299,7 +300,8 @@ def exact_decomposition(
     """Closed-form per-scenario primal update: prediction at s - gamma/kappa."""
     if kappa <= 0:
         raise InputError("kappa must be positive")
-    return omega_conjugate_grad(np.asarray(s, dtype=float) - np.asarray(costs_row, dtype=float) / kappa, kind)
+    scores = np.asarray(s, dtype=float) - np.asarray(costs_row, dtype=float) / kappa
+    return prediction_rows(ensure_finite(scores, "score")[None, :], kind)[0]
 
 
 def exact_coordination(
@@ -310,7 +312,7 @@ def exact_coordination(
     Scores are defined up to a constant shift; the zero-sum representative
     is returned so trajectories are comparable across runs.
     """
-    q = validate_product_distribution(q_product)
+    q = validate_distribution(q_product, ndim=2)
     return _coordination_fast(q, kind, strict)
 
 
@@ -318,15 +320,13 @@ def partial_min_surrogate(
     q_product: np.ndarray, costs: CostTable, kappa: float, kind: RegularizerKind
 ) -> float:
     """Surrogate minimized over the common score, in closed form."""
-    q = validate_product_distribution(q_product)
+    q = validate_distribution(q_product, ndim=2)
     return _partial_min_fast(q, costs.gamma, kappa, kind)
 
 
 def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float:
     """(1/N) sum_i Psi(q_i) - Psi(mean q_i); nonnegative by convexity."""
-    q = validate_product_distribution(q_product)
-    mean_value = float(_value_rows(q, kind).mean())
-    return mean_value - float(_value_rows(q.mean(axis=0)[None, :], kind)[0])
+    return _jensen_gap_fast(validate_distribution(q_product, ndim=2), kind)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def run_alternating_exact(
     clamp_events = 0
     shifted_costs = costs.gamma / config.kappa
     for t in range(1, config.max_iters + 1):
-        q = _grad_rows(s[None, :] - shifted_costs, kind)
+        q = prediction_rows(s[None, :] - shifted_costs, kind)
         if first_q is None:
             first_q = q.copy()
         if kind.tag == NEGENTROPY and float(q.mean(axis=0).min()) < INTERIOR_CLAMP:
@@ -463,12 +463,10 @@ def alternating_trace(
     s = np.asarray(s0, dtype=float).copy()
     rows = []
     for t in range(1, config.max_iters + 1):
-        q = _grad_rows(s[None, :] - costs.gamma / config.kappa, kind)
+        q = prediction_rows(s[None, :] - costs.gamma / config.kappa, kind)
         sur = surrogate_value(s, q, costs, config.kappa, kind)
         pm = _partial_min_fast(q, costs.gamma, config.kappa, kind)
-        gap = float(_value_rows(q, kind).mean()) - float(
-            _value_rows(q.mean(axis=0)[None, :], kind)[0]
-        )
+        gap = _jensen_gap_fast(q, kind)
         s = _coordination_fast(q, kind, strict=False)
         rows.append((t, sur, pm, gap))
     return rows
@@ -492,7 +490,7 @@ def _five_point_slack(
 ) -> float:
     """Slack of the partial-minimizer five-point inequality at one probe."""
     n = costs.n_scenarios
-    q1 = _grad_rows(s0[None, :] - costs.gamma / kappa, kind)
+    q1 = prediction_rows(s0[None, :] - costs.gamma / kappa, kind)
     s1 = _coordination_fast(q1, kind, strict=True)
     lhs = _partial_min_fast(probe_q, costs.gamma, kappa, kind) - _partial_min_fast(
         q1, costs.gamma, kappa, kind
@@ -572,33 +570,25 @@ def run_mirror_descent_comparison(
         return q
 
     # Path A: damped alternating minimization on the exact maps.
-    s_bar = np.asarray(s0, dtype=float).copy()
+    s0 = np.asarray(s0, dtype=float)
+    s_bar = s0.copy()
     primal_a: list[np.ndarray] = []
     for _ in range(iters):
-        q = np.stack(
-            [exact_decomposition(s_bar, gamma[i], kappa, kind) for i in range(n)]
-        )
-        guard(q, "alternating")
+        q = guard(prediction_rows(s_bar[None, :] - gamma / kappa, kind), "alternating")
         primal_a.append(q)
-        s_half = exact_coordination(q, kind)
+        s_half = _coordination_fast(q, kind, strict=True)
         s_bar = alpha * s_half + (1.0 - alpha) * s_bar
 
     # Path B: mirror descent on the partial-min surrogate with the
     # separable entropy mirror map, from the matched first primal iterate.
-    q = np.stack(
-        [omega_conjugate_grad(np.asarray(s0, float) - gamma[i] / kappa, kind) for i in range(n)]
-    )
-    guard(q, "mirror")
+    q = guard(prediction_rows(s0[None, :] - gamma / kappa, kind), "mirror")
     primal_b: list[np.ndarray] = [q]
     for _ in range(iters - 1):
         log_q = np.log(q)
         log_mean = np.log(guard(q.mean(axis=0), "mirror mean"))
         mirror_points = (1.0 + log_q)  # gradient of sum q log q, rowwise
         grads = (gamma + kappa * (log_q - log_mean[None, :])) / n
-        q = np.stack(
-            [omega_conjugate_grad(mirror_points[i] - eta * grads[i], kind) for i in range(n)]
-        )
-        guard(q, "mirror")
+        q = guard(prediction_rows(mirror_points - eta * grads, kind), "mirror")
         primal_b.append(q)
 
     deviations = np.array(
@@ -630,13 +620,15 @@ def _partial_surrogate_terms(
     """Per-scenario (risk, partially minimized surrogate) at a common score."""
     risks = np.empty(costs.n_scenarios)
     partials = np.empty(costs.n_scenarios)
-    q_pred = omega_conjugate_grad(s, kind)
-    for i in range(costs.n_scenarios):
-        gamma = costs.gamma[i]
+    q_pred = prediction_rows(s[None, :], kind)[0]
+    conjugate = float(conjugate_rows(s[None, :], kind)[0])
+    q_hat = prediction_rows(s[None, :] - costs.gamma / kappa, kind)
+    values = value_rows(q_hat, kind)
+    # Per-row inner products, not one einsum: the reported sums keep their bits.
+    for i, gamma in enumerate(costs.gamma):
         risks[i] = float(gamma @ q_pred)
-        q_hat = omega_conjugate_grad(s - gamma / kappa, kind)
-        fy = omega_conjugate(s, kind) + omega_value(q_hat, kind) - float(s @ q_hat)
-        partials[i] = float(gamma @ q_hat) + kappa * fy
+        fy = conjugate + float(values[i]) - float(s @ q_hat[i])
+        partials[i] = float(gamma @ q_hat[i]) + kappa * fy
     return risks, partials
 
 
@@ -719,7 +711,7 @@ def omega_c_conjugate_check(
     """
     s = poly.lift_scores(theta)
     if kind.tag == NEGENTROPY:
-        lse = logsumexp_conjugate(s)
+        lse = float(conjugate_rows(s[None, :], kind)[0])
         scores_ld = poly.matrix.T.astype(np.longdouble) @ np.asarray(theta, dtype=np.longdouble)
         m = scores_ld.max()
         log_partition = float(m + np.log(np.exp(scores_ld - m).sum()))
@@ -916,14 +908,14 @@ def run_conjugate_suite(
     tolerance: float = 1e-12,
 ) -> list[CheckRow]:
     rows: list[CheckRow] = []
+    negentropy = RegularizerKind.negentropy()
     pert = RegularizerKind.sparse_perturbation(epsilon=0.7, nb_samples=64)
     for inst in range(n_instances):
         inst_seed = seed + inst
         g = make_rng(inst_seed, 51).generator()
         poly = random_binary_polytope(g, d, n_atoms)
         theta = g.standard_normal(d)
-        neg = omega_c_conjugate_check(theta, poly, RegularizerKind.negentropy(),
-                                      tolerance=tolerance)
+        neg = omega_c_conjugate_check(theta, poly, negentropy, tolerance=tolerance)
         rows.append(CheckRow("conjugates/negentropy", inst_seed, neg.max_abs_diff,
                              tolerance, neg.ok))
         per = omega_c_conjugate_check(theta, poly, pert, rng=make_rng(inst_seed, 52),
@@ -935,7 +927,8 @@ def run_conjugate_suite(
     g = make_rng(seed, 53).generator()
     worst = 0.0
     for t in g.uniform(-5.0, 5.0, size=20):
-        lse = logsumexp_conjugate(line.lift_scores(np.array([t])))
+        scores = line.lift_scores(np.array([t]))[None, :]
+        lse = float(conjugate_rows(scores, negentropy)[0])
         worst = max(worst, abs(lse - float(np.log1p(np.exp(t)))))
     rows.append(CheckRow("conjugates/line-closed-form", seed, worst, 1e-12, worst <= 1e-12))
     return rows

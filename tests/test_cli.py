@@ -143,6 +143,12 @@ class TestGenerate:
                 np.testing.assert_array_equal(a[key], b[key])
         assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
 
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_empty_grid_exits_two(self, tmp_path, mst_config, key):
+        cfg = tmp_path / "empty.ini"
+        cfg.write_text(Path(mst_config).read_text().replace(f"{key} = 3", f"{key} = 0"))
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 2
+
 
 class TestTrain:
     def test_toy_primal_dual_trajectory(self, tmp_path, toy_config):
@@ -291,6 +297,20 @@ class TestSweepEpsilon:
         rows = read_rows(out)
         assert rows[0] == ["epsilon", "proportion_optimal"]
         assert len(rows) == 3  # header + 2 epsilon values
+
+    @pytest.mark.parametrize("epsilons", ["1,abc", ","])
+    def test_bad_epsilons_exit_two(self, tmp_path, toy_config, epsilons):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(Path(toy_config).read_text().replace("epsilons = 1,5",
+                                                            f"epsilons = {epsilons}"))
+        assert cli.main(["sweep-epsilon", "--config", str(cfg),
+                         "--out", str(tmp_path / "sweep.csv")]) == 2
+
+    def test_zero_seeds_exits_two(self, tmp_path, toy_config):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(Path(toy_config).read_text().replace("nb_seeds = 2", "nb_seeds = 0"))
+        assert cli.main(["sweep-epsilon", "--config", str(cfg),
+                         "--out", str(tmp_path / "sweep.csv")]) == 2
 
     def test_sweep_deterministic(self, tmp_path, toy_config):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

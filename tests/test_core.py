@@ -5,73 +5,29 @@ import itertools
 import numpy as np
 import pytest
 
-from costru.core import (
-    Dataset,
-    InputError,
-    Scenario,
-    is_exposed_vertex,
-    make_rng,
-    nearest_point_in_hull_sq,
-    project_to_simplex,
-)
+from costru.core import Dataset, InputError, Scenario, make_rng
 from costru.problems.spanning_tree import enumerate_forests, grid_edges
 from costru.problems.toy import ToyOracle, toy_scenarios
+from costru.regularizers import RegularizerKind, prediction_rows
 from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
 
 
-class TestExposedVertex:
-    def test_affinely_independent_points(self):
-        assert is_exposed_vertex(np.array([1.0, 0.0]),
-                                 [np.array([0.0, 1.0]), np.array([0.0, 0.0])])
-
-    def test_exact_midpoint_is_inside(self):
-        assert not is_exposed_vertex(np.array([0.5, 0.5]),
-                                     [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-
-    def test_triangle_forest_vertex_vs_weight_grid(self):
-        """Cross-check the hull solver against a brute-force weight grid."""
-        triangle = (((0, 1), (1, 2), (0, 2)), 3)
-        forests = enumerate_forests(*triangle)
-        candidate = np.array([1.0, 1.0, 0.0])
-        others = np.stack([f for f in forests if not np.array_equal(f, candidate)])
-        assert len(others) == 6
-
-        # Enumerate simplex weights with resolution 1/12 and find the
-        # closest convex combination the grid can build.
-        k = others.shape[0]
-        resolution = 12
-        best = np.inf
-        for cuts in itertools.combinations(range(resolution + k - 1), k - 1):
-            parts = np.diff((-1,) + cuts + (resolution + k - 1,)) - 1
-            weights = np.asarray(parts, dtype=float) / resolution
-            dist = np.sum((candidate - weights @ others) ** 2)
-            best = min(best, dist)
-        assert best > 1e-3  # grid confirms the point is far from the hull
-        assert is_exposed_vertex(candidate, others)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            is_exposed_vertex(np.array([1.0, 0.0]), [np.array([1.0, 0.0, 0.0])])
-
-    def test_empty_others(self):
-        assert is_exposed_vertex(np.array([1.0]), [])
-
-    def test_hull_distance_zero_for_member(self):
-        others = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert nearest_point_in_hull_sq(np.array([0.25, 0.25]), others) < 1e-12
+def sparsemax(v):
+    """Sparsemax of one vector: the Euclidean projection onto the simplex."""
+    return prediction_rows(np.asarray(v, dtype=float)[None, :], RegularizerKind.squared_l2())[0]
 
 
 class TestProjectToSimplex:
     def test_projection_is_distribution(self):
         g = make_rng(3, 0).generator()
         for _ in range(50):
-            p = project_to_simplex(g.standard_normal(6))
+            p = sparsemax(g.standard_normal(6))
             assert np.all(p >= 0)
             assert np.isclose(p.sum(), 1.0, atol=1e-12)
 
     def test_interior_point_fixed(self):
         q = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(project_to_simplex(q), q, atol=1e-12)
+        np.testing.assert_allclose(sparsemax(q), q, atol=1e-12)
 
 
 class TestRngStream:

@@ -8,26 +8,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from costru.core import make_rng
+from costru.core import InputError, make_rng
 from costru.problems.toy import ToyOracle, toy_scenarios
 from costru.regularizers import (
     RegularizerKind,
+    conjugate_rows,
     fy_loss_exact,
-    logsumexp_conjugate,
-    negentropy_value,
     perturbed_decomposition_target,
     perturbed_fy_gradient,
     perturbed_max_value,
     perturbed_maximizer_moment,
-    softmax_distribution,
-    sparsemax_distribution,
-    squared_l2_value,
+    prediction_rows,
     validate_distribution,
+    value_rows,
 )
-from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
+from costru.simplex_lab import ExplicitOracle, ExplicitPolytope, nearest_point_in_hull_sq
 
 NEG = RegularizerKind.negentropy()
 L2 = RegularizerKind.squared_l2()
+
+
+def row(v):
+    return np.asarray(v, dtype=float)[None, :]
+
+
+def softmax(s):
+    return prediction_rows(row(s), NEG)[0]
+
+
+def sparsemax(s):
+    return prediction_rows(row(s), L2)[0]
+
+
+def negentropy(q):
+    return float(value_rows(row(q), NEG)[0])
+
+
+def logsumexp(s):
+    return float(conjugate_rows(row(s), NEG)[0])
 
 
 def line_oracle():
@@ -40,16 +58,56 @@ def point_oracle():
     return ExplicitOracle(ExplicitPolytope.from_vertices(np.array([[0.0]]), validate=False))
 
 
+# Saturating, tied and zero entries next to ordinary ones.
+_ENTRIES = st.one_of(
+    st.sampled_from([-1000.0, 1000.0, 0.0, 1.0, -1.0]),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+
+
+@st.composite
+def score_stacks(draw):
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    rows = st.lists(_ENTRIES, min_size=k, max_size=k)
+    return np.array(draw(st.lists(rows, min_size=n, max_size=n)))
+
+
+class TestRowMaps:
+    """A stack of rows maps to exactly the bits of each row mapped alone."""
+
+    @pytest.mark.parametrize("kind", [NEG, L2])
+    @given(scores=score_stacks())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_each_row(self, kind, scores):
+        pred = prediction_rows(scores, kind)
+        conj = conjugate_rows(scores, kind)
+        # predictions carry zero-probability entries (sparsemax, saturation);
+        # |scores| adds ties and exact zeros to the value map's input.
+        for q_stack in (pred, np.abs(scores)):
+            values = value_rows(q_stack, kind)
+            for i, q in enumerate(q_stack):
+                assert value_rows(row(q), kind).tobytes() == values[i:i + 1].tobytes()
+        for i, s in enumerate(scores):
+            assert prediction_rows(row(s), kind).tobytes() == pred[i:i + 1].tobytes()
+            assert conjugate_rows(row(s), kind).tobytes() == conj[i:i + 1].tobytes()
+
+    def test_perturbation_kind_has_no_exact_map(self):
+        kind = RegularizerKind.sparse_perturbation(1.0, 1)
+        for row_map in (prediction_rows, value_rows, conjugate_rows):
+            with pytest.raises(InputError):
+                row_map(np.zeros((1, 2)), kind)
+
+
 class TestSoftmax:
     def test_symmetry(self):
-        np.testing.assert_allclose(softmax_distribution(np.zeros(3)), np.full(3, 1 / 3))
+        np.testing.assert_allclose(softmax(np.zeros(3)), np.full(3, 1 / 3))
 
     def test_log_weights(self):
-        q = softmax_distribution(np.log(np.array([1.0, 2.0, 3.0])))
+        q = softmax(np.log(np.array([1.0, 2.0, 3.0])))
         np.testing.assert_allclose(q, np.array([1, 2, 3]) / 6, atol=1e-15)
 
     def test_overflow_safe_saturation(self):
-        q = softmax_distribution(np.array([1000.0, 0.0]))
+        q = softmax(np.array([1000.0, 0.0]))
         assert q[0] == pytest.approx(1.0, abs=1e-300)
         assert q[1] < 1e-300
 
@@ -58,30 +116,30 @@ class TestSoftmax:
     def test_shift_invariance(self, alpha, seed):
         s = make_rng(seed, 0).generator().standard_normal(5)
         np.testing.assert_allclose(
-            softmax_distribution(s + alpha), softmax_distribution(s), atol=1e-12
+            softmax(s + alpha), softmax(s), atol=1e-12
         )
 
 
 class TestNegentropy:
     def test_uniform(self):
-        assert negentropy_value(np.full(2, 0.5)) == pytest.approx(-np.log(2))
+        assert negentropy(np.full(2, 0.5)) == pytest.approx(-np.log(2))
 
     def test_dirac_zero_log_zero(self):
-        assert negentropy_value(np.array([1.0, 0.0])) == 0.0
+        assert negentropy(np.array([1.0, 0.0])) == 0.0
 
     def test_direct_evaluation(self):
         q = np.array([0.25, 0.75])
         expected = 0.25 * np.log(0.25) + 0.75 * np.log(0.75)
-        assert negentropy_value(q) == pytest.approx(expected, abs=1e-12)
+        assert negentropy(q) == pytest.approx(expected, abs=1e-12)
 
 
 class TestLogSumExp:
     def test_two_zeros(self):
-        assert logsumexp_conjugate(np.zeros(2)) == pytest.approx(np.log(2))
+        assert logsumexp(np.zeros(2)) == pytest.approx(np.log(2))
 
     def test_shift_property(self):
         a = 3.7
-        assert logsumexp_conjugate(np.full(3, a)) == pytest.approx(a + np.log(3))
+        assert logsumexp(np.full(3, a)) == pytest.approx(a + np.log(3))
 
     def test_against_simplex_grid_search(self):
         """Conjugate of the negentropy via a dense grid over the simplex."""
@@ -94,13 +152,13 @@ class TestLogSumExp:
             q = np.asarray(parts, dtype=float) / resolution
             val = float(s @ q) - float(np.sum(q[q > 0] * np.log(q[q > 0])))
             best = max(best, val)
-        assert logsumexp_conjugate(s) == pytest.approx(best, abs=1e-4)
+        assert logsumexp(s) == pytest.approx(best, abs=1e-4)
 
 
 class TestExactFyLoss:
     def test_fenchel_equality_case(self):
         s = make_rng(21, 0).generator().standard_normal(6)
-        value, grad = fy_loss_exact(s, softmax_distribution(s), NEG)
+        value, grad = fy_loss_exact(s, softmax(s), NEG)
         assert abs(value) < 1e-12
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -132,9 +190,7 @@ class TestExactFyLoss:
             value, _ = fy_loss_exact(s, target, kind)
             assert value >= -1e-10
             # forward direction: at the prediction the loss vanishes
-            from costru.regularizers import omega_conjugate_grad
-
-            pred = omega_conjugate_grad(s, kind)
+            pred = prediction_rows(row(s), kind)[0]
             v0, _ = fy_loss_exact(s, pred, kind)
             assert abs(v0) < 1e-10
             # reverse direction: zero loss forces target == prediction
@@ -150,11 +206,11 @@ class TestSparsemax:
     def test_is_distribution(self):
         g = make_rng(24, 0).generator()
         for _ in range(100):
-            p = sparsemax_distribution(g.standard_normal(5))
+            p = sparsemax(g.standard_normal(5))
             validate_distribution(p)
 
     def test_squared_l2_value(self):
-        assert squared_l2_value(np.array([0.5, 0.5])) == pytest.approx(0.25)
+        assert value_rows(row([0.5, 0.5]), L2)[0] == pytest.approx(0.25)
 
 
 class TestPerturbedMaxValue:
@@ -187,8 +243,6 @@ class TestPerturbedMoment:
         np.testing.assert_array_equal(mu, np.array([1.0]))
 
     def test_in_hull(self):
-        from costru.core import nearest_point_in_hull_sq
-
         g = make_rng(6, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
         poly = ExplicitPolytope.from_vertices(verts, validate=False)
@@ -267,7 +321,7 @@ class TestConjugateAndAffineIdentities:
         poly = ExplicitPolytope.from_vertices(verts, validate=False)
         for _ in range(20):
             theta = g.standard_normal(3)
-            lse = logsumexp_conjugate(poly.lift_scores(theta))
+            lse = logsumexp(poly.lift_scores(theta))
             direct = np.log(np.sum(np.exp(verts @ theta)))
             assert abs(lse - direct) < 1e-12
 

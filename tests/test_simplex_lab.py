@@ -1,11 +1,14 @@
 """Exact simplex laboratory: surrogate, updates, and theorem certificates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from costru.core import InputError, make_rng
+from costru.problems.spanning_tree import enumerate_forests
 from costru.problems.toy import toy_cost_table
-from costru.regularizers import RegularizerKind, softmax_distribution
+from costru.regularizers import RegularizerKind, conjugate_rows, prediction_rows
 from costru.simplex_lab import (
     BoundaryError,
     CostTable,
@@ -15,7 +18,9 @@ from costru.simplex_lab import (
     exact_coordination,
     exact_decomposition,
     five_point_check,
+    is_exposed_vertex,
     jensen_gap,
+    nearest_point_in_hull_sq,
     omega_c_conjugate_check,
     partial_min_surrogate,
     random_binary_polytope,
@@ -31,11 +36,15 @@ NEG = RegularizerKind.negentropy()
 L2 = RegularizerKind.squared_l2()
 
 
+def softmax(s):
+    return prediction_rows(np.asarray(s, dtype=float)[None, :], NEG)[0]
+
+
 class TestSurrogateValue:
     def test_equality_at_dual_pairs(self):
         g = make_rng(31, 0).generator()
         s = g.standard_normal((3, 5))
-        q = np.stack([softmax_distribution(row) for row in s])
+        q = prediction_rows(s, NEG)
         costs = random_cost_table(g, 3, 5)
         cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / 3
         assert surrogate_value(s, q, costs, 1.0, NEG) == pytest.approx(cost_part, abs=1e-12)
@@ -59,7 +68,7 @@ class TestExactDecomposition:
     def test_zero_costs(self):
         s = make_rng(33, 0).generator().standard_normal(4)
         np.testing.assert_allclose(
-            exact_decomposition(s, np.zeros(4), 1.0, NEG), softmax_distribution(s),
+            exact_decomposition(s, np.zeros(4), 1.0, NEG), softmax(s),
             atol=1e-15,
         )
 
@@ -74,7 +83,7 @@ class TestExactDecomposition:
         s = make_rng(34, 0).generator().standard_normal(4)
         gamma = make_rng(34, 1).generator().standard_normal(4)
         q = exact_decomposition(s, gamma, 1e12, NEG)
-        np.testing.assert_allclose(q, softmax_distribution(s), atol=1e-10)
+        np.testing.assert_allclose(q, softmax(s), atol=1e-10)
 
 
 class TestExactCoordination:
@@ -86,7 +95,7 @@ class TestExactCoordination:
         q_bar = np.array([1 / 6, 2 / 6, 3 / 6])
         s = exact_coordination(np.stack([q_bar, q_bar]), NEG)
         assert s.sum() == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(softmax_distribution(s), q_bar, atol=1e-12)
+        np.testing.assert_allclose(softmax(s), q_bar, atol=1e-12)
 
     def test_round_trip_on_identical_scenarios(self):
         g = make_rng(35, 0).generator()
@@ -106,9 +115,8 @@ class TestExactCoordination:
         g = make_rng(36, 0).generator()
         q = random_interior_product(g, 3, 4)
         s = exact_coordination(q, L2)
-        from costru.regularizers import sparsemax_distribution
-
-        np.testing.assert_allclose(sparsemax_distribution(s), q.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(prediction_rows(s[None, :], L2)[0], q.mean(axis=0),
+                                   atol=1e-12)
 
 
 class TestPartialMinAndJensen:
@@ -182,11 +190,11 @@ class TestAlternatingScheme:
         s0 = g.standard_normal(5)
         kappa = 1.0
         traj = run_alternating_exact(costs, LabConfig(kappa, NEG, max_iters=6), s0)
-        q1 = softmax_distribution(s0 - costs.gamma[0] / kappa)
+        q1 = softmax(s0 - costs.gamma[0] / kappa)
         np.testing.assert_allclose(traj.q_products[0][0], q1, atol=1e-12)
         q = q1
         for t in range(1, 6):
-            q = softmax_distribution(np.log(q) - costs.gamma[0] / kappa)
+            q = softmax(np.log(q) - costs.gamma[0] / kappa)
             np.testing.assert_allclose(traj.q_products[t][0], q, atol=1e-12)
             assert traj.values[t] == pytest.approx(float(costs.gamma[0] @ q), abs=1e-12)
         assert np.all(np.diff(traj.values) <= 1e-12)
@@ -223,9 +231,9 @@ class TestFivePoint:
         g = make_rng(47, 0).generator()
         costs = random_cost_table(g, 4, 5)
         s0 = g.standard_normal(5)
-        from costru.simplex_lab import _five_point_slack, _grad_rows
+        from costru.simplex_lab import _five_point_slack
 
-        q1 = _grad_rows(s0[None, :] - costs.gamma, NEG)
+        q1 = prediction_rows(s0[None, :] - costs.gamma, NEG)
         slack = _five_point_slack(s0, q1, costs, 1.0, NEG)
         assert slack == pytest.approx(0.0, abs=1e-10)
 
@@ -302,16 +310,13 @@ class TestConjugateCheck:
         poly = random_binary_polytope(make_rng(55, 0).generator(), 3, 6)
         report = omega_c_conjugate_check(np.zeros(3), poly, NEG)
         assert report.ok
-        from costru.regularizers import logsumexp_conjugate
-
-        assert logsumexp_conjugate(poly.lift_scores(np.zeros(3))) == pytest.approx(np.log(6))
+        lse = conjugate_rows(poly.lift_scores(np.zeros(3))[None, :], NEG)[0]
+        assert lse == pytest.approx(np.log(6))
 
     def test_line_closed_form(self):
         poly = ExplicitPolytope.from_vertices(np.array([[0.0], [1.0]]))
         for t in (-3.0, -0.5, 0.0, 1.2, 4.0):
-            from costru.regularizers import logsumexp_conjugate
-
-            lse = logsumexp_conjugate(poly.lift_scores(np.array([t])))
+            lse = conjugate_rows(poly.lift_scores(np.array([t]))[None, :], NEG)[0]
             assert lse == pytest.approx(np.log1p(np.exp(t)), abs=1e-12)
 
     def test_random_equality(self):
@@ -344,3 +349,45 @@ class TestPolytopeValidation:
             LabConfig(-1.0, NEG)
         with pytest.raises(InputError):
             LabConfig(1.0, NEG, damping_alpha=1.5)
+
+
+class TestExposedVertex:
+    def test_affinely_independent_points(self):
+        assert is_exposed_vertex(np.array([1.0, 0.0]),
+                                 [np.array([0.0, 1.0]), np.array([0.0, 0.0])])
+
+    def test_exact_midpoint_is_inside(self):
+        assert not is_exposed_vertex(np.array([0.5, 0.5]),
+                                     [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+
+    def test_triangle_forest_vertex_vs_weight_grid(self):
+        """Cross-check the hull solver against a brute-force weight grid."""
+        triangle = (((0, 1), (1, 2), (0, 2)), 3)
+        forests = enumerate_forests(*triangle)
+        candidate = np.array([1.0, 1.0, 0.0])
+        others = np.stack([f for f in forests if not np.array_equal(f, candidate)])
+        assert len(others) == 6
+
+        # Enumerate simplex weights with resolution 1/12 and find the
+        # closest convex combination the grid can build.
+        k = others.shape[0]
+        resolution = 12
+        best = np.inf
+        for cuts in itertools.combinations(range(resolution + k - 1), k - 1):
+            parts = np.diff((-1,) + cuts + (resolution + k - 1,)) - 1
+            weights = np.asarray(parts, dtype=float) / resolution
+            dist = np.sum((candidate - weights @ others) ** 2)
+            best = min(best, dist)
+        assert best > 1e-3  # grid confirms the point is far from the hull
+        assert is_exposed_vertex(candidate, others)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputError):
+            is_exposed_vertex(np.array([1.0, 0.0]), [np.array([1.0, 0.0, 0.0])])
+
+    def test_empty_others(self):
+        assert is_exposed_vertex(np.array([1.0]), [])
+
+    def test_hull_distance_zero_for_member(self):
+        others = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert nearest_point_in_hull_sq(np.array([0.25, 0.25]), others) < 1e-12
