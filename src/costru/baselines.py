@@ -17,9 +17,8 @@ from .core import Dataset, InputError, LinearOracle, Scenario, make_rng
 from .problems.spanning_tree import (
     MstOracle,
     TwoStageCosts,
-    _two_stage_splits,
-    kruskal_max_weight_forest,
     second_stage_value,
+    two_stage_splits,
 )
 from .trainer import (
     AdamState,
@@ -63,8 +62,7 @@ def _shared_costs(scenarios: list[Scenario]) -> tuple[np.ndarray, np.ndarray]:
 
 def _anticipative_solution(oracle: LinearOracle, scenario: Scenario) -> np.ndarray:
     """Single-scenario optimum."""
-    zeros = np.zeros(scenario.dim)
-    return np.asarray(oracle.argmin_shifted(zeros, 0.0, scenario), dtype=float)
+    return oracle.argmin_shifted(np.zeros(scenario.dim), 0.0, scenario)
 
 
 def pooled_median_second_stage(training_scenarios: Dataset | list[Scenario]) -> np.ndarray:
@@ -123,13 +121,13 @@ def lagrangian_saa_solution(
 
     for j in range(1, saa.lagrangian_iters + 1):
         # Row k is the anticipative solution of scenario k at costs c + lam[k].
-        ys, _ = _two_stage_splits(c + lam, d_all, oracle.edges, oracle.n_nodes)
+        ys, _ = two_stage_splits(c + lam, d_all, oracle.edges, oracle.n_nodes)
         for y in ys:
             add_candidate(y)
         y_bar = ys.mean(axis=0)
         # Consensus recovery: majority edges, greedy by consensus strength.
         recovery_weights = np.where(y_bar >= 0.5, y_bar, -1.0)
-        add_candidate(kruskal_max_weight_forest(recovery_weights, oracle.edges, oracle.n_nodes))
+        add_candidate(oracle.argmax_linear(recovery_weights))
         sigma = saa.sigma0 / np.sqrt(j)
         lam = lam + sigma * (ys - y_bar)
         lam = lam - lam.mean(axis=0)

@@ -128,6 +128,12 @@ def load_config(path: str | None) -> dict[str, dict]:
     _sweep_epsilons(cfg)
     if cfg["sweep"]["nb_seeds"] < 1:
         raise ConfigError("sweep.nb_seeds must be >= 1")
+    # A suite run on zero samples would pass without checking anything.
+    for key in ("probes", "trials", "iterations", "draws"):
+        if cfg["verify"][key] < 1:
+            raise ConfigError(f"verify.{key} must be >= 1")
+    if cfg["verify"]["instances"] < 0:
+        raise ConfigError("verify.instances must be >= 0 (0 keeps each suite's default)")
     return cfg
 
 
@@ -248,12 +254,11 @@ def _train_mst(args, cfg, seed, chash, out: Path) -> int:
 
     if args.method == "primal-dual":
         trajectory = train_primal_dual(train_data, oracle, config)
-        series = experiments.mst_gap_series(trajectory, val_data, test_data, oracle)
-        rows = [
-            [t + 1, series.val_current[t], series.val_average[t],
-             series.test_current[t], series.test_average[t]]
-            for t in range(config.nb_iterations)
-        ]
+        columns = [experiments.gap_series(weights, data, oracle, evaluator)
+                   for data in (val_data, test_data)
+                   for weights in (trajectory.per_iteration, trajectory.running_average)]
+        rows = [[t + 1, *(column[t] for column in columns)]
+                for t in range(config.nb_iterations)]
         write_csv(out / "metrics.csv",
                   ["iteration", "val_gap_current_w", "val_gap_avg_w",
                    "test_gap_current_w", "test_gap_avg_w"], rows, chash, seed)
@@ -345,23 +350,20 @@ _SUITES = ("convergence", "mirror-descent", "five-point", "risk-bound",
 
 def run_verify_suite(suite: str, cfg: dict, seed: int) -> list[CheckRow]:
     v = cfg["verify"]
-
-    def instances(default: int) -> int:
-        return v["instances"] if v["instances"] > 0 else default
-
+    # instances = 0 keeps each suite's own instance count.
+    sized = {"n_instances": v["instances"]} if v["instances"] > 0 else {}
     if suite == "convergence":
-        return simplex_lab.run_convergence_suite(
-            n_instances=instances(20), seed=seed)
+        return simplex_lab.run_convergence_suite(seed=seed, **sized)
     if suite == "mirror-descent":
         return simplex_lab.run_mirror_descent_suite(iters=v["iterations"], seed=seed)
     if suite == "five-point":
         return simplex_lab.run_five_point_suite(probes=v["probes"], seed=seed)
     if suite == "risk-bound":
-        return simplex_lab.run_risk_bound_suite(n_instances=instances(100), seed=seed)
+        return simplex_lab.run_risk_bound_suite(seed=seed, **sized)
     if suite == "jensen-gap":
         return simplex_lab.run_jensen_gap_suite(trials=v["trials"], seed=seed)
     if suite == "conjugates":
-        return simplex_lab.run_conjugate_suite(n_instances=instances(50), seed=seed)
+        return simplex_lab.run_conjugate_suite(seed=seed, **sized)
     if suite == "oracles":
         return verification.run_oracle_suite(
             n_kruskal=v["draws"], n_anticipative=max(2, v["draws"] * 2 // 5), seed=seed)

@@ -120,36 +120,40 @@ def make_rng(seed: int, stream_id: int = 0) -> RngStream:
     return RngStream(int(seed), int(stream_id))
 
 
+def _one_row(theta: ScoreDirection) -> np.ndarray:
+    row = np.asarray(theta, dtype=float)
+    if row.ndim != 1:
+        raise InputError("a single direction must be a one-dimensional array")
+    return row[None, :]
+
+
 class LinearOracle(ABC):
     """Behavioral contract for linear maximization over a solution set Y(x).
 
-    Implementations must be deterministic given inputs, with ties broken
-    lowest-index-first, and must always return elements of Y(x).
+    Batch-first: an implementation answers an (m, d) stack of directions
+    with an (m, d) stack of solutions, row r being the answer to row r, and
+    a single-direction call is row 0 of the batched one.  Implementations
+    must be deterministic given inputs, with ties broken lowest-index-first,
+    and must always return elements of Y(x).
     """
 
     @abstractmethod
-    def argmax_linear(self, theta: ScoreDirection) -> SolutionVector:
-        """Solve max_{y in Y(x)} <theta|y>."""
+    def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
+        """Row r solves max_{y in Y(x)} <thetas[r]|y>."""
 
     @abstractmethod
-    def argmin_shifted(
-        self, theta_tilde: ScoreDirection, kappa: float, scenario: Scenario
-    ) -> SolutionVector:
-        """Solve min_{y in Y(x)} c(x, y, xi) - kappa * <theta_tilde|y>."""
-
-    # Batched entry points used by the Monte-Carlo estimators.  The default
-    # implementations loop; problem modules override them when a vectorized
-    # form is available.
-
-    def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return np.array([self.argmax_linear(t) for t in thetas], dtype=float)
-
     def argmin_shifted_many(
         self, theta_tildes: np.ndarray, kappa: float, scenario: Scenario
     ) -> np.ndarray:
-        return np.array(
-            [self.argmin_shifted(t, kappa, scenario) for t in theta_tildes], dtype=float
-        )
+        """Row r solves min_{y in Y(x)} c(x, y, xi) - kappa * <theta_tildes[r]|y>."""
+
+    def argmax_linear(self, theta: ScoreDirection) -> SolutionVector:
+        return self.argmax_linear_many(_one_row(theta))[0]
+
+    def argmin_shifted(
+        self, theta_tilde: ScoreDirection, kappa: float, scenario: Scenario
+    ) -> SolutionVector:
+        return self.argmin_shifted_many(_one_row(theta_tilde), kappa, scenario)[0]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from .problems.spanning_tree import MstEvaluator, MstOracle
 from .problems.toy import ToyOracle, toy_dataset
 from .trainer import (
     TrainConfig,
-    WeightTrajectory,
     evaluate_policy,
     train_primal_dual,
 )
@@ -86,35 +85,10 @@ def run_toy_epsilon_sweep(
     return results
 
 
-@dataclass(frozen=True)
-class GapSeries:
-    """Per-outer-iteration evaluation gaps for current and averaged weights."""
-
-    val_current: np.ndarray
-    val_average: np.ndarray
-    test_current: np.ndarray
-    test_average: np.ndarray
-
-
 def gap_series(weights: np.ndarray, data: Dataset, oracle: MstOracle,
                evaluator: MstEvaluator) -> np.ndarray:
     """Mean gap on one split of each weight vector, one per row of ``weights``."""
     return np.array([evaluate_policy(w, data, oracle, evaluator)[1] for w in weights])
-
-
-def mst_gap_series(
-    trajectory: WeightTrajectory,
-    val_data: Dataset,
-    test_data: Dataset,
-    oracle: MstOracle,
-) -> GapSeries:
-    evaluator = MstEvaluator(oracle)
-    return GapSeries(
-        val_current=gap_series(trajectory.per_iteration, val_data, oracle, evaluator),
-        val_average=gap_series(trajectory.running_average, val_data, oracle, evaluator),
-        test_current=gap_series(trajectory.per_iteration, test_data, oracle, evaluator),
-        test_average=gap_series(trajectory.running_average, test_data, oracle, evaluator),
-    )
 
 
 def total_variation(series: np.ndarray) -> float:

@@ -25,50 +25,23 @@ import numpy as np
 
 from ..core import InputError, LinearOracle, Scenario
 
-EdgeList = tuple[tuple[int, int], ...]
-
 
 class InfeasibleError(RuntimeError):
     """The graph cannot be spanned (disconnected input)."""
 
 
-class _GridEdges(tuple):
-    """An EdgeList that also holds its endpoints as a read-only (E, 2) int64
-    array and that array's address, made once so that kernel calls need not
-    convert the tuple."""
-
-    def __new__(cls, pairs):
-        edges = super().__new__(cls, pairs)
-        edges.ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-        edges.ends.setflags(write=False)
-        edges.ends_address = edges.ends.ctypes.data
-        return edges
-
-    def __reduce__(self):
-        return _GridEdges, (tuple(self),)
-
-
-def _endpoints(edges: EdgeList) -> tuple[np.ndarray, int]:
-    """Endpoints as an (E, 2) int64 array and its address; the caller keeps
-    the array alive while the kernel reads it."""
-    if isinstance(edges, _GridEdges):
-        return edges.ends, edges.ends_address
-    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return ends, ends.ctypes.data
-
-
-def grid_edges(rows: int, cols: int) -> EdgeList:
-    """4-neighbor grid edges, horizontal block first, row-major within each."""
+def grid_edges(rows: int, cols: int) -> np.ndarray:
+    """4-neighbor grid edges as a read-only (E, 2) int64 array of endpoints,
+    horizontal block first, row-major within each."""
     if rows < 1 or cols < 1:
         raise InputError("grid dimensions must be positive")
-    edges: list[tuple[int, int]] = []
-    for r in range(rows):
-        for c in range(cols - 1):
-            edges.append((r * cols + c, r * cols + c + 1))
-    for r in range(rows - 1):
-        for c in range(cols):
-            edges.append((r * cols + c, (r + 1) * cols + c))
-    return _GridEdges(edges)
+    nodes = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    edges = np.concatenate([
+        np.stack([nodes[:, :-1].ravel(), nodes[:, 1:].ravel()], axis=1),
+        np.stack([nodes[:-1, :].ravel(), nodes[1:, :].ravel()], axis=1),
+    ])
+    edges.setflags(write=False)
+    return edges
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -78,7 +51,7 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _kruskal_rows_py(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[list[int]]:
+def _kruskal_rows_py(keys: np.ndarray, edges: np.ndarray, n_nodes: int) -> list[list[int]]:
     """Greedy acyclic edge selection, one pass per row of the (m, E) ``keys``.
 
     Every spanning-tree oracle is this loop under its own keys: edges are
@@ -91,13 +64,14 @@ def _kruskal_rows_py(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> list[li
     """
     orders = np.argsort(keys, axis=1, kind="stable").tolist()
     takeable = (keys < np.inf).sum(axis=1).tolist()
+    pairs = edges.tolist()
     limit = n_nodes - 1
     rows = []
     for order, count in zip(orders, takeable):
         parent = list(range(n_nodes))
         chosen = []
         for e in order[:count]:
-            u, v = edges[e]
+            u, v = pairs[e]
             ru = _find(parent, u)
             rv = _find(parent, v)
             if ru != rv:
@@ -176,8 +150,16 @@ def _raise_status(status: int, disconnected: str = _DISCONNECTED) -> None:
     raise InputError("first-stage selection contains a cycle")
 
 
-def _rows(values, edges: EdgeList, n_nodes: int) -> np.ndarray:
+def _check_edges(edges: np.ndarray) -> None:
+    """The one edge format, which the kernel reads in place."""
+    if not (isinstance(edges, np.ndarray) and edges.dtype == np.int64 and edges.ndim == 2
+            and edges.shape[1] == 2 and edges.flags.c_contiguous):
+        raise InputError("edges must be a C-contiguous (E, 2) int64 array")
+
+
+def _rows(values, edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """``values`` as a C-contiguous (m, E) float64 array for the kernel."""
+    _check_edges(edges)
     rows = np.ascontiguousarray(values, dtype=np.float64)
     if n_nodes < 1:
         raise InputError("a graph needs at least one node")
@@ -186,7 +168,7 @@ def _rows(values, edges: EdgeList, n_nodes: int) -> np.ndarray:
     return rows
 
 
-def _picks_py(keys: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
+def _picks_py(keys: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """``_kruskal_rows_py`` as an (m, n_nodes) int64 array: row r holds its
     chosen edges in selection order, then zeros, and its count in the last
     column."""
@@ -205,51 +187,49 @@ def _indicators(picks: np.ndarray, n_edges: int) -> np.ndarray:
     return out
 
 
-def is_forest(y: np.ndarray, edges: EdgeList, n_nodes: int) -> bool:
+def is_forest(y: np.ndarray, edges: np.ndarray, n_nodes: int) -> bool:
+    """Whether the edges with y > 0.5 are acyclic; y has one entry per edge."""
+    _check_edges(edges)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (len(edges),):
+        raise InputError("y needs one entry per edge")
     parent = list(range(n_nodes))
-    for e, flag in enumerate(y):
+    for (u, v), flag in zip(edges.tolist(), y.tolist()):
         if flag > 0.5:
-            ru = _find(parent, edges[e][0])
-            rv = _find(parent, edges[e][1])
+            ru = _find(parent, u)
+            rv = _find(parent, v)
             if ru == rv:
                 return False
             parent[ru] = rv
     return True
 
 
-def _max_weight_forests_py(w: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
-    """Reference and fallback of ``_max_weight_forests``."""
+def _max_weight_forests_py(w: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Reference and fallback of ``max_weight_forests``."""
     if not np.isfinite(w).all():
         raise InputError("weights must be finite")
     keys = np.where(w > 0.0, -w, np.inf)
     return _indicators(_picks_py(keys, edges, n_nodes), w.shape[1])
 
 
-def _max_weight_forests(weights: np.ndarray, edges: EdgeList, n_nodes: int) -> np.ndarray:
-    """Row-wise maximum-weight forests of an (m, E) weight array."""
+def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Row-wise maximum-total-weight forests of an (m, E) weight array:
+    greedy by decreasing weight, ties by index, skipping cycles and edges
+    with weight <= 0."""
     w = _rows(weights, edges, n_nodes)
     kernel = _compiled_kernel()
     if kernel is None:
         return _max_weight_forests_py(w, edges, n_nodes)
-    ends, address = _endpoints(edges)  # ``ends`` stays alive during the call
     out = np.empty(w.shape)
-    status = kernel.forest_rows(w.ctypes.data, address, w.shape[0], w.shape[1], n_nodes,
-                                out.ctypes.data)
+    status = kernel.forest_rows(w.ctypes.data, edges.ctypes.data, w.shape[0], w.shape[1],
+                                n_nodes, out.ctypes.data)
     if status < 0:
         _raise_status(status)
     return out
 
 
-def kruskal_max_weight_forest(
-    weights: np.ndarray, edges: EdgeList, n_nodes: int
-) -> np.ndarray:
-    """Maximum-total-weight forest: greedy by decreasing weight, ties by
-    index, skipping cycles and edges with weight <= 0."""
-    return _max_weight_forests(np.asarray(weights, dtype=float)[None, :], edges, n_nodes)[0]
-
-
 def _completions_py(
-    y: np.ndarray, d: np.ndarray, edges: EdgeList, n_nodes: int
+    y: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Reference and fallback of ``_completions``."""
     in_y = y > 0.5
@@ -271,7 +251,7 @@ def _completions_py(
 
 
 def _completions(
-    y: np.ndarray, d: np.ndarray, edges: EdgeList, n_nodes: int
+    y: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Completions of the forest y, a float (E,) array, under each row of the
     (K, E) second-stage costs d: a C-contiguous (K, L) array of the costs of
@@ -280,14 +260,13 @@ def _completions(
     kernel = _compiled_kernel()
     if kernel is None:
         return _completions_py(y, d, edges, n_nodes)
-    ends, address = _endpoints(edges)
     k, n_edges = d.shape
     # One buffer: the (K, L) costs packed from its start, L = n_nodes - 1 -
     # n_first being known only after the call, and the (K, E) rows of z
     # after the K * (n_nodes - 1) entries that L can reach.
     out = np.empty(k * (n_nodes - 1 + n_edges))
-    status = kernel.completion_rows(y.ctypes.data, d.ctypes.data, address, k, n_edges,
-                                    n_nodes, out.ctypes.data)
+    status = kernel.completion_rows(y.ctypes.data, d.ctypes.data, edges.ctypes.data, k,
+                                    n_edges, n_nodes, out.ctypes.data)
     if status < 0:
         _raise_status(status, _NO_COMPLETION)
     width = max(n_nodes - 1 - status, 0)  # a y with n_nodes or more edges meets no row
@@ -295,7 +274,7 @@ def _completions(
 
 
 def second_stage_value(
-    y: np.ndarray, second_stage_costs: np.ndarray, edges: EdgeList, n_nodes: int
+    y: np.ndarray, second_stage_costs: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[float | np.ndarray, np.ndarray]:
     """Minimum-cost completion of the forest y into a spanning tree.
 
@@ -319,9 +298,9 @@ def second_stage_value(
 
 
 def _two_stage_splits_py(
-    eff: np.ndarray, d: np.ndarray, edges: EdgeList, n_nodes: int
+    eff: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reference and fallback of ``_two_stage_splits``."""
+    """Reference and fallback of ``two_stage_splits``."""
     picks = _picks_py(np.minimum(eff, d), edges, n_nodes)
     if (picks[:, -1] != n_nodes - 1).any():
         raise InfeasibleError(_DISCONNECTED)
@@ -330,8 +309,8 @@ def _two_stage_splits_py(
     return y, tree - y
 
 
-def _two_stage_splits(
-    eff: np.ndarray, second: np.ndarray, edges: EdgeList, n_nodes: int
+def two_stage_splits(
+    eff: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (y, z) splits of an (m, E) array of effective first-stage
     costs against second-stage costs: one (E,) vector for every row, or an
@@ -343,17 +322,17 @@ def _two_stage_splits(
     kernel = _compiled_kernel()
     if kernel is None:
         return _two_stage_splits_py(eff, d, edges, n_nodes)
-    ends, address = _endpoints(edges)
     yz = np.empty((2, *eff.shape))  # y rows, then z rows: one buffer to pass
     status = kernel.split_rows(eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1),
-                               address, eff.shape[0], eff.shape[1], n_nodes, yz.ctypes.data)
+                               edges.ctypes.data, eff.shape[0], eff.shape[1], n_nodes,
+                               yz.ctypes.data)
     if status < 0:
         _raise_status(status)
     return yz[0], yz[1]
 
 
 def two_stage_mst_split(
-    eff_first: np.ndarray, second: np.ndarray, edges: EdgeList, n_nodes: int
+    eff_first: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Joint minimizer of <eff_first|y> + <second|z> over spanning pairs.
 
@@ -362,7 +341,7 @@ def two_stage_mst_split(
     """
     eff = np.asarray(eff_first, dtype=float)
     d = np.asarray(second, dtype=float)
-    y, z = _two_stage_splits(eff[None, :], d, edges, n_nodes)
+    y, z = two_stage_splits(eff[None, :], d, edges, n_nodes)
     y, z = y[0], z[0]
     value = float(eff @ y + d @ z)
     return y, z, value
@@ -411,10 +390,6 @@ class GridInstance:
             arr.setflags(write=False)
 
     @property
-    def edges(self) -> EdgeList:
-        return grid_edges(self.rows, self.cols)
-
-    @property
     def n_edges(self) -> int:
         return self.first_stage_costs.shape[0]
 
@@ -427,20 +402,6 @@ class GridInstance:
         return Scenario(context_id=context_id, features=self.features, noise_payload=payload)
 
 
-def mst_anticipative_oracle(
-    theta_tilde: np.ndarray,
-    kappa: float,
-    first_stage_costs: np.ndarray,
-    second_stage_costs: np.ndarray,
-    edges: EdgeList,
-    n_nodes: int,
-) -> np.ndarray:
-    """First-stage minimizer of c.y + Q(y; xi) - kappa <theta_tilde|y>."""
-    eff = np.asarray(first_stage_costs, dtype=float) - kappa * np.asarray(theta_tilde, dtype=float)
-    y, _, _ = two_stage_mst_split(eff, second_stage_costs, edges, n_nodes)
-    return y
-
-
 class MstOracle(LinearOracle):
     """Linear oracle over the forests of a fixed grid graph."""
 
@@ -451,29 +412,17 @@ class MstOracle(LinearOracle):
         self.n_nodes = rows * cols
         self.n_edges = len(self.edges)
 
-    def argmax_linear(self, theta: np.ndarray) -> np.ndarray:
-        return kruskal_max_weight_forest(theta, self.edges, self.n_nodes)
-
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return _max_weight_forests(thetas, self.edges, self.n_nodes)
+        return max_weight_forests(thetas, self.edges, self.n_nodes)
 
-    def _payload(self, scenario: Scenario) -> TwoStageCosts:
+    def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
+        """First stages of the two-stage splits under c - kappa * theta_tilde,
+        the minimizers of c.y + Q(y; xi) - kappa <theta_tilde|y>."""
         payload = scenario.noise_payload
         if not isinstance(payload, TwoStageCosts):
             raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
-        return payload
-
-    def argmin_shifted(self, theta_tilde, kappa, scenario: Scenario) -> np.ndarray:
-        payload = self._payload(scenario)
-        return mst_anticipative_oracle(
-            theta_tilde, kappa, payload.first_stage, payload.second_stage,
-            self.edges, self.n_nodes,
-        )
-
-    def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
-        payload = self._payload(scenario)
         eff = payload.first_stage[None, :] - kappa * np.asarray(theta_tildes, dtype=float)
-        y, _ = _two_stage_splits(eff, payload.second_stage, self.edges, self.n_nodes)
+        y, _ = two_stage_splits(eff, payload.second_stage, self.edges, self.n_nodes)
         return y
 
 
@@ -508,7 +457,7 @@ class MstEvaluator:
 # Exhaustive enumeration (independent oracles for small graphs)
 # ---------------------------------------------------------------------------
 
-def enumerate_forests(edges: EdgeList, n_nodes: int) -> list[np.ndarray]:
+def enumerate_forests(edges: np.ndarray, n_nodes: int) -> list[np.ndarray]:
     """All 0/1 acyclic edge subsets; exponential, desk scale only."""
     n_edges = len(edges)
     if n_edges > 16:
@@ -522,14 +471,14 @@ def enumerate_forests(edges: EdgeList, n_nodes: int) -> list[np.ndarray]:
 
 
 def brute_force_max_weight_forest_value(
-    weights: np.ndarray, edges: EdgeList, n_nodes: int
+    weights: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> float:
     w = np.asarray(weights, dtype=float)
     return max(float(w @ y) for y in enumerate_forests(edges, n_nodes))
 
 
 def brute_force_two_stage_pair(
-    eff_first: np.ndarray, second: np.ndarray, edges: EdgeList, n_nodes: int
+    eff_first: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Min over all (y, z) with y + z a spanning tree; no reduction tricks."""
     eff = np.asarray(eff_first, dtype=float)

@@ -19,34 +19,27 @@ TOY_COSTS.setflags(write=False)
 N_TOY_SCENARIOS = TOY_COSTS.shape[1]
 
 
-def toy_oracle(theta: float, kappa: float, scenario_index: int) -> int:
-    """argmin over y in {0, 1} of cost[y][j] - kappa * theta * y (ties -> 0)."""
-    if scenario_index not in range(N_TOY_SCENARIOS):
-        raise InputError(f"toy scenario index must be in 0..{N_TOY_SCENARIOS - 1}")
-    objective_0 = TOY_COSTS[0, scenario_index]
-    objective_1 = TOY_COSTS[1, scenario_index] - kappa * theta
-    return 1 if objective_1 < objective_0 else 0
+def _directions(thetas) -> np.ndarray:
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != 1:
+        raise InputError("toy directions must form an (m, 1) array")
+    return thetas
 
 
 class ToyOracle(LinearOracle):
-    """Linear oracle for the one-dimensional set Y = {0, 1}."""
-
-    def argmax_linear(self, theta: np.ndarray) -> np.ndarray:
-        return np.array([1.0]) if float(theta[0]) > 0.0 else np.array([0.0])
+    """Linear oracle for the one-dimensional set Y = {0, 1}; ties go to 0."""
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return (np.asarray(thetas, dtype=float) > 0.0).astype(float)
-
-    def argmin_shifted(self, theta_tilde, kappa, scenario: Scenario) -> np.ndarray:
-        j = int(scenario.noise_payload)
-        return np.array([float(toy_oracle(float(theta_tilde[0]), kappa, j))])
+        return (_directions(thetas) > 0.0).astype(float)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
-        j = int(scenario.noise_payload)
+        j = scenario.noise_payload
+        if j not in range(N_TOY_SCENARIOS):
+            raise InputError(f"toy scenario index must be in 0..{N_TOY_SCENARIOS - 1}")
+        j = int(j)
         # y = 1 strictly wins iff kappa * theta_tilde > cost(1) - cost(0).
         margin = TOY_COSTS[1, j] - TOY_COSTS[0, j]
-        wins = kappa * np.asarray(theta_tildes, dtype=float) > margin
-        return wins.astype(float)
+        return (kappa * _directions(theta_tildes) > margin).astype(float)
 
 
 def toy_scenarios() -> list[Scenario]:

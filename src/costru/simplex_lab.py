@@ -167,22 +167,21 @@ class ExplicitOracle(LinearOracle):
     def __init__(self, polytope: ExplicitPolytope):
         self.polytope = polytope
 
-    def argmax_linear(self, theta: np.ndarray) -> np.ndarray:
-        scores = self.polytope.lift_scores(theta)
-        return self.polytope.matrix[:, int(np.argmax(scores))].copy()
+    def _scores(self, thetas: np.ndarray) -> np.ndarray:
+        """(m, |Y|) scores <thetas[r]|y> of finite (m, d) directions."""
+        thetas = ensure_finite(thetas, "theta")
+        if thetas.ndim != 2 or thetas.shape[1] != self.polytope.dim:
+            raise InputError("directions must form an (m, d) array")
+        return thetas @ self.polytope.matrix
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        scores = np.asarray(thetas, dtype=float) @ self.polytope.matrix
-        return self.polytope.vertices[np.argmax(scores, axis=1)]
-
-    def argmin_shifted(self, theta_tilde, kappa, scenario: Scenario) -> np.ndarray:
-        gamma = np.asarray(scenario.noise_payload, dtype=float)
-        obj = gamma - kappa * self.polytope.lift_scores(theta_tilde)
-        return self.polytope.matrix[:, int(np.argmin(obj))].copy()
+        return self.polytope.vertices[np.argmax(self._scores(thetas), axis=1)]
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
-        gamma = np.asarray(scenario.noise_payload, dtype=float)
-        obj = gamma[None, :] - kappa * (np.asarray(theta_tildes, dtype=float) @ self.polytope.matrix)
+        gamma = ensure_finite(scenario.noise_payload, "cost payload")
+        if gamma.shape != (self.polytope.n_vertices,):
+            raise InputError("the cost payload needs one entry per vertex")
+        obj = gamma[None, :] - kappa * self._scores(theta_tildes)
         return self.polytope.vertices[np.argmin(obj, axis=1)]
 
 

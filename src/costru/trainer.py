@@ -105,9 +105,7 @@ def decomposition_pass(
         scenario = batch[slot]
         theta = score_instance(weights, scenario)
         if config.unperturbed_targets:
-            return np.asarray(
-                oracle.argmin_shifted(theta, config.kappa, scenario), dtype=float
-            )
+            return oracle.argmin_shifted(theta, config.kappa, scenario)
         return perturbed_decomposition_target(
             oracle, theta, scenario, config.kappa, config.epsilon,
             config.nb_samples, rng.split(slot),
@@ -149,26 +147,6 @@ def coordination_pass(
                 )
             adam, w = adam_step(adam, w, g_w, config.lr_init)
     return w
-
-
-def coordination_objective(
-    weights: GlmWeights,
-    batch: list[Scenario],
-    targets: list[np.ndarray],
-    oracle: LinearOracle,
-    config: TrainConfig,
-    rng: RngStream,
-) -> float:
-    """Frozen-draw coordination objective (shifted FY loss averaged over the
-    batch), for descent diagnostics."""
-    total = 0.0
-    for slot, (scenario, mu) in enumerate(zip(batch, targets)):
-        theta = score_instance(weights, scenario)
-        loss, _ = perturbed_fy_gradient(
-            oracle, theta, mu, config.epsilon, config.nb_samples, rng.split(slot)
-        )
-        total += loss
-    return total / len(batch)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,10 @@ import numpy as np
 
 from .core import CheckRow, make_rng
 from .problems.spanning_tree import (
-    EdgeList,
     brute_force_max_weight_forest_value,
     brute_force_two_stage_pair,
     grid_edges,
-    kruskal_max_weight_forest,
+    max_weight_forests,
     two_stage_mst_split,
 )
 from .regularizers import (
@@ -23,13 +22,15 @@ from .regularizers import (
 from .simplex_lab import ExplicitOracle, random_binary_polytope, random_interior_product
 
 # Small graphs with at most 8 edges (edges, n_nodes).
-_SMALL_GRAPHS: list[tuple[EdgeList, int]] = [
-    (((0, 1), (1, 2), (0, 2)), 3),                       # triangle
-    (((0, 1), (0, 2), (0, 3)), 4),                       # star
-    (grid_edges(2, 2), 4),
-    (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 4),  # K4
-    (grid_edges(2, 3), 6),
-    (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)), 5),
+_SMALL_GRAPHS: list[tuple[np.ndarray, int]] = [
+    (np.array(edges, dtype=np.int64), n_nodes) for edges, n_nodes in (
+        (((0, 1), (1, 2), (0, 2)), 3),                       # triangle
+        (((0, 1), (0, 2), (0, 3)), 4),                       # star
+        (grid_edges(2, 2), 4),
+        (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), 4),  # K4
+        (grid_edges(2, 3), 6),
+        (((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4)), 5),
+    )
 ]
 
 
@@ -43,9 +44,8 @@ def run_oracle_suite(
     worst = 0.0
     per_graph = max(1, n_kruskal // len(_SMALL_GRAPHS))
     for edges, n_nodes in _SMALL_GRAPHS:
-        for _ in range(per_graph):
-            weights = g.normal(0.0, 2.0, size=len(edges))
-            y = kruskal_max_weight_forest(weights, edges, n_nodes)
+        draws = g.normal(0.0, 2.0, size=(per_graph, len(edges)))
+        for weights, y in zip(draws, max_weight_forests(draws, edges, n_nodes)):
             value = float(weights @ y)
             best = brute_force_max_weight_forest_value(weights, edges, n_nodes)
             worst = max(worst, abs(value - best))

@@ -23,9 +23,9 @@ from costru.problems.spanning_tree import (
     MstEvaluator,
     MstOracle,
     TwoStageCosts,
-    _two_stage_splits,
     enumerate_forests,
     second_stage_value,
+    two_stage_splits,
 )
 from costru.problems.toy import TOY_COSTS
 from costru.trainer import TrainConfig
@@ -140,7 +140,7 @@ class TestLagrangianSaa:
 
         c, d_all = draw(1, 4, n_edges), draw(1, 4, (n_scen, n_edges))
         lam = draw(-3, 3, (n_scen, n_edges)) / 2
-        ys, _ = _two_stage_splits(c + lam, d_all, oracle.edges, oracle.n_nodes)
+        ys, _ = two_stage_splits(c + lam, d_all, oracle.edges, oracle.n_nodes)
         for k in range(n_scen):
             scenario = Scenario(0, np.zeros((n_edges, 1)), TwoStageCosts(c + lam[k], d_all[k]))
             single = oracle.argmin_shifted(np.zeros(n_edges), 0.0, scenario)

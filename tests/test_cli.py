@@ -8,10 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from costru import cli
+from costru import cli, experiments
+from costru.baselines import SaaConfig
 from costru.core import CheckRow
+from costru.problems.datasets import GenConfig
 from costru.problems.spanning_tree import InfeasibleError
 from costru.simplex_lab import BoundaryError
+from costru.trainer import TrainConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TOY_CONFIG = """
 [problem]
@@ -119,6 +124,30 @@ class TestConfig:
     def test_config_hash_stable(self, toy_config):
         cfg = cli.load_config(toy_config)
         assert cli.config_hash(cfg) == cli.config_hash(cli.load_config(toy_config))
+
+
+class TestShippedConfigs:
+    """The files under configs/ say what the code's defaults say."""
+
+    def test_mst_small_is_the_method_benchmark(self):
+        cfg = cli.load_config(str(CONFIGS / "mst-small.ini"))
+        assert GenConfig(**cfg["generate"]) == experiments.MST_BENCH_GEN
+        assert SaaConfig(**cfg["saa"]) == experiments.MST_BENCH_SAA
+        for seed in (0, 7):
+            assert (TrainConfig(**cfg["train"], seed=seed)
+                    == experiments.mst_bench_primal_dual_config(seed))
+
+    def test_mst_is_the_grid_defaults(self):
+        cfg = cli.load_config(str(CONFIGS / "mst.ini"))
+        assert GenConfig(**cfg["generate"]) == GenConfig()
+        assert cfg["train"] == experiments.MST_DEFAULTS
+        assert SaaConfig(**cfg["saa"]) == SaaConfig()
+
+    def test_toy_is_the_tabular_defaults(self):
+        cfg = cli.load_config(str(CONFIGS / "toy.ini"))
+        without_epsilon = {k: v for k, v in experiments.TOY_DEFAULTS.items() if k != "epsilon"}
+        assert {k: v for k, v in cfg["train"].items() if k != "epsilon"} == without_epsilon
+        assert cfg["sweep"] == cli.load_config(None)["sweep"]
 
 
 class TestGenerate:
@@ -280,6 +309,18 @@ class TestVerify:
         monkeypatch.setattr(cli, "run_verify_suite", fail)
         assert cli.main(["verify", "jensen-gap", "--out", str(tmp_path / "r.csv")]) == 4
         assert f"internal error: {type(error).__name__}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite, key, value", [
+        ("five-point", "probes", 0), ("jensen-gap", "trials", 0),
+        ("mirror-descent", "iterations", 0), ("oracles", "draws", 0),
+        ("conjugates", "instances", -1)])
+    def test_zero_counts_exit_two(self, tmp_path, suite, key, value):
+        """A suite must not run, and pass, on zero samples."""
+        cfg = tmp_path / "v.ini"
+        cfg.write_text(f"[verify]\n{key} = {value}\n")
+        out = tmp_path / "report.csv"
+        assert cli.main(["verify", suite, "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_io_failure_exits_three(self, tmp_path):
         cfg = tmp_path / "v.ini"

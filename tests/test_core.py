@@ -102,3 +102,47 @@ class TestOracleSoundness:
             y = oracle.argmax_linear(theta)
             best = max(float(theta @ f) for f in forests)
             assert float(theta @ y) >= best - 1e-12
+
+
+def _cube_oracle() -> ExplicitOracle:
+    verts = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
+    return ExplicitOracle(ExplicitPolytope.from_vertices(verts, validate=False))
+
+
+class TestBatchedOracleInputs:
+    """The batched entries check what their single-row forms derive from."""
+
+    @pytest.mark.parametrize("payload", [-1, 3, 2.5, None], ids=str)
+    def test_toy_payload_outside_range_rejected(self, payload):
+        scenario = Scenario(0, np.ones((1, 1)), payload)
+        with pytest.raises(InputError, match="toy scenario index"):
+            ToyOracle().argmin_shifted_many(np.zeros((2, 1)), 1.0, scenario)
+        with pytest.raises(InputError, match="toy scenario index"):
+            ToyOracle().argmin_shifted(np.zeros(1), 1.0, scenario)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_explicit_non_finite_scores_rejected(self, bad):
+        oracle = _cube_oracle()
+        thetas = np.zeros((3, 2))
+        thetas[1, 0] = bad
+        scenario = Scenario(0, np.ones((2, 1)), np.zeros(4))
+        with pytest.raises(InputError, match="theta contains non-finite"):
+            oracle.argmax_linear_many(thetas)
+        with pytest.raises(InputError, match="theta contains non-finite"):
+            oracle.argmin_shifted_many(thetas, 1.0, scenario)
+        with pytest.raises(InputError, match="non-finite"):
+            oracle.argmin_shifted_many(np.zeros((1, 2)), 1.0,
+                                       Scenario(0, np.ones((2, 1)), np.full(4, bad)))
+
+    def test_explicit_payload_of_another_length_rejected(self):
+        scenario = Scenario(0, np.ones((2, 1)), np.zeros(3))
+        with pytest.raises(InputError, match="one entry per vertex"):
+            _cube_oracle().argmin_shifted_many(np.zeros((1, 2)), 1.0, scenario)
+
+    @pytest.mark.parametrize("oracle, d", [(ToyOracle(), 1), (_cube_oracle(), 2)],
+                             ids=["toy", "explicit"])
+    def test_directions_of_another_shape_rejected(self, oracle, d):
+        with pytest.raises(InputError):
+            oracle.argmax_linear_many(np.zeros((2, d + 1)))
+        with pytest.raises(InputError, match="one-dimensional"):
+            oracle.argmax_linear(np.zeros((1, d)))

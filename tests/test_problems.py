@@ -37,16 +37,35 @@ from costru.problems.spanning_tree import (
     enumerate_forests,
     grid_edges,
     is_forest,
-    kruskal_max_weight_forest,
-    mst_anticipative_oracle,
+    max_weight_forests,
     second_stage_value,
     two_stage_mst_split,
 )
-from costru.problems.toy import TOY_COSTS, ToyOracle, toy_cost_table, toy_oracle
+from costru.problems.toy import TOY_COSTS, ToyOracle, toy_cost_table, toy_scenarios
+from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
 from costru.trainer import _average_cost_and_gap, evaluate_policy, score_instance
 from costru.verification import _SMALL_GRAPHS
 
-TRIANGLE = (((0, 1), (1, 2), (0, 2)), 3)
+
+def edge_array(pairs) -> np.ndarray:
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+TRIANGLE = (edge_array([(0, 1), (1, 2), (0, 2)]), 3)
+
+
+def max_forest(weights, edges, n_nodes) -> np.ndarray:
+    """The maximum-weight forest of one weight vector."""
+    return max_weight_forests(np.asarray(weights, dtype=float)[None, :], edges, n_nodes)[0]
+
+
+def toy_choice(theta: float, kappa: float, j: int) -> float:
+    """The toy oracle's argmin for one score and scenario j."""
+    return ToyOracle().argmin_shifted(np.array([theta]), kappa, toy_scenarios()[j])[0]
+
+
+def mst_scenario(c, d) -> Scenario:
+    return Scenario(0, np.zeros((len(c), 1)), TwoStageCosts(c, d))
 
 
 class TestToyProblem:
@@ -57,29 +76,29 @@ class TestToyProblem:
                                       np.array([[4.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]]))
 
     def test_first_state_prefers_one(self):
-        assert toy_oracle(0.0, 1.0, 0) == 1
+        assert toy_choice(0.0, 1.0, 0) == 1
 
     def test_other_states_prefer_zero(self):
-        assert toy_oracle(0.0, 1.0, 1) == 0
-        assert toy_oracle(0.0, 1.0, 2) == 0
+        assert toy_choice(0.0, 1.0, 1) == 0
+        assert toy_choice(0.0, 1.0, 2) == 0
 
     def test_negative_score_flips_first_state(self):
-        assert toy_oracle(-5.0, 1.0, 0) == 0  # 4 < 0 - (-5)
+        assert toy_choice(-5.0, 1.0, 0) == 0  # 4 < 0 - (-5)
 
     def test_tie_breaks_to_zero(self):
-        assert toy_oracle(0.0, 1.0, 1) == 0
+        assert toy_choice(0.0, 1.0, 1) == 0
         # exact tie: cost(1) - kappa*theta == cost(0)
-        assert toy_oracle(-4.0, 1.0, 0) == 0
+        assert toy_choice(-4.0, 1.0, 0) == 0
 
     def test_vectorized_matches_scalar(self):
+        """Each row of a batch is the argmin over the cost table, ties to 0."""
         oracle = ToyOracle()
-        from costru.problems.toy import toy_scenarios
-
-        scenario = toy_scenarios()[2]
         thetas = make_rng(1, 0).generator().standard_normal((50, 1)) * 3
-        batch = oracle.argmin_shifted_many(thetas, 1.0, scenario)
-        singles = np.stack([oracle.argmin_shifted(t, 1.0, scenario) for t in thetas])
-        np.testing.assert_array_equal(batch, singles)
+        for j, scenario in enumerate(toy_scenarios()):
+            batch = oracle.argmin_shifted_many(thetas, 1.0, scenario)
+            for theta, y in zip(thetas[:, 0], batch[:, 0]):
+                objective = TOY_COSTS[:, j] - np.array([0.0, theta])
+                assert y == float(np.argmin(objective))
 
 
 class TestGridEdges:
@@ -89,16 +108,44 @@ class TestGridEdges:
 
     def test_horizontal_block_first(self):
         edges = grid_edges(2, 2)
-        assert edges == ((0, 1), (2, 3), (0, 2), (1, 3))
+        np.testing.assert_array_equal(edges, [(0, 1), (2, 3), (0, 2), (1, 3)])
+
+    def test_read_only_int64_endpoints(self):
+        for rows, cols in ((1, 1), (1, 4), (3, 2)):
+            edges = grid_edges(rows, cols)
+            assert edges.dtype == np.int64 and edges.shape == (len(edges), 2)
+            assert edges.flags.c_contiguous and not edges.flags.writeable
+
+    @pytest.mark.parametrize("edges", [((0, 1), (1, 2), (0, 2)),
+                                       np.array([(0, 1), (1, 2), (0, 2)], dtype=np.int32),
+                                       np.array([(0, 1, 9), (1, 2, 9), (0, 2, 9)])[:, :2]],
+                             ids=["tuples", "int32", "strided"])
+    def test_other_edge_formats_rejected(self, edges):
+        with pytest.raises(InputError, match="edges must be"):
+            max_weight_forests(np.ones((1, 3)), edges, 3)
+        with pytest.raises(InputError, match="edges must be"):
+            second_stage_value(np.zeros(3), np.ones(3), edges, 3)
+        with pytest.raises(InputError, match="edges must be"):
+            two_stage_mst_split(np.ones(3), np.ones(3), edges, 3)
+        with pytest.raises(InputError, match="edges must be"):
+            is_forest(np.zeros(3), edges, 3)
+
+
+class TestIsForest:
+    @pytest.mark.parametrize("y", [np.ones(2), np.zeros(4), np.zeros((1, 3)), np.ones(())],
+                             ids=["short", "long", "2d", "scalar"])
+    def test_y_of_another_shape_rejected(self, y):
+        with pytest.raises(InputError, match="one entry per edge"):
+            is_forest(y, *TRIANGLE)
 
 
 class TestKruskalMaxWeightForest:
     def test_all_negative_gives_empty_forest(self):
-        y = kruskal_max_weight_forest(np.array([-1.0, -2.0, -0.5]), *TRIANGLE)
+        y = max_forest(np.array([-1.0, -2.0, -0.5]), *TRIANGLE)
         np.testing.assert_array_equal(y, np.zeros(3))
 
     def test_triangle_example(self):
-        y = kruskal_max_weight_forest(np.array([3.0, 2.0, -1.0]), *TRIANGLE)
+        y = max_forest(np.array([3.0, 2.0, -1.0]), *TRIANGLE)
         np.testing.assert_array_equal(y, np.array([1.0, 1.0, 0.0]))
         assert float(np.array([3.0, 2.0, -1.0]) @ y) == 5.0
 
@@ -107,13 +154,13 @@ class TestKruskalMaxWeightForest:
         g = make_rng(2, 0).generator()
         for _ in range(500):
             w = g.normal(0, 2, len(edges))
-            y = kruskal_max_weight_forest(w, edges, n)
+            y = max_forest(w, edges, n)
             assert float(w @ y) == brute_force_max_weight_forest_value(w, edges, n)
 
     def test_tie_break_lowest_index(self):
         # two equal-weight parallel options: the earlier edge wins
-        edges = ((0, 1), (0, 1))
-        y = kruskal_max_weight_forest(np.array([1.0, 1.0]), edges, 2)
+        edges = edge_array([(0, 1), (0, 1)])
+        y = max_forest(np.array([1.0, 1.0]), edges, 2)
         np.testing.assert_array_equal(y, np.array([1.0, 0.0]))
 
 
@@ -188,7 +235,7 @@ class TestAnticipativeOracle:
         edges, n = grid_edges(2, 3), 6
         c = np.full(len(edges), 8.0)
         d = np.full(len(edges), 2.0)
-        y = mst_anticipative_oracle(np.zeros(len(edges)), 1.0, c, d, edges, n)
+        y = MstOracle(2, 3).argmin_shifted(np.zeros(len(edges)), 1.0, mst_scenario(c, d))
         np.testing.assert_array_equal(y, np.zeros(len(edges)))
 
     def test_forced_first_stage_tree(self):
@@ -199,7 +246,7 @@ class TestAnticipativeOracle:
         tree = np.zeros(len(edges))
         _, z = second_stage_value(tree, d, edges, n)
         theta = 1e6 * z
-        y = mst_anticipative_oracle(theta, 1.0, c, d, edges, n)
+        y = MstOracle(2, 3).argmin_shifted(theta, 1.0, mst_scenario(c, d))
         np.testing.assert_array_equal(y, z)
 
     def test_split_satisfies_tree_constraints(self):
@@ -215,7 +262,7 @@ class TestAnticipativeOracle:
             assert np.all(y + z <= 1.0)
 
     def test_disconnected_graph_raises(self):
-        edges = ((0, 1), (2, 3))
+        edges = edge_array([(0, 1), (2, 3)])
         with pytest.raises(InfeasibleError):
             two_stage_mst_split(np.ones(2), np.ones(2), edges, 4)
 
@@ -268,12 +315,32 @@ def grid_thetas(draw):
     return oracle, np.array(flat, dtype=float).reshape(n_rows, oracle.n_edges), scenario
 
 
+@st.composite
+def toy_thetas(draw):
+    thetas = draw(st.lists(_TIED, min_size=1, max_size=4))
+    scenario = draw(st.sampled_from(toy_scenarios()))
+    return ToyOracle(), np.array(thetas, dtype=float)[:, None], scenario
+
+
+@st.composite
+def explicit_thetas(draw):
+    """The 0/1 cube of dimension d, whose vertices tie on integer scores."""
+    d = draw(st.integers(1, 3))
+    vertices = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
+    oracle = ExplicitOracle(ExplicitPolytope.from_vertices(vertices, validate=False))
+    n_rows = draw(st.integers(1, 4))
+    flat = draw(st.lists(_TIED, min_size=n_rows * d, max_size=n_rows * d))
+    costs = draw(st.lists(_TIED, min_size=len(vertices), max_size=len(vertices)))
+    scenario = Scenario(0, np.zeros((d, 1)), np.array(costs, dtype=float))
+    return oracle, np.array(flat, dtype=float).reshape(n_rows, d), scenario
+
+
 class TestOracleProperties:
     @_PROPERTY
     @given(small_graph_costs(1))
     def test_forest_matches_enumeration(self, case):
         edges, n, (w,) = case
-        y = kruskal_max_weight_forest(w, edges, n)
+        y = max_forest(w, edges, n)
         assert is_forest(y, edges, n)
         assert float(w @ y) == brute_force_max_weight_forest_value(w, edges, n)
 
@@ -301,7 +368,8 @@ class TestOracleProperties:
         assert value == min(float(d @ (f - y)) for f in trees)
 
     @_PROPERTY
-    @given(grid_thetas(), st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    @given(st.one_of(grid_thetas(), toy_thetas(), explicit_thetas()),
+           st.sampled_from((0.0, 0.5, 1.0, 2.0)))
     def test_batched_calls_equal_single_rows(self, case, kappa):
         oracle, thetas, scenario = case
         np.testing.assert_array_equal(
@@ -316,7 +384,7 @@ class TestOracleProperties:
         forest = {(1, 1, 1, 1): (1, 1, 1, 0), (2, 1, 1, 2): (1, 1, 0, 1),
                   (0, 1, 1, 1): (0, 1, 1, 1), (1, -1, 1, 1): (1, 0, 1, 1)}
         for w, expected in forest.items():
-            y = kruskal_max_weight_forest(np.array(w, dtype=float), edges, n)
+            y = max_forest(np.array(w, dtype=float), edges, n)
             np.testing.assert_array_equal(y, np.array(expected, dtype=float))
         splits = [((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 0), (0, 0, 0, 0)),
                   ((2, 1, 1, 2), (1, 2, 2, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
@@ -346,7 +414,8 @@ _KEYS = st.one_of(_TIED.map(float), _ZEROS, st.sampled_from([np.inf, -np.inf, np
 # Every small graph with an arbitrary subset of its edges (often disconnected),
 # one-node graphs, whose only edges are self-loops, and grids with more edges
 # than one insertion-sorted run of the C kernel (16), so that merges happen.
-_KERNEL_GRAPHS = _SMALL_GRAPHS + [((), 1), (((0, 0),), 1), (((0, 0), (0, 0)), 1),
+_KERNEL_GRAPHS = _SMALL_GRAPHS + [(edge_array([]), 1), (edge_array([(0, 0)]), 1),
+                                  (edge_array([(0, 0), (0, 0)]), 1),
                                   (grid_edges(3, 4), 12), (grid_edges(4, 5), 20)]
 
 
@@ -356,7 +425,7 @@ def kernel_cases(draw, values=_KEYS):
     edges, n_nodes = draw(st.sampled_from(_KERNEL_GRAPHS))
     if draw(st.booleans()):
         keep = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
-        edges = tuple(e for e, k in zip(edges, keep) if k)
+        edges = edges[np.array(keep, dtype=bool)]
     m = draw(st.integers(0, 4))
     flat = draw(st.lists(values, min_size=(m + 1) * len(edges),
                          max_size=(m + 1) * len(edges)))
@@ -440,7 +509,7 @@ class TestCompiledKernel:
         edges, n_nodes, w, _ = case
         if poison and w.size:
             w[-1, -1] = np.nan if n_nodes % 2 else -np.inf
-        _assert_same(lambda: (spanning_tree._max_weight_forests(w, edges, n_nodes),),
+        _assert_same(lambda: (spanning_tree.max_weight_forests(w, edges, n_nodes),),
                      lambda: (spanning_tree._max_weight_forests_py(w, edges, n_nodes),))
 
     @settings(max_examples=300, deadline=None)
@@ -452,7 +521,7 @@ class TestCompiledKernel:
         edges, n_nodes, eff, d = case
         if per_row:
             d = np.resize(np.concatenate([other[2].ravel(), other[3]]), eff.shape)
-        _assert_same(lambda: spanning_tree._two_stage_splits(eff, d, edges, n_nodes),
+        _assert_same(lambda: spanning_tree.two_stage_splits(eff, d, edges, n_nodes),
                      lambda: spanning_tree._two_stage_splits_py(eff, d, edges, n_nodes))
 
     @settings(max_examples=300, deadline=None)
@@ -479,7 +548,7 @@ class TestCompiledKernel:
         with pytest.raises(InputError, match="weights must be finite"):
             oracle.argmax_linear_many(thetas)
         with pytest.raises(InputError, match="weights must be finite"):
-            kruskal_max_weight_forest(thetas[1], oracle.edges, oracle.n_nodes)
+            oracle.argmax_linear(thetas[1])
 
     def test_concurrent_calls_match_sequential(self):
         """The kernel runs without the GIL on a per-call workspace, so calls

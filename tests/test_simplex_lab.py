@@ -362,7 +362,7 @@ class TestExposedVertex:
 
     def test_triangle_forest_vertex_vs_weight_grid(self):
         """Cross-check the hull solver against a brute-force weight grid."""
-        triangle = (((0, 1), (1, 2), (0, 2)), 3)
+        triangle = (np.array([(0, 1), (1, 2), (0, 2)], dtype=np.int64), 3)
         forests = enumerate_forests(*triangle)
         candidate = np.array([1.0, 1.0, 0.0])
         others = np.stack([f for f in forests if not np.array_equal(f, candidate)])

@@ -6,12 +6,11 @@ from scipy.stats import norm
 
 from costru.core import InputError, make_rng
 from costru.problems.toy import ToyEvaluator, ToyOracle, toy_dataset, toy_scenarios
-from costru.regularizers import perturbed_maximizer_moment
+from costru.regularizers import perturbed_fy_gradient, perturbed_maximizer_moment
 from costru.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
-    coordination_objective,
     coordination_pass,
     decomposition_pass,
     evaluate_policy,
@@ -197,6 +196,17 @@ class TestTrainPrimalDual:
         assert len(batch) == 2
         full = subsample_batch(data, 10, make_rng(0).split(1, 0))
         assert len(full) == 3
+
+
+def coordination_objective(weights, batch, targets, oracle, config, rng) -> float:
+    """Frozen-draw coordination objective: the shifted FY loss averaged over
+    the batch, each slot on its own sub-stream of ``rng``."""
+    total = 0.0
+    for slot, (scenario, mu) in enumerate(zip(batch, targets)):
+        loss, _ = perturbed_fy_gradient(oracle, score_instance(weights, scenario), mu,
+                                        config.epsilon, config.nb_samples, rng.split(slot))
+        total += loss
+    return total / len(batch)
 
 
 class TestFrozenDrawDescent:
