@@ -1,12 +1,20 @@
-/* Compiled Kruskal kernel: one entry per spanning-tree oracle question.
+/* Native library of costru: the compiled Kruskal kernel, one entry per
+ * spanning-tree oracle question, and numpy's SeedSequence state words.
  *
- * Every entry runs the rule of spanning_tree._kruskal_rows_py on keys it
- * builds from the oracle's own inputs: per row, take the edges whose key is
- * < +inf (never +inf or NaN) in increasing key order, ties to the lower
- * index (-0.0 == 0.0), skip cycles, stop at n_nodes - 1 edges.
+ * Every Kruskal entry runs the rule of spanning_tree._kruskal_rows_py on
+ * keys it builds from the oracle's own inputs: per row, take the edges whose
+ * key is < +inf (never +inf or NaN) in increasing key order, ties to the
+ * lower index (-0.0 == 0.0), skip cycles, stop at n_nodes - 1 edges.
  *
  *   forest_rows      w (m, E); key -w where w > 0.  Writes the 0/1 rows of
  *                    the chosen edges.  A non-finite weight is an error.
+ *   perturbed_forest_rows
+ *                    theta (E,), z (m, E), eps; forest_rows on the tilt
+ *                    w = theta + eps * z, rounded as numpy rounds it (the
+ *                    library is built with -ffp-contract=off, so no fused
+ *                    multiply-add).  Writes the per-edge counts of chosen
+ *                    edges over the m rows, then each row's value, the sum
+ *                    of its chosen w in selection order: E + m doubles.
  *   split_rows       eff (m, E), d (E,) or (m, E) (row stride 0 or E); key
  *                    min(eff, d), NaN when either is NaN.  Writes the
  *                    (m, E) rows of y (chosen, eff <= d), then those of z
@@ -24,8 +32,13 @@
  *                    and a cycle in any row comes first.
  *
  * Arrays are C-contiguous; the Python wrappers check shapes and dtypes.
- * Every entry returns a negative status on error (see below), with its
- * output rows unspecified.
+ * Every Kruskal entry returns a negative status on error (see below), with
+ * its output rows unspecified.
+ *
+ *   seed_state       the four uint64 words of numpy's
+ *                    SeedSequence(entropy[0], spawn_key=entropy[1:n])
+ *                    .generate_state(4, np.uint64), for n >= 1 uint32
+ *                    words: a one-word seed, then the spawn key.
  */
 #include <math.h>
 #include <stdint.h>
@@ -155,6 +168,35 @@ int64_t forest_rows(const double *w, const int64_t *ends, int64_t m, int64_t n_e
     return status;
 }
 
+int64_t perturbed_forest_rows(const double *theta, const double *z, double eps,
+                              const int64_t *ends, int64_t m, int64_t n_edges,
+                              int64_t n_nodes, double *out) {
+    workspace ws;
+    int status = open_workspace(&ws, ends, n_edges, n_nodes);
+    if (status != 0) return status;
+    double *counts = out, *values = out + n_edges;
+    for (int64_t e = 0; e < n_edges; e++) counts[e] = 0.0;
+    for (int64_t r = 0; r < m && status == 0; r++) {
+        const double *zr = z + r * n_edges;
+        int64_t n = 0;
+        for (int64_t e = 0; e < n_edges; e++) {
+            double w = theta[e] + eps * zr[e];
+            if (!isfinite(w)) status = NON_FINITE;
+            if (w > 0.0) ws.items[n++] = (item){-w, e};
+        }
+        int64_t count = select_edges(&ws, n, ws.picks);
+        double value = 0.0;
+        for (int64_t i = 0; i < count; i++) {
+            int64_t e = ws.picks[i];
+            counts[e] += 1.0;
+            value += theta[e] + eps * zr[e];
+        }
+        values[r] = value;
+    }
+    close_workspace(&ws);
+    return status;
+}
+
 int64_t split_rows(const double *eff, const double *d, int64_t d_stride,
                    const int64_t *ends, int64_t m, int64_t n_edges, int64_t n_nodes,
                    double *yz) {
@@ -210,4 +252,47 @@ int64_t completion_rows(const double *y, const double *d, const int64_t *ends,
     }
     close_workspace(&ws);
     return status != 0 ? status : n_first;
+}
+
+/* numpy/random/bit_generator.pyx: SeedSequence with its default pool of
+ * four words, then generate_state(8) viewed as four little-endian uint64. */
+enum { POOL = 4, XSHIFT = 16 };
+static const uint32_t INIT_A = 0x43b0d7e5, MULT_A = 0x931e8875;
+static const uint32_t INIT_B = 0x8b51f9dd, MULT_B = 0x58f38ded;
+static const uint32_t MIX_MULT_L = 0xca01f9dd, MIX_MULT_R = 0x4973f715;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const) {
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> XSHIFT);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y) {
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ (result >> XSHIFT);
+}
+
+void seed_state(const uint32_t *entropy, int64_t n, uint64_t *state) {
+    /* The assembled entropy is the seed word, zeros up to the pool size
+     * (numpy pads a short seed when a spawn key follows, and hashes zeros
+     * into a pool that the entropy does not fill), then the key words. */
+    uint32_t pool[POOL], hash_const = INIT_A;
+    for (int i = 0; i < POOL; i++) pool[i] = hashmix(i == 0 ? entropy[0] : 0, &hash_const);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst) pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
+    for (int64_t src = 1; src < n; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash_const));
+    uint32_t words[2 * POOL];
+    hash_const = INIT_B;
+    for (int i = 0; i < 2 * POOL; i++) {
+        uint32_t value = pool[i % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        words[i] = value ^ (value >> XSHIFT);
+    }
+    for (int i = 0; i < POOL; i++)
+        state[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
 }

@@ -7,11 +7,14 @@ threads.  Oracles must be callable concurrently (no interior mutation).
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
+
+from . import native
 
 # Solution vectors y live in R^d (binary 0/1 in both experiments); score
 # directions theta live in the same space.  Both are plain float arrays.
@@ -91,16 +94,40 @@ class Dataset:
         return groups
 
 
+class _StateWords:
+    """The four state words that PCG64 asks its seed sequence for, already
+    computed; registered as numpy's ``ISeedSequence`` on first use."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or dtype is not np.uint64:
+            raise NotImplementedError("holds PCG64's four uint64 state words only")
+        return self.words
+
+
+@functools.cache
+def _register_state_words() -> None:
+    """Register ``_StateWords`` as a seed sequence; imports numpy.random,
+    which waits for the first draw to keep the package import fast."""
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible, independent random stream.
 
     Identical (seed, stream_id, path) always reproduce identical draw
-    sequences; distinct ids give statistically independent streams
-    (SeedSequence spawn-key construction).  ``generator()`` returns a fresh
-    generator each call, so two calls on the same stream see the same
-    draws -- this is what makes common-random-number estimator pairing and
-    processing-order independence trivial.
+    sequences; distinct ids give statistically independent streams.  The
+    stream is numpy's ``default_rng(SeedSequence(seed, spawn_key=(stream_id,
+    *path)))`` bit for bit; the native library computes its PCG64 state
+    when it is loaded.  ``generator()`` returns a fresh generator each call,
+    so two calls on the same stream see the same draws -- this is what
+    makes common-random-number estimator pairing and processing-order
+    independence trivial.
     """
 
     seed: int
@@ -108,8 +135,12 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, *self.path))
-        return np.random.default_rng(ss)
+        key = (self.stream_id, *self.path)
+        words = native.seed_state(self.seed, key)
+        if words is None:
+            return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+        _register_state_words()
+        return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
     def split(self, *ids: int) -> "RngStream":
         """Derive a child stream; children with distinct ids are independent."""

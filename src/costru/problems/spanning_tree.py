@@ -10,19 +10,12 @@ chosen edge goes to the cheaper stage, ties to stage one.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import hashlib
-import os
-import tempfile
 from dataclasses import dataclass
-from importlib import resources
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
+from .. import native
 from ..core import InputError, LinearOracle, Scenario
 
 
@@ -58,7 +51,7 @@ def _kruskal_rows_py(keys: np.ndarray, edges: np.ndarray, n_nodes: int) -> list[
     taken in increasing key order, ties to the lower index, skipping cycles;
     an edge whose key is +inf (or NaN) is never taken, and a row stops at
     n_nodes - 1 edges.  Returns each row's chosen edges in selection order.
-    The compiled kernel (``_kruskal.c``) follows the same rules; this loop
+    The compiled kernel (``costru/_native.c``) follows the same rules; this loop
     and the ``_*_py`` oracle paths around it are its reference and the
     fallback when it cannot be built.
     """
@@ -83,62 +76,12 @@ def _kruskal_rows_py(keys: np.ndarray, edges: np.ndarray, n_nodes: int) -> list[
     return rows
 
 
-def _build_kernel() -> Path:
-    """Compile ``_kruskal.c`` with the local C compiler into this package's
-    ``__pycache__``, named after a hash of the source, unless it is there.
-    A new build deletes the libraries of other sources left there."""
-    import subprocess  # imported on the first build only, to keep the package import fast
-
-    source = resources.files(__package__).joinpath("_kruskal.c").read_bytes()
-    cache = Path(__file__).with_name("__pycache__")
-    target = cache / f"_kruskal-{hashlib.sha256(source).hexdigest()[:16]}.so"
-    if not target.exists():
-        cache.mkdir(exist_ok=True)
-        fd, partial = tempfile.mkstemp(dir=cache, prefix="_kruskal-", suffix=".tmp")
-        os.close(fd)
-        try:
-            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-x", "c", "-", "-o", partial],
-                           input=source, capture_output=True, check=True, timeout=120)
-            os.chmod(partial, 0o755)  # mkstemp made it private to this user
-            os.replace(partial, target)
-        finally:
-            if os.path.exists(partial):
-                os.unlink(partial)
-        for stale in cache.glob("_kruskal-*.so"):
-            if stale != target:
-                with contextlib.suppress(OSError):  # best effort; the new build stands
-                    stale.unlink()
-    return target
-
-
-@functools.cache
-def _compiled_kernel():
-    """The library of ``_kruskal.c`` through ctypes, built and loaded on
-    first use; None when that fails, and the ``_*_py`` paths run instead."""
-    import subprocess
-
-    try:
-        lib = ctypes.CDLL(str(_build_kernel()))
-    except (OSError, subprocess.SubprocessError):
-        return None
-    ptr, size = ctypes.c_void_p, ctypes.c_int64
-    for name, argtypes in (
-        ("forest_rows", [ptr, ptr, size, size, size, ptr]),
-        ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr]),
-        ("completion_rows", [ptr, ptr, ptr, size, size, size, ptr]),
-    ):
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int64
-    return lib
-
-
 _DISCONNECTED = "graph is disconnected"
 _NO_COMPLETION = "graph is disconnected; no spanning completion"
 
 
 def _raise_status(status: int, disconnected: str = _DISCONNECTED) -> None:
-    """Raise what a negative status of the kernel (see ``_kruskal.c``) means."""
+    """Raise what a negative status of the kernel (see ``_native.c``) means."""
     if status == -1:
         raise MemoryError("no workspace for the Kruskal kernel")
     if status == -2:
@@ -157,13 +100,12 @@ def _check_edges(edges: np.ndarray) -> None:
         raise InputError("edges must be a C-contiguous (E, 2) int64 array")
 
 
-def _rows(values, edges: np.ndarray, n_nodes: int) -> np.ndarray:
+def _rows(values, n_edges: int, n_nodes: int) -> np.ndarray:
     """``values`` as a C-contiguous (m, E) float64 array for the kernel."""
-    _check_edges(edges)
     rows = np.ascontiguousarray(values, dtype=np.float64)
     if n_nodes < 1:
         raise InputError("a graph needs at least one node")
-    if rows.ndim != 2 or rows.shape[1] != len(edges):
+    if rows.ndim != 2 or rows.shape[1] != n_edges:
         raise InputError("keys need one column per edge")
     return rows
 
@@ -212,20 +154,72 @@ def _max_weight_forests_py(w: np.ndarray, edges: np.ndarray, n_nodes: int) -> np
     return _indicators(_picks_py(keys, edges, n_nodes), w.shape[1])
 
 
+def _forests(w: np.ndarray, edges: np.ndarray, ends: int, n_nodes: int) -> np.ndarray:
+    """``max_weight_forests`` of checked rows; ``ends`` is the address of
+    ``edges``."""
+    kernel = native._compiled_kernel()
+    if kernel is None:
+        return _max_weight_forests_py(w, edges, n_nodes)
+    out = np.empty(w.shape)
+    status = kernel.forest_rows(w.ctypes.data, ends, w.shape[0], w.shape[1], n_nodes,
+                                out.ctypes.data)
+    if status < 0:
+        _raise_status(status)
+    return out
+
+
 def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """Row-wise maximum-total-weight forests of an (m, E) weight array:
     greedy by decreasing weight, ties by index, skipping cycles and edges
     with weight <= 0."""
-    w = _rows(weights, edges, n_nodes)
-    kernel = _compiled_kernel()
+    _check_edges(edges)
+    return _forests(_rows(weights, len(edges), n_nodes), edges, edges.ctypes.data, n_nodes)
+
+
+def _tilt_inputs(theta, z, n_edges: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta as an (E,) and z as an (m >= 1, E) C-contiguous float64 array."""
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    if theta.shape != (n_edges,):
+        raise InputError("theta needs one entry per edge")
+    z = _rows(z, n_edges, n_nodes)
+    if not len(z):
+        raise InputError("the perturbed maximum needs at least one draw")
+    return theta, z
+
+
+def _perturbed_forests(
+    theta: np.ndarray, z: np.ndarray, eps: float, edges: np.ndarray, ends: int, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``perturbed_forest_stats`` of checked inputs; ``ends`` is the address
+    of ``edges``."""
+    kernel = native._compiled_kernel()
     if kernel is None:
-        return _max_weight_forests_py(w, edges, n_nodes)
-    out = np.empty(w.shape)
-    status = kernel.forest_rows(w.ctypes.data, edges.ctypes.data, w.shape[0], w.shape[1],
-                                n_nodes, out.ctypes.data)
+        tilted = theta[None, :] + eps * z
+        ys = _max_weight_forests_py(tilted, edges, n_nodes)
+        return np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)
+    m, n_edges = z.shape
+    buffer, out = native.doubles(n_edges + m)  # the counts, then the row values
+    status = kernel.perturbed_forest_rows(theta.ctypes.data, z.ctypes.data, eps, ends, m,
+                                          n_edges, n_nodes, buffer)
     if status < 0:
         _raise_status(status)
-    return out
+    return out[n_edges:], out[:n_edges] / m
+
+
+def perturbed_forest_stats(
+    theta: np.ndarray, z: np.ndarray, eps: float, edges: np.ndarray, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row values and mean of the maximum-weight forests y_r of the tilts
+    theta + eps * z[r], for an (E,) theta and (m, E) draws z.
+
+    The mean equals ``max_weight_forests(theta + eps * z, ...).mean(axis=0)``
+    bit for bit; row r's value is <theta + eps * z[r] | y_r>, summed in the
+    kernel's selection order, so it may differ from an ``einsum`` in its
+    last bits.  A non-finite tilt raises ``InputError``.
+    """
+    _check_edges(edges)
+    return _perturbed_forests(*_tilt_inputs(theta, z, len(edges), n_nodes), eps, edges,
+                              edges.ctypes.data, n_nodes)
 
 
 def _completions_py(
@@ -257,7 +251,7 @@ def _completions(
     (K, E) second-stage costs d: a C-contiguous (K, L) array of the costs of
     each row's completion edges in selection order, and their (K, E) 0/1
     rows."""
-    kernel = _compiled_kernel()
+    kernel = native._compiled_kernel()
     if kernel is None:
         return _completions_py(y, d, edges, n_nodes)
     k, n_edges = d.shape
@@ -283,8 +277,9 @@ def second_stage_value(
     (K, E) stack of second-stage costs, a (K,) cost array and (K, E)
     indicators, row k being the single call on row k.
     """
+    _check_edges(edges)
     d = np.asarray(second_stage_costs, dtype=float)
-    d_rows = _rows(d[None, :] if d.ndim == 1 else d, edges, n_nodes)
+    d_rows = _rows(d[None, :] if d.ndim == 1 else d, len(edges), n_nodes)
     y = np.ascontiguousarray(y, dtype=np.float64)
     if y.shape != (len(edges),):
         raise InputError("y needs one entry per edge")
@@ -309,26 +304,34 @@ def _two_stage_splits_py(
     return y, tree - y
 
 
+def _splits(
+    eff: np.ndarray, second: np.ndarray, edges: np.ndarray, ends: int, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``two_stage_splits`` of checked rows; ``ends`` is the address of
+    ``edges``."""
+    d = np.ascontiguousarray(second, dtype=np.float64)
+    if d.shape != eff.shape and d.shape != eff.shape[1:]:
+        raise InputError("second-stage costs need shape (E,) or (m, E)")
+    kernel = native._compiled_kernel()
+    if kernel is None:
+        return _two_stage_splits_py(eff, d, edges, n_nodes)
+    yz = np.empty((2, *eff.shape))  # y rows, then z rows: one buffer to pass
+    status = kernel.split_rows(eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1),
+                               ends, eff.shape[0], eff.shape[1], n_nodes, yz.ctypes.data)
+    if status < 0:
+        _raise_status(status)
+    return yz[0], yz[1]
+
+
 def two_stage_splits(
     eff: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (y, z) splits of an (m, E) array of effective first-stage
     costs against second-stage costs: one (E,) vector for every row, or an
     (m, E) array, row by row."""
-    eff = _rows(eff, edges, n_nodes)
-    d = np.ascontiguousarray(second, dtype=np.float64)
-    if d.shape != eff.shape and d.shape != eff.shape[1:]:
-        raise InputError("second-stage costs need shape (E,) or (m, E)")
-    kernel = _compiled_kernel()
-    if kernel is None:
-        return _two_stage_splits_py(eff, d, edges, n_nodes)
-    yz = np.empty((2, *eff.shape))  # y rows, then z rows: one buffer to pass
-    status = kernel.split_rows(eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1),
-                               edges.ctypes.data, eff.shape[0], eff.shape[1], n_nodes,
-                               yz.ctypes.data)
-    if status < 0:
-        _raise_status(status)
-    return yz[0], yz[1]
+    _check_edges(edges)
+    return _splits(_rows(eff, len(edges), n_nodes), second, edges, edges.ctypes.data,
+                   n_nodes)
 
 
 def two_stage_mst_split(
@@ -411,9 +414,21 @@ class MstOracle(LinearOracle):
         self.edges = grid_edges(rows, cols)
         self.n_nodes = rows * cols
         self.n_edges = len(self.edges)
+        # The kernel reads the read-only edges in place; one address lookup.
+        self._ends = self.edges.ctypes.data
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return max_weight_forests(thetas, self.edges, self.n_nodes)
+        return _forests(_rows(thetas, self.n_edges, self.n_nodes), self.edges, self._ends,
+                        self.n_nodes)
+
+    def perturbed_stats(
+        self, theta: np.ndarray, z: np.ndarray, eps: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The optional fused entry of the perturbed maximum: row values
+        <theta + eps z_r | y_r> and the mean of the maximizers y_r of the
+        tilts, in one kernel call (see ``perturbed_forest_stats``)."""
+        theta, z = _tilt_inputs(theta, z, self.n_edges, self.n_nodes)
+        return _perturbed_forests(theta, z, eps, self.edges, self._ends, self.n_nodes)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         """First stages of the two-stage splits under c - kappa * theta_tilde,
@@ -422,7 +437,8 @@ class MstOracle(LinearOracle):
         if not isinstance(payload, TwoStageCosts):
             raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
         eff = payload.first_stage[None, :] - kappa * np.asarray(theta_tildes, dtype=float)
-        y, _ = two_stage_splits(eff, payload.second_stage, self.edges, self.n_nodes)
+        y, _ = _splits(_rows(eff, self.n_edges, self.n_nodes), payload.second_stage,
+                       self.edges, self._ends, self.n_nodes)
         return y
 
 

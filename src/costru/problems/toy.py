@@ -19,6 +19,13 @@ TOY_COSTS.setflags(write=False)
 N_TOY_SCENARIOS = TOY_COSTS.shape[1]
 
 
+def _scenario_index(scenario: Scenario) -> int:
+    j = scenario.noise_payload
+    if j not in range(N_TOY_SCENARIOS):
+        raise InputError(f"toy scenario index must be in 0..{N_TOY_SCENARIOS - 1}")
+    return int(j)
+
+
 def _directions(thetas) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != 1:
@@ -33,10 +40,7 @@ class ToyOracle(LinearOracle):
         return (_directions(thetas) > 0.0).astype(float)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
-        j = scenario.noise_payload
-        if j not in range(N_TOY_SCENARIOS):
-            raise InputError(f"toy scenario index must be in 0..{N_TOY_SCENARIOS - 1}")
-        j = int(j)
+        j = _scenario_index(scenario)
         # y = 1 strictly wins iff kappa * theta_tilde > cost(1) - cost(0).
         margin = TOY_COSTS[1, j] - TOY_COSTS[0, j]
         return (kappa * _directions(theta_tildes) > margin).astype(float)
@@ -62,9 +66,7 @@ class ToyEvaluator:
     """True cost and per-scenario anticipative optimum for the toy problem."""
 
     def policy_cost(self, y: np.ndarray, scenario: Scenario) -> float:
-        j = int(scenario.noise_payload)
-        return float(TOY_COSTS[int(round(float(y[0]))), j])
+        return float(TOY_COSTS[int(round(float(y[0]))), _scenario_index(scenario)])
 
     def anticipative_cost(self, scenario: Scenario) -> float:
-        j = int(scenario.noise_payload)
-        return float(TOY_COSTS[:, j].min())
+        return float(TOY_COSTS[:, _scenario_index(scenario)].min())

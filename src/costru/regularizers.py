@@ -160,18 +160,27 @@ def _standard_normal_draws(rng: RngStream, m: int, d: int) -> np.ndarray:
 def _perturbed_argmax_stats(
     oracle: LinearOracle, theta: np.ndarray, eps: float, m: int, rng: RngStream
 ) -> tuple[float, np.ndarray]:
-    """Shared-draw (value, moment) pair for the perturbed maximum."""
+    """Shared-draw (value, moment) pair for the perturbed maximum.
+
+    An oracle with the optional fused entry ``perturbed_stats(theta, z,
+    eps)`` answers from one call: the row values <theta + eps z_r | y_r>
+    and the mean of the maximizers y_r.
+    """
     theta = ensure_finite(theta, "theta")
     if eps <= 0:
         raise InputError("eps must be positive")
     if m < 1:
         raise InputError("sample count must be >= 1")
     z = _standard_normal_draws(rng, m, theta.shape[0])
-    tilted = theta[None, :] + eps * z
-    ys = oracle.argmax_linear_many(tilted)
-    value = float(np.einsum("ij,ij->i", tilted, ys).mean())
-    moment = ys.mean(axis=0)
-    return value, moment
+    fused = getattr(oracle, "perturbed_stats", None)
+    if fused is not None:
+        values, moment = fused(theta, z, eps)
+    else:
+        tilted = theta[None, :] + eps * z
+        ys = oracle.argmax_linear_many(tilted)
+        values, moment = np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)
+    # values.mean() bit for bit, without np.mean's Python overhead.
+    return float(values.sum() / m), moment
 
 
 def perturbed_max_value(

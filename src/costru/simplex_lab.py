@@ -363,6 +363,8 @@ def check_jensen_gap_convexity(
     """Probe midpoint-style convexity of the Jensen gap on random triples."""
     if not kind.is_exact:
         raise InputError("convexity probe requires an exact regularizer kind")
+    if n_trials < 1:
+        raise InputError("the convexity probe needs at least one trial")
     g = rng.generator()
     worst = -np.inf
     violations = 0
@@ -512,6 +514,8 @@ def five_point_check(
     score_scale: float = 1.0,
 ) -> FivePointReport:
     """Assert the five-point inequality on random probes and score starts."""
+    if probes < 1:
+        raise InputError("the five-point check needs at least one probe")
     kind = config.regularizer
     g = rng.generator()
     n, k = costs.gamma.shape

@@ -366,3 +366,21 @@ class TestEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "generate" in proc.stdout
+
+    def test_import_leaves_numpy_random_and_the_library_unloaded(self):
+        """Importing the CLI neither imports numpy.random nor builds or loads
+        the native library; each waits for its first use."""
+        probe = "\n".join([
+            "import ctypes, subprocess, sys",
+            "def refuse(*args, **kwargs):",
+            "    raise AssertionError('built or loaded at import')",
+            "ctypes.CDLL = subprocess.run = refuse",
+            "import costru.cli",
+            "from costru import native",
+            "info = native._compiled_kernel.cache_info()",
+            "print('numpy.random' in sys.modules, info.hits + info.misses)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "0"]

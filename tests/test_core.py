@@ -1,11 +1,16 @@
 """Domain types, oracle soundness, and randomness plumbing."""
 
 import itertools
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from costru.core import Dataset, InputError, Scenario, make_rng
+from costru import native
+from costru.core import Dataset, InputError, RngStream, Scenario, make_rng
 from costru.problems.spanning_tree import enumerate_forests, grid_edges
 from costru.problems.toy import ToyOracle, toy_scenarios
 from costru.regularizers import RegularizerKind, prediction_rows
@@ -52,6 +57,86 @@ class TestRngStream:
     def test_clt_mean(self):
         draws = make_rng(42, 0).generator().standard_normal(10 ** 6)
         assert abs(draws.mean()) < 4e-3  # 4 / sqrt(n)
+
+
+# Seed and spawn-key words: 0, small values, and any value up to 2**32 - 1.
+_WORDS = st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1]), st.integers(0, 9),
+                   st.integers(0, 2 ** 32 - 1))
+
+
+def _numpy_stream(seed, stream_id, path):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id, *path)))
+
+
+def _assert_same_stream(got: np.random.Generator, expected: np.random.Generator):
+    assert got.bit_generator.state == expected.bit_generator.state
+    assert got.standard_normal((3, 5)).tobytes() == expected.standard_normal((3, 5)).tobytes()
+    assert got.integers(0, 2 ** 62, 4).tobytes() == expected.integers(0, 2 ** 62, 4).tobytes()
+
+
+@pytest.fixture
+def no_library(monkeypatch, request):
+    """Make the native library fail to build; it is loaded again after the test."""
+    def build():
+        raise FileNotFoundError("cc")
+
+    request.addfinalizer(native._compiled_kernel.cache_clear)
+    monkeypatch.setattr(native, "_build_kernel", build)
+    native._compiled_kernel.cache_clear()
+
+
+class TestNativeSeedState:
+    """``RngStream.generator`` is numpy's SeedSequence stream bit for bit,
+    whether the library computes the state or numpy does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WORDS, _WORDS, st.lists(_WORDS, max_size=6))
+    def test_words_and_draws_equal_numpy(self, seed, stream_id, path):
+        if native._compiled_kernel() is None:
+            pytest.skip("no C compiler: numpy computes the state")
+        key = (stream_id, *path)
+        words = native.seed_state(seed, key)
+        expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+        assert words.dtype == np.uint64
+        assert words.tobytes() == expected.tobytes()
+        _assert_same_stream(RngStream(seed, stream_id, tuple(path)).generator(),
+                            _numpy_stream(seed, stream_id, path))
+
+    @pytest.mark.parametrize("seed, stream_id, path", [
+        (2 ** 32, 0, ()), (1, 2 ** 32, ()), (1, 0, (3, 2 ** 40)), (2 ** 64 + 5, 7, (1, 2)),
+    ])
+    def test_wide_words_fall_back_to_numpy(self, seed, stream_id, path):
+        assert native.seed_state(seed, (stream_id, *path)) is None
+        _assert_same_stream(RngStream(seed, stream_id, path).generator(),
+                            _numpy_stream(seed, stream_id, path))
+
+    @pytest.mark.parametrize("seed, path", [(-1, ()), (1, (-2,)), (1.5, ())])
+    def test_invalid_words_raise_as_numpy_does(self, seed, path):
+        with pytest.raises((ValueError, TypeError)) as numpy_error:
+            _numpy_stream(seed, 0, path)
+        with pytest.raises(numpy_error.type):
+            RngStream(seed, 0, path).generator()
+
+    def test_failed_loader_gives_identical_streams(self, no_library):
+        assert native._compiled_kernel() is None
+        assert native.seed_state(3, (1, 4)) is None
+        for seed, stream_id, path in ((0, 0, ()), (3, 1, (4, 5)), (2 ** 32 - 1, 9, (0,) * 6)):
+            _assert_same_stream(RngStream(seed, stream_id, path).generator(),
+                                _numpy_stream(seed, stream_id, path))
+
+    def test_concurrent_calls_match_sequential(self):
+        streams = [make_rng(5, 1).split(t, slot) for t in range(8) for slot in range(16)]
+        draw = lambda s: s.generator().standard_normal(40)  # noqa: E731
+        expected = [draw(s) for s in streams]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(draw, streams, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for g, e in zip(got, expected, strict=True):
+            assert g.tobytes() == e.tobytes()
 
 
 class TestContainers:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
+from costru import native
 from costru.core import Dataset, InputError, Scenario, make_rng
 from costru.problems import spanning_tree
 from costru.problems.datasets import (
@@ -38,10 +39,17 @@ from costru.problems.spanning_tree import (
     grid_edges,
     is_forest,
     max_weight_forests,
+    perturbed_forest_stats,
     second_stage_value,
     two_stage_mst_split,
 )
-from costru.problems.toy import TOY_COSTS, ToyOracle, toy_cost_table, toy_scenarios
+from costru.problems.toy import (
+    TOY_COSTS,
+    ToyEvaluator,
+    ToyOracle,
+    toy_cost_table,
+    toy_scenarios,
+)
 from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
 from costru.trainer import _average_cost_and_gap, evaluate_policy, score_instance
 from costru.verification import _SMALL_GRAPHS
@@ -99,6 +107,16 @@ class TestToyProblem:
             for theta, y in zip(thetas[:, 0], batch[:, 0]):
                 objective = TOY_COSTS[:, j] - np.array([0.0, theta])
                 assert y == float(np.argmin(objective))
+
+    @pytest.mark.parametrize("payload", [-1, 3])
+    def test_evaluator_payload_outside_range_rejected(self, payload):
+        """As the oracle does; -1 would otherwise price scenario 2."""
+        scenario = Scenario(0, np.array([[1.0]]), payload)
+        evaluator = ToyEvaluator()
+        with pytest.raises(InputError, match="toy scenario index"):
+            evaluator.policy_cost(np.zeros(1), scenario)
+        with pytest.raises(InputError, match="toy scenario index"):
+            evaluator.anticipative_cost(scenario)
 
 
 class TestGridEdges:
@@ -444,11 +462,11 @@ def _outcome(fn):
 def replace_builder(monkeypatch, request):
     """Replace the kernel's build step and forget the loaded kernel; the
     real kernel is loaded again after the test."""
-    request.addfinalizer(spanning_tree._compiled_kernel.cache_clear)
+    request.addfinalizer(native._compiled_kernel.cache_clear)
 
     def replace(build):
-        monkeypatch.setattr(spanning_tree, "_build_kernel", build)
-        spanning_tree._compiled_kernel.cache_clear()
+        monkeypatch.setattr(native, "_build_kernel", build)
+        native._compiled_kernel.cache_clear()
 
     return replace
 
@@ -493,7 +511,7 @@ def _assert_same(compiled, reference):
 
 
 def _require_compiled():
-    if spanning_tree._compiled_kernel() is None:
+    if native._compiled_kernel() is None:
         pytest.skip("no C compiler: the pure-Python paths are the kernel")
 
 
@@ -571,28 +589,30 @@ class TestCompiledKernel:
         cache directory and nothing else; a failed build removes nothing."""
         if shutil.which("cc") is None:
             pytest.skip("no C compiler")
-        monkeypatch.setattr(spanning_tree, "__file__", str(tmp_path / "spanning_tree.py"))
+        monkeypatch.setattr(native, "__file__", str(tmp_path / "native.py"))
         cache = tmp_path / "__pycache__"
         cache.mkdir()
-        stale = [cache / "_kruskal-0123456789abcdef.so", cache / "_kruskal-fedcba9876543210.so"]
-        kept = cache / "spanning_tree.cpython-311.pyc"
+        stale = [cache / "_native-0123456789abcdef.so", cache / "_native-fedcba9876543210.so"]
+        kept = cache / "native.cpython-311.pyc"
         for path in (*stale, kept):
             path.write_text("an older file")
         with monkeypatch.context() as no_compiler:
             no_compiler.setenv("PATH", str(tmp_path))
             with pytest.raises(FileNotFoundError):
-                spanning_tree._build_kernel()
+                native._build_kernel()
         assert sorted(cache.iterdir()) == sorted([*stale, kept])
-        target = spanning_tree._build_kernel()
+        target = native._build_kernel()
         assert sorted(cache.iterdir()) == sorted([target, kept])
         assert ctypes.CDLL(str(target)).forest_rows
 
     def test_source_ships_as_package_data(self):
-        source = resources.files("costru.problems").joinpath("_kruskal.c")
+        source = resources.files("costru").joinpath("_native.c")
         assert source.is_file()
         text = source.read_text()
-        for entry in ("forest_rows(", "split_rows(", "completion_rows("):
+        for entry in ("forest_rows(", "perturbed_forest_rows(", "split_rows(",
+                      "completion_rows("):
             assert f"int64_t {entry}" in text
+        assert "void seed_state(" in text
 
     @pytest.mark.parametrize("build", [
         _raise(FileNotFoundError("cc")),
@@ -608,9 +628,102 @@ class TestCompiledKernel:
             junk.write_text(build)
             build = lambda: junk  # noqa: E731
         replace_builder(build)
-        assert spanning_tree._compiled_kernel() is None
+        assert native._compiled_kernel() is None
         for got, expected in zip(_oracle_outputs(), compiled, strict=True):
             np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def tilt_cases(draw):
+    """(edges, n_nodes, (E,) theta, (m, E) draws z, eps) with m in 1..5:
+    integer entries with eps a power of two, so that tilts tie exactly, or
+    continuous entries and eps; both zeros in either."""
+    edges, n_nodes = draw(st.sampled_from(_KERNEL_GRAPHS))
+    tied = draw(st.booleans())
+    values = st.one_of(_TIED.map(float) if tied else st.floats(-4.0, 4.0), _ZEROS)
+    eps = draw(st.sampled_from([0.125, 0.5, 1.0, 2.0, 8.0]) if tied
+               else st.floats(1e-3, 10.0))
+    m = draw(st.integers(1, 5))
+    n_edges = len(edges)
+    flat = draw(st.lists(values, min_size=(m + 1) * n_edges, max_size=(m + 1) * n_edges))
+    arr = np.array(flat, dtype=float)
+    return edges, n_nodes, arr[:n_edges], arr[n_edges:].reshape(m, n_edges), eps
+
+
+def _forest_stats(theta, z, eps, edges, n_nodes):
+    """The numpy glue that the fused entry replaces: tilt, forests, values
+    and mean."""
+    tilted = theta[None, :] + eps * z
+    ys = max_weight_forests(tilted, edges, n_nodes)
+    return np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)
+
+
+class TestPerturbedForestStats:
+    """The fused perturbed-forest entry against the numpy path it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tilt_cases())
+    def test_matches_numpy_glue(self, case):
+        """The mean is bit-identical; the row values, summed in selection
+        order, agree to 1e-12 relative."""
+        edges, n_nodes, theta, z, eps = case
+        expected_values, expected_moment = _forest_stats(theta, z, eps, edges, n_nodes)
+        values, moment = perturbed_forest_stats(theta, z, eps, edges, n_nodes)
+        assert (moment.shape, moment.dtype) == (expected_moment.shape, np.float64)
+        assert moment.tobytes() == expected_moment.tobytes()
+        np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kernel", ["compiled", "fallback"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+    def test_non_finite_tilt_raises(self, kernel, bad, replace_builder):
+        if kernel == "compiled":
+            _require_compiled()
+        else:
+            replace_builder(_raise(FileNotFoundError("cc")))
+        oracle = MstOracle(2, 3)
+        theta, z = np.ones(oracle.n_edges), np.ones((3, oracle.n_edges))
+        z[1, 2] = 1e308 if bad == "overflow" else bad
+        with pytest.raises(InputError, match="weights must be finite"):
+            oracle.perturbed_stats(theta, z, 8.0)
+
+    @pytest.mark.parametrize("theta_shape, z_shape", [((5,), (2, 7)), ((7, 1), (2, 7)),
+                                                      ((7,), (7,)), ((7,), (0, 7))])
+    def test_other_shapes_rejected(self, theta_shape, z_shape):
+        oracle = MstOracle(2, 3)
+        with pytest.raises(InputError):
+            oracle.perturbed_stats(np.ones(theta_shape), np.ones(z_shape), 1.0)
+
+    def test_failed_loader_gives_identical_moments(self, replace_builder):
+        oracle = MstOracle(6, 6)
+        g = make_rng(17, 0).generator()
+        cases = [(np.round(g.normal(0.0, 2.0, oracle.n_edges)),
+                  np.round(g.normal(0.0, 2.0, (20, oracle.n_edges))), 0.5),
+                 (g.normal(size=oracle.n_edges), g.normal(size=(10, oracle.n_edges)), 0.3)]
+        compiled = [oracle.perturbed_stats(*case) for case in cases]
+        replace_builder(_raise(FileNotFoundError("cc")))
+        for case, (values, moment) in zip(cases, compiled, strict=True):
+            fallback_values, fallback_moment = oracle.perturbed_stats(*case)
+            assert fallback_moment.tobytes() == moment.tobytes()
+            np.testing.assert_allclose(fallback_values, values, rtol=1e-12, atol=0.0)
+
+    def test_concurrent_calls_match_sequential(self):
+        oracle = MstOracle(6, 6)
+        g = make_rng(19, 0).generator()
+        theta = g.normal(size=(64, oracle.n_edges))
+        z = g.normal(size=(64, 20, oracle.n_edges))
+        call = lambda t, d: oracle.perturbed_stats(t, d, 0.7)  # noqa: E731
+        expected = [call(t, d) for t, d in zip(theta, z)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(call, theta, z, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (values, moment), (exp_values, exp_moment) in zip(got, expected, strict=True):
+            assert values.tobytes() == exp_values.tobytes()
+            assert moment.tobytes() == exp_moment.tobytes()
 
 
 @st.composite

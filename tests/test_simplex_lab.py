@@ -28,6 +28,8 @@ from costru.simplex_lab import (
     random_interior_product,
     risk_bound_check,
     run_alternating_exact,
+    run_five_point_suite,
+    run_jensen_gap_suite,
     run_mirror_descent_comparison,
     surrogate_value,
 )
@@ -168,6 +170,14 @@ class TestJensenGapConvexity:
         report = check_jensen_gap_convexity(kind, 1000, make_rng(41, 0))
         assert report.violations == 0
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_rejected(self, trials):
+        """A probe of zero trials would pass with a violation of -inf."""
+        with pytest.raises(InputError, match="at least one trial"):
+            check_jensen_gap_convexity(NEG, trials, make_rng(41, 0))
+        with pytest.raises(InputError, match="at least one trial"):
+            run_jensen_gap_suite(trials=trials)
+
     def test_endpoints_equality(self):
         g = make_rng(42, 0).generator()
         qa = random_interior_product(g, 3, 4)
@@ -227,6 +237,15 @@ class TestAlternatingScheme:
 
 
 class TestFivePoint:
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_no_probes_rejected(self, probes):
+        """A check of zero probes would pass with a slack of -inf."""
+        costs = random_cost_table(make_rng(48, 0).generator(), 4, 5)
+        with pytest.raises(InputError, match="at least one probe"):
+            five_point_check(costs, LabConfig(1.0, NEG), probes, make_rng(48, 1))
+        with pytest.raises(InputError, match="at least one probe"):
+            run_five_point_suite(probes=probes)
+
     def test_self_probe_is_tight(self):
         g = make_rng(47, 0).generator()
         costs = random_cost_table(g, 4, 5)
