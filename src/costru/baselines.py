@@ -20,13 +20,9 @@ from .problems.spanning_tree import (
     second_stage_value,
     two_stage_splits,
 )
-from .trainer import (
-    AdamState,
-    GlmWeights,
-    TrainConfig,
-    _average_cost_and_gap,
-    coordination_pass,
-)
+# evaluate_fixed_solutions is also this module's: it prices the median
+# policy's fixed solutions.
+from .trainer import GlmWeights, TrainConfig, coordination_pass, evaluate_fixed_solutions
 
 # Imitation fits reuse the outer-iteration stream layout of the primal-dual
 # trainer at t = 1, so that the first-iteration identity is exact.
@@ -150,9 +146,8 @@ def imitation_fit(
 ) -> GlmWeights:
     """Supervised perturbed-FY fit from zero weights (one coordination run)."""
     w = np.zeros(data.feature_width)
-    adam = AdamState.zeros(data.feature_width)
     stream = make_rng(config.seed).split(_IMITATION_ITERATION, _COORDINATION_STREAM)
-    return coordination_pass(w, list(data), targets, oracle, config, adam, stream)
+    return coordination_pass(w, list(data), targets, oracle, config, stream)
 
 
 def uncoordinated_imitation(
@@ -190,12 +185,3 @@ def fully_coordinated_imitation(
     targets = [targets_by_context[s.context_id] for s in data]
     return imitation_fit(data, targets, oracle, config)
 
-
-def evaluate_fixed_solutions(
-    solutions_by_context: dict[int, np.ndarray],
-    data: Dataset,
-    problem_evaluator,
-) -> tuple[float, float]:
-    """Average cost and gap of one fixed solution per context (median policy)."""
-    decisions = ((solutions_by_context[s.context_id], s) for s in data)
-    return _average_cost_and_gap(decisions, problem_evaluator)

@@ -187,6 +187,12 @@ def _load_mst_data(data_dir: Path):
     return splits
 
 
+def _save_by_context(path: Path, solutions: dict[int, np.ndarray]) -> None:
+    """One solution per context, in increasing context id."""
+    ctx_ids = np.array(sorted(solutions), dtype=np.int64)
+    np.savez(path, context_ids=ctx_ids, solutions=np.stack([solutions[c] for c in ctx_ids]))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -270,9 +276,7 @@ def _train_mst(args, cfg, seed, chash, out: Path) -> int:
             w = baselines.uncoordinated_imitation(train_data, oracle, config)
         else:
             targets = baselines.lagrangian_targets(train_data, oracle, _saa_config(cfg))
-            ctx_ids = np.array(sorted(targets), dtype=np.int64)
-            np.savez(out / "targets.npz", context_ids=ctx_ids,
-                     solutions=np.stack([targets[c] for c in ctx_ids]))
+            _save_by_context(out / "targets.npz", targets)
             w = baselines.fully_coordinated_imitation(
                 train_data, oracle, _saa_config(cfg), config, targets)
         val = evaluate_policy(w, val_data, oracle, evaluator)
@@ -284,19 +288,14 @@ def _train_mst(args, cfg, seed, chash, out: Path) -> int:
     elif args.method == "median":
         d_median = baselines.pooled_median_second_stage(train_data)
         rows = []
-        solutions = {}
         for split_name, data in (("val", val_data), ("test", test_data)):
             sols = {ctx: baselines.median_policy_solution(group[0], d_median, oracle)
                     for ctx, group in data.by_context().items()}
-            cost, gap = baselines.evaluate_fixed_solutions(sols, data, evaluator)
-            rows.append([split_name, cost, gap])
-            solutions[split_name] = sols
+            rows.append([split_name,
+                         *baselines.evaluate_fixed_solutions(sols, data, evaluator)])
+            _save_by_context(out / f"median_solutions_{split_name}.npz", sols)
         write_csv(out / "metrics.csv", ["split", "mean_cost", "mean_gap"], rows,
                   chash, seed)
-        for split_name, sols in solutions.items():
-            ctx_ids = np.array(sorted(sols), dtype=np.int64)
-            np.savez(out / f"median_solutions_{split_name}.npz", context_ids=ctx_ids,
-                     solutions=np.stack([sols[c] for c in ctx_ids]))
     else:  # pragma: no cover - argparse restricts choices
         return EXIT_USAGE
     log.info("%s training took %.0f ms", args.method,
@@ -333,12 +332,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             raise InputError(f"{args.weights} holds neither final_average nor weights")
     if cfg["problem"]["kind"] == "toy":
-        dataset = toy_dataset()
-        cost, gap = evaluate_policy(np.atleast_1d(w), dataset, ToyOracle(), ToyEvaluator())
+        dataset, oracle, evaluator = toy_dataset(), ToyOracle(), ToyEvaluator()
     else:
         instances, dataset = ds.load_split(Path(args.data) / f"{args.split}.npz")
         oracle = MstOracle(instances[0].rows, instances[0].cols)
-        cost, gap = evaluate_policy(np.atleast_1d(w), dataset, oracle, MstEvaluator(oracle))
+        evaluator = MstEvaluator(oracle)
+    cost, gap = evaluate_policy(np.atleast_1d(w), dataset, oracle, evaluator)
     write_csv(Path(args.out), ["split", "mean_cost", "mean_gap"],
               [[args.split, cost, gap]], chash, seed)
     return EXIT_OK
@@ -379,12 +378,18 @@ def _write_verify_trace(suite: str, cfg: dict, seed: int, out: Path, chash: str)
     g = make_rng(seed, 7).generator()
     if suite == "convergence":
         costs = simplex_lab.random_cost_table(g, 5, 6)
-        config = simplex_lab.LabConfig(1.0, RegularizerKind.negentropy(),
-                                       max_iters=cfg["verify"]["iterations"])
-        rows = simplex_lab.alternating_trace(costs, config, np.zeros(6))
+        kind = RegularizerKind.negentropy()
+        config = simplex_lab.LabConfig(1.0, kind, max_iters=cfg["verify"]["iterations"])
+        s0 = np.zeros(6)
+        traj = simplex_lab.run_alternating_exact(costs, config, s0)
+        # Iteration t decomposes at s_{t-1} into q_t, then coordinates.
+        steps = zip([s0, *traj.scores], traj.q_products, traj.values)
+        rows = [[t, simplex_lab.surrogate_value(s, q, costs, config.kappa, kind), value,
+                 simplex_lab.jensen_gap(q, kind)]
+                for t, (s, q, value) in enumerate(steps, start=1)]
         write_csv(out.with_name(out.stem + "_trace.csv"),
                   ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"],
-                  [list(r) for r in rows], chash, seed)
+                  rows, chash, seed)
     elif suite == "mirror-descent":
         g = make_rng(seed, 31).generator()
         costs = simplex_lab.random_cost_table(g, 3, 4)

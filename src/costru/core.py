@@ -63,6 +63,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Dataset:
+    """Scenarios of one split.  A context is one feature matrix: every
+    scenario of a context id carries the same features, so a policy takes
+    one decision per context."""
+
     scenarios: tuple[Scenario, ...]
     split_tag: str = "train"
 
@@ -75,6 +79,10 @@ class Dataset:
         widths = {s.feature_width for s in self.scenarios}
         if len(widths) != 1:
             raise InputError(f"scenarios disagree on feature width: {sorted(widths)}")
+        for ctx, (first, *rest) in self.by_context().items():
+            if any(s.features is not first.features
+                   and not np.array_equal(s.features, first.features) for s in rest):
+                raise InputError(f"the scenarios of context {ctx} disagree on their features")
 
     def __len__(self) -> int:
         return len(self.scenarios)
@@ -185,6 +193,14 @@ class LinearOracle(ABC):
         self, theta_tilde: ScoreDirection, kappa: float, scenario: Scenario
     ) -> SolutionVector:
         return self.argmin_shifted_many(_one_row(theta_tilde), kappa, scenario)[0]
+
+
+def require_samples(minimum: int = 1, **counts: int) -> None:
+    """Reject a verification suite's sample count below ``minimum``: rows
+    computed from no samples would pass without checking anything."""
+    for name, count in counts.items():
+        if count < minimum:
+            raise InputError(f"{name} must be >= {minimum}, not {count}")
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import SaaConfig
+from . import baselines
 from .core import Dataset
-from .problems.datasets import GenConfig
+from .problems import datasets
 from .problems.spanning_tree import MstEvaluator, MstOracle
 from .problems.toy import ToyOracle, toy_dataset
 from .trainer import (
@@ -42,11 +42,11 @@ MST_DEFAULTS = dict(
 # Benchmark configuration for the small-grid comparison of the four
 # methods.  Learning rates and perturbation scales are retuned for this
 # feature scaling; the generator uses its defaults.
-MST_BENCH_GEN = GenConfig(
+MST_BENCH_GEN = datasets.GenConfig(
     rows=6, cols=6, train_instances=20, val_instances=10, test_instances=10,
     scenarios_per_instance=10,
 )
-MST_BENCH_SAA = SaaConfig(n_saa_scenarios=10, lagrangian_iters=30, sigma0=1.0)
+MST_BENCH_SAA = baselines.SaaConfig(n_saa_scenarios=10, lagrangian_iters=30, sigma0=1.0)
 
 
 def mst_bench_primal_dual_config(seed: int) -> TrainConfig:
@@ -113,12 +113,9 @@ def run_mst_method_benchmark(seeds=range(5)) -> MstBenchmarkResult:
     """Four-method comparison on the small-grid benchmark, one dataset and
     training run per seed; gaps are measured on the test split with the
     averaged weights for the primal-dual method."""
-    from . import baselines
-    from .problems.datasets import generate_mst_dataset
-
     med, unc, pd, fc, ratios = [], [], [], [], []
     for seed in seeds:
-        splits = generate_mst_dataset(MST_BENCH_GEN, seed=seed)
+        splits = datasets.generate_mst_dataset(MST_BENCH_GEN, seed=seed)
         _, train_data = splits["train"]
         _, val_data = splits["val"]
         _, test_data = splits["test"]

@@ -171,24 +171,39 @@ def save_split(path: str | Path, instances: list[GridInstance], split_tag: str) 
     )
 
 
+# Each array of a split file: dtype kinds (i/u integer, f float, S bytes), ndim.
+_SPLIT_ARRAYS = {"rows": ("iu", 0), "cols": ("iu", 0), "split_tag": ("S", 0),
+                 "first_stage": ("iuf", 2), "features": ("iuf", 3),
+                 "scenario_costs": ("iuf", 3)}
+
+
 def load_split(path: str | Path) -> tuple[list[GridInstance], Dataset]:
+    """Read a split written by ``save_split``; a malformed file raises
+    ``InputError``."""
     with np.load(path, allow_pickle=False) as data:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
-        split_tag = bytes(data["split_tag"]).decode()
-        first_stage = data["first_stage"]
-        features = data["features"]
-        scenario_costs = data["scenario_costs"]
+        arrays = {key: data[key] for key in _SPLIT_ARRAYS if key in data.files}
+    for key, (kinds, ndim) in _SPLIT_ARRAYS.items():
+        arr = arrays.get(key)
+        if arr is None or arr.ndim != ndim or arr.dtype.kind not in kinds:
+            raise InputError(f"{path}: {key} must be a {ndim}-dimensional array of "
+                             f"dtype kind {'/'.join(kinds)}")
+    first_stage, features, scenario_costs = (
+        arrays[key].astype(float, copy=False)
+        for key in ("first_stage", "features", "scenario_costs"))
+    if not first_stage.shape[0] == features.shape[0] == scenario_costs.shape[0]:
+        raise InputError(f"{path}: first_stage, features and scenario_costs hold "
+                         "different numbers of instances")
     instances = [
         GridInstance(
-            rows=rows,
-            cols=cols,
+            rows=int(arrays["rows"]),
+            cols=int(arrays["cols"]),
             first_stage_costs=first_stage[i],
             features=features[i],
             scenario_costs=scenario_costs[i],
         )
         for i in range(first_stage.shape[0])
     ]
+    split_tag = bytes(arrays["split_tag"]).decode(errors="replace")
     return instances, dataset_from_instances(instances, split_tag)
 
 

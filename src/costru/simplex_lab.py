@@ -23,6 +23,7 @@ from .core import (
     Scenario,
     ensure_finite,
     make_rng,
+    require_samples,
 )
 from .regularizers import (
     NEGENTROPY,
@@ -233,11 +234,6 @@ def _partial_min_fast(q: np.ndarray, gamma: np.ndarray, kappa: float,
     return cost_part + (kappa / n) * (float(values.sum()) - n * bar_value)
 
 
-def _jensen_gap_fast(q: np.ndarray, kind: RegularizerKind) -> float:
-    mean_value = float(value_rows(q, kind).mean())
-    return mean_value - float(value_rows(q.mean(axis=0)[None, :], kind)[0])
-
-
 def _coordination_fast(q: np.ndarray, kind: RegularizerKind, strict: bool) -> np.ndarray:
     q_bar = q.mean(axis=0)
     if kind.tag == NEGENTROPY:
@@ -325,7 +321,9 @@ def partial_min_surrogate(
 
 def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float:
     """(1/N) sum_i Psi(q_i) - Psi(mean q_i); nonnegative by convexity."""
-    return _jensen_gap_fast(validate_distribution(q_product, ndim=2), kind)
+    q = validate_distribution(q_product, ndim=2)
+    mean_value = float(value_rows(q, kind).mean())
+    return mean_value - float(value_rows(q.mean(axis=0)[None, :], kind)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +393,7 @@ class AlternatingTrajectory:
     scores: list[np.ndarray]
     first_q: np.ndarray
     final_q: np.ndarray
-    final_score: np.ndarray
     clamp_events: int = 0
-
-    @property
-    def iterations(self) -> np.ndarray:
-        return np.arange(1, len(self.values) + 1)
 
 
 def run_alternating_exact(
@@ -450,27 +443,8 @@ def run_alternating_exact(
         scores=scores,
         first_q=first_q,
         final_q=q,
-        final_score=s,
         clamp_events=clamp_events,
     )
-
-
-def alternating_trace(
-    costs: CostTable, config: LabConfig, s0: np.ndarray
-) -> list[tuple[int, float, float, float]]:
-    """Per-iteration rows (iteration, surrogate at the decomposition pair,
-    partial-min value, Jensen gap) for CSV emission."""
-    kind = config.regularizer
-    s = np.asarray(s0, dtype=float).copy()
-    rows = []
-    for t in range(1, config.max_iters + 1):
-        q = prediction_rows(s[None, :] - costs.gamma / config.kappa, kind)
-        sur = surrogate_value(s, q, costs, config.kappa, kind)
-        pm = _partial_min_fast(q, costs.gamma, config.kappa, kind)
-        gap = _jensen_gap_fast(q, kind)
-        s = _coordination_fast(q, kind, strict=False)
-        rows.append((t, sur, pm, gap))
-    return rows
 
 
 @dataclass(frozen=True)
@@ -560,6 +534,7 @@ def run_mirror_descent_comparison(
     kind = config.regularizer
     if kind.tag != NEGENTROPY:
         raise InputError("mirror-descent comparison requires the negentropy kind")
+    require_samples(iters=iters)
     n, k = costs.gamma.shape
     alpha = config.damping_alpha
     kappa = config.kappa
@@ -771,7 +746,11 @@ def run_convergence_suite(
     t_opt: int = 10_000,
     seed: int = 0,
 ) -> list[CheckRow]:
-    """Monotone descent and the O(1/t) five-point rate on random instances."""
+    """Monotone descent and the O(1/t) five-point rate on random instances;
+    the rate is checked on the first t_check of t_opt iterations."""
+    require_samples(n_instances=n_instances, t_check=t_check)
+    if t_check > t_opt:
+        raise InputError(f"t_check = {t_check} exceeds t_opt = {t_opt}")
     kind = RegularizerKind.negentropy()
     rows: list[CheckRow] = []
     for inst in range(n_instances):
@@ -877,6 +856,7 @@ def run_risk_bound_suite(
     L: float = 1.0,
     seed: int = 0,
 ) -> list[CheckRow]:
+    require_samples(n_instances=n_instances, kappas=len(kappas))
     kind = RegularizerKind.negentropy()
     rows: list[CheckRow] = []
     for inst in range(n_instances):
@@ -910,6 +890,7 @@ def run_conjugate_suite(
     seed: int = 0,
     tolerance: float = 1e-12,
 ) -> list[CheckRow]:
+    require_samples(n_instances=n_instances)
     rows: list[CheckRow] = []
     negentropy = RegularizerKind.negentropy()
     pert = RegularizerKind.sparse_perturbation(epsilon=0.7, nb_samples=64)

@@ -120,10 +120,10 @@ def coordination_pass(
     targets: list[np.ndarray],
     oracle: LinearOracle,
     config: TrainConfig,
-    adam: AdamState,
     rng: RngStream,
 ) -> GlmWeights:
-    """Fit the shared weights to the targets by per-example Adam steps.
+    """Fit the shared weights to the targets by per-example Adam steps from
+    a fresh optimizer state.
 
     Runs nb_epochs sweeps; every (epoch, example) slot resamples fresh
     perturbation draws from its own sub-stream.  The score-space gradient
@@ -133,6 +133,7 @@ def coordination_pass(
     if len(batch) != len(targets):
         raise InputError("targets must align with the batch")
     w = np.asarray(weights, dtype=float).copy()
+    adam = AdamState.zeros(w.shape[0])
     for epoch in range(config.nb_epochs):
         for slot, (scenario, mu) in enumerate(zip(batch, targets)):
             theta = score_instance(w, scenario)
@@ -186,17 +187,13 @@ def train_primal_dual(
     data: Dataset, oracle: LinearOracle, config: TrainConfig
 ) -> WeightTrajectory:
     """Full primal-dual loop from zero weights; records every iterate."""
-    p = data.feature_width
-    w = np.zeros(p)
+    w = np.zeros(data.feature_width)
     root = make_rng(config.seed)
     history = []
     for t in range(1, config.nb_iterations + 1):
         batch = subsample_batch(data, config.nb_scenarios, root.split(t, _SUBSAMPLE))
         targets = decomposition_pass(w, batch, oracle, config, root.split(t, _DECOMPOSITION))
-        adam = AdamState.zeros(p)
-        w = coordination_pass(
-            w, batch, targets, oracle, config, adam, root.split(t, _COORDINATION)
-        )
+        w = coordination_pass(w, batch, targets, oracle, config, root.split(t, _COORDINATION))
         history.append(w)
     iterates = np.asarray(history)
     averages = np.cumsum(iterates, axis=0) / np.arange(1, len(history) + 1)[:, None]
@@ -211,24 +208,23 @@ def evaluate_policy(
 ) -> tuple[float, float]:
     """Deploy the unregularized argmax policy and average cost and gap.
 
-    The decision depends on a scenario only through its features, so it is
-    solved again only when the feature array is not the very object of the
-    previous scenario (consecutive scenarios of one context share it).
+    A context is one feature matrix (a ``Dataset`` invariant), so the
+    decisions of every context are one batched argmax over the scores of
+    each context's first scenario.
     """
-
-    def decisions():
-        features = y = None
-        for scenario in data:
-            if scenario.features is not features:
-                features = scenario.features
-                y = oracle.argmax_linear(score_instance(weights, scenario))
-            yield y, scenario
-
-    return _average_cost_and_gap(decisions(), problem_evaluator)
+    groups = data.by_context()
+    thetas = np.stack([score_instance(weights, group[0]) for group in groups.values()])
+    decisions = dict(zip(groups, oracle.argmax_linear_many(thetas)))
+    return evaluate_fixed_solutions(decisions, data, problem_evaluator)
 
 
-def _average_cost_and_gap(decisions, problem_evaluator) -> tuple[float, float]:
-    """Mean cost and mean gap over (decision, scenario) pairs.
+def evaluate_fixed_solutions(
+    decisions_by_context: dict[int, np.ndarray],
+    data: Dataset,
+    evaluator,
+) -> tuple[float, float]:
+    """Mean cost and mean gap of one decision per context, averaged over the
+    scenarios of ``data`` in data order.
 
     The per-scenario gap is relative to the anticipative optimum,
     (cost - anticipative) / |anticipative|; when the anticipative cost is
@@ -236,9 +232,9 @@ def _average_cost_and_gap(decisions, problem_evaluator) -> tuple[float, float]:
     """
     costs = []
     gaps = []
-    for y, scenario in decisions:
-        cost = problem_evaluator.policy_cost(y, scenario)
-        anticipative = problem_evaluator.anticipative_cost(scenario)
+    for scenario in data:
+        cost = evaluator.policy_cost(decisions_by_context[scenario.context_id], scenario)
+        anticipative = evaluator.anticipative_cost(scenario)
         costs.append(cost)
         denom = abs(anticipative)
         gaps.append((cost - anticipative) / denom if denom > 1e-9 else cost - anticipative)

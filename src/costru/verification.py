@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import CheckRow, make_rng
+from .core import CheckRow, make_rng, require_samples
 from .problems.spanning_tree import (
     brute_force_max_weight_forest_value,
     brute_force_two_stage_pair,
@@ -39,6 +39,8 @@ def run_oracle_suite(
 ) -> list[CheckRow]:
     """Kruskal max-weight forests and two-stage anticipative solves against
     exhaustive enumeration on small graphs; exact equality required."""
+    # The anticipative check solves n_anticipative // 2 instances per grid.
+    require_samples(2, n_anticipative=n_anticipative)
     rows: list[CheckRow] = []
     g = make_rng(seed, 61).generator()
     worst = 0.0

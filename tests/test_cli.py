@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from costru import cli, experiments
+from costru import cli, experiments, simplex_lab
 from costru.baselines import SaaConfig
-from costru.core import CheckRow
+from costru.core import CheckRow, make_rng
 from costru.problems.datasets import GenConfig
 from costru.problems.spanning_tree import InfeasibleError
+from costru.regularizers import RegularizerKind, prediction_rows
 from costru.simplex_lab import BoundaryError
 from costru.trainer import TrainConfig
 
@@ -262,6 +263,26 @@ class TestEvaluate:
                          "--data", str(bad), "--split", "test",
                          "--out", str(tmp_path / "eval.csv")]) == 2
 
+    @pytest.mark.parametrize("defect", [
+        lambda a: a.pop("features"),
+        lambda a: a.update(first_stage=a["first_stage"][:1]),
+        lambda a: a.update(features=a["features"][:1]),
+        lambda a: a.update(scenario_costs=a["scenario_costs"].astype(str)),
+    ], ids=["no-features", "fewer-first-stages", "fewer-features", "string-costs"])
+    def test_malformed_split_exits_two(self, tmp_path, mst_config, mst_data, defect):
+        """A split file is validated when it is read."""
+        with np.load(Path(mst_data) / "test.npz") as split:
+            arrays = dict(split)
+        defect(arrays)
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        np.savez(bad / "test.npz", **arrays)
+        weights = tmp_path / "weights.npz"
+        np.savez(weights, weights=np.zeros(5))
+        assert cli.main(["evaluate", "--config", mst_config, "--weights", str(weights),
+                         "--data", str(bad), "--split", "test",
+                         "--out", str(tmp_path / "eval.csv")]) == 2
+
     def test_mst_requires_data(self, tmp_path):
         weights = tmp_path / "weights.npz"
         np.savez(weights, weights=np.zeros(5))
@@ -321,6 +342,30 @@ class TestVerify:
         out = tmp_path / "report.csv"
         assert cli.main(["verify", suite, "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_convergence_trace_rows(self, tmp_path):
+        """The trace rows equal the alternating loop written out in full:
+        decompose at s_{t-1}, record surrogate, partial minimum and Jensen
+        gap at q_t, then coordinate."""
+        cfg = tmp_path / "v.ini"
+        cfg.write_text("[verify]\ninstances = 1\niterations = 40\n")
+        out = tmp_path / "report.csv"
+        assert cli.main(["verify", "convergence", "--seed", "3", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        kind = RegularizerKind.negentropy()
+        costs = simplex_lab.random_cost_table(make_rng(3, 7).generator(), 5, 6)
+        s = np.zeros(6)
+        expected = []
+        for t in range(1, 41):
+            q = prediction_rows(s[None, :] - costs.gamma / 1.0, kind)
+            expected.append([str(t)] + [format(v, ".17g") for v in (
+                simplex_lab.surrogate_value(s, q, costs, 1.0, kind),
+                simplex_lab.partial_min_surrogate(q, costs, 1.0, kind),
+                simplex_lab.jensen_gap(q, kind))])
+            s = simplex_lab.exact_coordination(q, kind, strict=False)
+        rows = read_rows(tmp_path / "report_trace.csv")
+        assert rows[0] == ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"]
+        assert rows[1:] == expected
 
     def test_io_failure_exits_three(self, tmp_path):
         cfg = tmp_path / "v.ini"

@@ -51,7 +51,7 @@ from costru.problems.toy import (
     toy_scenarios,
 )
 from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
-from costru.trainer import _average_cost_and_gap, evaluate_policy, score_instance
+from costru.trainer import evaluate_policy, score_instance
 from costru.verification import _SMALL_GRAPHS
 
 
@@ -758,33 +758,51 @@ class TestBatchedCompletion:
 
 
 def _per_scenario_policy(weights, data, oracle, evaluator):
-    """evaluate_policy's reference: one argmax per scenario."""
-    decisions = ((oracle.argmax_linear(score_instance(weights, s)), s) for s in data)
-    return _average_cost_and_gap(decisions, evaluator)
+    """evaluate_policy's reference: one argmax per scenario, then the mean
+    cost and gap in data order."""
+    costs, gaps = [], []
+    for s in data:
+        cost = evaluator.policy_cost(oracle.argmax_linear(score_instance(weights, s)), s)
+        anticipative = evaluator.anticipative_cost(s)
+        costs.append(cost)
+        denom = abs(anticipative)
+        gaps.append((cost - anticipative) / denom if denom > 1e-9 else cost - anticipative)
+    return float(np.mean(costs)), float(np.mean(gaps))
+
+
+_PER_CONTEXT_CFG = GenConfig(rows=2, cols=3, train_instances=3, val_instances=1,
+                             test_instances=1, scenarios_per_instance=3)
 
 
 class TestPerContextEvaluation:
     @_PROPERTY
-    @given(st.lists(_TIED, min_size=5, max_size=5), st.sampled_from(["shared", "copied",
-                                                                      "distinct"]))
+    @given(st.lists(_TIED, min_size=5, max_size=5),
+           st.sampled_from(["shared", "copied", "interleaved"]))
     def test_equals_per_scenario_decisions(self, weights, features):
-        cfg = GenConfig(rows=2, cols=3, train_instances=3, val_instances=1,
-                        test_instances=1, scenarios_per_instance=3)
         scenarios = []
-        for ctx, inst in enumerate(generate_mst_split(cfg, 12, "train")):
+        for ctx, inst in enumerate(generate_mst_split(_PER_CONTEXT_CFG, 12, "train")):
             for k in range(inst.n_scenarios):
                 s = inst.scenario(ctx, k)
                 if features == "copied":
                     s = Scenario(ctx, s.features.copy(), s.noise_payload)
-                elif features == "distinct":
-                    s = Scenario(ctx, s.features + k * np.arange(s.features.shape[1]),
-                                 s.noise_payload)
                 scenarios.append(s)
+        if features == "interleaved":  # contexts 0, 1, 2, 0, 1, 2, ...
+            scenarios = scenarios[0::3] + scenarios[1::3] + scenarios[2::3]
         data = Dataset(tuple(scenarios))
         oracle = MstOracle(2, 3)
         w = np.array(weights, dtype=float) / 4
         expected = _per_scenario_policy(w, data, oracle, MstEvaluator(oracle))
         assert evaluate_policy(w, data, oracle, MstEvaluator(oracle)) == expected
+
+    def test_distinct_features_in_one_context_are_rejected(self):
+        """A context is one feature matrix; a dataset that gives one context
+        two feature matrices is refused."""
+        inst = generate_mst_split(_PER_CONTEXT_CFG, 12, "train")[0]
+        scenarios = [Scenario(0, inst.features + k * np.arange(inst.features.shape[1]),
+                              inst.scenario(0, k).noise_payload)
+                     for k in range(inst.n_scenarios)]
+        with pytest.raises(InputError, match="context 0 disagree on their features"):
+            Dataset(tuple(scenarios))
 
 
 class TestGenerator:

@@ -28,11 +28,16 @@ from costru.simplex_lab import (
     random_interior_product,
     risk_bound_check,
     run_alternating_exact,
+    run_conjugate_suite,
+    run_convergence_suite,
     run_five_point_suite,
     run_jensen_gap_suite,
     run_mirror_descent_comparison,
+    run_mirror_descent_suite,
+    run_risk_bound_suite,
     surrogate_value,
 )
+from costru.verification import run_oracle_suite
 
 NEG = RegularizerKind.negentropy()
 L2 = RegularizerKind.squared_l2()
@@ -410,3 +415,24 @@ class TestExposedVertex:
     def test_hull_distance_zero_for_member(self):
         others = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert nearest_point_in_hull_sq(np.array([0.25, 0.25]), others) < 1e-12
+
+
+class TestSuiteSampleCounts:
+    @pytest.mark.parametrize("suite, counts", [
+        (run_convergence_suite, dict(n_instances=0)),
+        (run_convergence_suite, dict(n_instances=1, t_check=0)),
+        (run_convergence_suite, dict(n_instances=1, t_check=11, t_opt=10)),
+        (run_risk_bound_suite, dict(n_instances=0)),
+        (run_risk_bound_suite, dict(n_instances=1, kappas=())),
+        (run_conjugate_suite, dict(n_instances=0)),
+        (run_mirror_descent_suite, dict(iters=0)),
+        (run_oracle_suite, dict(n_anticipative=0)),
+        (run_oracle_suite, dict(n_anticipative=1)),
+    ], ids=["convergence-instances", "convergence-t_check", "convergence-t_check>t_opt",
+            "risk-bound-instances", "risk-bound-kappas", "conjugates-instances",
+            "mirror-descent-iters", "oracles-anticipative-0", "oracles-anticipative-1"])
+    def test_no_samples_rejected(self, suite, counts):
+        """A suite called with a count that leaves a check without samples
+        (or, for t_check, beyond the trajectory) refuses to run."""
+        with pytest.raises(InputError):
+            suite(**counts)

@@ -127,8 +127,7 @@ class TestCoordinationPass:
         # the target equals the moment computed from the exact same draws
         mu = perturbed_maximizer_moment(oracle, theta, config.epsilon,
                                         config.nb_samples, rng.split(0, 0))
-        out = coordination_pass(w, [scenario], [mu], oracle, config,
-                                AdamState.zeros(1), rng)
+        out = coordination_pass(w, [scenario], [mu], oracle, config, rng)
         np.testing.assert_array_equal(out, w)
 
     def test_gradient_sign_pushes_toward_target(self):
@@ -138,10 +137,10 @@ class TestCoordinationPass:
         rng = make_rng(5).split(1, 2)
         # target above the current moment Phi(theta/eps) -> theta must rise
         w_up = coordination_pass(np.zeros(1), [scenario], [np.array([0.9])], oracle,
-                                 config, AdamState.zeros(1), rng)
+                                 config, rng)
         assert w_up[0] > 0
         w_down = coordination_pass(np.zeros(1), [scenario], [np.array([0.1])], oracle,
-                                   config, AdamState.zeros(1), rng)
+                                   config, rng)
         assert w_down[0] < 0
 
     def test_two_epochs_equal_manual_adam_chain(self):
@@ -150,8 +149,7 @@ class TestCoordinationPass:
         target = np.array([0.4])
         config = toy_config(nb_epochs=2, nb_samples=100)
         rng = make_rng(7).split(1, 2)
-        out = coordination_pass(np.zeros(1), [scenario], [target], oracle, config,
-                                AdamState.zeros(1), rng)
+        out = coordination_pass(np.zeros(1), [scenario], [target], oracle, config, rng)
 
         from costru.regularizers import perturbed_fy_gradient
 
@@ -223,7 +221,7 @@ class TestFrozenDrawDescent:
         for k in range(1, 9):
             config = toy_config(nb_epochs=k, nb_samples=400, lr_init=0.05)
             w = coordination_pass(np.zeros(1), batch, targets, oracle, config,
-                                  AdamState.zeros(1), make_rng(71).split(1, 2))
+                                  make_rng(71).split(1, 2))
             values.append(coordination_objective(w, batch, targets, oracle, config,
                                                  eval_stream))
         cummean = np.cumsum(values) / np.arange(1, len(values) + 1)
