@@ -26,10 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, experiments, simplex_lab, verification
-from .core import CheckRow, InputError, make_rng
+from .core import CheckRow, InputError
 from .problems import datasets as ds
 from .problems.spanning_tree import InfeasibleError, MstEvaluator, MstOracle
 from .problems.toy import ToyEvaluator, ToyOracle, toy_dataset
+from .regularizers import RegularizerKind
 from .trainer import TrainConfig, evaluate_policy, train_primal_dual
 
 log = logging.getLogger("costru")
@@ -372,35 +373,30 @@ def run_verify_suite(suite: str, cfg: dict, seed: int) -> list[CheckRow]:
 
 
 def _write_verify_trace(suite: str, cfg: dict, seed: int, out: Path, chash: str) -> None:
-    """Per-iteration trace CSV next to the report for the iterative suites."""
-    from .regularizers import RegularizerKind
-
-    g = make_rng(seed, 7).generator()
+    """Per-iteration trace CSV next to the report for the iterative suites,
+    on the suite's first instance."""
+    iterations = cfg["verify"]["iterations"]
     if suite == "convergence":
-        costs = simplex_lab.random_cost_table(g, 5, 6)
+        costs = simplex_lab.convergence_instance(seed)
         kind = RegularizerKind.negentropy()
-        config = simplex_lab.LabConfig(1.0, kind, max_iters=cfg["verify"]["iterations"])
-        s0 = np.zeros(6)
+        config = simplex_lab.LabConfig(1.0, kind, max_iters=iterations)
+        s0 = np.zeros(costs.n_vertices)
         traj = simplex_lab.run_alternating_exact(costs, config, s0)
         # Iteration t decomposes at s_{t-1} into q_t, then coordinates.
         steps = zip([s0, *traj.scores], traj.q_products, traj.values)
         rows = [[t, simplex_lab.surrogate_value(s, q, costs, config.kappa, kind), value,
                  simplex_lab.jensen_gap(q, kind)]
                 for t, (s, q, value) in enumerate(steps, start=1)]
-        write_csv(out.with_name(out.stem + "_trace.csv"),
-                  ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"],
-                  rows, chash, seed)
+        header = ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"]
     elif suite == "mirror-descent":
-        g = make_rng(seed, 31).generator()
-        costs = simplex_lab.random_cost_table(g, 3, 4)
+        costs, s0 = simplex_lab.mirror_descent_instance(seed)
         config = simplex_lab.LabConfig(1.0, RegularizerKind.negentropy())
-        s0 = g.standard_normal(4)
-        s0 -= s0.mean()
-        _, comparison = simplex_lab.run_mirror_descent_comparison(
-            costs, config, s0, cfg["verify"]["iterations"])
-        rows = [[t + 1, dev] for t, dev in enumerate(comparison.deviations)]
-        write_csv(out.with_name(out.stem + "_trace.csv"),
-                  ["iteration", "max_deviation"], rows, chash, seed)
+        deviations = simplex_lab.run_mirror_descent_comparison(costs, config, s0, iterations)
+        rows = [[t, dev] for t, dev in enumerate(deviations, start=1)]
+        header = ["iteration", "max_deviation"]
+    else:
+        return
+    write_csv(out.with_name(out.stem + "_trace.csv"), header, rows, chash, seed)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

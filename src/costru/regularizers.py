@@ -23,30 +23,21 @@ from .core import (
 
 NEGENTROPY = "negentropy"
 SQUARED_L2 = "squared_l2"
-SPARSE_PERTURBATION = "sparse_perturbation"
-
-_EXACT_TAGS = (NEGENTROPY, SQUARED_L2)
 
 
 @dataclass(frozen=True)
 class RegularizerKind:
-    """Tagged regularizer choice.
+    """One of the two exact regularizers on an explicit set.
 
-    ``epsilon`` (perturbation scale) and ``nb_samples`` (Monte-Carlo sample
-    count) are meaningful for the sparse perturbation only.
+    The sparse perturbation has no exact map; its scale and draw count are
+    arguments of the Monte-Carlo functions below.
     """
 
     tag: str
-    epsilon: float = 1.0
-    nb_samples: int = 1
 
     def __post_init__(self):
-        if self.tag not in (NEGENTROPY, SQUARED_L2, SPARSE_PERTURBATION):
+        if self.tag not in (NEGENTROPY, SQUARED_L2):
             raise InputError(f"unknown regularizer tag {self.tag!r}")
-        if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
-        if self.nb_samples < 1:
-            raise InputError("nb_samples must be >= 1")
 
     @staticmethod
     def negentropy() -> "RegularizerKind":
@@ -55,14 +46,6 @@ class RegularizerKind:
     @staticmethod
     def squared_l2() -> "RegularizerKind":
         return RegularizerKind(SQUARED_L2)
-
-    @staticmethod
-    def sparse_perturbation(epsilon: float, nb_samples: int) -> "RegularizerKind":
-        return RegularizerKind(SPARSE_PERTURBATION, epsilon, nb_samples)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.tag in _EXACT_TAGS
 
 
 def validate_distribution(q: np.ndarray, tol: float = 1e-12, ndim: int = 1) -> np.ndarray:
@@ -95,15 +78,13 @@ def prediction_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
         shifted = scores - scores.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)
-    if kind.tag == SQUARED_L2:
-        n, k = scores.shape
-        u = np.sort(scores, axis=1)[:, ::-1]
-        css = np.cumsum(u, axis=1) - 1.0
-        support = u * np.arange(1, k + 1) > css
-        rho = k - 1 - np.argmax(support[:, ::-1], axis=1)
-        tau = css[np.arange(n), rho] / (rho + 1.0)
-        return np.maximum(scores - tau[:, None], 0.0)
-    raise InputError(f"no exact prediction map for regularizer {kind.tag!r}")
+    n, k = scores.shape
+    u = np.sort(scores, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    support = u * np.arange(1, k + 1) > css
+    rho = k - 1 - np.argmax(support[:, ::-1], axis=1)
+    tau = css[np.arange(n), rho] / (rho + 1.0)
+    return np.maximum(scores - tau[:, None], 0.0)
 
 
 def value_rows(q: np.ndarray, kind: RegularizerKind) -> np.ndarray:
@@ -111,9 +92,7 @@ def value_rows(q: np.ndarray, kind: RegularizerKind) -> np.ndarray:
     if kind.tag == NEGENTROPY:
         safe = np.where(q > 0.0, q, 1.0)
         return np.sum(q * np.log(safe), axis=1)
-    if kind.tag == SQUARED_L2:
-        return 0.5 * np.einsum("ij,ij->i", q, q)
-    raise InputError(f"no exact value for regularizer {kind.tag!r}")
+    return 0.5 * np.einsum("ij,ij->i", q, q)
 
 
 def conjugate_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
@@ -122,10 +101,8 @@ def conjugate_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
     if kind.tag == NEGENTROPY:
         m = scores.max(axis=1)
         return m + np.log(np.exp(scores - m[:, None]).sum(axis=1))
-    if kind.tag == SQUARED_L2:
-        p = prediction_rows(scores, kind)
-        return np.einsum("ij,ij->i", scores, p) - 0.5 * np.einsum("ij,ij->i", p, p)
-    raise InputError(f"no exact conjugate for regularizer {kind.tag!r}")
+    p = prediction_rows(scores, kind)
+    return np.einsum("ij,ij->i", scores, p) - 0.5 * np.einsum("ij,ij->i", p, p)
 
 
 def fy_loss_exact(

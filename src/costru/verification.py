@@ -39,13 +39,16 @@ def run_oracle_suite(
 ) -> list[CheckRow]:
     """Kruskal max-weight forests and two-stage anticipative solves against
     exhaustive enumeration on small graphs; exact equality required."""
-    # The anticipative check solves n_anticipative // 2 instances per grid.
+    # The n_kruskal draws are split over the graphs, each of which gets at
+    # least one; the anticipative check solves n_anticipative // 2 instances
+    # per grid.
+    require_samples(len(_SMALL_GRAPHS), n_kruskal=n_kruskal)
     require_samples(2, n_anticipative=n_anticipative)
     rows: list[CheckRow] = []
     g = make_rng(seed, 61).generator()
     worst = 0.0
-    per_graph = max(1, n_kruskal // len(_SMALL_GRAPHS))
-    for edges, n_nodes in _SMALL_GRAPHS:
+    for i, (edges, n_nodes) in enumerate(_SMALL_GRAPHS):
+        per_graph = (n_kruskal + i) // len(_SMALL_GRAPHS)
         draws = g.normal(0.0, 2.0, size=(per_graph, len(edges)))
         for weights, y in zip(draws, max_weight_forests(draws, edges, n_nodes)):
             value = float(weights @ y)

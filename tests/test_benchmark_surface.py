@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from costru import baselines, trainer
+from costru import baselines, cli, simplex_lab, trainer
 from costru.problems.datasets import GenConfig, generate_mst_dataset
 from costru.problems.spanning_tree import MstEvaluator, MstOracle
 
@@ -50,3 +50,28 @@ def test_traced_evaluation_keeps_gaps_and_restores_originals(monkeypatch):
     assert calls["baselines.evaluate_fixed_solutions"] == 1
     assert calls["spanning_tree.argmax_many"] == 1
     assert all(getattr(ns, attr) is original for ns, attr, original in wrapped)
+
+
+def test_traced_lab_keeps_rows(monkeypatch):
+    """The tracer wraps the lab suites and ``run_alternating_exact`` by name
+    and reads the trajectory's ``values`` as the span's work."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    cfg = cli.load_config(None)
+
+    def rows():
+        return (cli.run_verify_suite("mirror-descent", cfg, 2),
+                simplex_lab.run_convergence_suite(n_instances=2, t_check=5, t_opt=20, seed=4))
+
+    expected = rows()
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        traced = rows()
+    assert traced == expected
+    spans = [tracer.names[i] for i in tracer.name_id]
+    assert spans.count("simplex_lab.mirror_descent") == 1
+    assert spans.count("simplex_lab.convergence") == 1
+    assert spans.count("simplex_lab.run_alternating_exact") == 2
+    alternating = tracer.names.index("simplex_lab.run_alternating_exact")
+    assert [w for i, w in zip(tracer.name_id, tracer.work) if i == alternating] == [20.0, 20.0]

@@ -334,9 +334,10 @@ class TestVerify:
     @pytest.mark.parametrize("suite, key, value", [
         ("five-point", "probes", 0), ("jensen-gap", "trials", 0),
         ("mirror-descent", "iterations", 0), ("oracles", "draws", 0),
-        ("conjugates", "instances", -1)])
+        ("oracles", "draws", 3), ("conjugates", "instances", -1)])
     def test_zero_counts_exit_two(self, tmp_path, suite, key, value):
-        """A suite must not run, and pass, on zero samples."""
+        """A suite must not run, and pass, on zero samples.  The oracle suite
+        splits its draws over six graphs, so it needs at least six."""
         cfg = tmp_path / "v.ini"
         cfg.write_text(f"[verify]\n{key} = {value}\n")
         out = tmp_path / "report.csv"

@@ -91,12 +91,6 @@ class TestRowMaps:
             assert prediction_rows(row(s), kind).tobytes() == pred[i:i + 1].tobytes()
             assert conjugate_rows(row(s), kind).tobytes() == conj[i:i + 1].tobytes()
 
-    def test_perturbation_kind_has_no_exact_map(self):
-        kind = RegularizerKind.sparse_perturbation(1.0, 1)
-        for row_map in (prediction_rows, value_rows, conjugate_rows):
-            with pytest.raises(InputError):
-                row_map(np.zeros((1, 2)), kind)
-
 
 class TestSoftmax:
     def test_symmetry(self):
@@ -364,10 +358,7 @@ class TestRegularizerKindValidation:
         with pytest.raises(Exception):
             RegularizerKind("huber")
 
-    def test_bad_epsilon(self):
-        with pytest.raises(Exception):
-            RegularizerKind.sparse_perturbation(-1.0, 10)
-
-    def test_bad_samples(self):
-        with pytest.raises(Exception):
-            RegularizerKind.sparse_perturbation(1.0, 0)
+    def test_perturbation_is_not_a_kind(self):
+        """The sparse perturbation has no exact map, so it is no kind."""
+        with pytest.raises(InputError):
+            RegularizerKind("sparse_perturbation")
