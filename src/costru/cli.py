@@ -381,9 +381,11 @@ def _write_verify_trace(suite: str, cfg: dict, seed: int, out: Path, chash: str)
         kind = RegularizerKind.negentropy()
         config = simplex_lab.LabConfig(1.0, kind, max_iters=iterations)
         s0 = np.zeros(costs.n_vertices)
-        traj = simplex_lab.run_alternating_exact(costs, config, s0)
-        # Iteration t decomposes at s_{t-1} into q_t, then coordinates.
-        steps = zip([s0, *traj.scores], traj.q_products, traj.values)
+        traj = simplex_lab.run_alternating_exact([costs], config, s0[None, :])
+        # Iteration t decomposes at s_{t-1} into q_t, then coordinates; a
+        # stack of one, so row 0 of each record.
+        steps = zip([s0, *(s[0] for s in traj.scores)], (q[0] for q in traj.q_products),
+                    traj.values[:, 0])
         rows = [[t, simplex_lab.surrogate_value(s, q, costs, config.kappa, kind), value,
                  simplex_lab.jensen_gap(q, kind)]
                 for t, (s, q, value) in enumerate(steps, start=1)]

@@ -44,10 +44,12 @@ INTERIOR_CLAMP = 1e-300
 class BoundaryError(RuntimeError):
     """An iterate touched the simplex boundary where a log is required."""
 
-    def __init__(self, message: str, vertex: int | None = None, iteration: int | None = None):
+    def __init__(self, message: str, vertex: int | None = None, iteration: int | None = None,
+                 instance: int | None = None):
         super().__init__(message)
         self.vertex = vertex
         self.iteration = iteration
+        self.instance = instance
 
 
 def nearest_point_in_hull_sq(candidate: np.ndarray, others: np.ndarray,
@@ -223,35 +225,37 @@ class LabConfig:
 
 
 def _partial_min_fast(q: np.ndarray, gamma: np.ndarray, kappa: float,
-                      kind: RegularizerKind) -> float:
-    n = q.shape[0]
-    cost_part = float(np.einsum("ij,ij->", gamma, q)) / n
-    values = value_rows(q, kind)
-    q_bar = q.mean(axis=0)
-    bar_value = float(value_rows(q_bar[None, :], kind)[0])
-    return cost_part + (kappa / n) * (float(values.sum()) - n * bar_value)
+                      kind: RegularizerKind) -> np.ndarray:
+    """Partial-min surrogate of (N, K) rows, or one per entry of a (B, N, K) stack."""
+    n, k = q.shape[-2:]
+    cost_part = np.einsum("...ij,...ij->...", gamma, q) / n
+    values = value_rows(q.reshape(-1, k), kind).reshape(q.shape[:-1]).sum(axis=-1)
+    q_bar = q.mean(axis=-2)
+    bar_value = value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1])
+    return cost_part + (kappa / n) * (values - n * bar_value)
 
 
 def _coordination_fast(q: np.ndarray, kind: RegularizerKind, strict: bool) -> np.ndarray:
-    q_bar = q.mean(axis=0)
+    """Zero-sum common score of (N, K) rows, or one per entry of a (B, N, K) stack."""
+    q_bar = q.mean(axis=-2)
     if kind.tag == NEGENTROPY:
-        zero = np.nonzero(q_bar <= 0.0)[0]
-        if zero.size:
-            raise BoundaryError(
-                f"mean distribution vanishes at vertex {int(zero[0])}", vertex=int(zero[0])
-            )
         if np.any(q_bar < INTERIOR_CLAMP):
-            if strict:
-                idx = int(np.argmin(q_bar))
-                raise BoundaryError(
-                    f"mean distribution below clamp at vertex {idx}", vertex=idx
-                )
+            vanished = bool(np.any(q_bar <= 0.0))
+            if strict or vanished:
+                # The first vanished entry, else the smallest, in row-major order.
+                where = np.argwhere(q_bar <= 0.0 if vanished else q_bar == q_bar.min())[0]
+                vertex = int(where[-1])
+                instance = int(where[0]) if q_bar.ndim == 2 else None
+                of = "" if instance is None else f" of instance {instance}"
+                what = "vanishes" if vanished else "below clamp"
+                raise BoundaryError(f"mean distribution{of} {what} at vertex {vertex}",
+                                    vertex=vertex, instance=instance)
             log.debug("clamping mean distribution at %.0e before log", INTERIOR_CLAMP)
             q_bar = np.maximum(q_bar, INTERIOR_CLAMP)
         s = np.log(q_bar)
     else:
-        s = q_bar.copy()
-    return s - s.mean()
+        s = q_bar
+    return s - s.mean(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +316,7 @@ def partial_min_surrogate(
 ) -> float:
     """Surrogate minimized over the common score, in closed form."""
     q = validate_distribution(q_product, ndim=2)
-    return _partial_min_fast(q, costs.gamma, kappa, kind)
+    return float(_partial_min_fast(q, costs.gamma, kappa, kind))
 
 
 def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float:
@@ -363,23 +367,25 @@ def check_jensen_gap_convexity(
 
 @dataclass
 class AlternatingTrajectory:
-    """Per-iteration record of the exact alternating scheme."""
+    """Time-major record of the exact alternating scheme on B instances."""
 
-    values: np.ndarray            # partial-min surrogate at each iteration
-    q_products: list[np.ndarray]  # kept only when record_iterates
-    scores: list[np.ndarray]
-    first_q: np.ndarray
+    values: np.ndarray            # (T, B) partial-min surrogate at each iteration
+    q_products: list[np.ndarray]  # (B, N, K) per iteration, kept only when record_iterates
+    scores: list[np.ndarray]      # (B, K) per iteration, likewise
+    first_q: np.ndarray           # (B, N, K)
     final_q: np.ndarray
 
 
 def run_alternating_exact(
-    costs: CostTable,
+    costs: Sequence[CostTable],
     config: LabConfig,
     s0: np.ndarray,
     record_iterates: bool = True,
     strict: bool = False,
 ) -> AlternatingTrajectory:
-    """Exact decomposition/coordination iterations from a common score s0.
+    """Exact decomposition/coordination iterations on a stack of B cost
+    tables of one shape (N, K), advanced in lockstep from their common
+    scores s0, shape (B, K).  A single instance is a stack of one.
 
     When the surrogate optimum sits on the simplex boundary, the scores
     drift and probabilities eventually underflow; with ``strict=False``
@@ -387,33 +393,32 @@ def run_alternating_exact(
     the order of the clamp, far below every certificate tolerance).
     """
     kind = config.regularizer
-    s = np.asarray(s0, dtype=float).copy()
-    values = []
+    if len({c.gamma.shape for c in costs}) != 1:
+        raise InputError("the stacked cost tables must share one (N, K) shape")
+    gamma = np.stack([c.gamma for c in costs])
+    b, n, k = gamma.shape
+    shifted_costs = gamma / config.kappa
+    s = np.asarray(s0, dtype=float)
+    if s.shape != (b, k):
+        raise InputError(f"s0 must hold one score row per instance, shape ({b}, {k})")
+    values = np.empty((config.max_iters, b))
     q_products: list[np.ndarray] = []
     scores: list[np.ndarray] = []
-    first_q = None
-    q = None
-    shifted_costs = costs.gamma / config.kappa
-    for t in range(1, config.max_iters + 1):
-        q = prediction_rows(s[None, :] - shifted_costs, kind)
-        if first_q is None:
-            first_q = q.copy()
+    for t in range(config.max_iters):
+        q = prediction_rows((s[:, None, :] - shifted_costs).reshape(b * n, k), kind)
+        q = q.reshape(b, n, k)
+        if t == 0:
+            first_q = q
         try:
             s = _coordination_fast(q, kind, strict=strict)
         except BoundaryError as err:
-            err.iteration = t
+            err.iteration = t + 1
             raise
-        values.append(_partial_min_fast(q, costs.gamma, config.kappa, kind))
+        values[t] = _partial_min_fast(q, gamma, config.kappa, kind)
         if record_iterates:
             q_products.append(q)
-            scores.append(s.copy())
-    return AlternatingTrajectory(
-        values=np.asarray(values),
-        q_products=q_products,
-        scores=scores,
-        first_q=first_q,
-        final_q=q,
-    )
+            scores.append(s)
+    return AlternatingTrajectory(values, q_products, scores, first_q, q)
 
 
 def _five_point_slack(
@@ -517,7 +522,7 @@ def run_mirror_descent_comparison(
 # Risk bound and conjugate identity
 # ---------------------------------------------------------------------------
 
-def _partial_surrogate_terms(
+def partial_surrogate_terms(
     s: np.ndarray, costs: CostTable, kappa: float, kind: RegularizerKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-scenario (risk, partially minimized surrogate) at a common score."""
@@ -536,17 +541,12 @@ def _partial_surrogate_terms(
 
 
 def risk_bound_check(
-    theta: np.ndarray,
-    poly: ExplicitPolytope,
-    costs: CostTable,
-    kappa: float,
-    kind: RegularizerKind,
-    L: float = 1.0,
+    terms: tuple[np.ndarray, np.ndarray], costs: CostTable, kappa: float, L: float = 1.0
 ) -> float:
     """Smallest slack of |partial surrogate - risk| <= 3 ||gamma_i||^2 / (2 L kappa)
-    over the scenarios and their mean; the bound holds when it is >= 0."""
-    s = poly.lift_scores(theta)
-    risks, partials = _partial_surrogate_terms(s, costs, kappa, kind)
+    over the scenarios and their mean; the bound holds when it is >= 0.
+    ``terms`` are the partial_surrogate_terms at the lifted scores."""
+    risks, partials = terms
     norms_sq = np.einsum("ij,ij->i", costs.gamma, costs.gamma)
     bounds = 3.0 * norms_sq / (2.0 * L * kappa)
     per_scenario = bounds - np.abs(partials - risks)
@@ -557,20 +557,16 @@ def risk_bound_check(
 
 
 def risk_suboptimality_pair_slack(
-    theta_a: np.ndarray,
-    theta_b: np.ndarray,
-    poly: ExplicitPolytope,
+    terms_a: tuple[np.ndarray, np.ndarray],
+    terms_b: tuple[np.ndarray, np.ndarray],
     costs: CostTable,
     kappa: float,
-    kind: RegularizerKind,
     L: float = 1.0,
 ) -> float:
     """Slack of the derived bound R(th1) - R(th2) <= (3/(L kappa N)) sum ||gamma||^2,
-    where th1 is whichever of the pair has the smaller partial surrogate."""
-    sa = poly.lift_scores(theta_a)
-    sb = poly.lift_scores(theta_b)
-    risks_a, partials_a = _partial_surrogate_terms(sa, costs, kappa, kind)
-    risks_b, partials_b = _partial_surrogate_terms(sb, costs, kappa, kind)
+    where th1 is whichever of the pair has the smaller partial surrogate; the
+    terms are the partial_surrogate_terms of the two directions."""
+    (risks_a, partials_a), (risks_b, partials_b) = terms_a, terms_b
     if partials_a.mean() <= partials_b.mean():
         risk_gap = risks_a.mean() - risks_b.mean()
     else:
@@ -662,24 +658,26 @@ def run_convergence_suite(
     if t_check > t_opt:
         raise InputError(f"t_check = {t_check} exceeds t_opt = {t_opt}")
     kind = RegularizerKind.negentropy()
+    tables = [convergence_instance(seed + inst, n_scenarios, n_atoms)
+              for inst in range(n_instances)]
+    config = LabConfig(kappa=kappa, regularizer=kind, max_iters=t_opt)
+    traj = run_alternating_exact(tables, config, np.zeros((n_instances, n_atoms)),
+                                 record_iterates=False)
+    s0 = np.zeros(n_atoms)
+    ts = np.arange(1, t_check + 1)
     rows: list[CheckRow] = []
-    for inst in range(n_instances):
+    for inst, costs in enumerate(tables):
         inst_seed = seed + inst
-        costs = convergence_instance(inst_seed, n_scenarios, n_atoms)
-        config = LabConfig(kappa=kappa, regularizer=kind, max_iters=t_opt)
-        s0 = np.zeros(n_atoms)
-        traj = run_alternating_exact(costs, config, s0, record_iterates=False)
-        values = traj.values
+        values = traj.values[:, inst]
         worst_increase = float(np.max(np.diff(values))) if len(values) > 1 else 0.0
         rows.append(
             CheckRow("convergence/monotone", inst_seed, worst_increase, 1e-12,
                      worst_increase <= 1e-12)
         )
         v_opt = float(values[-1])
-        c_const = surrogate_value(s0, traj.final_q, costs, kappa, kind) - surrogate_value(
-            s0, traj.first_q, costs, kappa, kind
+        c_const = surrogate_value(s0, traj.final_q[inst], costs, kappa, kind) - surrogate_value(
+            s0, traj.first_q[inst], costs, kappa, kind
         )
-        ts = np.arange(1, t_check + 1)
         excess = values[:t_check] - v_opt
         rate_violation = float(np.max(excess - c_const / ts))
         rows.append(
@@ -758,16 +756,17 @@ def run_risk_bound_suite(
         g = make_rng(inst_seed, 41).generator()
         poly = random_binary_polytope(g, d, n_atoms)
         costs = random_cost_table(g, n_scenarios, n_atoms)
-        theta = g.standard_normal(d)
-        theta_other = g.standard_normal(d)
+        s = poly.lift_scores(g.standard_normal(d))
+        s_other = poly.lift_scores(g.standard_normal(d))
         for kappa in kappas:
-            slack = risk_bound_check(theta, poly, costs, kappa, kind, L)
+            terms = partial_surrogate_terms(s, costs, kappa, kind)
+            slack = risk_bound_check(terms, costs, kappa, L)
             rows.append(
                 CheckRow(f"risk-bound/kappa={kappa:g}", inst_seed, slack, 0.0,
                          slack >= -1e-12)
             )
             pair_slack = risk_suboptimality_pair_slack(
-                theta, theta_other, poly, costs, kappa, kind, L
+                terms, partial_surrogate_terms(s_other, costs, kappa, kind), costs, kappa, L
             )
             rows.append(
                 CheckRow(f"risk-bound/pair/kappa={kappa:g}", inst_seed, pair_slack, 0.0,

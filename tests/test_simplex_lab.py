@@ -8,15 +8,16 @@ import pytest
 from costru.core import InputError, make_rng
 from costru.problems.spanning_tree import enumerate_forests
 from costru.problems.toy import toy_cost_table
-from costru.regularizers import RegularizerKind, conjugate_rows, prediction_rows
+from costru.regularizers import RegularizerKind, conjugate_rows, prediction_rows, value_rows
 from costru import verification
 from costru.simplex_lab import (
+    INTERIOR_CLAMP,
     BoundaryError,
     CostTable,
     ExplicitPolytope,
     LabConfig,
-    _partial_surrogate_terms,
     check_jensen_gap_convexity,
+    convergence_instance,
     exact_coordination,
     exact_decomposition,
     five_point_check,
@@ -25,6 +26,7 @@ from costru.simplex_lab import (
     nearest_point_in_hull_sq,
     omega_c_conjugate_check,
     partial_min_surrogate,
+    partial_surrogate_terms,
     perturbation_conjugate_check,
     random_binary_polytope,
     random_cost_table,
@@ -206,15 +208,15 @@ class TestAlternatingScheme:
         costs = random_cost_table(g, 1, 5)
         s0 = g.standard_normal(5)
         kappa = 1.0
-        traj = run_alternating_exact(costs, LabConfig(kappa, NEG, max_iters=6), s0)
+        traj = run_alternating_exact([costs], LabConfig(kappa, NEG, max_iters=6), s0[None, :])
         q1 = softmax(s0 - costs.gamma[0] / kappa)
-        np.testing.assert_allclose(traj.q_products[0][0], q1, atol=1e-12)
+        np.testing.assert_allclose(traj.q_products[0][0, 0], q1, atol=1e-12)
         q = q1
         for t in range(1, 6):
             q = softmax(np.log(q) - costs.gamma[0] / kappa)
-            np.testing.assert_allclose(traj.q_products[t][0], q, atol=1e-12)
-            assert traj.values[t] == pytest.approx(float(costs.gamma[0] @ q), abs=1e-12)
-        assert np.all(np.diff(traj.values) <= 1e-12)
+            np.testing.assert_allclose(traj.q_products[t][0, 0], q, atol=1e-12)
+            assert traj.values[t, 0] == pytest.approx(float(costs.gamma[0] @ q), abs=1e-12)
+        assert np.all(np.diff(traj.values[:, 0]) <= 1e-12)
 
     def test_identical_scenarios_stay_synchronized(self):
         """Identical cost rows keep every per-scenario distribution equal,
@@ -222,25 +224,88 @@ class TestAlternatingScheme:
         g = make_rng(44, 0).generator()
         gamma = g.standard_normal(4)
         costs = CostTable(np.stack([gamma] * 3))
-        traj = run_alternating_exact(costs, LabConfig(1.0, NEG, max_iters=6), np.zeros(4))
+        traj = run_alternating_exact([costs], LabConfig(1.0, NEG, max_iters=6),
+                                     np.zeros((1, 4)))
         for t in range(6):
+            q = traj.q_products[t][0]
             for i in (1, 2):
-                np.testing.assert_allclose(traj.q_products[t][i], traj.q_products[t][0],
-                                           atol=1e-14)
-            assert jensen_gap(traj.q_products[t], NEG) == pytest.approx(0.0, abs=1e-13)
+                np.testing.assert_allclose(q[i], q[0], atol=1e-14)
+            assert jensen_gap(q, NEG) == pytest.approx(0.0, abs=1e-13)
 
     def test_monotone_descent(self):
         g = make_rng(45, 0).generator()
         costs = random_cost_table(g, 5, 6)
-        traj = run_alternating_exact(costs, LabConfig(1.0, NEG, max_iters=300),
-                                     np.zeros(6), record_iterates=False)
-        assert np.max(np.diff(traj.values)) <= 1e-12
+        traj = run_alternating_exact([costs], LabConfig(1.0, NEG, max_iters=300),
+                                     np.zeros((1, 6)), record_iterates=False)
+        assert traj.values.shape == (300, 1) and traj.q_products == []
+        assert np.max(np.diff(traj.values, axis=0)) <= 1e-12
 
     def test_squared_l2_descent(self):
         g = make_rng(46, 0).generator()
         costs = random_cost_table(g, 4, 5, scale=0.05)
-        traj = run_alternating_exact(costs, LabConfig(1.0, L2, max_iters=100), np.zeros(5))
-        assert np.max(np.diff(traj.values)) <= 1e-12
+        traj = run_alternating_exact([costs], LabConfig(1.0, L2, max_iters=100),
+                                     np.zeros((1, 5)))
+        assert np.max(np.diff(traj.values, axis=0)) <= 1e-12
+
+
+def alternating_reference(costs, kappa, iters):
+    """One instance's alternating loop written out in full: decompose,
+    mean, clamp, log, centre, partial minimum.  Returns the values, the
+    first and final iterates and the (iteration, vertex) of every clamp."""
+    n = costs.n_scenarios
+    s = np.zeros(costs.n_vertices)
+    values, clamps, first_q = [], [], None
+    for t in range(1, iters + 1):
+        q = prediction_rows(s[None, :] - costs.gamma / kappa, NEG)
+        first_q = q if first_q is None else first_q
+        q_bar = q.mean(axis=0)
+        if q_bar.min() < INTERIOR_CLAMP:
+            clamps.append((t, int(np.argmin(q_bar))))
+        s = np.log(np.maximum(q_bar, INTERIOR_CLAMP))
+        s = s - s.mean()
+        cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / n
+        bar_value = float(value_rows(q_bar[None, :], NEG)[0])
+        values.append(cost_part + (kappa / n) * (float(value_rows(q, NEG).sum()) - n * bar_value))
+    return np.array(values), first_q, q, clamps
+
+
+class TestLockstep:
+    """A stack of instances advances in lockstep, each row bit for bit its
+    own single-instance run; instance seed 21 reaches the clamp."""
+
+    SEEDS = (20, 21, 22)
+
+    def test_rows_equal_the_per_instance_loop(self):
+        tables = [convergence_instance(seed) for seed in self.SEEDS]
+        traj = run_alternating_exact(tables, LabConfig(1.0, NEG, max_iters=500),
+                                     np.zeros((3, 6)), record_iterates=False)
+        assert traj.values.shape == (500, 3) and traj.first_q.shape == (3, 5, 6)
+        clamped = []
+        for b, costs in enumerate(tables):
+            values, first_q, final_q, clamps = alternating_reference(costs, 1.0, 500)
+            assert np.array_equal(traj.values[:, b], values)
+            assert np.array_equal(traj.first_q[b], first_q)
+            assert np.array_equal(traj.final_q[b], final_q)
+            clamped.append(bool(clamps))
+        assert clamped == [False, True, False]
+
+    def test_strict_names_the_instance(self):
+        tables = [convergence_instance(seed) for seed in self.SEEDS[:2]]
+        _, _, _, clamps = alternating_reference(tables[1], 1.0, 500)
+        iteration, vertex = clamps[0]
+        with pytest.raises(BoundaryError, match="instance 1") as err:
+            run_alternating_exact(tables, LabConfig(1.0, NEG, max_iters=500),
+                                  np.zeros((2, 6)), strict=True)
+        assert (err.value.instance, err.value.vertex, err.value.iteration) == (1, vertex,
+                                                                                iteration)
+
+    def test_mismatched_shapes_rejected(self):
+        g = make_rng(49, 0).generator()
+        tables = [random_cost_table(g, 5, 6), random_cost_table(g, 4, 6)]
+        with pytest.raises(InputError, match="one \\(N, K\\) shape"):
+            run_alternating_exact(tables, LabConfig(1.0, NEG), np.zeros((2, 6)))
+        with pytest.raises(InputError, match="one score row per instance"):
+            run_alternating_exact(tables[:1], LabConfig(1.0, NEG), np.zeros(6))
 
 
 class TestFivePoint:
@@ -310,10 +375,10 @@ class TestRiskBound:
         poly = random_binary_polytope(make_rng(52, 0).generator(), 3, 4)
         costs = CostTable(np.zeros((3, 4)))
         theta = np.array([0.3, -0.2, 0.5])
-        risks, partials = _partial_surrogate_terms(poly.lift_scores(theta), costs, 1.0, NEG)
+        risks, partials = partial_surrogate_terms(poly.lift_scores(theta), costs, 1.0, NEG)
         np.testing.assert_allclose(risks, 0.0, atol=1e-15)
         np.testing.assert_allclose(partials, 0.0, atol=1e-15)
-        assert risk_bound_check(theta, poly, costs, 1.0, NEG) == pytest.approx(0.0, abs=1e-15)
+        assert risk_bound_check((risks, partials), costs, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_large_kappa_limit(self):
         g = make_rng(53, 0).generator()
@@ -322,10 +387,10 @@ class TestRiskBound:
         theta = g.standard_normal(3)
         gaps = []
         for kappa in (1.0, 10.0, 100.0):
-            risks, partials = _partial_surrogate_terms(poly.lift_scores(theta), costs,
-                                                       kappa, NEG)
+            risks, partials = partial_surrogate_terms(poly.lift_scores(theta), costs,
+                                                      kappa, NEG)
             gaps.append(abs(partials.mean() - risks.mean()))
-            assert risk_bound_check(theta, poly, costs, kappa, NEG) >= -1e-12
+            assert risk_bound_check((risks, partials), costs, kappa) >= -1e-12
         assert gaps[2] < gaps[1] < gaps[0]
 
     def test_random_instances_hold(self):
@@ -335,7 +400,8 @@ class TestRiskBound:
             costs = random_cost_table(g, 3, 6)
             theta = g.standard_normal(4)
             for kappa in (0.5, 1.0, 5.0):
-                assert risk_bound_check(theta, poly, costs, kappa, NEG) >= -1e-12
+                terms = partial_surrogate_terms(poly.lift_scores(theta), costs, kappa, NEG)
+                assert risk_bound_check(terms, costs, kappa) >= -1e-12
 
 
 class TestConjugateCheck:
