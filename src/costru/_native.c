@@ -1,10 +1,12 @@
 /* Native library of costru: the compiled Kruskal kernel, one entry per
  * spanning-tree oracle question, and numpy's SeedSequence state words.
  *
- * Every Kruskal entry runs the rule of spanning_tree._kruskal_rows_py on
- * keys it builds from the oracle's own inputs: per row, take the edges whose
- * key is < +inf (never +inf or NaN) in increasing key order, ties to the
- * lower index (-0.0 == 0.0), skip cycles, stop at n_nodes - 1 edges.
+ * Every Kruskal entry runs the rule of kruskal_rows_py, the Python
+ * reference in tests/kruskal_reference.py that the property tests compare
+ * each entry with byte for byte, on keys it builds from the oracle's own
+ * inputs: per row, take the edges whose key is < +inf (never +inf or NaN)
+ * in increasing key order, ties to the lower index (-0.0 == 0.0), skip
+ * cycles, stop at n_nodes - 1 edges.
  *
  *   forest_rows      w (m, E); key -w where w > 0.  Writes the 0/1 rows of
  *                    the chosen edges.  A non-finite weight is an error.
@@ -35,10 +37,10 @@
  * Every Kruskal entry returns a negative status on error (see below), with
  * its output rows unspecified.
  *
- *   seed_state       the four uint64 words of numpy's
- *                    SeedSequence(entropy[0], spawn_key=entropy[1:n])
- *                    .generate_state(4, np.uint64), for n >= 1 uint32
- *                    words: a one-word seed, then the spawn key.
+ *   seed_state       the four uint64 words of numpy's SeedSequence
+ *                    .generate_state(4, np.uint64) for its n assembled
+ *                    entropy words (uint32), which native.seed_state
+ *                    assembles as SeedSequence.get_assembled_entropy does.
  */
 #include <math.h>
 #include <stdint.h>
@@ -274,15 +276,15 @@ static uint32_t mix(uint32_t x, uint32_t y) {
 }
 
 void seed_state(const uint32_t *entropy, int64_t n, uint64_t *state) {
-    /* The assembled entropy is the seed word, zeros up to the pool size
-     * (numpy pads a short seed when a spawn key follows, and hashes zeros
-     * into a pool that the entropy does not fill), then the key words. */
+    /* mix_entropy: hash the first words into the pool (zeros where the
+     * entropy is shorter than the pool), mix the pool, then mix in each
+     * remaining word. */
     uint32_t pool[POOL], hash_const = INIT_A;
-    for (int i = 0; i < POOL; i++) pool[i] = hashmix(i == 0 ? entropy[0] : 0, &hash_const);
+    for (int i = 0; i < POOL; i++) pool[i] = hashmix(i < n ? entropy[i] : 0, &hash_const);
     for (int src = 0; src < POOL; src++)
         for (int dst = 0; dst < POOL; dst++)
             if (src != dst) pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
-    for (int64_t src = 1; src < n; src++)
+    for (int64_t src = POOL; src < n; src++)
         for (int dst = 0; dst < POOL; dst++)
             pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash_const));
     uint32_t words[2 * POOL];

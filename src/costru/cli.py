@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: generate, train, verify, sweep-epsilon, evaluate.
-Exit codes: 0 ok, 1 verification failure, 2 usage/config error, 3 IO error,
-4 internal error (a non-finite gradient, a disconnected graph or an iterate
-on the simplex boundary).
+Exit codes: 0 ok, 1 verification failure, 2 usage/config error (a negative
+seed, an unreadable weights file included), 3 IO error, 4 internal error (a
+non-finite gradient, a disconnected graph, an iterate on the simplex
+boundary, or a native library that the C compiler ``cc`` failed to build or
+that failed to load).
 Every command is deterministic given (config, seed); all CSVs carry a
 comment line recording the config hash and seed, then a header row.
 """
@@ -21,12 +23,14 @@ import os
 import sys
 import time
 import typing
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, experiments, simplex_lab, verification
 from .core import CheckRow, InputError
+from .native import NativeLibraryError
 from .problems import datasets as ds
 from .problems.spanning_tree import InfeasibleError, MstEvaluator, MstOracle
 from .problems.toy import ToyEvaluator, ToyOracle, toy_dataset
@@ -119,6 +123,8 @@ def load_config(path: str | None) -> dict[str, dict]:
         merged = dict(defaults)
         merged.update(cfg.get(section, {}))
         cfg[section] = merged
+    if cfg["run"]["seed"] < 0:
+        raise ConfigError(f"run.seed must be >= 0, not {cfg['run']['seed']}")
     kind = cfg["problem"]["kind"]
     if kind not in ("toy", "mst"):
         raise ConfigError(f"problem.kind must be toy or mst, not {kind!r}")
@@ -162,6 +168,36 @@ def write_csv(path: Path, header: list[str], rows: list[list], chash: str, seed:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _run_setup(args: argparse.Namespace) -> tuple[dict[str, dict], int, str]:
+    """A command's config, its seed (``--seed``, else ``[run] seed``; a
+    random stream has no negative seed) and the config hash."""
+    cfg = load_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, not {args.seed}")
+    seed = cfg["run"]["seed"] if args.seed is None else args.seed
+    return cfg, seed, config_hash(cfg)
+
+
+def _load_weights(path: str, width: int) -> np.ndarray:
+    """The ``final_average`` array of an npz file, else its ``weights``: a
+    finite 1-D array with one entry per feature."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("an npy array, not an npz archive")
+        with data:
+            key = next(k for k in ("final_average", "weights") if k in data.files)
+            w = data[key]
+    except StopIteration:
+        raise ConfigError(f"{path} holds neither final_average nor weights") from None
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"cannot read weights from {path}: {exc}") from exc
+    if w.shape != (width,) or w.dtype.kind not in "iuf" or not np.isfinite(w).all():
+        raise ConfigError(f"the {key} in {path} must be {width} finite numbers, one per "
+                          f"feature; it is a {w.dtype} array of shape {w.shape}")
+    return w.astype(float)
+
+
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
     return TrainConfig(**cfg["train"], seed=seed)
 
@@ -199,9 +235,7 @@ def _save_by_context(path: Path, solutions: dict[int, np.ndarray]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    chash = config_hash(cfg)
+    cfg, seed, chash = _run_setup(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg["problem"]["kind"] == "toy":
@@ -305,9 +339,7 @@ def _train_mst(args, cfg, seed, chash, out: Path) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    chash = config_hash(cfg)
+    cfg, seed, chash = _run_setup(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if cfg["problem"]["kind"] == "toy":
@@ -319,26 +351,18 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    chash = config_hash(cfg)
+    cfg, seed, chash = _run_setup(args)
     if cfg["problem"]["kind"] != "toy" and args.data is None:
         log.error("--data is required for the spanning-tree problem")
         return EXIT_USAGE
-    with np.load(args.weights) as data:
-        if "final_average" in data:
-            w = data["final_average"]
-        elif "weights" in data:
-            w = data["weights"]
-        else:
-            raise InputError(f"{args.weights} holds neither final_average nor weights")
     if cfg["problem"]["kind"] == "toy":
         dataset, oracle, evaluator = toy_dataset(), ToyOracle(), ToyEvaluator()
     else:
         instances, dataset = ds.load_split(Path(args.data) / f"{args.split}.npz")
         oracle = MstOracle(instances[0].rows, instances[0].cols)
         evaluator = MstEvaluator(oracle)
-    cost, gap = evaluate_policy(np.atleast_1d(w), dataset, oracle, evaluator)
+    w = _load_weights(args.weights, dataset.feature_width)
+    cost, gap = evaluate_policy(w, dataset, oracle, evaluator)
     write_csv(Path(args.out), ["split", "mean_cost", "mean_gap"],
               [[args.split, cost, gap]], chash, seed)
     return EXIT_OK
@@ -402,9 +426,7 @@ def _write_verify_trace(suite: str, cfg: dict, seed: int, out: Path, chash: str)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    chash = config_hash(cfg)
+    cfg, seed, chash = _run_setup(args)
     rows = run_verify_suite(args.suite, cfg, seed)
     out = Path(args.out) if args.out else Path(f"verify_{args.suite}.csv")
     write_csv(out, CheckRow.csv_header(), [r.csv_row() for r in rows], chash, seed)
@@ -418,9 +440,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    chash = config_hash(cfg)
+    cfg, seed, chash = _run_setup(args)
     overrides = {key: value for key, value in cfg["train"].items() if key != "epsilon"}
     results = experiments.run_toy_epsilon_sweep(
         _sweep_epsilons(cfg), cfg["sweep"]["nb_seeds"], base_seed=seed, **overrides)
@@ -502,7 +522,8 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         print(f"costru: io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FloatingPointError, InfeasibleError, simplex_lab.BoundaryError) as exc:
+    except (FloatingPointError, InfeasibleError, simplex_lab.BoundaryError,
+            NativeLibraryError) as exc:
         log.error("%s: %s", type(exc).__name__, exc)
         print(f"costru: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -130,12 +130,12 @@ class RngStream:
 
     Identical (seed, stream_id, path) always reproduce identical draw
     sequences; distinct ids give statistically independent streams.  The
-    stream is numpy's ``default_rng(SeedSequence(seed, spawn_key=(stream_id,
-    *path)))`` bit for bit; the native library computes its PCG64 state
-    when it is loaded.  ``generator()`` returns a fresh generator each call,
-    so two calls on the same stream see the same draws -- this is what
-    makes common-random-number estimator pairing and processing-order
-    independence trivial.
+    stream is numpy's default generator seeded by the seed sequence of
+    ``seed`` with spawn key ``(stream_id, *path)``, bit for bit; the native
+    library computes its PCG64 state.  ``generator()`` returns a fresh
+    generator each call, so two calls on the same stream see the same draws
+    -- this is what makes common-random-number estimator pairing and
+    processing-order independence trivial.
     """
 
     seed: int
@@ -143,10 +143,7 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def generator(self) -> np.random.Generator:
-        key = (self.stream_id, *self.path)
-        words = native.seed_state(self.seed, key)
-        if words is None:
-            return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+        words = native.seed_state(self.seed, (self.stream_id, *self.path))
         _register_state_words()
         return np.random.Generator(np.random.PCG64(_StateWords(words)))
 

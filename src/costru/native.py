@@ -1,10 +1,10 @@
-"""The package's native library: ``_native.c`` built with the local C
-compiler on first use and loaded through ctypes.
+"""The package's native library: ``_native.c`` built with the C compiler
+``cc`` on first use and loaded through ctypes.
 
-One source, one shared library and one fallback decision for every caller:
-``_compiled_kernel()`` is None when the build or the load fails, and each
-caller then runs its Python reference, which gives the same outputs.
-Nothing here runs at import time.
+The library is the only implementation of the spanning-tree oracles and of
+stream seeding, so ``cc`` is required: ``_compiled_kernel()`` raises
+``NativeLibraryError`` when the build or the load fails.  Nothing here runs
+at import time.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ import numpy as np
 # -ffp-contract=off forbids fused multiply-adds, so that theta + eps * z
 # rounds twice, as numpy's two array operations round it.
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# numpy's SeedSequence pool size, in 32-bit words.
+_POOL = 4
+
+
+class NativeLibraryError(RuntimeError):
+    """The native library could not be built with ``cc`` or loaded."""
 
 
 def _build_kernel() -> Path:
@@ -57,14 +63,20 @@ def _build_kernel() -> Path:
 
 @functools.cache
 def _compiled_kernel():
-    """The library through ctypes, built and loaded on first use; None when
-    that fails."""
+    """The library through ctypes, built and loaded on first use.  Raises
+    ``NativeLibraryError`` when ``cc`` is missing, fails or times out, when
+    the cache is not writable, or when the library does not load; the
+    message ends with the compiler's last lines of standard error."""
     import subprocess
 
     try:
         lib = ctypes.CDLL(str(_build_kernel()))
-    except (OSError, subprocess.SubprocessError):
-        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        stderr = getattr(exc, "stderr", None) or b""
+        tail = stderr.decode(errors="replace").strip().splitlines()[-5:]
+        raise NativeLibraryError("\n".join(
+            [f"cannot build the native library with the C compiler cc, or load it: {exc}",
+             *tail])) from exc
     ptr, size, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     for name, argtypes, restype in (
         ("forest_rows", [ptr, ptr, size, size, size, ptr], size),
@@ -86,24 +98,46 @@ def doubles(n: int) -> tuple[ctypes.Array, np.ndarray]:
     return buffer, np.frombuffer(buffer)
 
 
-def seed_state(seed: int, spawn_key: tuple[int, ...]) -> np.ndarray | None:
-    """``SeedSequence(seed, spawn_key=spawn_key).generate_state(4, np.uint64)``
-    from the library, bit for bit; None when the library is not loaded or
-    the seed or a key entry lies outside [0, 2**32)."""
-    kernel = _compiled_kernel()
-    if kernel is None:
-        return None
-    n = len(spawn_key) + 1
+def seed_state(seed: int, spawn_key: tuple[int, ...]) -> np.ndarray:
+    """The state words ``generate_state(4, np.uint64)`` of numpy's seed
+    sequence of ``seed`` and ``spawn_key``, bit for bit, computed by the
+    library.  The seed and key entries are non-negative ints: a negative one
+    raises ``ValueError`` and one that is not an int ``TypeError``, as numpy
+    does."""
     try:
-        entropy = _uint32_words(n)(seed, *spawn_key)
+        entropy = _short_entropy(len(spawn_key))(seed, *spawn_key)
     except struct.error:
-        return None
+        entropy = _assembled_entropy(seed, spawn_key)
     state = (ctypes.c_uint64 * 4)()
-    kernel.seed_state(entropy, n, state)
+    _compiled_kernel().seed_state(entropy, len(entropy) // 4, state)
     return np.frombuffer(state, dtype=np.uint64)
 
 
 @functools.cache
-def _uint32_words(n: int):
-    """Packs n integers in [0, 2**32) as native uint32 words."""
-    return struct.Struct(f"={n}I").pack
+def _short_entropy(n_key: int):
+    """Packs a seed and n_key key entries, each in [0, 2**32), as their
+    assembled entropy words: the seed, zero-padded to the pool size when a
+    key follows, then the key."""
+    return struct.Struct(f"=I{4 * (_POOL - 1)}x{n_key}I" if n_key else "=I").pack
+
+
+def _assembled_entropy(seed: int, spawn_key: tuple[int, ...]) -> bytes:
+    """numpy's ``SeedSequence.get_assembled_entropy`` as native uint32 words:
+    each int as its little-endian 32-bit words, the seed's zero-padded to the
+    pool size when a key follows."""
+    run = _words(seed)
+    key = [word for entry in spawn_key for word in _words(entry)]
+    if key:
+        run += [0] * (_POOL - len(run))
+    words = run + key
+    return struct.pack(f"={len(words)}I", *words)
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int; [0] for 0."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"seed must be integer, not {value!r}")
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    value = int(value)
+    return [value >> shift & 0xFFFFFFFF for shift in range(0, value.bit_length() or 1, 32)]

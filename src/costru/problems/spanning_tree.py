@@ -6,6 +6,13 @@ problem reduces to one minimum spanning tree under the per-edge minimum of
 the (shifted) stage costs, because y + z must form a spanning tree and any
 sub-forest of a tree is feasible as its first stage; stage attribution per
 chosen edge goes to the cheaper stage, ties to stage one.
+
+Every oracle question -- forest argmax, perturbed forest statistics,
+two-stage split, second-stage completion -- is one call into the compiled
+Kruskal kernel of ``costru.native``; there is no second implementation.
+The Python functions here check shapes and dtypes, and read the kernel's
+output buffers.  ``is_forest`` and the exhaustive enumerators at the end are
+independent references for verification.
 """
 
 from __future__ import annotations
@@ -44,44 +51,16 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _kruskal_rows_py(keys: np.ndarray, edges: np.ndarray, n_nodes: int) -> list[list[int]]:
-    """Greedy acyclic edge selection, one pass per row of the (m, E) ``keys``.
-
-    Every spanning-tree oracle is this loop under its own keys: edges are
-    taken in increasing key order, ties to the lower index, skipping cycles;
-    an edge whose key is +inf (or NaN) is never taken, and a row stops at
-    n_nodes - 1 edges.  Returns each row's chosen edges in selection order.
-    The compiled kernel (``costru/_native.c``) follows the same rules; this loop
-    and the ``_*_py`` oracle paths around it are its reference and the
-    fallback when it cannot be built.
-    """
-    orders = np.argsort(keys, axis=1, kind="stable").tolist()
-    takeable = (keys < np.inf).sum(axis=1).tolist()
-    pairs = edges.tolist()
-    limit = n_nodes - 1
-    rows = []
-    for order, count in zip(orders, takeable):
-        parent = list(range(n_nodes))
-        chosen = []
-        for e in order[:count]:
-            u, v = pairs[e]
-            ru = _find(parent, u)
-            rv = _find(parent, v)
-            if ru != rv:
-                parent[ru] = rv
-                chosen.append(e)
-                if len(chosen) == limit:
-                    break
-        rows.append(chosen)
-    return rows
-
-
 _DISCONNECTED = "graph is disconnected"
 _NO_COMPLETION = "graph is disconnected; no spanning completion"
 
 
-def _raise_status(status: int, disconnected: str = _DISCONNECTED) -> None:
-    """Raise what a negative status of the kernel (see ``_native.c``) means."""
+def _kernel(entry: str, *args, disconnected: str = _DISCONNECTED) -> int:
+    """Call an entry of the Kruskal kernel; raise what a negative status
+    (see ``_native.c``) means."""
+    status = getattr(native._compiled_kernel(), entry)(*args)
+    if status >= 0:
+        return status
     if status == -1:
         raise MemoryError("no workspace for the Kruskal kernel")
     if status == -2:
@@ -110,25 +89,6 @@ def _rows(values, n_edges: int, n_nodes: int) -> np.ndarray:
     return rows
 
 
-def _picks_py(keys: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
-    """``_kruskal_rows_py`` as an (m, n_nodes) int64 array: row r holds its
-    chosen edges in selection order, then zeros, and its count in the last
-    column."""
-    out = np.zeros((keys.shape[0], n_nodes), dtype=np.int64)
-    for row, chosen in zip(out, _kruskal_rows_py(keys, edges, n_nodes)):
-        row[:len(chosen)] = chosen
-        row[-1] = len(chosen)
-    return out
-
-
-def _indicators(picks: np.ndarray, n_edges: int) -> np.ndarray:
-    """0/1 rows of the edges that each row of ``_picks_py`` chose."""
-    chosen = np.arange(picks.shape[1] - 1) < picks[:, -1:]
-    out = np.zeros((picks.shape[0], n_edges))
-    out[np.nonzero(chosen)[0], picks[:, :-1][chosen]] = 1.0
-    return out
-
-
 def is_forest(y: np.ndarray, edges: np.ndarray, n_nodes: int) -> bool:
     """Whether the edges with y > 0.5 are acyclic; y has one entry per edge."""
     _check_edges(edges)
@@ -146,25 +106,12 @@ def is_forest(y: np.ndarray, edges: np.ndarray, n_nodes: int) -> bool:
     return True
 
 
-def _max_weight_forests_py(w: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Reference and fallback of ``max_weight_forests``."""
-    if not np.isfinite(w).all():
-        raise InputError("weights must be finite")
-    keys = np.where(w > 0.0, -w, np.inf)
-    return _indicators(_picks_py(keys, edges, n_nodes), w.shape[1])
-
-
-def _forests(w: np.ndarray, edges: np.ndarray, ends: int, n_nodes: int) -> np.ndarray:
+def _forests(w: np.ndarray, ends: int, n_nodes: int) -> np.ndarray:
     """``max_weight_forests`` of checked rows; ``ends`` is the address of
-    ``edges``."""
-    kernel = native._compiled_kernel()
-    if kernel is None:
-        return _max_weight_forests_py(w, edges, n_nodes)
+    the checked edge array."""
     out = np.empty(w.shape)
-    status = kernel.forest_rows(w.ctypes.data, ends, w.shape[0], w.shape[1], n_nodes,
-                                out.ctypes.data)
-    if status < 0:
-        _raise_status(status)
+    _kernel("forest_rows", w.ctypes.data, ends, w.shape[0], w.shape[1], n_nodes,
+            out.ctypes.data)
     return out
 
 
@@ -173,7 +120,7 @@ def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> 
     greedy by decreasing weight, ties by index, skipping cycles and edges
     with weight <= 0."""
     _check_edges(edges)
-    return _forests(_rows(weights, len(edges), n_nodes), edges, edges.ctypes.data, n_nodes)
+    return _forests(_rows(weights, len(edges), n_nodes), edges.ctypes.data, n_nodes)
 
 
 def _tilt_inputs(theta, z, n_edges: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,22 +134,14 @@ def _tilt_inputs(theta, z, n_edges: int, n_nodes: int) -> tuple[np.ndarray, np.n
     return theta, z
 
 
-def _perturbed_forests(
-    theta: np.ndarray, z: np.ndarray, eps: float, edges: np.ndarray, ends: int, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _perturbed_forests(theta: np.ndarray, z: np.ndarray, eps: float, ends: int,
+                       n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """``perturbed_forest_stats`` of checked inputs; ``ends`` is the address
-    of ``edges``."""
-    kernel = native._compiled_kernel()
-    if kernel is None:
-        tilted = theta[None, :] + eps * z
-        ys = _max_weight_forests_py(tilted, edges, n_nodes)
-        return np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)
+    of the checked edge array."""
     m, n_edges = z.shape
     buffer, out = native.doubles(n_edges + m)  # the counts, then the row values
-    status = kernel.perturbed_forest_rows(theta.ctypes.data, z.ctypes.data, eps, ends, m,
-                                          n_edges, n_nodes, buffer)
-    if status < 0:
-        _raise_status(status)
+    _kernel("perturbed_forest_rows", theta.ctypes.data, z.ctypes.data, eps, ends, m, n_edges,
+            n_nodes, buffer)
     return out[n_edges:], out[:n_edges] / m
 
 
@@ -218,30 +157,8 @@ def perturbed_forest_stats(
     last bits.  A non-finite tilt raises ``InputError``.
     """
     _check_edges(edges)
-    return _perturbed_forests(*_tilt_inputs(theta, z, len(edges), n_nodes), eps, edges,
+    return _perturbed_forests(*_tilt_inputs(theta, z, len(edges), n_nodes), eps,
                               edges.ctypes.data, n_nodes)
-
-
-def _completions_py(
-    y: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference and fallback of ``_completions``."""
-    in_y = y > 0.5
-    picks = _picks_py(np.where(in_y, -np.inf, d), edges, n_nodes)
-    n_first = int(np.count_nonzero(in_y))
-    chosen, counts = picks[:, :-1], picks[:, -1]
-    taken = np.arange(n_nodes - 1) < counts[:, None]
-    taken_y = np.zeros(chosen.shape, dtype=bool)
-    taken_y[taken] = in_y[chosen[taken]]  # no padding index reaches in_y, even when E = 0
-    if (taken_y.sum(axis=1) != n_first).any():
-        raise InputError("first-stage selection contains a cycle")
-    if (counts != n_nodes - 1).any():
-        raise InfeasibleError(_NO_COMPLETION)
-    rows = np.arange(d.shape[0])[:, None]
-    completion = chosen[:, n_first:]
-    z = np.zeros(d.shape)
-    z[rows, completion] = 1.0
-    return d[rows, completion], z
 
 
 def _completions(
@@ -251,19 +168,14 @@ def _completions(
     (K, E) second-stage costs d: a C-contiguous (K, L) array of the costs of
     each row's completion edges in selection order, and their (K, E) 0/1
     rows."""
-    kernel = native._compiled_kernel()
-    if kernel is None:
-        return _completions_py(y, d, edges, n_nodes)
     k, n_edges = d.shape
     # One buffer: the (K, L) costs packed from its start, L = n_nodes - 1 -
     # n_first being known only after the call, and the (K, E) rows of z
     # after the K * (n_nodes - 1) entries that L can reach.
     out = np.empty(k * (n_nodes - 1 + n_edges))
-    status = kernel.completion_rows(y.ctypes.data, d.ctypes.data, edges.ctypes.data, k,
-                                    n_edges, n_nodes, out.ctypes.data)
-    if status < 0:
-        _raise_status(status, _NO_COMPLETION)
-    width = max(n_nodes - 1 - status, 0)  # a y with n_nodes or more edges meets no row
+    n_first = _kernel("completion_rows", y.ctypes.data, d.ctypes.data, edges.ctypes.data, k,
+                      n_edges, n_nodes, out.ctypes.data, disconnected=_NO_COMPLETION)
+    width = max(n_nodes - 1 - n_first, 0)  # a y with n_nodes or more edges meets no row
     return out[:k * width].reshape(k, width), out[k * (n_nodes - 1):].reshape(k, n_edges)
 
 
@@ -292,34 +204,16 @@ def second_stage_value(
     return values, z
 
 
-def _two_stage_splits_py(
-    eff: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference and fallback of ``two_stage_splits``."""
-    picks = _picks_py(np.minimum(eff, d), edges, n_nodes)
-    if (picks[:, -1] != n_nodes - 1).any():
-        raise InfeasibleError(_DISCONNECTED)
-    tree = _indicators(picks, eff.shape[1])
-    y = tree * (eff <= d)
-    return y, tree - y
-
-
-def _splits(
-    eff: np.ndarray, second: np.ndarray, edges: np.ndarray, ends: int, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``two_stage_splits`` of checked rows; ``ends`` is the address of
-    ``edges``."""
+def _splits(eff: np.ndarray, second: np.ndarray, ends: int,
+            n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """``two_stage_splits`` of checked rows; ``ends`` is the address of the
+    checked edge array."""
     d = np.ascontiguousarray(second, dtype=np.float64)
     if d.shape != eff.shape and d.shape != eff.shape[1:]:
         raise InputError("second-stage costs need shape (E,) or (m, E)")
-    kernel = native._compiled_kernel()
-    if kernel is None:
-        return _two_stage_splits_py(eff, d, edges, n_nodes)
     yz = np.empty((2, *eff.shape))  # y rows, then z rows: one buffer to pass
-    status = kernel.split_rows(eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1),
-                               ends, eff.shape[0], eff.shape[1], n_nodes, yz.ctypes.data)
-    if status < 0:
-        _raise_status(status)
+    _kernel("split_rows", eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1), ends,
+            eff.shape[0], eff.shape[1], n_nodes, yz.ctypes.data)
     return yz[0], yz[1]
 
 
@@ -330,8 +224,7 @@ def two_stage_splits(
     costs against second-stage costs: one (E,) vector for every row, or an
     (m, E) array, row by row."""
     _check_edges(edges)
-    return _splits(_rows(eff, len(edges), n_nodes), second, edges, edges.ctypes.data,
-                   n_nodes)
+    return _splits(_rows(eff, len(edges), n_nodes), second, edges.ctypes.data, n_nodes)
 
 
 def two_stage_mst_split(
@@ -418,8 +311,7 @@ class MstOracle(LinearOracle):
         self._ends = self.edges.ctypes.data
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return _forests(_rows(thetas, self.n_edges, self.n_nodes), self.edges, self._ends,
-                        self.n_nodes)
+        return _forests(_rows(thetas, self.n_edges, self.n_nodes), self._ends, self.n_nodes)
 
     def perturbed_stats(
         self, theta: np.ndarray, z: np.ndarray, eps: float
@@ -428,7 +320,7 @@ class MstOracle(LinearOracle):
         <theta + eps z_r | y_r> and the mean of the maximizers y_r of the
         tilts, in one kernel call (see ``perturbed_forest_stats``)."""
         theta, z = _tilt_inputs(theta, z, self.n_edges, self.n_nodes)
-        return _perturbed_forests(theta, z, eps, self.edges, self._ends, self.n_nodes)
+        return _perturbed_forests(theta, z, eps, self._ends, self.n_nodes)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         """First stages of the two-stage splits under c - kappa * theta_tilde,
@@ -438,7 +330,7 @@ class MstOracle(LinearOracle):
             raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
         eff = payload.first_stage[None, :] - kappa * np.asarray(theta_tildes, dtype=float)
         y, _ = _splits(_rows(eff, self.n_edges, self.n_nodes), payload.second_stage,
-                       self.edges, self._ends, self.n_nodes)
+                       self._ends, self.n_nodes)
         return y
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from costru import cli, experiments, simplex_lab
+from costru import cli, experiments, native, simplex_lab
 from costru.baselines import SaaConfig
 from costru.core import CheckRow, make_rng
 from costru.problems.datasets import GenConfig
@@ -295,6 +295,29 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--config", mst_config, "--weights", str(weights),
                          "--data", mst_data, "--out", str(tmp_path / "eval.csv")]) == 2
 
+    @pytest.mark.parametrize("write", [
+        lambda path, p: path.write_text("not an archive"),
+        lambda path, p: path.write_bytes(b""),
+        lambda path, p: path.write_bytes(b"PK\x03\x04 a broken zip"),
+        lambda path, p: np.save(path.with_suffix(".npy"), np.zeros(p))
+        or path.with_suffix(".npy").rename(path),
+        lambda path, p: np.savez(path, weights=np.zeros((1, p))),
+        lambda path, p: np.savez(path, weights=np.zeros(p + 1)),
+        lambda path, p: np.savez(path, weights=np.full(p, np.nan)),
+        lambda path, p: np.savez(path, final_average=np.array(["1"] * p), weights=np.zeros(p)),
+    ], ids=["text", "empty", "broken-zip", "npy", "2-d", "too-wide", "nan", "strings"])
+    def test_unusable_weights_exit_two(self, tmp_path, mst_config, mst_data, capsys, write):
+        """The weights file is validated before any policy is evaluated."""
+        with np.load(Path(mst_data) / "test.npz") as split:
+            width = split["features"].shape[-1]
+        weights = tmp_path / "weights.npz"
+        write(weights, width)
+        out = tmp_path / "eval.csv"
+        assert cli.main(["evaluate", "--config", mst_config, "--weights", str(weights),
+                         "--data", mst_data, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_jensen_gap_suite_passes(self, tmp_path, toy_config):
@@ -367,6 +390,39 @@ class TestVerify:
         rows = read_rows(tmp_path / "report_trace.csv")
         assert rows[0] == ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"]
         assert rows[1:] == expected
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        """numpy's seed sequences take no negative seed; neither does the CLI,
+        from the command line or from the config."""
+        out = tmp_path / "report.csv"
+        assert cli.main(["verify", "conjugates", "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        cfg = tmp_path / "v.ini"
+        cfg.write_text("[run]\nseed = -3\n")
+        assert cli.main(["verify", "conjugates", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "run.seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_native_build_exits_four(self, tmp_path, monkeypatch, capsys, request):
+        """A compiler that fails: exit 4, with a message that names cc and
+        ends with the compiler's standard error."""
+        compiler = tmp_path / "bin" / "cc"
+        compiler.parent.mkdir()
+        compiler.write_text("#!/bin/sh\necho 'kernel.c:1: error: no registers' >&2\nexit 1\n")
+        compiler.chmod(0o755)
+        monkeypatch.setenv("PATH", str(compiler.parent))
+        # Build into an empty cache, and load the real library after the test.
+        monkeypatch.setattr(native, "__file__", str(tmp_path / "costru" / "native.py"))
+        (tmp_path / "costru").mkdir()
+        request.addfinalizer(native._compiled_kernel.cache_clear)
+        native._compiled_kernel.cache_clear()
+        out = tmp_path / "report.csv"
+        assert cli.main(["verify", "conjugates", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "internal error: NativeLibraryError" in err
+        assert "C compiler cc" in err
+        assert err.rstrip().endswith("kernel.c:1: error: no registers")
+        assert not out.exists()
 
     def test_io_failure_exits_three(self, tmp_path):
         cfg = tmp_path / "v.ini"

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from costru import native
@@ -62,6 +62,10 @@ class TestRngStream:
 # Seed and spawn-key words: 0, small values, and any value up to 2**32 - 1.
 _WORDS = st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1]), st.integers(0, 9),
                    st.integers(0, 2 ** 32 - 1))
+# Wider ints, which numpy splits into two or three words: the edges of each
+# word count, and any value up to 2**96.
+_WIDE = st.one_of(_WORDS, st.integers(0, 2 ** 96),
+                  st.sampled_from([2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 96 - 1, 2 ** 96]))
 
 
 def _numpy_stream(seed, stream_id, path):
@@ -74,11 +78,22 @@ def _assert_same_stream(got: np.random.Generator, expected: np.random.Generator)
     assert got.integers(0, 2 ** 62, 4).tobytes() == expected.integers(0, 2 ** 62, 4).tobytes()
 
 
+def _assert_numpy_words(seed, stream_id, path):
+    """The library's state words and the stream's draws are numpy's."""
+    key = (stream_id, *path)
+    words = native.seed_state(seed, key)
+    expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+    assert words.dtype == np.uint64
+    assert words.tobytes() == expected.tobytes()
+    _assert_same_stream(RngStream(seed, stream_id, tuple(path)).generator(),
+                        _numpy_stream(seed, stream_id, path))
+
+
 @pytest.fixture
 def no_library(monkeypatch, request):
     """Make the native library fail to build; it is loaded again after the test."""
     def build():
-        raise FileNotFoundError("cc")
+        raise FileNotFoundError("No such file or directory: 'cc'")
 
     request.addfinalizer(native._compiled_kernel.cache_clear)
     monkeypatch.setattr(native, "_build_kernel", build)
@@ -87,28 +102,24 @@ def no_library(monkeypatch, request):
 
 class TestNativeSeedState:
     """``RngStream.generator`` is numpy's SeedSequence stream bit for bit,
-    whether the library computes the state or numpy does."""
+    its state computed by the library for any non-negative seed and key."""
 
     @settings(max_examples=300, deadline=None)
     @given(_WORDS, _WORDS, st.lists(_WORDS, max_size=6))
     def test_words_and_draws_equal_numpy(self, seed, stream_id, path):
-        if native._compiled_kernel() is None:
-            pytest.skip("no C compiler: numpy computes the state")
-        key = (stream_id, *path)
-        words = native.seed_state(seed, key)
-        expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
-        assert words.dtype == np.uint64
-        assert words.tobytes() == expected.tobytes()
-        _assert_same_stream(RngStream(seed, stream_id, tuple(path)).generator(),
-                            _numpy_stream(seed, stream_id, path))
+        _assert_numpy_words(seed, stream_id, path)
 
-    @pytest.mark.parametrize("seed, stream_id, path", [
-        (2 ** 32, 0, ()), (1, 2 ** 32, ()), (1, 0, (3, 2 ** 40)), (2 ** 64 + 5, 7, (1, 2)),
-    ])
-    def test_wide_words_fall_back_to_numpy(self, seed, stream_id, path):
-        assert native.seed_state(seed, (stream_id, *path)) is None
-        _assert_same_stream(RngStream(seed, stream_id, path).generator(),
-                            _numpy_stream(seed, stream_id, path))
+    @settings(max_examples=300, deadline=None)
+    @given(_WIDE, _WIDE, st.lists(_WIDE, max_size=6))
+    @example(2 ** 32, 0, []).via("a two-word seed")
+    @example(1, 2 ** 32, []).via("a two-word stream id")
+    @example(1, 0, [3, 2 ** 40]).via("a two-word path entry")
+    @example(2 ** 64 + 5, 7, [1, 2]).via("a three-word seed")
+    @example(2 ** 96 + 1, 2 ** 64, [2 ** 95, 0]).via("four, three and three words")
+    def test_wide_words_equal_numpy(self, seed, stream_id, path):
+        """Ints of more than 32 bits, which numpy splits into words and whose
+        seed words fill numpy's pool of four or run past it."""
+        _assert_numpy_words(seed, stream_id, path)
 
     @pytest.mark.parametrize("seed, path", [(-1, ()), (1, (-2,)), (1.5, ())])
     def test_invalid_words_raise_as_numpy_does(self, seed, path):
@@ -117,12 +128,11 @@ class TestNativeSeedState:
         with pytest.raises(numpy_error.type):
             RngStream(seed, 0, path).generator()
 
-    def test_failed_loader_gives_identical_streams(self, no_library):
-        assert native._compiled_kernel() is None
-        assert native.seed_state(3, (1, 4)) is None
-        for seed, stream_id, path in ((0, 0, ()), (3, 1, (4, 5)), (2 ** 32 - 1, 9, (0,) * 6)):
-            _assert_same_stream(RngStream(seed, stream_id, path).generator(),
-                                _numpy_stream(seed, stream_id, path))
+    def test_failed_build_raises(self, no_library):
+        """Without the library there is no stream: the error names cc."""
+        with pytest.raises(native.NativeLibraryError, match="C compiler cc") as error:
+            RngStream(3, 1, (4,)).generator()
+        assert isinstance(error.value.__cause__, FileNotFoundError)
 
     def test_concurrent_calls_match_sequential(self):
         streams = [make_rng(5, 1).split(t, slot) for t in range(8) for slot in range(16)]

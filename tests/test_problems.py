@@ -1,7 +1,6 @@
 """Toy problem, spanning-tree oracles, generator, and containers."""
 
 import ctypes
-import shutil
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
+
+import kruskal_reference as reference
 
 from costru import native
 from costru.core import Dataset, InputError, Scenario, make_rng
@@ -477,27 +478,6 @@ def _raise(exc):
     return build
 
 
-def _oracle_outputs():
-    """Outputs of every spanning-tree oracle on 6x6 and 20x20 inputs, with
-    tied integer scores and integer stage costs."""
-    g = make_rng(11, 0).generator()
-    outputs = []
-    for rows, cols in ((6, 6), (20, 20)):
-        oracle = MstOracle(rows, cols)
-        edges, n, n_edges = oracle.edges, oracle.n_nodes, oracle.n_edges
-        thetas = np.round(g.normal(0.0, 2.0, (5, n_edges)))
-        c, d = g.integers(5, 10, n_edges) * 1.0, g.integers(2, 12, (3, n_edges)) * 1.0
-        scenario = Scenario(0, np.zeros((n_edges, 1)), TwoStageCosts(c, d[0]))
-        y = oracle.argmax_linear(thetas[0])
-        outputs += [oracle.argmax_linear_many(thetas), oracle.argmax_linear(thetas[1]),
-                    oracle.argmin_shifted_many(thetas, 1.0, scenario),
-                    oracle.argmin_shifted(thetas[2], 0.5, scenario),
-                    *two_stage_mst_split(c, d[1], edges, n),
-                    *second_stage_value(y, d, edges, n),
-                    *second_stage_value(y, d[2], edges, n)]
-    return outputs
-
-
 def _assert_same(compiled, reference):
     """Equal outcomes of two calls: the same exception type, or arrays equal
     in shape, dtype and every byte (so -0.0 != 0.0 and sums agree)."""
@@ -510,63 +490,59 @@ def _assert_same(compiled, reference):
         assert g.tobytes() == e.tobytes()
 
 
-def _require_compiled():
-    if native._compiled_kernel() is None:
-        pytest.skip("no C compiler: the pure-Python paths are the kernel")
-
-
 class TestCompiledKernel:
-    """Each compiled entry against its reference: ``_kruskal_rows_py`` under
-    the numpy glue that built its keys and read its picks."""
+    """Each compiled entry against its reference in ``kruskal_reference``:
+    ``kruskal_rows_py`` under the numpy glue that builds its keys and reads
+    its picks."""
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases(st.one_of(_TIED.map(float), _ZEROS)), st.booleans())
     def test_matches_python_reference(self, case, poison):
         """The forest entry; a NaN or infinite weight raises InputError."""
-        _require_compiled()
         edges, n_nodes, w, _ = case
         if poison and w.size:
             w[-1, -1] = np.nan if n_nodes % 2 else -np.inf
         _assert_same(lambda: (spanning_tree.max_weight_forests(w, edges, n_nodes),),
-                     lambda: (spanning_tree._max_weight_forests_py(w, edges, n_nodes),))
+                     lambda: (reference.max_weight_forests_py(w, edges, n_nodes),))
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases(), kernel_cases(), st.booleans())
     def test_split_matches_python_reference(self, case, other, per_row):
         """The split entry, NaN propagating as in np.minimum, with one
         second-stage vector for every row or one per row."""
-        _require_compiled()
         edges, n_nodes, eff, d = case
         if per_row:
             d = np.resize(np.concatenate([other[2].ravel(), other[3]]), eff.shape)
         _assert_same(lambda: spanning_tree.two_stage_splits(eff, d, edges, n_nodes),
-                     lambda: spanning_tree._two_stage_splits_py(eff, d, edges, n_nodes))
+                     lambda: reference.two_stage_splits_py(eff, d, edges, n_nodes))
 
     @settings(max_examples=300, deadline=None)
     @given(kernel_cases(), st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0, np.nan]))
     def test_completion_matches_python_reference(self, case, y_value):
         """The completion entry: its costs in selection order and indicators,
         with cycles in y and disconnected rows raising as in the reference."""
-        _require_compiled()
         edges, n_nodes, d, y = case
         y = np.where(np.isfinite(y) & (y > 0.0), y_value, 0.0)
         _assert_same(lambda: spanning_tree._completions(y, d, edges, n_nodes),
-                     lambda: spanning_tree._completions_py(y, d, edges, n_nodes))
+                     lambda: reference.completions_py(y, d, edges, n_nodes))
 
-    @pytest.mark.parametrize("kernel", ["compiled", "fallback"])
+    @pytest.mark.parametrize("kernel", ["compiled", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_forest_weights_raise(self, kernel, bad, replace_builder):
-        if kernel == "compiled":
-            _require_compiled()
-        else:
-            replace_builder(_raise(FileNotFoundError("cc")))
+    def test_non_finite_forest_weights_raise(self, kernel, bad):
+        """The oracle and the reference reject a NaN or infinite weight with
+        the same error."""
         oracle = MstOracle(2, 3)
         thetas = np.ones((3, oracle.n_edges))
         thetas[1, 2] = bad
-        with pytest.raises(InputError, match="weights must be finite"):
-            oracle.argmax_linear_many(thetas)
-        with pytest.raises(InputError, match="weights must be finite"):
-            oracle.argmax_linear(thetas[1])
+        if kernel == "compiled":
+            calls = [lambda: oracle.argmax_linear_many(thetas),
+                     lambda: oracle.argmax_linear(thetas[1])]
+        else:
+            calls = [lambda: reference.max_weight_forests_py(thetas, oracle.edges,
+                                                             oracle.n_nodes)]
+        for call in calls:
+            with pytest.raises(InputError, match="weights must be finite"):
+                call()
 
     def test_concurrent_calls_match_sequential(self):
         """The kernel runs without the GIL on a per-call workspace, so calls
@@ -587,8 +563,6 @@ class TestCompiledKernel:
     def test_new_build_deletes_superseded_libraries(self, tmp_path, monkeypatch):
         """A successful build removes the libraries of other sources from the
         cache directory and nothing else; a failed build removes nothing."""
-        if shutil.which("cc") is None:
-            pytest.skip("no C compiler")
         monkeypatch.setattr(native, "__file__", str(tmp_path / "native.py"))
         cache = tmp_path / "__pycache__"
         cache.mkdir()
@@ -614,23 +588,35 @@ class TestCompiledKernel:
             assert f"int64_t {entry}" in text
         assert "void seed_state(" in text
 
-    @pytest.mark.parametrize("build", [
-        _raise(FileNotFoundError("cc")),
-        _raise(subprocess.CalledProcessError(1, ["cc"])),
-        _raise(PermissionError("read-only package directory")),
-        "not a shared library",
+    @pytest.mark.parametrize("build, stderr", [
+        (_raise(FileNotFoundError("No such file or directory: 'cc'")), None),
+        (_raise(subprocess.CalledProcessError(1, ["cc"], stderr=b"x.c:1: error: no registers")),
+         "x.c:1: error: no registers"),
+        (_raise(PermissionError("read-only package directory")), None),
+        ("not a shared library", None),
     ], ids=["no-compiler", "compile-error", "unwritable", "failed-dlopen"])
-    def test_failed_loader_falls_back_to_identical_outputs(self, build, replace_builder,
-                                                           tmp_path):
-        compiled = _oracle_outputs()
+    def test_failed_loader_raises(self, build, stderr, replace_builder, tmp_path):
+        """Without the library no oracle answers: a failed build or load is
+        one NativeLibraryError that names cc and ends with the compiler's
+        standard error, if any."""
+        oracle = MstOracle(2, 3)
+        theta = np.ones(oracle.n_edges)
+        scenario = Scenario(0, np.zeros((oracle.n_edges, 1)), TwoStageCosts(theta, theta))
+        calls = [lambda: oracle.argmax_linear_many(theta[None, :]),
+                 lambda: oracle.perturbed_stats(theta, theta[None, :], 0.5),
+                 lambda: oracle.argmin_shifted(theta, 1.0, scenario),
+                 lambda: second_stage_value(0.0 * theta, theta, oracle.edges, oracle.n_nodes)]
         if isinstance(build, str):
             junk = tmp_path / "junk.so"
             junk.write_text(build)
             build = lambda: junk  # noqa: E731
         replace_builder(build)
-        assert native._compiled_kernel() is None
-        for got, expected in zip(_oracle_outputs(), compiled, strict=True):
-            np.testing.assert_array_equal(got, expected)
+        for call in calls:
+            with pytest.raises(native.NativeLibraryError, match="C compiler cc") as error:
+                call()
+            assert isinstance(error.value.__cause__, (OSError, subprocess.SubprocessError))
+            if stderr is not None:
+                assert str(error.value).endswith("\n" + stderr)
 
 
 @st.composite
@@ -673,19 +659,21 @@ class TestPerturbedForestStats:
         assert moment.tobytes() == expected_moment.tobytes()
         np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kernel", ["compiled", "fallback"])
+    @pytest.mark.parametrize("kernel", ["compiled", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
     @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
-    def test_non_finite_tilt_raises(self, kernel, bad, replace_builder):
-        if kernel == "compiled":
-            _require_compiled()
-        else:
-            replace_builder(_raise(FileNotFoundError("cc")))
+    def test_non_finite_tilt_raises(self, kernel, bad):
+        """A non-finite tilt, also one that overflows, raises the error of
+        the reference on the tilt that numpy computes."""
         oracle = MstOracle(2, 3)
         theta, z = np.ones(oracle.n_edges), np.ones((3, oracle.n_edges))
         z[1, 2] = 1e308 if bad == "overflow" else bad
         with pytest.raises(InputError, match="weights must be finite"):
-            oracle.perturbed_stats(theta, z, 8.0)
+            if kernel == "compiled":
+                oracle.perturbed_stats(theta, z, 8.0)
+            else:
+                reference.max_weight_forests_py(theta[None, :] + 8.0 * z, oracle.edges,
+                                                oracle.n_nodes)
 
     @pytest.mark.parametrize("theta_shape, z_shape", [((5,), (2, 7)), ((7, 1), (2, 7)),
                                                       ((7,), (7,)), ((7,), (0, 7))])
@@ -693,19 +681,6 @@ class TestPerturbedForestStats:
         oracle = MstOracle(2, 3)
         with pytest.raises(InputError):
             oracle.perturbed_stats(np.ones(theta_shape), np.ones(z_shape), 1.0)
-
-    def test_failed_loader_gives_identical_moments(self, replace_builder):
-        oracle = MstOracle(6, 6)
-        g = make_rng(17, 0).generator()
-        cases = [(np.round(g.normal(0.0, 2.0, oracle.n_edges)),
-                  np.round(g.normal(0.0, 2.0, (20, oracle.n_edges))), 0.5),
-                 (g.normal(size=oracle.n_edges), g.normal(size=(10, oracle.n_edges)), 0.3)]
-        compiled = [oracle.perturbed_stats(*case) for case in cases]
-        replace_builder(_raise(FileNotFoundError("cc")))
-        for case, (values, moment) in zip(cases, compiled, strict=True):
-            fallback_values, fallback_moment = oracle.perturbed_stats(*case)
-            assert fallback_moment.tobytes() == moment.tobytes()
-            np.testing.assert_allclose(fallback_values, values, rtol=1e-12, atol=0.0)
 
     def test_concurrent_calls_match_sequential(self):
         oracle = MstOracle(6, 6)

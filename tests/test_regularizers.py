@@ -140,13 +140,20 @@ class TestLogSumExp:
         s = make_rng(17, 0).generator().standard_normal(5)
         resolution = 67  # about 1e6 grid points in dimension 5
         k = 5
-        best = -np.inf
-        for cuts in itertools.combinations(range(resolution + k - 1), k - 1):
-            parts = np.diff((-1,) + cuts + (resolution + k - 1,)) - 1
-            q = np.asarray(parts, dtype=float) / resolution
-            val = float(s @ q) - float(np.sum(q[q > 0] * np.log(q[q > 0])))
-            best = max(best, val)
-        assert logsumexp(s) == pytest.approx(best, abs=1e-4)
+        # Every composition of the resolution into k parts, as the k - 1 cut
+        # positions among resolution + k - 1 slots: one row per grid point.
+        n_slots = resolution + k - 1
+        cuts = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(n_slots), k - 1)), dtype=np.int16)
+        cuts = cuts.reshape(-1, k - 1)
+        bounds = np.column_stack([np.full(len(cuts), -1, np.int16), cuts,
+                                  np.full(len(cuts), n_slots, np.int16)])
+        parts = np.diff(bounds, axis=1) - 1
+        # q log q of each possible coordinate j / resolution, 0 at q = 0.
+        grid = np.arange(1, resolution + 1) / resolution
+        entropy = np.concatenate([[0.0], grid * np.log(grid)])
+        values = parts @ s / resolution - entropy[parts].sum(axis=1)
+        assert logsumexp(s) == pytest.approx(values.max(), abs=1e-4)
 
 
 class TestExactFyLoss:
