@@ -652,9 +652,22 @@ def run_convergence_suite(
     t_opt: int = 10_000,
     seed: int = 0,
 ) -> list[CheckRow]:
-    """Monotone descent and the O(1/t) five-point rate on random instances;
-    the rate is checked on the first t_check of t_opt iterations."""
-    require_samples(n_instances=n_instances, t_check=t_check)
+    """Monotone descent and the O(1/t) rate on random instances, the rate
+    checked at t = 2..t_check of t_opt iterations.
+
+    The rate.  With L = kappa/N, an alternating step is mirror descent with
+    step 1/L on the partial-min surrogate f (``values[t - 1]`` at the
+    iterate q_t) under the mirror map h(q) = sum_i Omega(q_i): grad h(q_t) -
+    grad_i f(q_t)/L = grad Omega(q_bar_t) - gamma_i/kappa.  f is convex and
+    L h - f = kappa Omega(q_bar) - (1/N) sum_i <gamma_i|q_i> is convex, so by
+    Lu, Freund & Nesterov (2018, Thm 3.1), started at x^0 = q_1 (which comes
+    from s0, not from a step), f(q_t) - f(x) <= L D_h(x, q_1)/(t - 1) for all
+    x and t >= 2.  At x = q_T, C = L D_h(q_T, q_1) = kappa mean_i KL(q_T,i ||
+    q_1,i) is the surrogate at (s0, q_T) minus that at (s0, q_1).  Boundary
+    instances are clamped, which moves values far below the 1e-10 tolerance.
+    """
+    require_samples(n_instances=n_instances)
+    require_samples(2, t_check=t_check)
     if t_check > t_opt:
         raise InputError(f"t_check = {t_check} exceeds t_opt = {t_opt}")
     kind = RegularizerKind.negentropy()
@@ -664,26 +677,19 @@ def run_convergence_suite(
     traj = run_alternating_exact(tables, config, np.zeros((n_instances, n_atoms)),
                                  record_iterates=False)
     s0 = np.zeros(n_atoms)
-    ts = np.arange(1, t_check + 1)
+    steps = np.arange(1, t_check)  # t - 1 for t = 2..t_check
     rows: list[CheckRow] = []
     for inst, costs in enumerate(tables):
-        inst_seed = seed + inst
         values = traj.values[:, inst]
-        worst_increase = float(np.max(np.diff(values))) if len(values) > 1 else 0.0
-        rows.append(
-            CheckRow("convergence/monotone", inst_seed, worst_increase, 1e-12,
-                     worst_increase <= 1e-12)
-        )
-        v_opt = float(values[-1])
-        c_const = surrogate_value(s0, traj.final_q[inst], costs, kappa, kind) - surrogate_value(
-            s0, traj.first_q[inst], costs, kappa, kind
-        )
-        excess = values[:t_check] - v_opt
-        rate_violation = float(np.max(excess - c_const / ts))
-        rows.append(
-            CheckRow("convergence/rate", inst_seed, rate_violation, 1e-10,
-                     rate_violation <= 1e-10)
-        )
+        increase = float(np.max(np.diff(values)))
+        c_const = (surrogate_value(s0, traj.final_q[inst], costs, kappa, kind)
+                   - surrogate_value(s0, traj.first_q[inst], costs, kappa, kind))
+        excess = values[1:t_check] - float(values[-1])
+        violation = float(np.max(excess - c_const / steps))
+        rows += [CheckRow("convergence/monotone", seed + inst, increase, 1e-12,
+                          increase <= 1e-12),
+                 CheckRow("convergence/rate", seed + inst, violation, 1e-10,
+                          violation <= 1e-10)]
     return rows
 
 

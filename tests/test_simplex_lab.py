@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from costru.core import InputError, make_rng
 from costru.problems.spanning_tree import enumerate_forests
@@ -306,6 +307,29 @@ class TestLockstep:
             run_alternating_exact(tables, LabConfig(1.0, NEG), np.zeros((2, 6)))
         with pytest.raises(InputError, match="one score row per instance"):
             run_alternating_exact(tables[:1], LabConfig(1.0, NEG), np.zeros(6))
+
+
+class TestRateCertificate:
+    """The ``convergence/rate`` row checks values[t] - values[T] <= C/(t - 1)
+    for t = 2..t_check, C being kappa times the mean KL divergence of the
+    final iterate from the first (mirror descent started at q_1)."""
+
+    def test_instance_seed_21(self):
+        """The boundary instance seed 21 exceeds C at t = 1, where no bound
+        holds, and meets C/(t - 1) from t = 2 on."""
+        costs = convergence_instance(21)
+        traj = run_alternating_exact([costs], LabConfig(1.0, NEG, max_iters=10_000),
+                                     np.zeros((1, 6)), record_iterates=False)
+        values, first_q, final_q = traj.values[:, 0], traj.first_q[0], traj.final_q[0]
+        s0 = np.zeros(6)
+        c = (surrogate_value(s0, final_q, costs, 1.0, NEG)
+             - surrogate_value(s0, first_q, costs, 1.0, NEG))
+        assert c == pytest.approx(rel_entr(final_q, first_q).sum(axis=1).mean(), abs=1e-12)
+        assert (c, values[0] - values[-1]) == pytest.approx((0.43673, 0.45408), abs=1e-5)
+        bound = values[1:200] - values[-1] - c / np.arange(1, 200)
+        _, rate = run_convergence_suite(n_instances=1, seed=21)
+        assert (rate.check, rate.seed, rate.passed) == ("convergence/rate", 21, True)
+        assert rate.measured == np.max(bound) < 0.0
 
 
 class TestFivePoint:
