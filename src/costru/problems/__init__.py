@@ -1,72 +1,3 @@
-"""Experimental problems: the tabular toy problem and the contextual
-two-stage minimum weight spanning tree on grid graphs."""
-
-from .datasets import (
-    GenConfig,
-    dataset_from_instances,
-    generate_mst_dataset,
-    generate_mst_split,
-    load_split,
-    read_manifest,
-    save_split,
-    write_manifest,
-)
-from .spanning_tree import (
-    GridInstance,
-    InfeasibleError,
-    MstEvaluator,
-    MstOracle,
-    TwoStageCosts,
-    brute_force_max_weight_forest_value,
-    brute_force_two_stage_pair,
-    enumerate_forests,
-    grid_edges,
-    is_forest,
-    max_weight_forests,
-    perturbed_forest_stats,
-    second_stage_value,
-    two_stage_mst_split,
-    two_stage_splits,
-)
-from .toy import (
-    N_TOY_SCENARIOS,
-    TOY_COSTS,
-    ToyEvaluator,
-    ToyOracle,
-    toy_cost_table,
-    toy_dataset,
-    toy_scenarios,
-)
-
-__all__ = [
-    "GenConfig",
-    "GridInstance",
-    "InfeasibleError",
-    "MstEvaluator",
-    "MstOracle",
-    "N_TOY_SCENARIOS",
-    "TOY_COSTS",
-    "ToyEvaluator",
-    "ToyOracle",
-    "TwoStageCosts",
-    "brute_force_max_weight_forest_value",
-    "brute_force_two_stage_pair",
-    "dataset_from_instances",
-    "enumerate_forests",
-    "generate_mst_dataset",
-    "generate_mst_split",
-    "grid_edges",
-    "is_forest",
-    "max_weight_forests",
-    "load_split",
-    "perturbed_forest_stats",
-    "read_manifest",
-    "save_split",
-    "second_stage_value",
-    "toy_cost_table",
-    "toy_dataset",
-    "toy_scenarios",
-    "two_stage_mst_split",
-    "two_stage_splits",
-    "write_manifest",
-]
+"""Experimental problems: the tabular toy problem (``toy``) and the
+contextual two-stage minimum weight spanning tree on grid graphs
+(``spanning_tree``, with its generator and containers in ``datasets``)."""
