@@ -11,14 +11,13 @@ Every oracle question -- forest argmax, perturbed forest statistics,
 two-stage split, second-stage completion -- is one call into the compiled
 Kruskal kernel of ``costru.native``; there is no second implementation.
 The Python functions here check shapes and dtypes, and read the kernel's
-output buffers.  ``is_forest`` and the exhaustive enumerators at the end are
-independent references for verification.
+output buffers.  ``is_forest`` and the enumerators at the end (0/1 matrices
+of a small graph's forests and spanning pairs) are independent references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -362,49 +361,23 @@ class MstEvaluator:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration (independent oracles for small graphs)
+# Exhaustive enumeration (independent references for small graphs)
 # ---------------------------------------------------------------------------
 
-def enumerate_forests(edges: np.ndarray, n_nodes: int) -> list[np.ndarray]:
-    """All 0/1 acyclic edge subsets; exponential, desk scale only."""
-    n_edges = len(edges)
-    if n_edges > 16:
+def enumerate_forests(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """All acyclic edge subsets as the 0/1 rows of an (F, E) array, in
+    increasing bitmask order (edge e is bit e); exponential, desk scale only."""
+    if len(edges) > 16:
         raise InputError("forest enumeration is limited to 16 edges")
-    forests = []
-    for mask in range(1 << n_edges):
-        y = np.array([(mask >> e) & 1 for e in range(n_edges)], dtype=float)
-        if is_forest(y, edges, n_nodes):
-            forests.append(y)
-    return forests
+    subsets = (np.arange(1 << len(edges))[:, None] >> np.arange(len(edges))) & 1
+    return subsets[[is_forest(y, edges, n_nodes) for y in subsets]].astype(float)
 
 
-def brute_force_max_weight_forest_value(
-    weights: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> float:
-    w = np.asarray(weights, dtype=float)
-    return max(float(w @ y) for y in enumerate_forests(edges, n_nodes))
-
-
-def brute_force_two_stage_pair(
-    eff_first: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Min over all (y, z) with y + z a spanning tree; no reduction tricks."""
-    eff = np.asarray(eff_first, dtype=float)
-    d = np.asarray(second, dtype=float)
-    n_edges = len(edges)
-    best = (None, None, np.inf)
-    for y in enumerate_forests(edges, n_nodes):
-        free = [e for e in range(n_edges) if y[e] <= 0.5]
-        need = n_nodes - 1 - int(y.sum())
-        if need < 0 or need > len(free):
-            continue
-        for combo in combinations(free, need):
-            z = np.zeros(n_edges)
-            z[list(combo)] = 1.0
-            if not is_forest(y + z, edges, n_nodes):
-                continue
-            value = float(eff @ y + d @ z)
-            if value < best[2]:
-                best = (y.copy(), z, value)
-    return best
-
+def enumerate_spanning_pairs(edges: np.ndarray, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every (y, z) with y + z a spanning tree, as two (P, E) 0/1 arrays: each
+    spanning tree split into each of its sub-forests y and the rest z."""
+    forests = enumerate_forests(edges, n_nodes)
+    trees = forests[forests.sum(axis=1) == n_nodes - 1]
+    # Forest f lies in tree t when none of its edges is outside t.
+    t, f = np.nonzero((1.0 - trees) @ forests.T == 0)
+    return forests[f], trees[t] - forests[f]

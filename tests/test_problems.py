@@ -34,9 +34,8 @@ from costru.problems.spanning_tree import (
     MstEvaluator,
     MstOracle,
     TwoStageCosts,
-    brute_force_max_weight_forest_value,
-    brute_force_two_stage_pair,
     enumerate_forests,
+    enumerate_spanning_pairs,
     grid_edges,
     is_forest,
     max_weight_forests,
@@ -53,7 +52,7 @@ from costru.problems.toy import (
 )
 from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
 from costru.trainer import evaluate_policy, score_instance
-from costru.verification import _SMALL_GRAPHS
+from costru.verification import _SMALL_GRAPHS, enumeration_gap
 
 
 def edge_array(pairs) -> np.ndarray:
@@ -66,6 +65,20 @@ TRIANGLE = (edge_array([(0, 1), (1, 2), (0, 2)]), 3)
 def max_forest(weights, edges, n_nodes) -> np.ndarray:
     """The maximum-weight forest of one weight vector."""
     return max_weight_forests(np.asarray(weights, dtype=float)[None, :], edges, n_nodes)[0]
+
+
+def forest_gap(w, y, edges, n_nodes) -> float:
+    """``enumeration_gap`` of the forests y for the weights w, one row each."""
+    forests = enumerate_forests(edges, n_nodes)
+    return enumeration_gap(np.atleast_2d(w) @ forests.T, forests, np.atleast_2d(y))
+
+
+def split_gap(eff, d, y, z, edges, n_nodes) -> float:
+    """``enumeration_gap`` of the two-stage splits (y, z), one row each, for
+    the effective first-stage costs eff and second-stage costs d."""
+    pairs = np.hstack(enumerate_spanning_pairs(edges, n_nodes))
+    costs = np.hstack([np.atleast_2d(eff), np.atleast_2d(d)])
+    return enumeration_gap(-costs @ pairs.T, pairs, np.hstack([np.atleast_2d(y), np.atleast_2d(z)]))
 
 
 def toy_choice(theta: float, kappa: float, j: int) -> float:
@@ -158,6 +171,48 @@ class TestIsForest:
             is_forest(y, *TRIANGLE)
 
 
+# The six small graphs of the oracle suite, the 2x2 and 2x3 grids among
+# them, with their spanning-tree counts.
+_TREE_COUNTS = (3, 1, 4, 16, 15, 40)
+_GRAPH_IDS = ["triangle", "star", "grid-2x2", "K4", "grid-2x3", "K4-plus-node"]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("graph, trees", zip(_SMALL_GRAPHS, _TREE_COUNTS), ids=_GRAPH_IDS)
+    def test_tree_count_is_kirchhoffs(self, graph, trees):
+        """The forests with n - 1 edges number det of a reduced Laplacian."""
+        edges, n = graph
+        incidence = np.zeros((n, len(edges)))
+        incidence[edges[:, 0], np.arange(len(edges))] = 1.0
+        incidence[edges[:, 1], np.arange(len(edges))] = -1.0
+        assert round(np.linalg.det((incidence @ incidence.T)[1:, 1:])) == trees
+        forests = enumerate_forests(edges, n)
+        assert np.sum(forests.sum(axis=1) == n - 1) == trees
+
+    @pytest.mark.parametrize("graph", _SMALL_GRAPHS, ids=_GRAPH_IDS)
+    def test_forests_in_increasing_bitmask_order(self, graph):
+        edges, n = graph
+        forests = enumerate_forests(edges, n)
+        codes = (forests @ 2 ** np.arange(len(edges))).astype(int).tolist()
+        assert codes == [mask for mask in range(2 ** len(edges)) if is_forest(
+            np.array([(mask >> e) & 1 for e in range(len(edges))]), edges, n)]
+
+    @pytest.mark.parametrize("graph, trees", zip(_SMALL_GRAPHS, _TREE_COUNTS), ids=_GRAPH_IDS)
+    def test_pairs_split_every_tree_into_every_subforest(self, graph, trees):
+        edges, n = graph
+        ys, zs = enumerate_spanning_pairs(edges, n)
+        assert ys.shape == zs.shape == (trees * 2 ** (n - 1), len(edges))
+        assert len(np.unique(np.hstack([ys, zs]), axis=0)) == len(ys)
+        assert not np.any(ys * zs)
+        assert np.all((ys + zs).sum(axis=1) == n - 1)
+        for y, z in zip(ys, zs):
+            assert is_forest(y, edges, n) and is_forest(y + z, edges, n)
+
+    def test_more_than_16_edges_rejected(self):
+        with pytest.raises(InputError, match="16 edges"):
+            enumerate_forests(grid_edges(3, 4), 12)
+
+
 class TestKruskalMaxWeightForest:
     def test_all_negative_gives_empty_forest(self):
         y = max_forest(np.array([-1.0, -2.0, -0.5]), *TRIANGLE)
@@ -170,11 +225,8 @@ class TestKruskalMaxWeightForest:
 
     def test_matches_enumeration_on_grid(self):
         edges, n = grid_edges(2, 2), 4
-        g = make_rng(2, 0).generator()
-        for _ in range(500):
-            w = g.normal(0, 2, len(edges))
-            y = max_forest(w, edges, n)
-            assert float(w @ y) == brute_force_max_weight_forest_value(w, edges, n)
+        w = make_rng(2, 0).generator().normal(0, 2, (500, len(edges)))
+        assert forest_gap(w, max_weight_forests(w, edges, n), edges, n) == 0.0
 
     def test_tie_break_lowest_index(self):
         # two equal-weight parallel options: the earlier edge wins
@@ -246,9 +298,8 @@ class TestAnticipativeOracle:
                 theta = g.standard_normal(len(edges))
                 kappa = kappas[i % 4]
                 eff = c - kappa * theta
-                y, z, value = two_stage_mst_split(eff, d, edges, n)
-                _, _, best = brute_force_two_stage_pair(eff, d, edges, n)
-                assert float(eff @ y + d @ z) == pytest.approx(best, abs=1e-9)
+                y, z, _ = two_stage_mst_split(eff, d, edges, n)
+                assert split_gap(eff, d, y, z, edges, n) == 0.0
 
     def test_second_stage_dominates(self):
         edges, n = grid_edges(2, 3), 6
@@ -360,8 +411,7 @@ class TestOracleProperties:
     def test_forest_matches_enumeration(self, case):
         edges, n, (w,) = case
         y = max_forest(w, edges, n)
-        assert is_forest(y, edges, n)
-        assert float(w @ y) == brute_force_max_weight_forest_value(w, edges, n)
+        assert forest_gap(w, y, edges, n) == 0.0
 
     @_PROPERTY
     @given(small_graph_costs(2))
@@ -370,7 +420,7 @@ class TestOracleProperties:
         y, z, value = two_stage_mst_split(eff, d, edges, n)
         assert y.sum() + z.sum() == n - 1 and is_forest(y + z, edges, n)
         assert value == float(eff @ y + d @ z)
-        assert value == brute_force_two_stage_pair(eff, d, edges, n)[2]
+        assert split_gap(eff, d, y, z, edges, n) == 0.0
         chosen = (y + z) > 0.5
         np.testing.assert_array_equal(y, (chosen & (eff <= d)).astype(float))
 
@@ -379,7 +429,7 @@ class TestOracleProperties:
     def test_completion_matches_enumeration(self, case, data):
         edges, n, (d,) = case
         forests = enumerate_forests(edges, n)
-        y = data.draw(st.sampled_from(forests))
+        y = data.draw(st.sampled_from(list(forests)))
         value, z = second_stage_value(y, d, edges, n)
         assert np.all(y + z <= 1.0) and (y + z).sum() == n - 1
         assert is_forest(y + z, edges, n)

@@ -562,15 +562,63 @@ class TestSuiteSampleCounts:
     @pytest.mark.parametrize("n_kruskal", [6, 13, 29])
     def test_oracle_suite_runs_exactly_n_kruskal_draws(self, monkeypatch, n_kruskal):
         """The Kruskal draws are split over the six graphs, none dropped."""
-        real = verification.brute_force_max_weight_forest_value
-        calls = []
+        real = verification.max_weight_forests
+        rows_by_graph = []
 
-        def counted(*args):
-            calls.append(id(args[1]))  # the graph's edge array
-            return real(*args)
+        def counted(draws, edges, n_nodes):
+            rows_by_graph.extend([id(edges)] * len(draws))
+            return real(draws, edges, n_nodes)
 
-        monkeypatch.setattr(verification, "brute_force_max_weight_forest_value", counted)
+        monkeypatch.setattr(verification, "max_weight_forests", counted)
         rows = run_oracle_suite(n_kruskal=n_kruskal, n_anticipative=2)
-        assert len(calls) == n_kruskal
-        assert len(set(calls)) == 6  # every graph is drawn
+        assert len(rows_by_graph) == n_kruskal
+        assert len(set(rows_by_graph)) == 6  # every graph is drawn
         assert rows[0].check == "oracles/kruskal-forest" and rows[0].passed
+
+
+def _drop_last_edge(rows: np.ndarray) -> np.ndarray:
+    """Each 0/1 row with its highest-index chosen edge removed."""
+    rows = rows.copy()
+    for row in rows:
+        row[np.flatnonzero(row)[-1:]] = 0.0
+    return rows
+
+
+class TestOracleSuiteNegativeControls:
+    """The suite fails a kernel whose answer is not in the enumerated set
+    (inf) or is a member that is not optimal (a positive gap)."""
+
+    @staticmethod
+    def run(monkeypatch, forests=None, split=None) -> list:
+        if forests is not None:
+            real = verification.max_weight_forests
+            monkeypatch.setattr(verification, "max_weight_forests",
+                                lambda w, edges, n: forests(real(w, edges, n)))
+        if split is not None:
+            real_split = verification.two_stage_mst_split
+            monkeypatch.setattr(verification, "two_stage_mst_split",
+                                lambda *args: split(*real_split(*args)))
+        return run_oracle_suite(n_kruskal=60, n_anticipative=20)
+
+    def test_forest_with_a_cycle_measures_inf(self, monkeypatch):
+        forest, split = self.run(monkeypatch, forests=np.ones_like)
+        assert forest.measured == np.inf and not forest.passed
+        assert split.passed
+
+    def test_forest_missing_an_edge_measures_a_positive_gap(self, monkeypatch):
+        forest, split = self.run(monkeypatch, forests=_drop_last_edge)
+        assert 0.0 < forest.measured < np.inf and not forest.passed
+        assert split.passed
+
+    def test_split_with_a_cycle_measures_inf(self, monkeypatch):
+        forest, split = self.run(
+            monkeypatch, split=lambda y, z, value: (np.ones_like(y), np.zeros_like(z), value))
+        assert split.measured == np.inf and not split.passed
+        assert forest.passed
+
+    def test_split_with_swapped_stages_measures_a_positive_gap(self, monkeypatch):
+        """(z, y) is a member, the same tree with every edge in its dearer
+        stage."""
+        forest, split = self.run(monkeypatch, split=lambda y, z, value: (z, y, value))
+        assert 0.0 < split.measured < np.inf and not split.passed
+        assert forest.passed
