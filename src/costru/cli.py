@@ -2,10 +2,10 @@
 
 Subcommands: generate, train, verify, sweep-epsilon, evaluate.
 Exit codes: 0 ok, 1 verification failure, 2 usage/config error (a negative
-seed, an unreadable weights file included), 3 IO error, 4 internal error (a
-non-finite gradient, a disconnected graph, an iterate on the simplex
-boundary, or a native library that the C compiler ``cc`` failed to build or
-that failed to load).
+seed, an unreadable weights file, and a config or split file that cannot be
+parsed included), 3 IO error, 4 internal error (a non-finite gradient, a
+disconnected graph, an iterate on the simplex boundary, or a native library
+that the C compiler ``cc`` failed to build or that failed to load).
 Every command is deterministic given (config, seed); all CSVs carry a
 comment line recording the config hash and seed, then a header row.
 """
@@ -23,13 +23,12 @@ import os
 import sys
 import time
 import typing
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
 from . import baselines, experiments, simplex_lab, verification
-from .core import CheckRow, InputError
+from .core import CheckRow, InputError, read_npz
 from .native import NativeLibraryError
 from .problems import datasets as ds
 from .problems.spanning_tree import InfeasibleError, MstEvaluator, MstOracle
@@ -102,16 +101,18 @@ def _sweep_epsilons(cfg: dict[str, dict]) -> list[float]:
 def load_config(path: str | None) -> dict[str, dict]:
     """Parse the flat key/value config file and fill in defaults."""
     parser = configparser.ConfigParser()
-    if path is not None:
-        read = parser.read(path)
-        if not read:
+    try:
+        if path is not None and not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     cfg: dict[str, dict] = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         cfg[section] = {}
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             typ = _SCHEMA[section][key]
@@ -181,17 +182,10 @@ def _run_setup(args: argparse.Namespace) -> tuple[dict[str, dict], int, str]:
 def _load_weights(path: str, width: int) -> np.ndarray:
     """The ``final_average`` array of an npz file, else its ``weights``: a
     finite 1-D array with one entry per feature."""
-    try:
-        data = np.load(path)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("an npy array, not an npz archive")
-        with data:
-            key = next(k for k in ("final_average", "weights") if k in data.files)
-            w = data[key]
-    except StopIteration:
-        raise ConfigError(f"{path} holds neither final_average nor weights") from None
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"cannot read weights from {path}: {exc}") from exc
+    arrays = read_npz(path, ("final_average", "weights"))
+    if not arrays:
+        raise ConfigError(f"{path} holds neither final_average nor weights")
+    key, w = next(iter(arrays.items()))
     if w.shape != (width,) or w.dtype.kind not in "iuf" or not np.isfinite(w).all():
         raise ConfigError(f"the {key} in {path} must be {width} finite numbers, one per "
                           f"feature; it is a {w.dtype} array of shape {w.shape}")

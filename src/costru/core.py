@@ -8,6 +8,7 @@ threads.  Oracles must be callable concurrently (no interior mutation).
 from __future__ import annotations
 
 import functools
+import zipfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -31,6 +32,20 @@ def ensure_finite(x: np.ndarray, name: str = "input") -> np.ndarray:
     if not np.isfinite(x).all():
         raise InputError(f"{name} contains non-finite entries")
     return x
+
+
+def read_npz(path, keys) -> dict[str, np.ndarray]:
+    """The arrays named in ``keys`` that the npz archive at ``path`` holds,
+    in the order of ``keys``; a file that is not an npz archive (text, an
+    empty or broken zip, an npy array) raises ``InputError``."""
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("an npy array, not an npz archive")
+        with data:
+            return {key: data[key] for key in keys if key in data.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise InputError(f"cannot read {path} as an npz archive: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import Dataset, InputError, Scenario, make_rng
+from ..core import Dataset, InputError, Scenario, make_rng, read_npz
 from .spanning_tree import GridInstance
 
 _SPLIT_IDS = {"train": 1, "val": 2, "test": 3}
@@ -180,8 +180,7 @@ _SPLIT_ARRAYS = {"rows": ("iu", 0), "cols": ("iu", 0), "split_tag": ("S", 0),
 def load_split(path: str | Path) -> tuple[list[GridInstance], Dataset]:
     """Read a split written by ``save_split``; a malformed file raises
     ``InputError``."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = {key: data[key] for key in _SPLIT_ARRAYS if key in data.files}
+    arrays = read_npz(path, _SPLIT_ARRAYS)
     for key, (kinds, ndim) in _SPLIT_ARRAYS.items():
         arr = arrays.get(key)
         if arr is None or arr.ndim != ndim or arr.dtype.kind not in kinds:

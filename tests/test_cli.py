@@ -85,6 +85,16 @@ def mst_data(tmp_path, mst_config):
     return str(data_dir)
 
 
+# Files that are not npz archives, by test id.
+NOT_NPZ = {
+    "text": lambda path: path.write_text("not an archive"),
+    "empty": lambda path: path.write_bytes(b""),
+    "broken-zip": lambda path: path.write_bytes(b"PK\x03\x04 a broken zip"),
+    "npy": lambda path: np.save(path.with_suffix(".npy"), np.zeros(5))
+    or path.with_suffix(".npy").rename(path),
+}
+
+
 def read_rows(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# config_hash=")
@@ -117,6 +127,23 @@ class TestConfig:
         assert cfg["train"]["nb_samples"] == 20
         assert cfg["generate"]["rows"] == 20
         assert cfg["generate"]["train_instances"] == 50
+
+    @pytest.mark.parametrize("text", [
+        b"seed = 1\n",
+        b"[run]\nseed = 1\nseed = 2\n",
+        b"[run]\nseed = 1\n[run]\nseed = 2\n",
+        b"[problem]\nkind = 100%\n",
+        b"[problem]\nkind = \xff\n",
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section", "bare-percent",
+            "not-utf8"])
+    def test_unparsable_config_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text)
+        with pytest.raises(cli.ConfigError, match="cannot parse config file"):
+            cli.load_config(str(path))
+        assert cli.main(["verify", "oracles", "--config", str(path),
+                         "--out", str(tmp_path / "report.csv")]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file(self):
         with pytest.raises(cli.ConfigError):
@@ -226,6 +253,14 @@ class TestTrain:
         assert trained == []
         assert "val split is on a 2x3 grid, train on 3x3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("write", NOT_NPZ.values(), ids=NOT_NPZ)
+    def test_split_that_is_not_npz_exits_two(self, tmp_path, capsys, mst_config, mst_data,
+                                            write):
+        write(Path(mst_data) / "val.npz")
+        assert cli.main(["train", "uncoordinated", "--config", mst_config,
+                         "--data", mst_data, "--out", str(tmp_path / "run")]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_rerun_byte_identical_csv(self, tmp_path, mst_config, mst_data):
         outs = []
         for name in ("r1", "r2"):
@@ -283,6 +318,18 @@ class TestEvaluate:
                          "--data", str(bad), "--split", "test",
                          "--out", str(tmp_path / "eval.csv")]) == 2
 
+    @pytest.mark.parametrize("write", NOT_NPZ.values(), ids=NOT_NPZ)
+    def test_split_that_is_not_npz_exits_two(self, tmp_path, capsys, mst_config, mst_data,
+                                            write):
+        write(Path(mst_data) / "test.npz")
+        weights = tmp_path / "weights.npz"
+        np.savez(weights, weights=np.zeros(5))
+        out = tmp_path / "eval.csv"
+        assert cli.main(["evaluate", "--config", mst_config, "--weights", str(weights),
+                         "--data", mst_data, "--split", "test", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mst_requires_data(self, tmp_path):
         weights = tmp_path / "weights.npz"
         np.savez(weights, weights=np.zeros(5))
@@ -296,16 +343,12 @@ class TestEvaluate:
                          "--data", mst_data, "--out", str(tmp_path / "eval.csv")]) == 2
 
     @pytest.mark.parametrize("write", [
-        lambda path, p: path.write_text("not an archive"),
-        lambda path, p: path.write_bytes(b""),
-        lambda path, p: path.write_bytes(b"PK\x03\x04 a broken zip"),
-        lambda path, p: np.save(path.with_suffix(".npy"), np.zeros(p))
-        or path.with_suffix(".npy").rename(path),
+        *(lambda path, p, w=w: w(path) for w in NOT_NPZ.values()),
         lambda path, p: np.savez(path, weights=np.zeros((1, p))),
         lambda path, p: np.savez(path, weights=np.zeros(p + 1)),
         lambda path, p: np.savez(path, weights=np.full(p, np.nan)),
         lambda path, p: np.savez(path, final_average=np.array(["1"] * p), weights=np.zeros(p)),
-    ], ids=["text", "empty", "broken-zip", "npy", "2-d", "too-wide", "nan", "strings"])
+    ], ids=[*NOT_NPZ, "2-d", "too-wide", "nan", "strings"])
     def test_unusable_weights_exit_two(self, tmp_path, mst_config, mst_data, capsys, write):
         """The weights file is validated before any policy is evaluated."""
         with np.load(Path(mst_data) / "test.npz") as split:

@@ -78,7 +78,8 @@ def split_gap(eff, d, y, z, edges, n_nodes) -> float:
     the effective first-stage costs eff and second-stage costs d."""
     pairs = np.hstack(enumerate_spanning_pairs(edges, n_nodes))
     costs = np.hstack([np.atleast_2d(eff), np.atleast_2d(d)])
-    return enumeration_gap(-costs @ pairs.T, pairs, np.hstack([np.atleast_2d(y), np.atleast_2d(z)]))
+    answers = np.hstack([np.atleast_2d(y), np.atleast_2d(z)])
+    return enumeration_gap(-costs @ pairs.T, pairs, answers)
 
 
 def toy_choice(theta: float, kappa: float, j: int) -> float:
