@@ -1,5 +1,6 @@
 /* Native library of costru: the compiled Kruskal kernel, one entry per
- * spanning-tree oracle question, and numpy's SeedSequence state words.
+ * spanning-tree oracle question, numpy's SeedSequence state words and its
+ * PCG64 stream, and the in-place Adam step.
  *
  * Every Kruskal entry runs the rule of kruskal_rows_py, the Python
  * reference in tests/kruskal_reference.py that the property tests compare
@@ -11,12 +12,16 @@
  *   forest_rows      w (m, E); key -w where w > 0.  Writes the 0/1 rows of
  *                    the chosen edges.  A non-finite weight is an error.
  *   perturbed_forest_rows
- *                    theta (E,), z (m, E), eps; forest_rows on the tilt
- *                    w = theta + eps * z, rounded as numpy rounds it (the
- *                    library is built with -ffp-contract=off, so no fused
- *                    multiply-add).  Writes the per-edge counts of chosen
- *                    edges over the m rows, then each row's value, the sum
- *                    of its chosen w in selection order: E + m doubles.
+ *                    theta (E,), the four PCG64 state words of a stream,
+ *                    eps; draws z (m, E) row by row from the stream with
+ *                    numpy's own standard normal sampler, so z equals
+ *                    Generator.standard_normal((m, E)) bit for bit, then
+ *                    runs forest_rows on the tilt w = theta + eps * z,
+ *                    rounded as numpy rounds it (the library is built with
+ *                    -ffp-contract=off, so no fused multiply-add).  Writes
+ *                    the per-edge mean of the chosen edges over the m rows
+ *                    (count / m), then each row's value, the sum of its
+ *                    chosen w in selection order: E + m doubles.
  *   split_rows       eff (m, E), d (E,) or (m, E) (row stride 0 or E); key
  *                    min(eff, d), NaN when either is NaN.  Writes the
  *                    (m, E) rows of y (chosen, eff <= d), then those of z
@@ -41,6 +46,19 @@
  *                    .generate_state(4, np.uint64) for its n assembled
  *                    entropy words (uint32), which native.seed_state
  *                    assembles as SeedSequence.get_assembled_entropy does.
+ *   raw_fill, normal_fill
+ *                    n raw 64-bit words, or n standard normals, of the
+ *                    PCG64 stream of four state words: numpy's
+ *                    PCG64.random_raw(n) and Generator.standard_normal(n).
+ *   adam_step        one bias-corrected Adam update, in place, of the
+ *                    rows (w, g, m, v) of a (4, n) state: the weights w
+ *                    and the moments m and v from the gradient g, with
+ *                    numpy's operations in numpy's order; the caller passes
+ *                    the bias corrections 1 - beta**t.  A non-finite
+ *                    gradient is an error, and then nothing is written.
+ *
+ * Each stream's PCG64 state lives on the stack of the call that draws from
+ * it, so calls from several threads never share one.
  */
 #include <math.h>
 #include <stdint.h>
@@ -50,10 +68,76 @@
 enum {
     NO_MEMORY = -1,    /* no workspace */
     BAD_GRAPH = -2,    /* n_nodes < 1 or an endpoint outside [0, n_nodes) */
-    NON_FINITE = -3,   /* forest_rows: a weight is NaN or infinite */
+    NON_FINITE = -3,   /* a weight, tilt or Adam gradient is NaN or infinite */
     DISCONNECTED = -4, /* a row has fewer than n_nodes - 1 edges */
     CYCLE = -5,        /* completion_rows: the y edges contain a cycle */
 };
+
+/* numpy/random/bitgen.h.  distributions.h, which declares the sampler,
+ * includes Python.h, so both are declared here. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} bitgen_t;
+
+/* From numpy's libnpyrandom.a, which the build links. */
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
+
+/* numpy/random/src/pcg64: PCG64, a 128-bit LCG with the XSL-RR output,
+ * advanced before each output; next_uint32 hands out the low half of a
+ * 64-bit output and buffers the high half, as numpy's does. */
+typedef unsigned __int128 u128;
+#define PCG_MULTIPLIER (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+typedef struct {
+    u128 state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64;
+
+static void pcg64_step(pcg64 *rng) { rng->state = rng->state * PCG_MULTIPLIER + rng->inc; }
+
+static uint64_t pcg64_next64(void *st) {
+    pcg64 *rng = st;
+    pcg64_step(rng);
+    uint64_t xored = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    unsigned rot = (unsigned)(rng->state >> 122);
+    return (xored >> rot) | (xored << ((64 - rot) & 63));
+}
+
+static uint32_t pcg64_next32(void *st) {
+    pcg64 *rng = st;
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return rng->uinteger;
+    }
+    uint64_t next = pcg64_next64(st);
+    rng->has_uint32 = 1;
+    rng->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st) {
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* pcg64_set_seed on generate_state(4, np.uint64): words 0-1 are the
+ * initial state and words 2-3 the stream, high word first. */
+static bitgen_t pcg64_stream(pcg64 *rng, const uint64_t *words) {
+    u128 initstate = (u128)words[0] << 64 | words[1];
+    u128 initseq = (u128)words[2] << 64 | words[3];
+    rng->state = 0;
+    rng->inc = initseq << 1 | 1;
+    pcg64_step(rng);
+    rng->state += initstate;
+    pcg64_step(rng);
+    rng->has_uint32 = 0;
+    rng->uinteger = 0;
+    return (bitgen_t){rng, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+}
 
 typedef struct {
     double key;
@@ -170,19 +254,26 @@ int64_t forest_rows(const double *w, const int64_t *ends, int64_t m, int64_t n_e
     return status;
 }
 
-int64_t perturbed_forest_rows(const double *theta, const double *z, double eps,
+int64_t perturbed_forest_rows(const double *theta, const uint64_t *words, double eps,
                               const int64_t *ends, int64_t m, int64_t n_edges,
                               int64_t n_nodes, double *out) {
     workspace ws;
     int status = open_workspace(&ws, ends, n_edges, n_nodes);
     if (status != 0) return status;
+    double *z = malloc((size_t)(n_edges > 0 ? n_edges : 1) * sizeof(double));
+    if (z == NULL) {
+        close_workspace(&ws);
+        return NO_MEMORY;
+    }
+    pcg64 rng;
+    bitgen_t stream = pcg64_stream(&rng, words);
     double *counts = out, *values = out + n_edges;
     for (int64_t e = 0; e < n_edges; e++) counts[e] = 0.0;
     for (int64_t r = 0; r < m && status == 0; r++) {
-        const double *zr = z + r * n_edges;
+        random_standard_normal_fill(&stream, n_edges, z);
         int64_t n = 0;
         for (int64_t e = 0; e < n_edges; e++) {
-            double w = theta[e] + eps * zr[e];
+            double w = theta[e] + eps * z[e];
             if (!isfinite(w)) status = NON_FINITE;
             if (w > 0.0) ws.items[n++] = (item){-w, e};
         }
@@ -191,10 +282,12 @@ int64_t perturbed_forest_rows(const double *theta, const double *z, double eps,
         for (int64_t i = 0; i < count; i++) {
             int64_t e = ws.picks[i];
             counts[e] += 1.0;
-            value += theta[e] + eps * zr[e];
+            value += theta[e] + eps * z[e];
         }
         values[r] = value;
     }
+    for (int64_t e = 0; e < n_edges; e++) counts[e] /= (double)m;
+    free(z);
     close_workspace(&ws);
     return status;
 }
@@ -297,4 +390,34 @@ void seed_state(const uint32_t *entropy, int64_t n, uint64_t *state) {
     }
     for (int i = 0; i < POOL; i++)
         state[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
+}
+
+void raw_fill(const uint64_t *words, int64_t n, uint64_t *out) {
+    pcg64 rng;
+    bitgen_t stream = pcg64_stream(&rng, words);
+    for (int64_t i = 0; i < n; i++) out[i] = stream.next_raw(stream.state);
+}
+
+void normal_fill(const uint64_t *words, int64_t n, double *out) {
+    pcg64 rng;
+    bitgen_t stream = pcg64_stream(&rng, words);
+    random_standard_normal_fill(&stream, n, out);
+}
+
+/* trainer.adam_step's numpy expressions, element by element, on the rows
+ * of state (4, n): w, g, m, v.
+ *   m = beta1 * m + (1 - beta1) * g
+ *   v = beta2 * v + (1 - beta2) * g * g
+ *   w = w - lr * (m / bias1) / (sqrt(v / bias2) + eps)   */
+int64_t adam_step(double *state, int64_t n, double lr, double beta1, double beta2,
+                  double eps, double bias1, double bias2) {
+    double *w = state, *g = state + n, *m = state + 2 * n, *v = state + 3 * n;
+    for (int64_t i = 0; i < n; i++)
+        if (!isfinite(g[i])) return NON_FINITE;
+    for (int64_t i = 0; i < n; i++) {
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
+        w[i] = w[i] - lr * (m[i] / bias1) / (sqrt(v[i] / bias2) + eps);
+    }
+    return 0;
 }

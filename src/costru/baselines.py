@@ -9,6 +9,7 @@ zero-sum projection of the multipliers after each round.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class SaaConfig:
     def __post_init__(self):
         if self.n_saa_scenarios < 1 or self.lagrangian_iters < 1:
             raise InputError("SAA counts must be >= 1")
-        if self.sigma0 <= 0:
-            raise InputError("sigma0 must be positive")
+        if not (math.isfinite(self.sigma0) and self.sigma0 > 0):
+            raise InputError(f"sigma0 must be a finite positive number, not {self.sigma0!r}")
 
 
 def _shared_costs(scenarios: list[Scenario]) -> tuple[np.ndarray, np.ndarray]:

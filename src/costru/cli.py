@@ -2,10 +2,12 @@
 
 Subcommands: generate, train, verify, sweep-epsilon, evaluate.
 Exit codes: 0 ok, 1 verification failure, 2 usage/config error (a negative
-seed, an unreadable weights file, and a config or split file that cannot be
-parsed included), 3 IO error, 4 internal error (a non-finite gradient, a
-disconnected graph, an iterate on the simplex boundary, or a native library
-that the C compiler ``cc`` failed to build or that failed to load).
+seed, a learning rate, perturbation scale, kappa or sigma0 that is not a
+finite positive number, an unreadable weights file, and a config or split
+file that cannot be parsed included), 3 IO error, 4 internal error (a
+non-finite gradient, a disconnected graph, an iterate on the simplex
+boundary, or a native library that the C compiler ``cc`` failed to build,
+that lacks numpy's random library, or that failed to load).
 Every command is deterministic given (config, seed); all CSVs carry a
 comment line recording the config hash and seed, then a header row.
 """

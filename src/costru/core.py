@@ -147,7 +147,8 @@ class RngStream:
     sequences; distinct ids give statistically independent streams.  The
     stream is numpy's default generator seeded by the seed sequence of
     ``seed`` with spawn key ``(stream_id, *path)``, bit for bit; the native
-    library computes its PCG64 state.  ``generator()`` returns a fresh
+    library computes its PCG64 state words, from which both ``generator()``
+    and the library's own draws start.  ``generator()`` returns a fresh
     generator each call, so two calls on the same stream see the same draws
     -- this is what makes common-random-number estimator pairing and
     processing-order independence trivial.
@@ -157,8 +158,14 @@ class RngStream:
     stream_id: int = 0
     path: tuple[int, ...] = ()
 
+    def state_words(self):
+        """The stream's four PCG64 state words, a ctypes array of
+        ``c_uint64`` that the native entries take in place (see
+        ``native.seed_state``)."""
+        return native.seed_state(self.seed, (self.stream_id, *self.path))
+
     def generator(self) -> np.random.Generator:
-        words = native.seed_state(self.seed, (self.stream_id, *self.path))
+        words = np.frombuffer(self.state_words(), dtype=np.uint64)
         _register_state_words()
         return np.random.Generator(np.random.PCG64(_StateWords(words)))
 

@@ -1,10 +1,12 @@
 """The package's native library: ``_native.c`` built with the C compiler
-``cc`` on first use and loaded through ctypes.
+``cc`` on first use, linked with numpy's static random library
+``numpy/random/lib/libnpyrandom.a`` for numpy's own standard normal
+sampler, and loaded through ctypes.
 
 The library is the only implementation of the spanning-tree oracles and of
-stream seeding, so ``cc`` is required: ``_compiled_kernel()`` raises
-``NativeLibraryError`` when the build or the load fails.  Nothing here runs
-at import time.
+stream seeding, so ``cc`` and the archive are required:
+``_compiled_kernel()`` raises ``NativeLibraryError`` when the archive is
+missing or the build or the load fails.  Nothing here runs at import time.
 """
 
 from __future__ import annotations
@@ -26,20 +28,38 @@ import numpy as np
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # numpy's SeedSequence pool size, in 32-bit words.
 _POOL = 4
+# PCG64's state words, as the library reads and writes them.
+_STATE = ctypes.c_uint64 * 4
 
 
 class NativeLibraryError(RuntimeError):
-    """The native library could not be built with ``cc`` or loaded."""
+    """The native library could not be built with ``cc`` and numpy's random
+    library, or loaded."""
+
+
+def _npyrandom_archive() -> Path:
+    """numpy's static random library, whose ``random_standard_normal_fill``
+    the native library links."""
+    return Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
 
 
 def _build_kernel() -> Path:
     """Compile ``_native.c`` into this package's ``__pycache__``, named after
-    a hash of the source and the flags, unless it is there.  A new build
-    deletes the libraries of other sources left there."""
+    a hash of the flags, the source and numpy's random library (so that a
+    numpy upgrade rebuilds it), unless it is there.  A new build deletes the
+    libraries of other sources left there."""
     import subprocess  # imported on the first build only, to keep the package import fast
 
     source = resources.files(__package__).joinpath("_native.c").read_bytes()
-    digest = hashlib.sha256(" ".join(_FLAGS).encode() + b"\0" + source).hexdigest()[:16]
+    archive = _npyrandom_archive()
+    try:
+        archive_bytes = archive.read_bytes()
+    except OSError as exc:
+        raise NativeLibraryError(
+            f"cannot build the native library without numpy's random library {archive}: "
+            f"{exc}") from exc
+    digest = hashlib.sha256(b"\0".join([" ".join(_FLAGS).encode(), source,
+                                        archive_bytes])).hexdigest()[:16]
     cache = Path(__file__).with_name("__pycache__")
     target = cache / f"_native-{digest}.so"
     if not target.exists():
@@ -47,7 +67,8 @@ def _build_kernel() -> Path:
         fd, partial = tempfile.mkstemp(dir=cache, prefix="_native-", suffix=".tmp")
         os.close(fd)
         try:
-            subprocess.run(["cc", *_FLAGS, "-x", "c", "-", "-o", partial],
+            subprocess.run(["cc", *_FLAGS, "-x", "c", "-", "-x", "none", str(archive), "-lm",
+                            "-o", partial],
                            input=source, capture_output=True, check=True, timeout=120)
             os.chmod(partial, 0o755)  # mkstemp made it private to this user
             os.replace(partial, target)
@@ -84,6 +105,9 @@ def _compiled_kernel():
         ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr], size),
         ("completion_rows", [ptr, ptr, ptr, size, size, size, ptr], size),
         ("seed_state", [ptr, size, ptr], None),
+        ("raw_fill", [ptr, size, ptr], None),
+        ("normal_fill", [ptr, size, ptr], None),
+        ("adam_step", [ptr, size, real, real, real, real, real, real], size),
     ):
         fn = getattr(lib, name)
         fn.argtypes = argtypes
@@ -98,19 +122,20 @@ def doubles(n: int) -> tuple[ctypes.Array, np.ndarray]:
     return buffer, np.frombuffer(buffer)
 
 
-def seed_state(seed: int, spawn_key: tuple[int, ...]) -> np.ndarray:
+def seed_state(seed: int, spawn_key: tuple[int, ...]) -> ctypes.Array:
     """The state words ``generate_state(4, np.uint64)`` of numpy's seed
     sequence of ``seed`` and ``spawn_key``, bit for bit, computed by the
-    library.  The seed and key entries are non-negative ints: a negative one
-    raises ``ValueError`` and one that is not an int ``TypeError``, as numpy
-    does."""
+    library, as a ctypes array of four ``c_uint64``: the library's entries
+    take it in place, and ``np.frombuffer`` views it.  The seed and key
+    entries are non-negative ints: a negative one raises ``ValueError`` and
+    one that is not an int ``TypeError``, as numpy does."""
     try:
         entropy = _short_entropy(len(spawn_key))(seed, *spawn_key)
     except struct.error:
         entropy = _assembled_entropy(seed, spawn_key)
-    state = (ctypes.c_uint64 * 4)()
+    state = _STATE()
     _compiled_kernel().seed_state(entropy, len(entropy) // 4, state)
-    return np.frombuffer(state, dtype=np.uint64)
+    return state
 
 
 @functools.cache

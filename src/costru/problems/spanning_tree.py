@@ -18,11 +18,12 @@ of a small graph's forests and spanning pairs) are independent references.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .. import native
-from ..core import InputError, LinearOracle, Scenario
+from ..core import InputError, LinearOracle, RngStream, Scenario
 
 
 class InfeasibleError(RuntimeError):
@@ -54,10 +55,9 @@ _DISCONNECTED = "graph is disconnected"
 _NO_COMPLETION = "graph is disconnected; no spanning completion"
 
 
-def _kernel(entry: str, *args, disconnected: str = _DISCONNECTED) -> int:
-    """Call an entry of the Kruskal kernel; raise what a negative status
-    (see ``_native.c``) means."""
-    status = getattr(native._compiled_kernel(), entry)(*args)
+def _status(status: int, disconnected: str = _DISCONNECTED) -> int:
+    """A Kruskal entry's status; raise what a negative one (see
+    ``_native.c``) means."""
     if status >= 0:
         return status
     if status == -1:
@@ -69,6 +69,11 @@ def _kernel(entry: str, *args, disconnected: str = _DISCONNECTED) -> int:
     if status == -4:
         raise InfeasibleError(disconnected)
     raise InputError("first-stage selection contains a cycle")
+
+
+def _kernel(entry: str, *args, disconnected: str = _DISCONNECTED) -> int:
+    """Call an entry of the Kruskal kernel and check its status."""
+    return _status(getattr(native._compiled_kernel(), entry)(*args), disconnected)
 
 
 def _check_edges(edges: np.ndarray) -> None:
@@ -122,33 +127,49 @@ def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> 
     return _forests(_rows(weights, len(edges), n_nodes), edges.ctypes.data, n_nodes)
 
 
-def _tilt_inputs(theta, z, n_edges: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """theta as an (E,) and z as an (m >= 1, E) C-contiguous float64 array."""
+def _checked_theta(theta, n_edges: int) -> np.ndarray:
+    """theta as an (E,) C-contiguous float64 array."""
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     if theta.shape != (n_edges,):
         raise InputError("theta needs one entry per edge")
-    z = _rows(z, n_edges, n_nodes)
-    if not len(z):
+    return theta
+
+
+def _bound_perturbed_forests(
+    theta: np.ndarray, eps: float, m: int, edges: np.ndarray, n_nodes: int
+) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
+    """``perturbed_forest_stats`` bound to the buffer theta, which must be an
+    (E,) C-contiguous float64 array, to the checked edges and to one output
+    buffer: a function of a stream that runs one kernel call on theta's
+    current entries and returns views of the output, which the next call
+    overwrites."""
+    n_edges = len(edges)
+    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
+            and theta.shape == (n_edges,) and theta.flags.c_contiguous):
+        raise InputError("theta must be a C-contiguous float64 array with one entry per edge")
+    if m < 1:
         raise InputError("the perturbed maximum needs at least one draw")
-    return theta, z
+    buffer, out = native.doubles(n_edges + m)  # the mean, then the row values
+    stats = out[n_edges:], out[:n_edges]
+    entry = native._compiled_kernel().perturbed_forest_rows
+    args = (eps, edges.ctypes.data, m, n_edges, n_nodes, buffer)
+    address = theta.ctypes.data
 
+    def perturbed_stats(rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+        _status(entry(address, rng.state_words(), *args))
+        return stats
 
-def _perturbed_forests(theta: np.ndarray, z: np.ndarray, eps: float, ends: int,
-                       n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``perturbed_forest_stats`` of checked inputs; ``ends`` is the address
-    of the checked edge array."""
-    m, n_edges = z.shape
-    buffer, out = native.doubles(n_edges + m)  # the counts, then the row values
-    _kernel("perturbed_forest_rows", theta.ctypes.data, z.ctypes.data, eps, ends, m, n_edges,
-            n_nodes, buffer)
-    return out[n_edges:], out[:n_edges] / m
+    perturbed_stats.inputs = theta, edges  # the kernel reads them by address
+    return perturbed_stats
 
 
 def perturbed_forest_stats(
-    theta: np.ndarray, z: np.ndarray, eps: float, edges: np.ndarray, n_nodes: int
+    theta: np.ndarray, eps: float, m: int, rng: RngStream, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row values and mean of the maximum-weight forests y_r of the tilts
-    theta + eps * z[r], for an (E,) theta and (m, E) draws z.
+    theta + eps * z[r], for an (E,) theta and the (m, E) draws z of the
+    stream rng, ``rng.generator().standard_normal((m, E))`` bit for bit,
+    drawn inside the kernel.
 
     The mean equals ``max_weight_forests(theta + eps * z, ...).mean(axis=0)``
     bit for bit; row r's value is <theta + eps * z[r] | y_r>, summed in the
@@ -156,8 +177,8 @@ def perturbed_forest_stats(
     last bits.  A non-finite tilt raises ``InputError``.
     """
     _check_edges(edges)
-    return _perturbed_forests(*_tilt_inputs(theta, z, len(edges), n_nodes), eps,
-                              edges.ctypes.data, n_nodes)
+    return _bound_perturbed_forests(_checked_theta(theta, len(edges)), eps, m, edges,
+                                    n_nodes)(rng)
 
 
 def _completions(
@@ -313,13 +334,24 @@ class MstOracle(LinearOracle):
         return _forests(_rows(thetas, self.n_edges, self.n_nodes), self._ends, self.n_nodes)
 
     def perturbed_stats(
-        self, theta: np.ndarray, z: np.ndarray, eps: float
+        self, theta: np.ndarray, eps: float, m: int, rng: RngStream
     ) -> tuple[np.ndarray, np.ndarray]:
         """The optional fused entry of the perturbed maximum: row values
         <theta + eps z_r | y_r> and the mean of the maximizers y_r of the
-        tilts, in one kernel call (see ``perturbed_forest_stats``)."""
-        theta, z = _tilt_inputs(theta, z, self.n_edges, self.n_nodes)
-        return _perturbed_forests(theta, z, eps, self._ends, self.n_nodes)
+        tilts for the m draws z_r of rng, in one kernel call that also draws
+        them (see ``perturbed_forest_stats``)."""
+        theta = _checked_theta(theta, self.n_edges)
+        return self.bind_perturbed_stats(theta, eps, m)(rng)
+
+    def bind_perturbed_stats(
+        self, theta: np.ndarray, eps: float, m: int
+    ) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
+        """``perturbed_stats`` bound to one theta buffer, for a loop that
+        rewrites it in place: a function of a stream that answers for
+        theta's current entries.  theta must be a C-contiguous (E,) float64
+        array; the returned arrays are views that the next call overwrites,
+        so one bound function serves one thread."""
+        return _bound_perturbed_forests(theta, eps, m, self.edges, self.n_nodes)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         """First stages of the two-stage splits under c - kappa * theta_tilde,

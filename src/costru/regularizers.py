@@ -139,20 +139,21 @@ def _perturbed_argmax_stats(
 ) -> tuple[float, np.ndarray]:
     """Shared-draw (value, moment) pair for the perturbed maximum.
 
-    An oracle with the optional fused entry ``perturbed_stats(theta, z,
-    eps)`` answers from one call: the row values <theta + eps z_r | y_r>
-    and the mean of the maximizers y_r.
+    An oracle with the optional fused entry ``perturbed_stats(theta, eps, m,
+    rng)`` answers from one call that also draws the m normals z_r of rng:
+    the row values <theta + eps z_r | y_r> and the mean of the maximizers
+    y_r.
     """
     theta = ensure_finite(theta, "theta")
     if eps <= 0:
         raise InputError("eps must be positive")
     if m < 1:
         raise InputError("sample count must be >= 1")
-    z = _standard_normal_draws(rng, m, theta.shape[0])
     fused = getattr(oracle, "perturbed_stats", None)
     if fused is not None:
-        values, moment = fused(theta, z, eps)
+        values, moment = fused(theta, eps, m, rng)
     else:
+        z = _standard_normal_draws(rng, m, theta.shape[0])
         tilted = theta[None, :] + eps * z
         ys = oracle.argmax_linear_many(tilted)
         values, moment = np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)

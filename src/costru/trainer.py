@@ -10,11 +10,13 @@ is tracked alongside the iterates themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InputError, LinearOracle, RngStream, Scenario, make_rng
+from . import native
+from .core import Dataset, InputError, LinearOracle, RngStream, Scenario, ensure_finite, make_rng
 from .regularizers import perturbed_decomposition_target, perturbed_fy_gradient
 
 GlmWeights = np.ndarray
@@ -42,39 +44,45 @@ class TrainConfig:
         counts = (self.nb_iterations, self.nb_scenarios, self.nb_samples, self.nb_epochs)
         if min(counts) < 1:
             raise InputError("all iteration/sample counts must be >= 1")
-        if min(self.lr_init, self.epsilon, self.kappa) <= 0:
-            raise InputError("lr_init, epsilon and kappa must be positive")
+        for name in ("lr_init", "epsilon", "kappa"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"{name} must be a finite positive number, not {value!r}")
 
 
-@dataclass(frozen=True)
 class AdamState:
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
+    """Adam's state for one weight vector, updated in place by ``adam_step``:
+    the weights, the gradient that the next step applies, the first and
+    second moments, and the step count.  The four vectors are the rows of
+    one buffer, whose address is looked up once."""
 
     beta1 = 0.9
     beta2 = 0.999
     eps_adam = 1e-8
 
-    @staticmethod
-    def zeros(n_weights: int) -> "AdamState":
-        return AdamState(np.zeros(n_weights), np.zeros(n_weights))
+    def __init__(self, weights: np.ndarray):
+        w = np.asarray(weights, dtype=float)
+        if w.ndim != 1:
+            raise InputError("weights must be a vector")
+        self._rows = np.zeros((4, len(w)))
+        self.weights, self.gradient, self.first_moment, self.second_moment = self._rows
+        self.weights[:] = w
+        self.step_count = 0
+        self._address = self._rows.ctypes.data
 
 
-def adam_step(
-    adam: AdamState, w: GlmWeights, gradient: np.ndarray, lr: float
-) -> tuple[AdamState, GlmWeights]:
-    """One bias-corrected Adam update; returns the new state and weights."""
-    g = np.asarray(gradient, dtype=float)
-    if g.shape != w.shape:
-        raise InputError("gradient and weight shapes differ")
+def adam_step(adam: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``adam.weights`` from
+    ``adam.gradient``, in place: numpy's operations in numpy's order, run by
+    the native library.  A non-finite gradient raises FloatingPointError and
+    changes nothing."""
     t = adam.step_count + 1
-    m = AdamState.beta1 * adam.first_moment + (1.0 - AdamState.beta1) * g
-    v = AdamState.beta2 * adam.second_moment + (1.0 - AdamState.beta2) * g * g
-    m_hat = m / (1.0 - AdamState.beta1 ** t)
-    v_hat = v / (1.0 - AdamState.beta2 ** t)
-    new_w = w - lr * m_hat / (np.sqrt(v_hat) + AdamState.eps_adam)
-    return AdamState(m, v, t), new_w
+    status = native._compiled_kernel().adam_step(
+        adam._address, len(adam.weights), lr, AdamState.beta1, AdamState.beta2,
+        AdamState.eps_adam, 1.0 - AdamState.beta1 ** t, 1.0 - AdamState.beta2 ** t)
+    if status < 0:
+        raise FloatingPointError("non-finite gradient")
+    adam.step_count = t
 
 
 def score_instance(weights: GlmWeights, scenario: Scenario) -> np.ndarray:
@@ -123,31 +131,57 @@ def coordination_pass(
     rng: RngStream,
 ) -> GlmWeights:
     """Fit the shared weights to the targets by per-example Adam steps from
-    a fresh optimizer state.
+    a fresh optimizer state; returns new weights.
 
     Runs nb_epochs sweeps; every (epoch, example) slot resamples fresh
     perturbation draws from its own sub-stream.  The score-space gradient
     (perturbed maximizer moment minus target) is chained through the GLM
-    Jacobian, i.e. the feature matrix.
+    Jacobian, i.e. the feature matrix.  An oracle with the optional
+    ``bind_perturbed_stats`` gives the moment from one native call per
+    step, which draws too; any other goes through ``perturbed_fy_gradient``.
     """
     if len(batch) != len(targets):
         raise InputError("targets must align with the batch")
-    w = np.asarray(weights, dtype=float).copy()
-    adam = AdamState.zeros(w.shape[0])
+    if not batch:
+        raise InputError("coordination needs a nonempty batch")
+    adam = AdamState(weights)
+    examples = [_example(scenario, mu, batch[0].dim, len(adam.weights))
+                for scenario, mu in zip(batch, targets)]
+    theta, g_theta = np.empty(batch[0].dim), np.empty(batch[0].dim)
+    bind = getattr(oracle, "bind_perturbed_stats", None)
+    fused = None if bind is None else bind(theta, config.epsilon, config.nb_samples)
     for epoch in range(config.nb_epochs):
-        for slot, (scenario, mu) in enumerate(zip(batch, targets)):
-            theta = score_instance(w, scenario)
-            _, g_theta = perturbed_fy_gradient(
-                oracle, theta, mu, config.epsilon, config.nb_samples,
-                rng.split(epoch, slot),
-            )
-            g_w = scenario.features.T @ g_theta
-            if not np.isfinite(g_w).all():
+        for slot, (features, features_t, mu) in enumerate(examples):
+            np.matmul(features, adam.weights, out=theta)
+            stream = rng.split(epoch, slot)
+            if fused is None:
+                _, g = perturbed_fy_gradient(oracle, theta, mu, config.epsilon,
+                                             config.nb_samples, stream)
+            else:
+                g = np.subtract(fused(stream)[1], mu, out=g_theta)
+            np.matmul(features_t, g, out=adam.gradient)
+            try:
+                adam_step(adam, config.lr_init)
+            except FloatingPointError as exc:
                 raise FloatingPointError(
-                    f"non-finite gradient at epoch {epoch}, example {slot}"
-                )
-            adam, w = adam_step(adam, w, g_w, config.lr_init)
-    return w
+                    f"non-finite gradient at epoch {epoch}, example {slot}") from exc
+    return adam.weights.copy()
+
+
+def _example(scenario: Scenario, target: np.ndarray, dim: int,
+             width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A coordination example's features, their transpose and its target,
+    checked once per pass: every scenario of a batch has ``dim`` solution
+    coordinates and ``width`` features, and its target is ``dim`` finite
+    numbers."""
+    if scenario.feature_width != width:
+        raise InputError(f"feature width {scenario.feature_width} does not match {width} weights")
+    if scenario.dim != dim:
+        raise InputError("the scenarios of a batch must share their dimension")
+    mu = ensure_finite(target, "target moment")
+    if mu.shape != (dim,):
+        raise InputError("theta and target dimensions differ")
+    return scenario.features, scenario.features.T, mu
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from costru.baselines import (
     saa_objective,
     uncoordinated_imitation,
 )
-from costru.core import Scenario, make_rng
+from costru.core import InputError, Scenario, make_rng
 from costru.problems.datasets import GenConfig, dataset_from_instances, generate_mst_split
 from costru.problems.spanning_tree import (
     GridInstance,
@@ -85,6 +85,11 @@ class TestLagrangianSaa:
         y = lagrangian_saa_solution(scenarios, oracle, SaaConfig(lagrangian_iters=5))
         expected = oracle.argmin_shifted(np.zeros(oracle.n_edges), 0.0, base)
         np.testing.assert_array_equal(y, expected)
+
+    @pytest.mark.parametrize("sigma0", [np.nan, np.inf, 0.0])
+    def test_sigma0_must_be_finite_positive(self, sigma0):
+        with pytest.raises(InputError, match="sigma0 must be a finite positive number"):
+            SaaConfig(sigma0=sigma0)
 
     def test_requires_two_scenarios(self):
         inst = small_instances(scenarios=1)[0]

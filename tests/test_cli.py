@@ -261,6 +261,23 @@ class TestTrain:
                          "--data", mst_data, "--out", str(tmp_path / "run")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("lr_init", "nan"), ("epsilon", "inf"),
+                                            ("kappa", "-inf")])
+    def test_non_finite_train_value_exits_two(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(TOY_CONFIG.replace("[train]\n", f"[train]\n{key} = {value}\n"))
+        out = tmp_path / "run"
+        assert cli.main(["train", "primal-dual", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key} must be a finite positive number" in capsys.readouterr().err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_non_finite_sigma0_exits_two(self, tmp_path, capsys, mst_data):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(MST_CONFIG.replace("[saa]\n", "[saa]\nsigma0 = nan\n"))
+        assert cli.main(["train", "fully-coordinated", "--config", str(cfg), "--data", mst_data,
+                         "--out", str(tmp_path / "run")]) == 2
+        assert "sigma0 must be a finite positive number" in capsys.readouterr().err
+
     def test_rerun_byte_identical_csv(self, tmp_path, mst_config, mst_data):
         outs = []
         for name in ("r1", "r2"):

@@ -83,8 +83,7 @@ def _assert_numpy_words(seed, stream_id, path):
     key = (stream_id, *path)
     words = native.seed_state(seed, key)
     expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
-    assert words.dtype == np.uint64
-    assert words.tobytes() == expected.tobytes()
+    assert bytes(words) == expected.tobytes()
     _assert_same_stream(RngStream(seed, stream_id, tuple(path)).generator(),
                         _numpy_stream(seed, stream_id, path))
 
@@ -152,6 +151,41 @@ class TestNativeSeedState:
             sys.setswitchinterval(interval)
         for g, e in zip(got, expected, strict=True):
             assert g.tobytes() == e.tobytes()
+
+
+def _library_draws(entry: str, stream: RngStream, n: int, dtype) -> np.ndarray:
+    out = np.empty(n, dtype=dtype)
+    getattr(native._compiled_kernel(), entry)(stream.state_words(), n, out.ctypes.data)
+    return out
+
+
+class TestNativeDraws:
+    """The library's PCG64 stream, started from a stream's state words, is
+    numpy's bit for bit: its raw words and its standard normals."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_WIDE, _WIDE, st.lists(_WIDE, max_size=4), st.integers(0, 10 ** 5))
+    @example(2 ** 96, 2 ** 64 - 1, [3, 2 ** 40], 10 ** 5).via("wide words, 10**5 draws")
+    def test_normals_equal_numpy(self, seed, stream_id, path, n):
+        stream = RngStream(seed, stream_id, tuple(path))
+        got = _library_draws("normal_fill", stream, n, np.float64)
+        assert got.tobytes() == stream.generator().standard_normal(n).tobytes()
+
+    def test_normals_reach_the_ziggurat_tail(self):
+        """10**5 draws pass numpy's outermost layer, |z| > 3.6541528853610088,
+        which the sampler draws by rejection with log1p; they still agree."""
+        stream = make_rng(11, 3).split(5)
+        got = _library_draws("normal_fill", stream, 10 ** 5, np.float64)
+        assert np.abs(got).max() > 3.6541528853610088
+        assert got.tobytes() == stream.generator().standard_normal(10 ** 5).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_WIDE, _WIDE, st.lists(_WIDE, max_size=4), st.integers(0, 2000))
+    def test_raw_words_equal_numpy(self, seed, stream_id, path, n):
+        stream = RngStream(seed, stream_id, tuple(path))
+        expected = np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(stream_id, *path))).random_raw(n)
+        assert _library_draws("raw_fill", stream, n, np.uint64).tobytes() == expected.tobytes()
 
 
 class TestContainers:

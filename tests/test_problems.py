@@ -15,8 +15,8 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 
 import kruskal_reference as reference
 
-from costru import native
-from costru.core import Dataset, InputError, Scenario, make_rng
+from costru import cli, native
+from costru.core import Dataset, InputError, RngStream, Scenario, make_rng
 from costru.problems import spanning_tree
 from costru.problems.datasets import (
     GenConfig,
@@ -630,14 +630,42 @@ class TestCompiledKernel:
         assert sorted(cache.iterdir()) == sorted([target, kept])
         assert ctypes.CDLL(str(target)).forest_rows
 
+    def test_numpy_random_library_names_the_build(self, tmp_path, monkeypatch):
+        """The bytes of numpy's random library are part of the library's
+        name: another archive, as after a numpy upgrade, makes a new build
+        rather than loading the old one."""
+        monkeypatch.setattr(native, "__file__", str(tmp_path / "native.py"))
+        built = native._build_kernel()
+        assert native._build_kernel() == built
+        other = tmp_path / "libnpyrandom.a"
+        other.write_bytes(native._npyrandom_archive().read_bytes() + b"\n")
+        monkeypatch.setattr(native, "_npyrandom_archive", lambda: other)
+        rebuilt = native._build_kernel()
+        assert rebuilt != built
+        assert sorted((tmp_path / "__pycache__").iterdir()) == [rebuilt]
+
+    def test_missing_numpy_random_library_raises(self, tmp_path, monkeypatch, request):
+        """Without numpy's random library there is no native library: the
+        error names the archive, and the CLI exits 4."""
+        missing = tmp_path / "lib" / "libnpyrandom.a"
+        monkeypatch.setattr(native, "_npyrandom_archive", lambda: missing)
+        request.addfinalizer(native._compiled_kernel.cache_clear)
+        native._compiled_kernel.cache_clear()
+        with pytest.raises(native.NativeLibraryError, match=str(missing)):
+            MstOracle(2, 3).argmax_linear(np.ones(7))
+        out = tmp_path / "report.csv"
+        assert cli.main(["verify", "oracles", "--out", str(out)]) == 4
+        assert not out.exists()
+
     def test_source_ships_as_package_data(self):
         source = resources.files("costru").joinpath("_native.c")
         assert source.is_file()
         text = source.read_text()
         for entry in ("forest_rows(", "perturbed_forest_rows(", "split_rows(",
-                      "completion_rows("):
+                      "completion_rows(", "adam_step("):
             assert f"int64_t {entry}" in text
-        assert "void seed_state(" in text
+        for entry in ("seed_state(", "raw_fill(", "normal_fill("):
+            assert f"void {entry}" in text
 
     @pytest.mark.parametrize("build, stderr", [
         (_raise(FileNotFoundError("No such file or directory: 'cc'")), None),
@@ -654,7 +682,7 @@ class TestCompiledKernel:
         theta = np.ones(oracle.n_edges)
         scenario = Scenario(0, np.zeros((oracle.n_edges, 1)), TwoStageCosts(theta, theta))
         calls = [lambda: oracle.argmax_linear_many(theta[None, :]),
-                 lambda: oracle.perturbed_stats(theta, theta[None, :], 0.5),
+                 lambda: oracle.perturbed_stats(theta, 0.5, 1, make_rng(0)),
                  lambda: oracle.argmin_shifted(theta, 1.0, scenario),
                  lambda: second_stage_value(0.0 * theta, theta, oracle.edges, oracle.n_nodes)]
         if isinstance(build, str):
@@ -672,79 +700,107 @@ class TestCompiledKernel:
 
 @st.composite
 def tilt_cases(draw):
-    """(edges, n_nodes, (E,) theta, (m, E) draws z, eps) with m in 1..5:
-    integer entries with eps a power of two, so that tilts tie exactly, or
-    continuous entries and eps; both zeros in either."""
+    """(edges, n_nodes, (E,) theta, eps, m, stream) with m in 1..5: integer
+    theta with eps a power of two, or continuous theta and eps, both with
+    zeros; the stream's seed and key words of any width."""
     edges, n_nodes = draw(st.sampled_from(_KERNEL_GRAPHS))
     tied = draw(st.booleans())
     values = st.one_of(_TIED.map(float) if tied else st.floats(-4.0, 4.0), _ZEROS)
-    eps = draw(st.sampled_from([0.125, 0.5, 1.0, 2.0, 8.0]) if tied
+    eps = draw(st.sampled_from([2.0 ** -30, 0.125, 0.5, 1.0, 2.0, 8.0]) if tied
                else st.floats(1e-3, 10.0))
     m = draw(st.integers(1, 5))
-    n_edges = len(edges)
-    flat = draw(st.lists(values, min_size=(m + 1) * n_edges, max_size=(m + 1) * n_edges))
-    arr = np.array(flat, dtype=float)
-    return edges, n_nodes, arr[:n_edges], arr[n_edges:].reshape(m, n_edges), eps
+    theta = np.array(draw(st.lists(values, min_size=len(edges), max_size=len(edges))),
+                     dtype=float)
+    words = st.integers(0, 2 ** 96)
+    stream = RngStream(draw(words), draw(words), tuple(draw(st.lists(words, max_size=3))))
+    return edges, n_nodes, theta, eps, m, stream
 
 
-def _forest_stats(theta, z, eps, edges, n_nodes):
-    """The numpy glue that the fused entry replaces: tilt, forests, values
-    and mean."""
+def _forest_stats(theta, eps, m, stream, edges, n_nodes):
+    """The numpy path that the fused entry replaces: draw, tilt, forests,
+    values and mean."""
+    z = stream.generator().standard_normal((m, len(edges)))
     tilted = theta[None, :] + eps * z
     ys = max_weight_forests(tilted, edges, n_nodes)
     return np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)
 
 
 class TestPerturbedForestStats:
-    """The fused perturbed-forest entry against the numpy path it replaces."""
+    """The fused perturbed-forest entry, which draws inside the kernel,
+    against the numpy path it replaces."""
 
     @settings(max_examples=300, deadline=None)
     @given(tilt_cases())
     def test_matches_numpy_glue(self, case):
         """The mean is bit-identical; the row values, summed in selection
         order, agree to 1e-12 relative."""
-        edges, n_nodes, theta, z, eps = case
-        expected_values, expected_moment = _forest_stats(theta, z, eps, edges, n_nodes)
-        values, moment = perturbed_forest_stats(theta, z, eps, edges, n_nodes)
+        edges, n_nodes, theta, eps, m, stream = case
+        expected_values, expected_moment = _forest_stats(theta, eps, m, stream, edges, n_nodes)
+        values, moment = perturbed_forest_stats(theta, eps, m, stream, edges, n_nodes)
         assert (moment.shape, moment.dtype) == (expected_moment.shape, np.float64)
         assert moment.tobytes() == expected_moment.tobytes()
         np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kernel", ["compiled", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_tilt_raises(self, kernel, bad):
         """A non-finite tilt, also one that overflows, raises the error of
         the reference on the tilt that numpy computes."""
         oracle = MstOracle(2, 3)
-        theta, z = np.ones(oracle.n_edges), np.ones((3, oracle.n_edges))
-        z[1, 2] = 1e308 if bad == "overflow" else bad
+        stream = make_rng(20, 1)
+        theta, eps = np.ones(oracle.n_edges), 8.0
+        if bad == "overflow":
+            theta[:], eps = 1.7e308, 1e308
+        else:
+            theta[2] = bad
         with pytest.raises(InputError, match="weights must be finite"):
             if kernel == "compiled":
-                oracle.perturbed_stats(theta, z, 8.0)
+                oracle.perturbed_stats(theta, eps, 3, stream)
             else:
-                reference.max_weight_forests_py(theta[None, :] + 8.0 * z, oracle.edges,
+                z = stream.generator().standard_normal((3, oracle.n_edges))
+                reference.max_weight_forests_py(theta[None, :] + eps * z, oracle.edges,
                                                 oracle.n_nodes)
 
-    @pytest.mark.parametrize("theta_shape, z_shape", [((5,), (2, 7)), ((7, 1), (2, 7)),
-                                                      ((7,), (7,)), ((7,), (0, 7))])
-    def test_other_shapes_rejected(self, theta_shape, z_shape):
+    @pytest.mark.parametrize("theta_shape, m", [((5,), 2), ((7, 1), 2), ((7,), 0), ((7,), -1)],
+                             ids=["short-theta", "column-theta", "no-draws", "negative-draws"])
+    def test_other_shapes_rejected(self, theta_shape, m):
         oracle = MstOracle(2, 3)
         with pytest.raises(InputError):
-            oracle.perturbed_stats(np.ones(theta_shape), np.ones(z_shape), 1.0)
+            oracle.perturbed_stats(np.ones(theta_shape), 1.0, m, make_rng(1))
+
+    def test_bound_entry_reads_the_buffer_in_place(self):
+        """The bound entry answers for the current entries of its theta
+        buffer, as the one-shot entry does, and takes no copy of another."""
+        oracle = MstOracle(3, 3)
+        theta = np.zeros(oracle.n_edges)
+        bound = oracle.bind_perturbed_stats(theta, 0.5, 6)
+        g = make_rng(21, 0).generator()
+        for slot in range(5):
+            theta[:] = g.standard_normal(oracle.n_edges)
+            stream = make_rng(21, 1).split(slot)
+            values, moment = bound(stream)
+            expected_values, expected_moment = oracle.perturbed_stats(theta, 0.5, 6, stream)
+            assert values.tobytes() == expected_values.tobytes()
+            assert moment.tobytes() == expected_moment.tobytes()
+        for other in (theta.astype(np.float32), np.zeros((oracle.n_edges, 2))[:, 0],
+                      theta.tolist(), theta[:-1]):
+            with pytest.raises(InputError, match="C-contiguous float64"):
+                oracle.bind_perturbed_stats(other, 0.5, 6)
 
     def test_concurrent_calls_match_sequential(self):
+        """Each call keeps its stream's state on its own stack: calls from
+        more threads than cores give the sequential results."""
         oracle = MstOracle(6, 6)
-        g = make_rng(19, 0).generator()
-        theta = g.normal(size=(64, oracle.n_edges))
-        z = g.normal(size=(64, 20, oracle.n_edges))
-        call = lambda t, d: oracle.perturbed_stats(t, d, 0.7)  # noqa: E731
-        expected = [call(t, d) for t, d in zip(theta, z)]
+        theta = make_rng(19, 0).generator().normal(size=(64, oracle.n_edges))
+        streams = [make_rng(19, 1).split(k) for k in range(64)]
+        call = lambda t, s: oracle.perturbed_stats(t, 0.7, 20, s)  # noqa: E731
+        expected = [call(t, s) for t, s in zip(theta, streams)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(call, theta, z, timeout=60))
+                got = list(pool.map(call, theta, streams, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         for (values, moment), (exp_values, exp_moment) in zip(got, expected, strict=True):

@@ -1,10 +1,15 @@
 """Primal-dual trainer: scoring, Adam, passes, full loop, evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from costru.core import InputError, make_rng
+from costru import trainer
+from costru.core import InputError, LinearOracle, make_rng
+from costru.problems.datasets import GenConfig, generate_mst_dataset, generate_mst_split
+from costru.problems.spanning_tree import MstOracle
 from costru.problems.toy import ToyEvaluator, ToyOracle, toy_dataset, toy_scenarios
 from costru.regularizers import perturbed_fy_gradient, perturbed_maximizer_moment
 from costru.trainer import (
@@ -51,19 +56,26 @@ class TestScoreInstance:
             score_instance(np.zeros(3), toy_scenarios()[0])
 
 
+def adam_steps(weights, gradients, lr) -> AdamState:
+    """A fresh Adam state on ``weights`` after one step per gradient."""
+    adam = AdamState(np.asarray(weights, dtype=float))
+    for g in gradients:
+        adam.gradient[:] = g
+        adam_step(adam, lr)
+    return adam
+
+
 class TestAdamStep:
     def test_first_step_magnitude(self):
-        adam = AdamState.zeros(3)
         g = np.array([5.0, -2.0, 0.5])
-        _, w = adam_step(adam, np.zeros(3), g, lr=0.1)
+        w = adam_steps(np.zeros(3), [g], lr=0.1).weights
         for k in range(3):
             assert 0.1 * (1 - 1e-6) <= abs(w[k]) <= 0.1
             assert np.sign(w[k]) == -np.sign(g[k])
 
     def test_zero_gradient_noop(self):
-        adam = AdamState.zeros(2)
-        state, w = adam_step(adam, np.array([1.0, -1.0]), np.zeros(2), lr=0.1)
-        np.testing.assert_array_equal(w, np.array([1.0, -1.0]))
+        state = adam_steps(np.array([1.0, -1.0]), [np.zeros(2)], lr=0.1)
+        np.testing.assert_array_equal(state.weights, np.array([1.0, -1.0]))
         assert state.step_count == 1
 
     def test_scalar_trace_oracle(self):
@@ -78,13 +90,42 @@ class TestAdamStep:
             v = b2 * v + (1 - b2) * g * g
             w_ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
 
-        adam = AdamState.zeros(1)
-        w = np.array([0.3])
-        for g in grads:
-            adam, w = adam_step(adam, w, np.array([g]), lr)
+        adam = adam_steps(np.array([0.3]), [np.array([g]) for g in grads], lr)
         assert adam.step_count == 2
-        assert w[0] == pytest.approx(w_ref, abs=1e-15)
+        assert adam.weights[0] == pytest.approx(w_ref, abs=1e-15)
         assert adam.second_moment[0] > 0
+
+    def test_equals_numpy_expressions_bit_for_bit(self):
+        """The in-place native step is the numpy update it replaced, bit for
+        bit, over many steps on wide-ranging gradients."""
+        b1, b2, eps = AdamState.beta1, AdamState.beta2, AdamState.eps_adam
+        g = make_rng(62, 0).generator()
+        grads = g.standard_normal((200, 7)) * 10.0 ** g.integers(-8, 8, (200, 7))
+        w, m, v = g.standard_normal(7), np.zeros(7), np.zeros(7)
+        adam = AdamState(w)
+        for t, grad in enumerate(grads, start=1):
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * grad * grad
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            w = w - 0.03 * m_hat / (np.sqrt(v_hat) + eps)
+            adam.gradient[:] = grad
+            adam_step(adam, 0.03)
+        assert adam.weights.tobytes() == w.tobytes()
+        assert adam.first_moment.tobytes() == m.tobytes()
+        assert adam.second_moment.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        adam = adam_steps(np.array([0.5, -0.5]), [np.array([1.0, 2.0])], lr=0.1)
+        state = lambda: [adam.weights.copy(), adam.first_moment.copy(),  # noqa: E731
+                         adam.second_moment.copy(), adam.step_count]
+        before = state()
+        adam.gradient[:] = [0.3, bad]
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            adam_step(adam, 0.1)
+        for got, expected in zip(state(), before, strict=True):
+            np.testing.assert_array_equal(got, expected)
 
 
 class TestDecompositionPass:
@@ -151,19 +192,112 @@ class TestCoordinationPass:
         rng = make_rng(7).split(1, 2)
         out = coordination_pass(np.zeros(1), [scenario], [target], oracle, config, rng)
 
-        from costru.regularizers import perturbed_fy_gradient
+        np.testing.assert_array_equal(out, manual_adam_chain(oracle, [scenario], [target],
+                                                             config, rng))
 
-        w = np.zeros(1)
-        adam = AdamState.zeros(1)
-        for epoch in range(2):
+    def test_two_epochs_equal_manual_adam_chain_on_spanning_trees(self):
+        """The fused native step on a 3x3 grid: the same chain of numpy
+        draws, forests, means and Adam updates, bit for bit."""
+        oracle, batch, targets = mst_batch()
+        config = toy_config(nb_epochs=2, nb_samples=7, lr_init=0.2, epsilon=0.5)
+        rng = make_rng(8).split(1, 2)
+        out = coordination_pass(np.full(4, 0.1), batch, targets, oracle, config, rng)
+        expected = manual_adam_chain(oracle, batch, targets, config, rng, np.full(4, 0.1))
+        assert out.tobytes() == expected.tobytes()
+
+    def test_fused_step_equals_generic_path(self):
+        """An oracle without the fused entry, its calls forwarded to the
+        spanning-tree oracle, gives the same weights bit for bit."""
+        oracle, batch, targets = mst_batch()
+        config = toy_config(nb_epochs=3, nb_samples=10, lr_init=0.05, epsilon=1.0)
+        rng = make_rng(9).split(1, 2)
+        fused = coordination_pass(np.zeros(4), batch, targets, oracle, config, rng)
+        generic = coordination_pass(np.zeros(4), batch, targets, GenericOracle(oracle),
+                                    config, rng)
+        assert np.array_equal(fused, generic)
+
+    @pytest.mark.parametrize("defect, message", [
+        (lambda mu: mu[:-1], "dimensions differ"),
+        (lambda mu: np.where(mu > 0.5, np.nan, mu), "non-finite"),
+    ], ids=["short", "nan"])
+    def test_targets_checked_before_any_step(self, monkeypatch, defect, message):
+        oracle, batch, targets = mst_batch()
+        targets[-1] = defect(targets[-1])
+        monkeypatch.setattr(trainer, "adam_step", lambda *args: pytest.fail("stepped"))
+        with pytest.raises(InputError, match=message):
+            coordination_pass(np.zeros(4), batch, targets, oracle, toy_config(), make_rng(1))
+
+
+class GenericOracle(LinearOracle):
+    """Forwards the two batched methods only, so that the trainer takes the
+    path of an oracle without a fused entry."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def argmax_linear_many(self, thetas):
+        return self.inner.argmax_linear_many(thetas)
+
+    def argmin_shifted_many(self, theta_tildes, kappa, scenario):
+        return self.inner.argmin_shifted_many(theta_tildes, kappa, scenario)
+
+
+def mst_batch():
+    """A 3x3 grid oracle, three scenarios of one instance with four
+    features, and a target moment per scenario."""
+    cfg = GenConfig(rows=3, cols=3, train_instances=1, val_instances=1, test_instances=1,
+                    scenarios_per_instance=3, feature_dim=4)
+    inst = generate_mst_split(cfg, 0, "train")[0]
+    g = make_rng(63, 0).generator()
+    batch = [inst.scenario(0, k) for k in range(3)]
+    return MstOracle(3, 3), batch, [g.uniform(0.0, 1.0, inst.n_edges) for _ in batch]
+
+
+def manual_adam_chain(oracle, batch, targets, config, rng, w0=None):
+    """coordination_pass written out with numpy draws, the oracle's batched
+    argmax and numpy's Adam: per epoch and slot, the forests of the tilts
+    of that slot's stream, their mean minus the target, chained through the
+    features, then one bias-corrected Adam step."""
+    b1, b2, eps = AdamState.beta1, AdamState.beta2, AdamState.eps_adam
+    w = np.zeros(batch[0].feature_width) if w0 is None else w0.copy()
+    m, v, t = np.zeros_like(w), np.zeros_like(w), 0
+    for epoch in range(config.nb_epochs):
+        for slot, (scenario, mu) in enumerate(zip(batch, targets)):
             theta = score_instance(w, scenario)
-            _, g_theta = perturbed_fy_gradient(oracle, theta, target, config.epsilon,
-                                               config.nb_samples, rng.split(epoch, 0))
-            adam, w = adam_step(adam, w, scenario.features.T @ g_theta, config.lr_init)
-        np.testing.assert_array_equal(out, w)
+            z = rng.split(epoch, slot).generator().standard_normal(
+                (config.nb_samples, len(theta)))
+            ys = oracle.argmax_linear_many(theta[None, :] + config.epsilon * z)
+            g = scenario.features.T @ (ys.mean(axis=0) - mu)
+            t += 1
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            w = w - config.lr_init * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+    return w
 
 
 class TestTrainPrimalDual:
+    def test_iterates_are_distinct_arrays(self):
+        """Every recorded iterate is its own array: no pass writes into the
+        weights an earlier pass returned."""
+        cfg = GenConfig(rows=3, cols=3, train_instances=2, val_instances=1, test_instances=1,
+                        scenarios_per_instance=2, feature_dim=3)
+        data = generate_mst_dataset(cfg, 0)["train"][1]
+        config = toy_config(nb_iterations=3, nb_scenarios=2, nb_samples=5, nb_epochs=2)
+        history = []
+        passes = trainer.coordination_pass
+
+        def recording_pass(*args):
+            history.append(passes(*args))
+            return history[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "coordination_pass", recording_pass)
+            traj = train_primal_dual(data, MstOracle(3, 3), config)
+        assert len({id(w) for w in history}) == 3
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(history, 2))
+        np.testing.assert_array_equal(traj.per_iteration, np.array(history))
+        assert not np.array_equal(history[0], history[-1])
+
     def test_determinism(self):
         data = toy_dataset()
         oracle = ToyOracle()
@@ -274,3 +408,9 @@ class TestConfigValidation:
             toy_config(lr_init=0.0)
         with pytest.raises(InputError):
             toy_config(epsilon=-1.0)
+
+    @pytest.mark.parametrize("field", ["lr_init", "epsilon", "kappa"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be a finite positive number"):
+            toy_config(**{field: value})
