@@ -192,7 +192,8 @@ class LinearOracle(ABC):
     with an (m, d) stack of solutions, row r being the answer to row r, and
     a single-direction call is row 0 of the batched one.  Implementations
     must be deterministic given inputs, with ties broken lowest-index-first,
-    and must always return elements of Y(x).
+    and must always return elements of Y(x).  The one optional method is
+    ``bind_perturbed_stats`` (see ``MstOracle``); the base class has no default.
     """
 
     @abstractmethod
@@ -220,6 +221,13 @@ def require_samples(minimum: int = 1, **counts: int) -> None:
     for name, count in counts.items():
         if count < minimum:
             raise InputError(f"{name} must be >= {minimum}, not {count}")
+
+
+def require_perturbation(eps: float, m: int) -> None:
+    """Reject an eps that is not finite and positive, and fewer than one draw."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise InputError(f"eps must be a finite positive number, not {eps!r}")
+    require_samples(m=m)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .. import native
-from ..core import InputError, LinearOracle, RngStream, Scenario
+from ..core import InputError, LinearOracle, RngStream, Scenario, require_perturbation
 
 
 class InfeasibleError(RuntimeError):
@@ -127,28 +127,26 @@ def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> 
     return _forests(_rows(weights, len(edges), n_nodes), edges.ctypes.data, n_nodes)
 
 
-def _checked_theta(theta, n_edges: int) -> np.ndarray:
-    """theta as an (E,) C-contiguous float64 array."""
-    theta = np.ascontiguousarray(theta, dtype=np.float64)
-    if theta.shape != (n_edges,):
-        raise InputError("theta needs one entry per edge")
-    return theta
-
-
-def _bound_perturbed_forests(
+def bind_perturbed_forests(
     theta: np.ndarray, eps: float, m: int, edges: np.ndarray, n_nodes: int
 ) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
-    """``perturbed_forest_stats`` bound to the buffer theta, which must be an
-    (E,) C-contiguous float64 array, to the checked edges and to one output
-    buffer: a function of a stream that runs one kernel call on theta's
-    current entries and returns views of the output, which the next call
-    overwrites."""
+    """A function of a stream rng that answers, in one kernel call on the
+    current entries of theta, a C-contiguous (E,) float64 buffer, with the
+    row values and the mean of the maximum-weight forests y_r of the tilts
+    theta + eps * z[r], z being ``rng.generator().standard_normal((m, E))``
+    bit for bit, drawn inside the kernel.
+
+    The mean is that of ``max_weight_forests`` on the tilts, bit for bit;
+    row r's value <theta + eps * z[r] | y_r> is summed in selection order,
+    so it may differ from an ``einsum`` in its last bits.  A non-finite tilt
+    raises ``InputError``.  The results are views of one buffer that the
+    next call overwrites, so a bound function serves one thread."""
+    _check_edges(edges)
     n_edges = len(edges)
     if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
             and theta.shape == (n_edges,) and theta.flags.c_contiguous):
         raise InputError("theta must be a C-contiguous float64 array with one entry per edge")
-    if m < 1:
-        raise InputError("the perturbed maximum needs at least one draw")
+    require_perturbation(eps, m)
     buffer, out = native.doubles(n_edges + m)  # the mean, then the row values
     stats = out[n_edges:], out[:n_edges]
     entry = native._compiled_kernel().perturbed_forest_rows
@@ -161,24 +159,6 @@ def _bound_perturbed_forests(
 
     perturbed_stats.inputs = theta, edges  # the kernel reads them by address
     return perturbed_stats
-
-
-def perturbed_forest_stats(
-    theta: np.ndarray, eps: float, m: int, rng: RngStream, edges: np.ndarray, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row values and mean of the maximum-weight forests y_r of the tilts
-    theta + eps * z[r], for an (E,) theta and the (m, E) draws z of the
-    stream rng, ``rng.generator().standard_normal((m, E))`` bit for bit,
-    drawn inside the kernel.
-
-    The mean equals ``max_weight_forests(theta + eps * z, ...).mean(axis=0)``
-    bit for bit; row r's value is <theta + eps * z[r] | y_r>, summed in the
-    kernel's selection order, so it may differ from an ``einsum`` in its
-    last bits.  A non-finite tilt raises ``InputError``.
-    """
-    _check_edges(edges)
-    return _bound_perturbed_forests(_checked_theta(theta, len(edges)), eps, m, edges,
-                                    n_nodes)(rng)
 
 
 def _completions(
@@ -333,25 +313,13 @@ class MstOracle(LinearOracle):
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
         return _forests(_rows(thetas, self.n_edges, self.n_nodes), self._ends, self.n_nodes)
 
-    def perturbed_stats(
-        self, theta: np.ndarray, eps: float, m: int, rng: RngStream
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The optional fused entry of the perturbed maximum: row values
-        <theta + eps z_r | y_r> and the mean of the maximizers y_r of the
-        tilts for the m draws z_r of rng, in one kernel call that also draws
-        them (see ``perturbed_forest_stats``)."""
-        theta = _checked_theta(theta, self.n_edges)
-        return self.bind_perturbed_stats(theta, eps, m)(rng)
-
     def bind_perturbed_stats(
         self, theta: np.ndarray, eps: float, m: int
     ) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
-        """``perturbed_stats`` bound to one theta buffer, for a loop that
-        rewrites it in place: a function of a stream that answers for
-        theta's current entries.  theta must be a C-contiguous (E,) float64
-        array; the returned arrays are views that the next call overwrites,
-        so one bound function serves one thread."""
-        return _bound_perturbed_forests(theta, eps, m, self.edges, self.n_nodes)
+        """The optional fused entry of the perturbed maximum:
+        ``bind_perturbed_forests`` on this grid, for a loop that rewrites
+        theta in place."""
+        return bind_perturbed_forests(theta, eps, m, self.edges, self.n_nodes)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         """First stages of the two-stage splits under c - kappa * theta_tilde,

@@ -19,6 +19,7 @@ from .core import (
     RngStream,
     Scenario,
     ensure_finite,
+    require_perturbation,
 )
 
 NEGENTROPY = "negentropy"
@@ -130,35 +131,23 @@ def fy_loss_exact(
 # Monte-Carlo maps through a linear oracle (sparse perturbation)
 # ---------------------------------------------------------------------------
 
-def _standard_normal_draws(rng: RngStream, m: int, d: int) -> np.ndarray:
-    return rng.generator().standard_normal((m, d))
+def _tilts(rng: RngStream, theta: np.ndarray, eps: float, m: int) -> np.ndarray:
+    """The (m, d) tilts theta + eps z_r of a finite (d,) theta for the m
+    standard normal draws z_r of rng."""
+    theta = ensure_finite(theta, "theta")
+    require_perturbation(eps, m)
+    return theta[None, :] + eps * rng.generator().standard_normal((m, theta.shape[0]))
 
 
 def _perturbed_argmax_stats(
     oracle: LinearOracle, theta: np.ndarray, eps: float, m: int, rng: RngStream
 ) -> tuple[float, np.ndarray]:
-    """Shared-draw (value, moment) pair for the perturbed maximum.
-
-    An oracle with the optional fused entry ``perturbed_stats(theta, eps, m,
-    rng)`` answers from one call that also draws the m normals z_r of rng:
-    the row values <theta + eps z_r | y_r> and the mean of the maximizers
-    y_r.
-    """
-    theta = ensure_finite(theta, "theta")
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    if m < 1:
-        raise InputError("sample count must be >= 1")
-    fused = getattr(oracle, "perturbed_stats", None)
-    if fused is not None:
-        values, moment = fused(theta, eps, m, rng)
-    else:
-        z = _standard_normal_draws(rng, m, theta.shape[0])
-        tilted = theta[None, :] + eps * z
-        ys = oracle.argmax_linear_many(tilted)
-        values, moment = np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)
-    # values.mean() bit for bit, without np.mean's Python overhead.
-    return float(values.sum() / m), moment
+    """Shared-draw (value, moment) pair for the perturbed maximum: the means
+    of the row values <theta + eps z_r | y_r> and of the maximizers y_r."""
+    tilted = _tilts(rng, theta, eps, m)
+    ys = oracle.argmax_linear_many(tilted)
+    # The mean of the row values bit for bit, without np.mean's Python overhead.
+    return float(np.einsum("ij,ij->i", tilted, ys).sum() / m), ys.mean(axis=0)
 
 
 def perturbed_max_value(
@@ -214,12 +203,7 @@ def perturbed_decomposition_target(
     Only ever evaluates the cost at combinatorial points, never in the hull
     interior; the returned average lies in conv(Y(x)).
     """
-    theta = ensure_finite(theta, "theta")
     if kappa <= 0:
         raise InputError("kappa must be positive")
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    z = _standard_normal_draws(rng, m, theta.shape[0])
-    tilted = theta[None, :] + eps * z
-    ys = oracle.argmin_shifted_many(tilted, kappa, scenario)
+    ys = oracle.argmin_shifted_many(_tilts(rng, theta, eps, m), kappa, scenario)
     return ys.mean(axis=0)

@@ -213,13 +213,10 @@ class LabConfig:
     kappa: float
     regularizer: RegularizerKind
     max_iters: int = 200
-    damping_alpha: float = 0.5
 
     def __post_init__(self):
         if self.kappa <= 0:
             raise InputError("kappa must be positive")
-        if not (0.0 < self.damping_alpha < 1.0):
-            raise InputError("damping_alpha must lie in (0, 1)")
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
 
@@ -468,9 +465,10 @@ def run_mirror_descent_comparison(
     config: LabConfig,
     s0: np.ndarray,
     iters: int,
+    alpha: float = 0.5,
     eta: float | None = None,
 ) -> np.ndarray:
-    """Damped alternating scheme vs mirror descent with step eta = N alpha / kappa.
+    """Alternating scheme damped by alpha vs mirror descent, step eta = N alpha / kappa.
 
     Both paths are run from matched initializations; entry t of the result
     is the sup-norm difference of the primal iterates at iteration t + 1,
@@ -481,8 +479,9 @@ def run_mirror_descent_comparison(
     if kind.tag != NEGENTROPY:
         raise InputError("mirror-descent comparison requires the negentropy kind")
     require_samples(iters=iters)
+    if not (0.0 < alpha < 1.0):
+        raise InputError(f"alpha must lie in (0, 1), not {alpha!r}")
     n, k = costs.gamma.shape
-    alpha = config.damping_alpha
     kappa = config.kappa
     if eta is None:
         eta = n * alpha / kappa
@@ -593,9 +592,9 @@ def perturbation_conjugate_check(theta: np.ndarray, poly: ExplicitPolytope, epsi
     max <theta + eps z | y> against max_y (Y^T theta + eps Y^T z)_y, under
     shared draws z."""
     require_samples(n_draws=n_draws)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    theta = np.asarray(theta, dtype=float)
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise InputError(f"epsilon must be a finite positive number, not {epsilon!r}")
+    theta = ensure_finite(theta, "theta")
     s = poly.lift_scores(theta)
     worst = 0.0
     for zj in rng.generator().standard_normal((n_draws, poly.dim)):
@@ -741,10 +740,10 @@ def run_mirror_descent_suite(
     seed: int = 0,
 ) -> list[CheckRow]:
     costs, s0 = mirror_descent_instance(seed, n_scenarios, n_atoms)
-    config = LabConfig(kappa, RegularizerKind.negentropy(), damping_alpha=alpha)
-    matched_dev = float(run_mirror_descent_comparison(costs, config, s0, iters).max())
+    config = LabConfig(kappa, RegularizerKind.negentropy())
+    matched_dev = float(run_mirror_descent_comparison(costs, config, s0, iters, alpha).max())
     doubled_dev = float(run_mirror_descent_comparison(
-        costs, config, s0, iters, eta=2.0 * n_scenarios * alpha / kappa).max())
+        costs, config, s0, iters, alpha, eta=2.0 * n_scenarios * alpha / kappa).max())
     return [
         CheckRow("mirror-descent/matched", seed, matched_dev, 1e-8, matched_dev < 1e-8),
         CheckRow("mirror-descent/eta-doubled-control", seed, doubled_dev, 1e-3,

@@ -2,8 +2,9 @@
 
 ``benchmarks/tracing.py`` replaces public functions in the package's module
 namespaces and wraps the oracle and evaluator; it raises if a name it wraps
-has moved.  The benchmark's own tests are not part of this suite, so this
-test keeps the traced evaluation path working on a tiny grid.
+has moved.  The benchmark's own tests are not part of this suite, so these
+tests keep the traced training, evaluation and lab paths working at a tiny
+size.
 """
 
 from pathlib import Path
@@ -15,6 +16,45 @@ from costru.problems.datasets import GenConfig, generate_mst_dataset
 from costru.problems.spanning_tree import MstEvaluator, MstOracle
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def originals(tracing):
+    """(namespace, attribute, original) for every function the tracer wraps."""
+    return [(ns, original.__name__, original)
+            for original, _, _, namespaces in tracing._wrapper_table(tracing.Tracer())
+            for ns in namespaces]
+
+
+def span_calls(tracer) -> dict[str, int]:
+    return {name: tracer.name_id.tolist().count(i) for i, name in enumerate(tracer.names)}
+
+
+def test_traced_training_keeps_weights_and_restores_originals(monkeypatch):
+    """Primal-dual training through the traced oracle and wrappers takes the
+    same steps and gives the same iterates, bit for bit."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    cfg = GenConfig(rows=2, cols=3, train_instances=2, val_instances=1,
+                    test_instances=1, scenarios_per_instance=3)
+    _, train = generate_mst_dataset(cfg, seed=8)["train"]
+    oracle = MstOracle(2, 3)
+    config = trainer.TrainConfig(nb_iterations=2, nb_scenarios=2, nb_samples=5, nb_epochs=2,
+                                 lr_init=0.1, epsilon=0.5, seed=3)
+    expected = trainer.train_primal_dual(train, oracle, config)
+    wrapped = originals(tracing)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        traced = trainer.train_primal_dual(train, tracing.TracedOracle(oracle, tracer), config)
+    assert traced.per_iteration.tobytes() == expected.per_iteration.tobytes()
+    assert traced.running_average.tobytes() == expected.running_average.tobytes()
+    calls = span_calls(tracer)
+    assert calls["trainer.train_primal_dual"] == 1
+    assert calls["trainer.coordination_pass"] == 2
+    # Two contexts of two subsampled scenarios, two epochs, two iterations.
+    assert calls["trainer.adam_step"] == 16
+    assert calls["regularizers.perturbed_decomposition_target"] == 8
+    assert all(getattr(ns, attr) is original for ns, attr, original in wrapped)
 
 
 def test_traced_evaluation_keeps_gaps_and_restores_originals(monkeypatch):
@@ -37,15 +77,13 @@ def test_traced_evaluation_keeps_gaps_and_restores_originals(monkeypatch):
                 baselines.evaluate_fixed_solutions(median, test, evaluator))
 
     expected = gaps(oracle, MstEvaluator(oracle))
-    wrapped = [(ns, original.__name__, original)
-               for original, _, _, namespaces in tracing._wrapper_table(tracing.Tracer())
-               for ns in namespaces]
+    wrapped = originals(tracing)
     tracer = tracing.Tracer()
     with tracing.installed(tracer):
         traced = gaps(tracing.TracedOracle(oracle, tracer),
                       tracing.TracedEvaluator(MstEvaluator(oracle), tracer))
     assert traced == expected
-    calls = {name: tracer.name_id.tolist().count(i) for i, name in enumerate(tracer.names)}
+    calls = span_calls(tracer)
     assert calls["trainer.evaluate_policy"] == 1
     assert calls["baselines.evaluate_fixed_solutions"] == 1
     assert calls["spanning_tree.argmax_many"] == 1

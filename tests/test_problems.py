@@ -34,12 +34,12 @@ from costru.problems.spanning_tree import (
     MstEvaluator,
     MstOracle,
     TwoStageCosts,
+    bind_perturbed_forests,
     enumerate_forests,
     enumerate_spanning_pairs,
     grid_edges,
     is_forest,
     max_weight_forests,
-    perturbed_forest_stats,
     second_stage_value,
     two_stage_mst_split,
 )
@@ -682,7 +682,7 @@ class TestCompiledKernel:
         theta = np.ones(oracle.n_edges)
         scenario = Scenario(0, np.zeros((oracle.n_edges, 1)), TwoStageCosts(theta, theta))
         calls = [lambda: oracle.argmax_linear_many(theta[None, :]),
-                 lambda: oracle.perturbed_stats(theta, 0.5, 1, make_rng(0)),
+                 lambda: oracle.bind_perturbed_stats(theta, 0.5, 1)(make_rng(0)),
                  lambda: oracle.argmin_shifted(theta, 1.0, scenario),
                  lambda: second_stage_value(0.0 * theta, theta, oracle.edges, oracle.n_nodes)]
         if isinstance(build, str):
@@ -736,7 +736,7 @@ class TestPerturbedForestStats:
         order, agree to 1e-12 relative."""
         edges, n_nodes, theta, eps, m, stream = case
         expected_values, expected_moment = _forest_stats(theta, eps, m, stream, edges, n_nodes)
-        values, moment = perturbed_forest_stats(theta, eps, m, stream, edges, n_nodes)
+        values, moment = bind_perturbed_forests(theta, eps, m, edges, n_nodes)(stream)
         assert (moment.shape, moment.dtype) == (expected_moment.shape, np.float64)
         assert moment.tobytes() == expected_moment.tobytes()
         np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0.0)
@@ -756,7 +756,7 @@ class TestPerturbedForestStats:
             theta[2] = bad
         with pytest.raises(InputError, match="weights must be finite"):
             if kernel == "compiled":
-                oracle.perturbed_stats(theta, eps, 3, stream)
+                oracle.bind_perturbed_stats(theta, eps, 3)(stream)
             else:
                 z = stream.generator().standard_normal((3, oracle.n_edges))
                 reference.max_weight_forests_py(theta[None, :] + eps * z, oracle.edges,
@@ -767,11 +767,12 @@ class TestPerturbedForestStats:
     def test_other_shapes_rejected(self, theta_shape, m):
         oracle = MstOracle(2, 3)
         with pytest.raises(InputError):
-            oracle.perturbed_stats(np.ones(theta_shape), 1.0, m, make_rng(1))
+            oracle.bind_perturbed_stats(np.ones(theta_shape), 1.0, m)
 
     def test_bound_entry_reads_the_buffer_in_place(self):
         """The bound entry answers for the current entries of its theta
-        buffer, as the one-shot entry does, and takes no copy of another."""
+        buffer, as an entry bound to a copy of them does, and takes no copy
+        of another."""
         oracle = MstOracle(3, 3)
         theta = np.zeros(oracle.n_edges)
         bound = oracle.bind_perturbed_stats(theta, 0.5, 6)
@@ -780,7 +781,8 @@ class TestPerturbedForestStats:
             theta[:] = g.standard_normal(oracle.n_edges)
             stream = make_rng(21, 1).split(slot)
             values, moment = bound(stream)
-            expected_values, expected_moment = oracle.perturbed_stats(theta, 0.5, 6, stream)
+            expected_values, expected_moment = oracle.bind_perturbed_stats(
+                theta.copy(), 0.5, 6)(stream)
             assert values.tobytes() == expected_values.tobytes()
             assert moment.tobytes() == expected_moment.tobytes()
         for other in (theta.astype(np.float32), np.zeros((oracle.n_edges, 2))[:, 0],
@@ -790,11 +792,12 @@ class TestPerturbedForestStats:
 
     def test_concurrent_calls_match_sequential(self):
         """Each call keeps its stream's state on its own stack: calls from
-        more threads than cores give the sequential results."""
+        more threads than cores, each binding its own entry, give the
+        sequential results."""
         oracle = MstOracle(6, 6)
         theta = make_rng(19, 0).generator().normal(size=(64, oracle.n_edges))
         streams = [make_rng(19, 1).split(k) for k in range(64)]
-        call = lambda t, s: oracle.perturbed_stats(t, 0.7, 20, s)  # noqa: E731
+        call = lambda t, s: oracle.bind_perturbed_stats(t, 0.7, 20)(s)  # noqa: E731
         expected = [call(t, s) for t, s in zip(theta, streams)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

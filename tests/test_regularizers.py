@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from costru.core import InputError, make_rng
+from costru.core import InputError, Scenario, make_rng
+from costru.problems.spanning_tree import MstOracle, TwoStageCosts
 from costru.problems.toy import ToyOracle, toy_scenarios
 from costru.regularizers import (
     RegularizerKind,
@@ -312,6 +313,41 @@ class TestPerturbedDecompositionTarget:
         mu = perturbed_decomposition_target(oracle, theta, scenario, 1e9, 1.0, 400, rng)
         moment = perturbed_maximizer_moment(oracle, theta, 1.0, 400, rng)
         np.testing.assert_allclose(mu, moment, atol=1e-12)
+
+
+def toy_or_mst(problem: str):
+    """An oracle and one of its scenarios: the toy, or a 2x3 grid."""
+    if problem == "toy":
+        return ToyOracle(), toy_scenarios()[0]
+    oracle = MstOracle(2, 3)
+    ones = np.ones(oracle.n_edges)
+    return oracle, Scenario(0, np.zeros((oracle.n_edges, 1)), TwoStageCosts(ones, ones))
+
+
+class TestPerturbationArguments:
+    """One rule for every perturbed estimator: eps is a finite positive
+    number and at least one normal is drawn."""
+
+    @pytest.mark.parametrize("m", [0, -1])
+    @pytest.mark.parametrize("problem", ["toy", "mst"])
+    def test_decomposition_target_needs_a_draw(self, problem, m):
+        oracle, scenario = toy_or_mst(problem)
+        with pytest.raises(InputError, match="m must be >= 1"):
+            perturbed_decomposition_target(oracle, np.zeros(scenario.dim), scenario, 1.0,
+                                           0.5, m, make_rng(1))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        """The fused spanning-tree entry and the numpy estimators agree."""
+        oracle, scenario = toy_or_mst("mst")
+        theta = np.zeros(oracle.n_edges)
+        calls = [lambda: oracle.bind_perturbed_stats(theta, eps, 4),
+                 lambda: perturbed_maximizer_moment(oracle, theta, eps, 4, make_rng(1)),
+                 lambda: perturbed_decomposition_target(oracle, theta, scenario, 1.0, eps, 4,
+                                                        make_rng(1))]
+        for call in calls:
+            with pytest.raises(InputError, match="eps must be a finite positive number"):
+                call()
 
 
 class TestConjugateAndAffineIdentities:

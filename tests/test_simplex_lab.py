@@ -365,31 +365,37 @@ class TestMirrorDescent:
     def test_matched_iterates(self):
         g = make_rng(49, 0).generator()
         costs = random_cost_table(g, 3, 4)
-        config = LabConfig(1.0, NEG, damping_alpha=0.5)
         s0 = g.standard_normal(4)
-        deviations = run_mirror_descent_comparison(costs, config, s0, 50)
+        deviations = run_mirror_descent_comparison(costs, LabConfig(1.0, NEG), s0, 50, alpha=0.5)
         assert deviations.shape == (50,)
         assert deviations.max() < 1e-8
 
     def test_small_alpha_freezes_iterates(self):
         g = make_rng(50, 0).generator()
         costs = random_cost_table(g, 3, 4)
-        config = LabConfig(1.0, NEG, damping_alpha=1e-6)
-        assert run_mirror_descent_comparison(costs, config, np.zeros(4), 30).max() < 1e-10
+        config = LabConfig(1.0, NEG)
+        assert run_mirror_descent_comparison(costs, config, np.zeros(4), 30,
+                                             alpha=1e-6).max() < 1e-10
         # Both paths start at the same iterate; with the step doubled they
         # part only as far as the frozen iterates move.
-        drift = run_mirror_descent_comparison(costs, config, np.zeros(4), 30,
+        drift = run_mirror_descent_comparison(costs, config, np.zeros(4), 30, alpha=1e-6,
                                               eta=2.0 * 3 * 1e-6 / 1.0).max()
         assert drift < 1e-4
 
     def test_mismatched_step_breaks_correspondence(self):
         g = make_rng(51, 0).generator()
         costs = random_cost_table(g, 3, 4)
-        config = LabConfig(1.0, NEG, damping_alpha=0.5)
         deviations = run_mirror_descent_comparison(
-            costs, config, np.zeros(4), 50, eta=2.0 * 3 * 0.5 / 1.0
+            costs, LabConfig(1.0, NEG), np.zeros(4), 50, alpha=0.5, eta=2.0 * 3 * 0.5 / 1.0
         )
         assert deviations.max() > 1e-3
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, np.nan])
+    def test_damping_outside_unit_interval_rejected(self, alpha):
+        costs = random_cost_table(make_rng(52, 0).generator(), 3, 4)
+        with pytest.raises(InputError, match="alpha must lie in"):
+            run_mirror_descent_comparison(costs, LabConfig(1.0, NEG), np.zeros(4), 5,
+                                          alpha=alpha)
 
 
 class TestRiskBound:
@@ -455,10 +461,15 @@ class TestConjugateCheck:
         assert worst <= 1e-12
 
     def test_perturbation_bad_scale_rejected(self):
+        """A non-finite scale or theta would make every difference NaN,
+        which the running maximum skips: the check would report 0."""
         poly = random_binary_polytope(make_rng(57, 0).generator(), 3, 8)
-        for epsilon in (0.0, -1.0):
+        for epsilon in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InputError, match="epsilon"):
                 perturbation_conjugate_check(np.zeros(3), poly, epsilon, 10, make_rng(57, 1))
+        with pytest.raises(InputError, match="theta"):
+            perturbation_conjugate_check(np.array([0.0, np.nan, 0.0]), poly, 0.5, 10,
+                                         make_rng(57, 1))
 
     def test_perturbation_no_draws_rejected(self):
         """Zero draws would report a worst difference of 0 and pass."""
@@ -491,7 +502,7 @@ class TestPolytopeValidation:
         with pytest.raises(InputError):
             LabConfig(-1.0, NEG)
         with pytest.raises(InputError):
-            LabConfig(1.0, NEG, damping_alpha=1.5)
+            LabConfig(1.0, NEG, max_iters=0)
 
 
 class TestExposedVertex:
