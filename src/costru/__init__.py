@@ -18,7 +18,6 @@ from .core import (
     make_rng,
 )
 from .regularizers import RegularizerKind
-from .simplex_lab import is_exposed_vertex
 from .trainer import TrainConfig, WeightTrajectory, evaluate_policy, train_primal_dual
 
 __version__ = "0.1.0"
@@ -36,7 +35,6 @@ __all__ = [
     "TrainConfig",
     "WeightTrajectory",
     "evaluate_policy",
-    "is_exposed_vertex",
     "make_rng",
     "train_primal_dual",
     "__version__",

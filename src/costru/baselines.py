@@ -9,12 +9,11 @@ zero-sum projection of the multipliers after each round.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, InputError, LinearOracle, Scenario, make_rng
+from .core import Dataset, InputError, LinearOracle, Scenario, make_rng, require_positive
 from .problems.spanning_tree import (
     MstOracle,
     TwoStageCosts,
@@ -40,8 +39,7 @@ class SaaConfig:
     def __post_init__(self):
         if self.n_saa_scenarios < 1 or self.lagrangian_iters < 1:
             raise InputError("SAA counts must be >= 1")
-        if not (math.isfinite(self.sigma0) and self.sigma0 > 0):
-            raise InputError(f"sigma0 must be a finite positive number, not {self.sigma0!r}")
+        require_positive("sigma0", self.sigma0)
 
 
 def _shared_costs(scenarios: list[Scenario]) -> tuple[np.ndarray, np.ndarray]:

@@ -223,10 +223,15 @@ def require_samples(minimum: int = 1, **counts: int) -> None:
             raise InputError(f"{name} must be >= {minimum}, not {count}")
 
 
+def require_positive(name: str, value: float) -> None:
+    """Reject a ``value`` that is not finite and positive (NaN and inf too)."""
+    if not (np.isfinite(value) and value > 0):
+        raise InputError(f"{name} must be a finite positive number, not {value!r}")
+
+
 def require_perturbation(eps: float, m: int) -> None:
     """Reject an eps that is not finite and positive, and fewer than one draw."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise InputError(f"eps must be a finite positive number, not {eps!r}")
+    require_positive("eps", eps)
     require_samples(m=m)
 
 

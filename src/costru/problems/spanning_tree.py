@@ -110,21 +110,16 @@ def is_forest(y: np.ndarray, edges: np.ndarray, n_nodes: int) -> bool:
     return True
 
 
-def _forests(w: np.ndarray, ends: int, n_nodes: int) -> np.ndarray:
-    """``max_weight_forests`` of checked rows; ``ends`` is the address of
-    the checked edge array."""
-    out = np.empty(w.shape)
-    _kernel("forest_rows", w.ctypes.data, ends, w.shape[0], w.shape[1], n_nodes,
-            out.ctypes.data)
-    return out
-
-
 def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
     """Row-wise maximum-total-weight forests of an (m, E) weight array:
     greedy by decreasing weight, ties by index, skipping cycles and edges
     with weight <= 0."""
     _check_edges(edges)
-    return _forests(_rows(weights, len(edges), n_nodes), edges.ctypes.data, n_nodes)
+    w = _rows(weights, len(edges), n_nodes)
+    out = np.empty(w.shape)
+    _kernel("forest_rows", w.ctypes.data, edges.ctypes.data, w.shape[0], w.shape[1], n_nodes,
+            out.ctypes.data)
+    return out
 
 
 def bind_perturbed_forests(
@@ -204,43 +199,23 @@ def second_stage_value(
     return values, z
 
 
-def _splits(eff: np.ndarray, second: np.ndarray, ends: int,
-            n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``two_stage_splits`` of checked rows; ``ends`` is the address of the
-    checked edge array."""
-    d = np.ascontiguousarray(second, dtype=np.float64)
-    if d.shape != eff.shape and d.shape != eff.shape[1:]:
-        raise InputError("second-stage costs need shape (E,) or (m, E)")
-    yz = np.empty((2, *eff.shape))  # y rows, then z rows: one buffer to pass
-    _kernel("split_rows", eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1), ends,
-            eff.shape[0], eff.shape[1], n_nodes, yz.ctypes.data)
-    return yz[0], yz[1]
-
-
 def two_stage_splits(
     eff: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise (y, z) splits of an (m, E) array of effective first-stage
-    costs against second-stage costs: one (E,) vector for every row, or an
-    (m, E) array, row by row."""
+    costs against second-stage costs, one (E,) vector or an (m, E) array:
+    row r minimizes <eff[r]|y> + <second|z> over spanning pairs by one
+    Kruskal pass under the per-edge minimum of the two stage costs, each
+    chosen edge going to the cheaper stage (ties to stage one)."""
     _check_edges(edges)
-    return _splits(_rows(eff, len(edges), n_nodes), second, edges.ctypes.data, n_nodes)
-
-
-def two_stage_mst_split(
-    eff_first: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Joint minimizer of <eff_first|y> + <second|z> over spanning pairs.
-
-    One Kruskal pass under the per-edge minimum of the two stage costs;
-    each chosen edge is attributed to the cheaper stage (ties to stage one).
-    """
-    eff = np.asarray(eff_first, dtype=float)
-    d = np.asarray(second, dtype=float)
-    y, z = two_stage_splits(eff[None, :], d, edges, n_nodes)
-    y, z = y[0], z[0]
-    value = float(eff @ y + d @ z)
-    return y, z, value
+    eff = _rows(eff, len(edges), n_nodes)
+    d = np.ascontiguousarray(second, dtype=np.float64)
+    if d.shape != eff.shape and d.shape != eff.shape[1:]:
+        raise InputError("second-stage costs need shape (E,) or (m, E)")
+    yz = np.empty((2, *eff.shape))  # y rows, then z rows: one buffer to pass
+    _kernel("split_rows", eff.ctypes.data, d.ctypes.data, d.shape[-1] * (d.ndim - 1),
+            edges.ctypes.data, eff.shape[0], eff.shape[1], n_nodes, yz.ctypes.data)
+    return yz[0], yz[1]
 
 
 @dataclass(frozen=True)
@@ -307,11 +282,9 @@ class MstOracle(LinearOracle):
         self.edges = grid_edges(rows, cols)
         self.n_nodes = rows * cols
         self.n_edges = len(self.edges)
-        # The kernel reads the read-only edges in place; one address lookup.
-        self._ends = self.edges.ctypes.data
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return _forests(_rows(thetas, self.n_edges, self.n_nodes), self._ends, self.n_nodes)
+        return max_weight_forests(thetas, self.edges, self.n_nodes)
 
     def bind_perturbed_stats(
         self, theta: np.ndarray, eps: float, m: int
@@ -328,8 +301,7 @@ class MstOracle(LinearOracle):
         if not isinstance(payload, TwoStageCosts):
             raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
         eff = payload.first_stage[None, :] - kappa * np.asarray(theta_tildes, dtype=float)
-        y, _ = _splits(_rows(eff, self.n_edges, self.n_nodes), payload.second_stage,
-                       self._ends, self.n_nodes)
+        y, _ = two_stage_splits(eff, payload.second_stage, self.edges, self.n_nodes)
         return y
 
 
@@ -352,11 +324,9 @@ class MstEvaluator:
         key = payload.first_stage.tobytes() + payload.second_stage.tobytes()
         cached = self._anticipative_cache.get(key)
         if cached is None:
-            _, _, cached = two_stage_mst_split(
-                payload.first_stage, payload.second_stage,
-                self.oracle.edges, self.oracle.n_nodes,
-            )
-            self._anticipative_cache[key] = cached
+            c, d = payload.first_stage, payload.second_stage
+            y, z = two_stage_splits(c[None, :], d, self.oracle.edges, self.oracle.n_nodes)
+            cached = self._anticipative_cache[key] = float(c @ y[0] + d @ z[0])
         return cached
 
 

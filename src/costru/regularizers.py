@@ -20,6 +20,7 @@ from .core import (
     Scenario,
     ensure_finite,
     require_perturbation,
+    require_positive,
 )
 
 NEGENTROPY = "negentropy"
@@ -135,6 +136,8 @@ def _tilts(rng: RngStream, theta: np.ndarray, eps: float, m: int) -> np.ndarray:
     """The (m, d) tilts theta + eps z_r of a finite (d,) theta for the m
     standard normal draws z_r of rng."""
     theta = ensure_finite(theta, "theta")
+    if theta.ndim != 1:
+        raise InputError("theta must be a one-dimensional array")
     require_perturbation(eps, m)
     return theta[None, :] + eps * rng.generator().standard_normal((m, theta.shape[0]))
 
@@ -203,7 +206,6 @@ def perturbed_decomposition_target(
     Only ever evaluates the cost at combinatorial points, never in the hull
     interior; the returned average lies in conv(Y(x)).
     """
-    if kappa <= 0:
-        raise InputError("kappa must be positive")
+    require_positive("kappa", kappa)
     ys = oracle.argmin_shifted_many(_tilts(rng, theta, eps, m), kappa, scenario)
     return ys.mean(axis=0)

@@ -23,6 +23,7 @@ from .core import (
     Scenario,
     ensure_finite,
     make_rng,
+    require_positive,
     require_samples,
 )
 from .regularizers import (
@@ -52,58 +53,10 @@ class BoundaryError(RuntimeError):
         self.instance = instance
 
 
-def nearest_point_in_hull_sq(candidate: np.ndarray, others: np.ndarray,
-                             max_iters: int = 5000) -> float:
-    """Squared distance from ``candidate`` to conv(rows of ``others``).
-
-    Solved as min over simplex weights of ||candidate - others^T w||^2 with
-    an accelerated projected-gradient method; no LP dependency, desk scale
-    only.
-    """
-    o = np.asarray(others, dtype=float)  # (k, d)
-    c = np.asarray(candidate, dtype=float)
-    k = o.shape[0]
-    projection = RegularizerKind.squared_l2()
-    gram = o @ o.T
-    lin = o @ c
-    lip = 2.0 * max(np.linalg.norm(gram, 2), 1e-12)
-    w = np.full(k, 1.0 / k)
-    z = w.copy()
-    t_acc = 1.0
-    f_prev = np.inf
-    for _ in range(max_iters):
-        grad = 2.0 * (gram @ z - lin)
-        w_next = prediction_rows((z - grad / lip)[None, :], projection)[0]
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        z = w_next + ((t_acc - 1.0) / t_next) * (w_next - w)
-        w, t_acc = w_next, t_next
-        diff = c - o.T @ w
-        f = float(diff @ diff)
-        if abs(f_prev - f) < 1e-16 * (1.0 + abs(f)):
-            break
-        f_prev = f
-    diff = c - o.T @ w
-    return float(diff @ diff)
-
-
-def is_exposed_vertex(candidate: np.ndarray, others: Sequence[np.ndarray]) -> bool:
-    """True iff ``candidate`` is not a convex combination of ``others``.
-
-    Membership is declared when the nearest-point-in-hull squared distance
-    falls below 1e-9.  Desk-scale only (|others| up to ~1e4).
-    """
-    c = ensure_finite(candidate, "candidate")
-    if len(others) == 0:
-        return True
-    o = np.asarray(others, dtype=float)
-    if o.ndim != 2 or o.shape[1] != c.shape[0]:
-        raise InputError("candidate and others must share one dimension")
-    return nearest_point_in_hull_sq(c, o) >= 1e-9
-
-
 @dataclass(frozen=True)
 class ExplicitPolytope:
-    """An enumerated solution set with its d x |Y| vertex matrix."""
+    """An enumerated solution set with its d x |Y| vertex matrix, not checked
+    for exposed vertices: the lab's certificates hold for any finite Y."""
 
     matrix: np.ndarray  # columns are the vertices
 
@@ -115,14 +68,11 @@ class ExplicitPolytope:
         self.matrix.setflags(write=False)
 
     @staticmethod
-    def from_vertices(vertices, validate: bool = True) -> "ExplicitPolytope":
+    def from_vertices(vertices) -> "ExplicitPolytope":
         arr = np.asarray(vertices, dtype=float)
         if arr.ndim != 2:
             raise InputError("vertices must form a (|Y|, d) array")
-        poly = ExplicitPolytope(arr.T.copy())
-        if validate:
-            poly.validate_vertices()
-        return poly
+        return ExplicitPolytope(arr.T.copy())
 
     @property
     def dim(self) -> int:
@@ -135,20 +85,6 @@ class ExplicitPolytope:
     @property
     def vertices(self) -> np.ndarray:
         return self.matrix.T
-
-    def validate_vertices(self) -> None:
-        """Check vertices are pairwise distinct and all exposed."""
-        verts = self.vertices
-        seen = set()
-        for v in verts:
-            key = v.tobytes()
-            if key in seen:
-                raise InputError("polytope vertices must be pairwise distinct")
-            seen.add(key)
-        for i in range(len(verts)):
-            others = np.delete(verts, i, axis=0)
-            if len(others) and not is_exposed_vertex(verts[i], others):
-                raise InputError(f"vertex {i} is a convex combination of the others")
 
     def lift_scores(self, theta: np.ndarray) -> np.ndarray:
         """Map a direction theta in R^d to the score vector (theta.y)_y."""
@@ -215,44 +151,9 @@ class LabConfig:
     max_iters: int = 200
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise InputError("kappa must be positive")
+        require_positive("kappa", self.kappa)
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-
-
-def _partial_min_fast(q: np.ndarray, gamma: np.ndarray, kappa: float,
-                      kind: RegularizerKind) -> np.ndarray:
-    """Partial-min surrogate of (N, K) rows, or one per entry of a (B, N, K) stack."""
-    n, k = q.shape[-2:]
-    cost_part = np.einsum("...ij,...ij->...", gamma, q) / n
-    values = value_rows(q.reshape(-1, k), kind).reshape(q.shape[:-1]).sum(axis=-1)
-    q_bar = q.mean(axis=-2)
-    bar_value = value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1])
-    return cost_part + (kappa / n) * (values - n * bar_value)
-
-
-def _coordination_fast(q: np.ndarray, kind: RegularizerKind, strict: bool) -> np.ndarray:
-    """Zero-sum common score of (N, K) rows, or one per entry of a (B, N, K) stack."""
-    q_bar = q.mean(axis=-2)
-    if kind.tag == NEGENTROPY:
-        if np.any(q_bar < INTERIOR_CLAMP):
-            vanished = bool(np.any(q_bar <= 0.0))
-            if strict or vanished:
-                # The first vanished entry, else the smallest, in row-major order.
-                where = np.argwhere(q_bar <= 0.0 if vanished else q_bar == q_bar.min())[0]
-                vertex = int(where[-1])
-                instance = int(where[0]) if q_bar.ndim == 2 else None
-                of = "" if instance is None else f" of instance {instance}"
-                what = "vanishes" if vanished else "below clamp"
-                raise BoundaryError(f"mean distribution{of} {what} at vertex {vertex}",
-                                    vertex=vertex, instance=instance)
-            log.debug("clamping mean distribution at %.0e before log", INTERIOR_CLAMP)
-            q_bar = np.maximum(q_bar, INTERIOR_CLAMP)
-        s = np.log(q_bar)
-    else:
-        s = q_bar
-    return s - s.mean(axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,34 +187,41 @@ def surrogate_value(
     return float(per_scenario.mean())
 
 
-def exact_decomposition(
-    s: np.ndarray, costs_row: np.ndarray, kappa: float, kind: RegularizerKind
-) -> np.ndarray:
-    """Closed-form per-scenario primal update: prediction at s - gamma/kappa."""
-    if kappa <= 0:
-        raise InputError("kappa must be positive")
-    scores = np.asarray(s, dtype=float) - np.asarray(costs_row, dtype=float) / kappa
-    return prediction_rows(ensure_finite(scores, "score")[None, :], kind)[0]
+def exact_coordination(q: np.ndarray, kind: RegularizerKind, strict: bool = True) -> np.ndarray:
+    """Common score s with prediction(s) = the mean of the (N, K) rows of q,
+    or one per entry of a (B, N, K) stack; of the scores, defined up to a
+    shift, the zero-sum one keeps trajectories comparable across runs."""
+    q_bar = q.mean(axis=-2)
+    if kind.tag == NEGENTROPY:
+        if np.any(q_bar < INTERIOR_CLAMP):
+            vanished = bool(np.any(q_bar <= 0.0))
+            if strict or vanished:
+                # The first vanished entry, else the smallest, in row-major order.
+                where = np.argwhere(q_bar <= 0.0 if vanished else q_bar == q_bar.min())[0]
+                vertex = int(where[-1])
+                instance = int(where[0]) if q_bar.ndim == 2 else None
+                of = "" if instance is None else f" of instance {instance}"
+                what = "vanishes" if vanished else "below clamp"
+                raise BoundaryError(f"mean distribution{of} {what} at vertex {vertex}",
+                                    vertex=vertex, instance=instance)
+            log.debug("clamping mean distribution at %.0e before log", INTERIOR_CLAMP)
+            q_bar = np.maximum(q_bar, INTERIOR_CLAMP)
+        s = np.log(q_bar)
+    else:
+        s = q_bar
+    return s - s.mean(axis=-1, keepdims=True)
 
 
-def exact_coordination(
-    q_product: np.ndarray, kind: RegularizerKind, strict: bool = True
-) -> np.ndarray:
-    """Common score s with prediction(s) = mean of the per-scenario rows.
-
-    Scores are defined up to a constant shift; the zero-sum representative
-    is returned so trajectories are comparable across runs.
-    """
-    q = validate_distribution(q_product, ndim=2)
-    return _coordination_fast(q, kind, strict)
-
-
-def partial_min_surrogate(
-    q_product: np.ndarray, costs: CostTable, kappa: float, kind: RegularizerKind
-) -> float:
-    """Surrogate minimized over the common score, in closed form."""
-    q = validate_distribution(q_product, ndim=2)
-    return float(_partial_min_fast(q, costs.gamma, kappa, kind))
+def partial_min_surrogate(q: np.ndarray, gamma: np.ndarray, kappa: float,
+                          kind: RegularizerKind) -> np.ndarray:
+    """Surrogate minimized over the common score, in closed form, for (N, K)
+    rows of q and costs gamma, or one per entry of a (B, N, K) stack."""
+    n, k = q.shape[-2:]
+    cost_part = np.einsum("...ij,...ij->...", gamma, q) / n
+    values = value_rows(q.reshape(-1, k), kind).reshape(q.shape[:-1]).sum(axis=-1)
+    q_bar = q.mean(axis=-2)
+    bar_value = value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1])
+    return cost_part + (kappa / n) * (values - n * bar_value)
 
 
 def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float:
@@ -407,11 +315,11 @@ def run_alternating_exact(
         if t == 0:
             first_q = q
         try:
-            s = _coordination_fast(q, kind, strict=strict)
+            s = exact_coordination(q, kind, strict=strict)
         except BoundaryError as err:
             err.iteration = t + 1
             raise
-        values[t] = _partial_min_fast(q, gamma, config.kappa, kind)
+        values[t] = partial_min_surrogate(q, gamma, config.kappa, kind)
         if record_iterates:
             q_products.append(q)
             scores.append(s)
@@ -424,8 +332,8 @@ def _five_point_slack(
     """Slack of the partial-minimizer five-point inequality at one probe."""
     n = costs.n_scenarios
     q1 = prediction_rows(s0[None, :] - costs.gamma / kappa, kind)
-    s1 = _coordination_fast(q1, kind, strict=True)
-    lhs = _partial_min_fast(probe_q, costs.gamma, kappa, kind) - _partial_min_fast(
+    s1 = exact_coordination(q1, kind, strict=True)
+    lhs = partial_min_surrogate(probe_q, costs.gamma, kappa, kind) - partial_min_surrogate(
         q1, costs.gamma, kappa, kind
     )
     rhs = (kappa / n) * (
@@ -499,7 +407,7 @@ def run_mirror_descent_comparison(
     for _ in range(iters):
         q = guard(prediction_rows(s_bar[None, :] - gamma / kappa, kind), "alternating")
         primal_a.append(q)
-        s_half = _coordination_fast(q, kind, strict=True)
+        s_half = exact_coordination(q, kind, strict=True)
         s_bar = alpha * s_half + (1.0 - alpha) * s_bar
 
     # Path B: mirror descent on the partial-min surrogate with the
@@ -592,8 +500,7 @@ def perturbation_conjugate_check(theta: np.ndarray, poly: ExplicitPolytope, epsi
     max <theta + eps z | y> against max_y (Y^T theta + eps Y^T z)_y, under
     shared draws z."""
     require_samples(n_draws=n_draws)
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise InputError(f"epsilon must be a finite positive number, not {epsilon!r}")
+    require_positive("epsilon", epsilon)
     theta = ensure_finite(theta, "theta")
     s = poly.lift_scores(theta)
     worst = 0.0
@@ -627,8 +534,7 @@ def mirror_descent_instance(seed: int, n_scenarios: int = 3,
 
 
 def random_binary_polytope(g: np.random.Generator, d: int, k: int) -> ExplicitPolytope:
-    """k distinct random 0/1 vertices in R^d.  Distinct cube vertices are
-    extreme points of their hull, so the set needs no validation."""
+    """k distinct random 0/1 vertices in R^d, extreme points of their hull."""
     if k > 2 ** d:
         raise InputError("cannot pick that many distinct binary vertices")
     chosen: list[np.ndarray] = []
@@ -639,7 +545,7 @@ def random_binary_polytope(g: np.random.Generator, d: int, k: int) -> ExplicitPo
         if key not in seen:
             seen.add(key)
             chosen.append(v)
-    return ExplicitPolytope.from_vertices(np.asarray(chosen), validate=False)
+    return ExplicitPolytope.from_vertices(np.asarray(chosen))
 
 
 def run_convergence_suite(

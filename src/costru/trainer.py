@@ -10,13 +10,21 @@ is tracked alongside the iterates themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import native
-from .core import Dataset, InputError, LinearOracle, RngStream, Scenario, ensure_finite, make_rng
+from .core import (
+    Dataset,
+    InputError,
+    LinearOracle,
+    RngStream,
+    Scenario,
+    ensure_finite,
+    make_rng,
+    require_positive,
+)
 from .regularizers import perturbed_decomposition_target, perturbed_fy_gradient
 
 GlmWeights = np.ndarray
@@ -45,9 +53,7 @@ class TrainConfig:
         if min(counts) < 1:
             raise InputError("all iteration/sample counts must be >= 1")
         for name in ("lr_init", "epsilon", "kappa"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be a finite positive number, not {value!r}")
+            require_positive(name, getattr(self, name))
 
 
 class AdamState:

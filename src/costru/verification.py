@@ -10,7 +10,7 @@ from .problems.spanning_tree import (
     enumerate_spanning_pairs,
     grid_edges,
     max_weight_forests,
-    two_stage_mst_split,
+    two_stage_splits,
 )
 from .regularizers import (
     RegularizerKind,
@@ -74,16 +74,14 @@ def run_oracle_suite(
     kappas = (0.0, 0.5, 1.0, 2.0)
     for edges, n_nodes in (_SMALL_GRAPHS[2], _SMALL_GRAPHS[4]):  # the 2x2 and 2x3 grids
         pairs = np.hstack(enumerate_spanning_pairs(edges, n_nodes))  # rows (y, z)
-        costs, answers = [], []
+        effs, ds = [], []
         for i in range(n_anticipative // 2):
             c = g.uniform(5.0, 10.0, size=len(edges))
-            d = g.uniform(2.0, 12.0, size=len(edges))
-            eff = c - kappas[i % len(kappas)] * g.standard_normal(len(edges))
-            y, z, _ = two_stage_mst_split(eff, d, edges, n_nodes)
-            costs.append(np.concatenate([eff, d]))
-            answers.append(np.concatenate([y, z]))
+            ds.append(g.uniform(2.0, 12.0, size=len(edges)))
+            effs.append(c - kappas[i % len(kappas)] * g.standard_normal(len(edges)))
+        answers = np.hstack(two_stage_splits(effs, ds, edges, n_nodes))
         # <eff|y> + <d|z> in one product, negated: the split minimizes it.
-        worst = max(worst, enumeration_gap(-np.array(costs) @ pairs.T, pairs, answers))
+        worst = max(worst, enumeration_gap(-np.hstack([effs, ds]) @ pairs.T, pairs, answers))
     rows.append(CheckRow("oracles/two-stage-anticipative", seed, worst, 0.0, worst == 0.0))
     return rows
 

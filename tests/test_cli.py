@@ -444,7 +444,7 @@ class TestVerify:
             q = prediction_rows(s[None, :] - costs.gamma / 1.0, kind)
             expected.append([str(t)] + [format(v, ".17g") for v in (
                 simplex_lab.surrogate_value(s, q, costs, 1.0, kind),
-                simplex_lab.partial_min_surrogate(q, costs, 1.0, kind),
+                simplex_lab.partial_min_surrogate(q, costs.gamma, 1.0, kind),
                 simplex_lab.jensen_gap(q, kind))])
             s = simplex_lab.exact_coordination(q, kind, strict=False)
         rows = read_rows(tmp_path / "report_trace.csv")

@@ -220,7 +220,7 @@ class TestOracleSoundness:
     def test_explicit_oracle(self):
         g = make_rng(12, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
-        poly = ExplicitPolytope.from_vertices(verts, validate=False)
+        poly = ExplicitPolytope.from_vertices(verts)
         oracle = ExplicitOracle(poly)
         for theta in g.standard_normal((1000, 3)):
             y = oracle.argmax_linear(theta)
@@ -240,7 +240,7 @@ class TestOracleSoundness:
 
 def _cube_oracle() -> ExplicitOracle:
     verts = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
-    return ExplicitOracle(ExplicitPolytope.from_vertices(verts, validate=False))
+    return ExplicitOracle(ExplicitPolytope.from_vertices(verts))
 
 
 class TestBatchedOracleInputs:

@@ -41,7 +41,7 @@ from costru.problems.spanning_tree import (
     is_forest,
     max_weight_forests,
     second_stage_value,
-    two_stage_mst_split,
+    two_stage_splits,
 )
 from costru.problems.toy import (
     TOY_COSTS,
@@ -65,6 +65,12 @@ TRIANGLE = (edge_array([(0, 1), (1, 2), (0, 2)]), 3)
 def max_forest(weights, edges, n_nodes) -> np.ndarray:
     """The maximum-weight forest of one weight vector."""
     return max_weight_forests(np.asarray(weights, dtype=float)[None, :], edges, n_nodes)[0]
+
+
+def split_row(eff, d, edges, n_nodes) -> tuple[np.ndarray, np.ndarray]:
+    """The two-stage split (y, z) of one row of effective first-stage costs."""
+    y, z = two_stage_splits(np.asarray(eff, dtype=float)[None, :], d, edges, n_nodes)
+    return y[0], z[0]
 
 
 def forest_gap(w, y, edges, n_nodes) -> float:
@@ -159,7 +165,7 @@ class TestGridEdges:
         with pytest.raises(InputError, match="edges must be"):
             second_stage_value(np.zeros(3), np.ones(3), edges, 3)
         with pytest.raises(InputError, match="edges must be"):
-            two_stage_mst_split(np.ones(3), np.ones(3), edges, 3)
+            split_row(np.ones(3), np.ones(3), edges, 3)
         with pytest.raises(InputError, match="edges must be"):
             is_forest(np.zeros(3), edges, 3)
 
@@ -299,7 +305,7 @@ class TestAnticipativeOracle:
                 theta = g.standard_normal(len(edges))
                 kappa = kappas[i % 4]
                 eff = c - kappa * theta
-                y, z, _ = two_stage_mst_split(eff, d, edges, n)
+                y, z = split_row(eff, d, edges, n)
                 assert split_gap(eff, d, y, z, edges, n) == 0.0
 
     def test_second_stage_dominates(self):
@@ -326,7 +332,7 @@ class TestAnticipativeOracle:
         for _ in range(100):
             eff = g.normal(5, 3, len(edges))
             d = g.uniform(1, 10, len(edges))
-            y, z, _ = two_stage_mst_split(eff, d, edges, n)
+            y, z = split_row(eff, d, edges, n)
             assert y.sum() + z.sum() == n - 1
             assert is_forest(y, edges, n)
             assert is_forest(y + z, edges, n)
@@ -335,7 +341,26 @@ class TestAnticipativeOracle:
     def test_disconnected_graph_raises(self):
         edges = edge_array([(0, 1), (2, 3)])
         with pytest.raises(InfeasibleError):
-            two_stage_mst_split(np.ones(2), np.ones(2), edges, 4)
+            split_row(np.ones(2), np.ones(2), edges, 4)
+
+
+class TestAnticipativeCost:
+    @pytest.mark.parametrize("grid", [(2, 2), (2, 3)])
+    def test_matches_enumerated_spanning_pairs(self, grid):
+        """The anticipative cost is the least c.y + d.z over every spanning
+        pair (y, z); a repeated scenario, priced again or by a fresh
+        evaluator, gets the identical float."""
+        oracle = MstOracle(*grid)
+        y, z = enumerate_spanning_pairs(oracle.edges, oracle.n_nodes)
+        evaluator = MstEvaluator(oracle)
+        g = make_rng(8, grid[1]).generator()
+        for _ in range(50):
+            c = g.uniform(1.0, 10.0, oracle.n_edges)
+            d = g.uniform(1.0, 10.0, oracle.n_edges)
+            cost = evaluator.anticipative_cost(mst_scenario(c, d))
+            assert abs(cost - float(np.min(y @ c + z @ d))) <= 1e-9
+            assert evaluator.anticipative_cost(mst_scenario(c.copy(), d.copy())) == cost
+            assert MstEvaluator(oracle).anticipative_cost(mst_scenario(c, d)) == cost
 
 
 class TestMstOracleBatch:
@@ -398,7 +423,7 @@ def explicit_thetas(draw):
     """The 0/1 cube of dimension d, whose vertices tie on integer scores."""
     d = draw(st.integers(1, 3))
     vertices = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
-    oracle = ExplicitOracle(ExplicitPolytope.from_vertices(vertices, validate=False))
+    oracle = ExplicitOracle(ExplicitPolytope.from_vertices(vertices))
     n_rows = draw(st.integers(1, 4))
     flat = draw(st.lists(_TIED, min_size=n_rows * d, max_size=n_rows * d))
     costs = draw(st.lists(_TIED, min_size=len(vertices), max_size=len(vertices)))
@@ -418,9 +443,8 @@ class TestOracleProperties:
     @given(small_graph_costs(2))
     def test_split_matches_enumeration_and_ties_go_to_stage_one(self, case):
         edges, n, (eff, d) = case
-        y, z, value = two_stage_mst_split(eff, d, edges, n)
+        y, z = split_row(eff, d, edges, n)
         assert y.sum() + z.sum() == n - 1 and is_forest(y + z, edges, n)
-        assert value == float(eff @ y + d @ z)
         assert split_gap(eff, d, y, z, edges, n) == 0.0
         chosen = (y + z) > 0.5
         np.testing.assert_array_equal(y, (chosen & (eff <= d)).astype(float))
@@ -460,11 +484,11 @@ class TestOracleProperties:
                   ((2, 1, 1, 2), (1, 2, 2, 1), (0, 1, 1, 0), (1, 0, 0, 0)),
                   ((1, 2, 1, 2), (1, 1, 2, 1), (1, 0, 1, 0), (0, 1, 0, 0))]
         for eff, d, y_expected, z_expected in splits:
-            y, z, value = two_stage_mst_split(np.array(eff, dtype=float),
-                                              np.array(d, dtype=float), edges, n)
+            eff, d = np.array(eff, dtype=float), np.array(d, dtype=float)
+            y, z = split_row(eff, d, edges, n)
             np.testing.assert_array_equal(y, np.array(y_expected, dtype=float))
             np.testing.assert_array_equal(z, np.array(z_expected, dtype=float))
-            assert value == 3.0
+            assert float(eff @ y + d @ z) == 3.0
         completions = [((0, 0, 0, 0), (1, 1, 1, 1), 3.0, (1, 1, 1, 0)),
                        ((0, 0, 0, 1), (1, 1, 1, 1), 2.0, (1, 1, 0, 0)),
                        ((0, 0, 1, 0), (2, 1, 1, 1), 2.0, (0, 1, 0, 1))]

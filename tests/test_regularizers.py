@@ -23,7 +23,7 @@ from costru.regularizers import (
     validate_distribution,
     value_rows,
 )
-from costru.simplex_lab import ExplicitOracle, ExplicitPolytope, nearest_point_in_hull_sq
+from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
 
 NEG = RegularizerKind.negentropy()
 L2 = RegularizerKind.squared_l2()
@@ -56,7 +56,7 @@ def line_oracle():
 
 def point_oracle():
     """Degenerate single-point set Y = {0}."""
-    return ExplicitOracle(ExplicitPolytope.from_vertices(np.array([[0.0]]), validate=False))
+    return ExplicitOracle(ExplicitPolytope.from_vertices(np.array([[0.0]])))
 
 
 # Saturating, tied and zero entries next to ordinary ones.
@@ -247,10 +247,11 @@ class TestPerturbedMoment:
     def test_in_hull(self):
         g = make_rng(6, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
-        poly = ExplicitPolytope.from_vertices(verts, validate=False)
+        poly = ExplicitPolytope.from_vertices(verts)
         oracle = ExplicitOracle(poly)
         mu = perturbed_maximizer_moment(oracle, g.standard_normal(3), 0.5, 256, make_rng(6, 1))
-        assert nearest_point_in_hull_sq(mu, verts) < 1e-9
+        # The eight vertices span the cube [0, 1]^3, which is their hull.
+        assert np.all((mu >= 0.0) & (mu <= 1.0))
 
 
 class TestPerturbedFyGradient:
@@ -272,7 +273,7 @@ class TestPerturbedFyGradient:
         """Central differences of the shifted loss with common draws."""
         g = make_rng(9, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=4)))
-        poly = ExplicitPolytope.from_vertices(verts, validate=False)
+        poly = ExplicitPolytope.from_vertices(verts)
         oracle = ExplicitOracle(poly)
         theta = g.standard_normal(4)
         target = poly.moment(g.dirichlet(np.ones(len(verts))))
@@ -349,13 +350,36 @@ class TestPerturbationArguments:
             with pytest.raises(InputError, match="eps must be a finite positive number"):
                 call()
 
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("problem", ["toy", "mst"])
+    def test_decomposition_kappa_must_be_finite_and_positive(self, problem, kappa):
+        """A NaN kappa used to return [0.] on the toy and to raise
+        InfeasibleError on the grid; an infinite one returned moments."""
+        oracle, scenario = toy_or_mst(problem)
+        with pytest.raises(InputError, match="kappa must be a finite positive number"):
+            perturbed_decomposition_target(oracle, np.zeros(scenario.dim), scenario, kappa,
+                                           0.5, 4, make_rng(1))
+
+    def test_theta_must_be_one_dimensional(self):
+        """A 0-d theta used to end in a bare IndexError."""
+        oracle, scenario = toy_or_mst("toy")
+        theta = np.float64(0.5)
+        calls = [lambda: perturbed_max_value(oracle, theta, 1.0, 4, make_rng(1)),
+                 lambda: perturbed_maximizer_moment(oracle, theta, 1.0, 4, make_rng(1)),
+                 lambda: perturbed_fy_gradient(oracle, theta, theta, 1.0, 4, make_rng(1)),
+                 lambda: perturbed_decomposition_target(oracle, theta, scenario, 1.0, 1.0, 4,
+                                                        make_rng(1))]
+        for call in calls:
+            with pytest.raises(InputError, match="theta must be a one-dimensional array"):
+                call()
+
 
 class TestConjugateAndAffineIdentities:
     def test_negentropy_conjugate_identity(self):
         """Moment-space log-partition equals lifted log-sum-exp."""
         g = make_rng(12, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
-        poly = ExplicitPolytope.from_vertices(verts, validate=False)
+        poly = ExplicitPolytope.from_vertices(verts)
         for _ in range(20):
             theta = g.standard_normal(3)
             lse = logsumexp(poly.lift_scores(theta))

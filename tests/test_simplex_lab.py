@@ -1,13 +1,10 @@
 """Exact simplex laboratory: surrogate, updates, and theorem certificates."""
 
-import itertools
-
 import numpy as np
 import pytest
 from scipy.special import rel_entr
 
 from costru.core import InputError, make_rng
-from costru.problems.spanning_tree import enumerate_forests
 from costru.problems.toy import toy_cost_table
 from costru.regularizers import RegularizerKind, conjugate_rows, prediction_rows, value_rows
 from costru import verification
@@ -20,11 +17,8 @@ from costru.simplex_lab import (
     check_jensen_gap_convexity,
     convergence_instance,
     exact_coordination,
-    exact_decomposition,
     five_point_check,
-    is_exposed_vertex,
     jensen_gap,
-    nearest_point_in_hull_sq,
     omega_c_conjugate_check,
     partial_min_surrogate,
     partial_surrogate_terms,
@@ -51,6 +45,11 @@ L2 = RegularizerKind.squared_l2()
 
 def softmax(s):
     return prediction_rows(np.asarray(s, dtype=float)[None, :], NEG)[0]
+
+
+def decompose(s, gamma, kappa):
+    """The lab's decomposition of one scenario: the prediction at s - gamma/kappa."""
+    return softmax(np.asarray(s, dtype=float) - np.asarray(gamma, dtype=float) / kappa)
 
 
 class TestSurrogateValue:
@@ -81,13 +80,13 @@ class TestExactDecomposition:
     def test_zero_costs(self):
         s = make_rng(33, 0).generator().standard_normal(4)
         np.testing.assert_allclose(
-            exact_decomposition(s, np.zeros(4), 1.0, NEG), softmax(s),
+            decompose(s, np.zeros(4), 1.0), softmax(s),
             atol=1e-15,
         )
 
     def test_toy_first_scenario(self):
         gamma = toy_cost_table().gamma[0]  # costs of (y=0, y=1) under the first state
-        q = exact_decomposition(np.zeros(2), gamma, 1.0, NEG)
+        q = decompose(np.zeros(2), gamma, 1.0)
         expected = np.array([np.exp(-4) / (1 + np.exp(-4)), 1 / (1 + np.exp(-4))])
         np.testing.assert_allclose(q, expected, atol=1e-12)
         assert q[1] == pytest.approx(0.9820, abs=1e-4)
@@ -95,7 +94,7 @@ class TestExactDecomposition:
     def test_large_kappa_ignores_costs(self):
         s = make_rng(34, 0).generator().standard_normal(4)
         gamma = make_rng(34, 1).generator().standard_normal(4)
-        q = exact_decomposition(s, gamma, 1e12, NEG)
+        q = decompose(s, gamma, 1e12)
         np.testing.assert_allclose(q, softmax(s), atol=1e-10)
 
 
@@ -115,7 +114,7 @@ class TestExactCoordination:
         q_row = random_interior_product(g, 1, 5)[0]
         q = np.stack([q_row] * 4)
         s = exact_coordination(q, NEG)
-        back = exact_decomposition(s, np.zeros(5), 1.0, NEG)
+        back = decompose(s, np.zeros(5), 1.0)
         np.testing.assert_allclose(back, q_row, atol=1e-12)
 
     def test_boundary_error_reports_vertex(self):
@@ -138,7 +137,8 @@ class TestPartialMinAndJensen:
         q = random_interior_product(g, 1, 5)
         costs = random_cost_table(g, 1, 5)
         expected = float(costs.gamma[0] @ q[0])
-        assert partial_min_surrogate(q, costs, 1.3, NEG) == pytest.approx(expected, abs=1e-12)
+        value = partial_min_surrogate(q, costs.gamma, 1.3, NEG)
+        assert value == pytest.approx(expected, abs=1e-12)
 
     def test_identical_rows_have_zero_gap(self):
         g = make_rng(38, 0).generator()
@@ -146,7 +146,8 @@ class TestPartialMinAndJensen:
         q = np.stack([row] * 4)
         costs = random_cost_table(g, 4, 5)
         cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / 4
-        assert partial_min_surrogate(q, costs, 2.0, NEG) == pytest.approx(cost_part, abs=1e-12)
+        value = partial_min_surrogate(q, costs.gamma, 2.0, NEG)
+        assert value == pytest.approx(cost_part, abs=1e-12)
         assert jensen_gap(q, NEG) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_surrogate_at_coordination(self):
@@ -154,7 +155,7 @@ class TestPartialMinAndJensen:
         q = random_interior_product(g, 4, 5)
         costs = random_cost_table(g, 4, 5)
         s = exact_coordination(q, NEG)
-        assert partial_min_surrogate(q, costs, 1.0, NEG) == pytest.approx(
+        assert partial_min_surrogate(q, costs.gamma, 1.0, NEG) == pytest.approx(
             surrogate_value(s, q, costs, 1.0, NEG), abs=1e-10
         )
 
@@ -170,7 +171,7 @@ class TestPartialMinAndJensen:
             q = random_interior_product(g, 5, 6)
             costs = random_cost_table(g, 5, 6)
             cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / 5
-            lhs = partial_min_surrogate(q, costs, kappa, NEG)
+            lhs = partial_min_surrogate(q, costs.gamma, kappa, NEG)
             rhs = cost_part + kappa * jensen_gap(q, NEG)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -479,72 +480,17 @@ class TestConjugateCheck:
 
 
 class TestPolytopeValidation:
-    def test_duplicate_vertices_rejected(self):
-        with pytest.raises(InputError):
-            ExplicitPolytope.from_vertices(np.array([[0.0, 1.0], [0.0, 1.0]]))
-
-    def test_interior_point_rejected(self):
-        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.25, 0.25]])
-        with pytest.raises(InputError):
-            ExplicitPolytope.from_vertices(verts)
-
-    def test_random_binary_polytopes_are_valid(self):
-        """random_binary_polytope skips the hull check: distinct 0/1 points
-        are cube vertices, hence extreme points of their hull.  The full
-        check agrees on the polytopes the risk-bound and conjugate suites
-        draw for instance seeds 0-49."""
-        for inst_seed in range(50):
-            for stream, d, k in ((41, 4, 6), (51, 3, 8)):
-                g = make_rng(inst_seed, stream).generator()
-                random_binary_polytope(g, d, k).validate_vertices()
-
     def test_lab_config_validation(self):
         with pytest.raises(InputError):
             LabConfig(-1.0, NEG)
         with pytest.raises(InputError):
             LabConfig(1.0, NEG, max_iters=0)
 
-
-class TestExposedVertex:
-    def test_affinely_independent_points(self):
-        assert is_exposed_vertex(np.array([1.0, 0.0]),
-                                 [np.array([0.0, 1.0]), np.array([0.0, 0.0])])
-
-    def test_exact_midpoint_is_inside(self):
-        assert not is_exposed_vertex(np.array([0.5, 0.5]),
-                                     [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
-
-    def test_triangle_forest_vertex_vs_weight_grid(self):
-        """Cross-check the hull solver against a brute-force weight grid."""
-        triangle = (np.array([(0, 1), (1, 2), (0, 2)], dtype=np.int64), 3)
-        forests = enumerate_forests(*triangle)
-        candidate = np.array([1.0, 1.0, 0.0])
-        others = np.stack([f for f in forests if not np.array_equal(f, candidate)])
-        assert len(others) == 6
-
-        # Enumerate simplex weights with resolution 1/12 and find the
-        # closest convex combination the grid can build.
-        k = others.shape[0]
-        resolution = 12
-        best = np.inf
-        for cuts in itertools.combinations(range(resolution + k - 1), k - 1):
-            parts = np.diff((-1,) + cuts + (resolution + k - 1,)) - 1
-            weights = np.asarray(parts, dtype=float) / resolution
-            dist = np.sum((candidate - weights @ others) ** 2)
-            best = min(best, dist)
-        assert best > 1e-3  # grid confirms the point is far from the hull
-        assert is_exposed_vertex(candidate, others)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InputError):
-            is_exposed_vertex(np.array([1.0, 0.0]), [np.array([1.0, 0.0, 0.0])])
-
-    def test_empty_others(self):
-        assert is_exposed_vertex(np.array([1.0]), [])
-
-    def test_hull_distance_zero_for_member(self):
-        others = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        assert nearest_point_in_hull_sq(np.array([0.25, 0.25]), others) < 1e-12
+    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
+    def test_lab_config_rejects_non_finite_kappa(self, kappa):
+        """A NaN or infinite kappa used to run and report NaN values."""
+        with pytest.raises(InputError, match="kappa must be a finite positive number"):
+            LabConfig(kappa, NEG)
 
 
 class TestSuiteSampleCounts:
@@ -606,8 +552,8 @@ class TestOracleSuiteNegativeControls:
             monkeypatch.setattr(verification, "max_weight_forests",
                                 lambda w, edges, n: forests(real(w, edges, n)))
         if split is not None:
-            real_split = verification.two_stage_mst_split
-            monkeypatch.setattr(verification, "two_stage_mst_split",
+            real_split = verification.two_stage_splits
+            monkeypatch.setattr(verification, "two_stage_splits",
                                 lambda *args: split(*real_split(*args)))
         return run_oracle_suite(n_kruskal=60, n_anticipative=20)
 
@@ -623,13 +569,13 @@ class TestOracleSuiteNegativeControls:
 
     def test_split_with_a_cycle_measures_inf(self, monkeypatch):
         forest, split = self.run(
-            monkeypatch, split=lambda y, z, value: (np.ones_like(y), np.zeros_like(z), value))
+            monkeypatch, split=lambda y, z: (np.ones_like(y), np.zeros_like(z)))
         assert split.measured == np.inf and not split.passed
         assert forest.passed
 
     def test_split_with_swapped_stages_measures_a_positive_gap(self, monkeypatch):
         """(z, y) is a member, the same tree with every edge in its dearer
         stage."""
-        forest, split = self.run(monkeypatch, split=lambda y, z, value: (z, y, value))
+        forest, split = self.run(monkeypatch, split=lambda y, z: (z, y))
         assert 0.0 < split.measured < np.inf and not split.passed
         assert forest.passed
