@@ -22,12 +22,13 @@ from .problems.spanning_tree import (
 )
 # evaluate_fixed_solutions is also this module's: it prices the median
 # policy's fixed solutions.
-from .trainer import GlmWeights, TrainConfig, coordination_pass, evaluate_fixed_solutions
-
-# Imitation fits reuse the outer-iteration stream layout of the primal-dual
-# trainer at t = 1, so that the first-iteration identity is exact.
-_IMITATION_ITERATION = 1
-_COORDINATION_STREAM = 2
+from .trainer import (
+    GlmWeights,
+    TrainConfig,
+    coordination_pass,
+    coordination_stream,
+    evaluate_fixed_solutions,
+)
 
 
 @dataclass(frozen=True)
@@ -143,9 +144,11 @@ def imitation_fit(
     oracle: LinearOracle,
     config: TrainConfig,
 ) -> GlmWeights:
-    """Supervised perturbed-FY fit from zero weights (one coordination run)."""
+    """Supervised perturbed-FY fit from zero weights: one coordination pass on
+    the primal-dual trainer's first-iteration stream, so that the
+    first-iteration identity is exact."""
     w = np.zeros(data.feature_width)
-    stream = make_rng(config.seed).split(_IMITATION_ITERATION, _COORDINATION_STREAM)
+    stream = coordination_stream(make_rng(config.seed), 1)
     return coordination_pass(w, list(data), targets, oracle, config, stream)
 
 

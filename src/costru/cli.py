@@ -3,11 +3,12 @@
 Subcommands: generate, train, verify, sweep-epsilon, evaluate.
 Exit codes: 0 ok, 1 verification failure, 2 usage/config error (a negative
 seed, a learning rate, perturbation scale, kappa or sigma0 that is not a
-finite positive number, an unreadable weights file, and a config or split
-file that cannot be parsed included), 3 IO error, 4 internal error (a
-non-finite gradient, a disconnected graph, an iterate on the simplex
-boundary, or a native library that the C compiler ``cc`` failed to build,
-that lacks numpy's random library, or that failed to load).
+finite positive number, an unreadable weights file, a config or split file
+that cannot be parsed and a non-toy sweep-epsilon config included), 3 IO
+error, 4 internal error (a non-finite gradient, a disconnected graph, an
+iterate on the simplex boundary, or a native library that the C compiler
+``cc`` failed to build, that lacks numpy's random library, or that failed
+to load).
 Every command is deterministic given (config, seed); all CSVs carry a
 comment line recording the config hash and seed, then a header row.
 """
@@ -437,6 +438,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     cfg, seed, chash = _run_setup(args)
+    if cfg["problem"]["kind"] != "toy":
+        raise ConfigError("sweep-epsilon runs the toy problem; problem.kind is "
+                          f"{cfg['problem']['kind']!r}, not 'toy'")
     overrides = {key: value for key, value in cfg["train"].items() if key != "epsilon"}
     results = experiments.run_toy_epsilon_sweep(
         _sweep_epsilons(cfg), cfg["sweep"]["nb_seeds"], base_seed=seed, **overrides)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core import Dataset, InputError, Scenario, make_rng, read_npz
-from .spanning_tree import GridInstance
+from .spanning_tree import GridInstance, grid_edge_count
 
 _SPLIT_IDS = {"train": 1, "val": 2, "test": 3}
 _HIDDEN_SCALE = 2.0
@@ -64,7 +64,7 @@ class GenConfig:
             raise InputError("noise_scale must be >= 0")
         if self.feature_dim < 3:
             raise InputError("feature_dim must be >= 3 (intercept, cost, signal)")
-        if self.ratio_low <= 0 or self.ratio_low + self.ratio_span <= 1.0:
+        if not 0.0 < self.ratio_low < 1.0 < self.ratio_low + self.ratio_span:
             raise InputError("stage-cost ratio range must straddle 1")
         if not (0.0 <= self.noise_common <= 1.0):
             raise InputError("noise_common must lie in [0, 1]")
@@ -85,10 +85,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _n_edges(cfg: GenConfig) -> int:
-    return cfg.rows * (cfg.cols - 1) + (cfg.rows - 1) * cfg.cols
-
-
 def hidden_vector(cfg: GenConfig, seed: int) -> np.ndarray:
     g = make_rng(seed, 0).generator()
     return _HIDDEN_SCALE * g.standard_normal(cfg.feature_dim - 2)
@@ -102,7 +98,7 @@ def context_signal(instance_features: np.ndarray, hidden: np.ndarray,
 
 def _generate_instance(cfg: GenConfig, hidden: np.ndarray,
                        g: np.random.Generator) -> GridInstance:
-    n_edges = _n_edges(cfg)
+    n_edges = grid_edge_count(cfg.rows, cfg.cols)
     features = np.ones((n_edges, cfg.feature_dim))
     features[:, 1:] = g.uniform(0.0, 1.0, size=(n_edges, cfg.feature_dim - 1))
     first_stage = cfg.cost_low + (cfg.cost_high - cfg.cost_low) * features[:, 1]
@@ -209,7 +205,3 @@ def load_split(path: str | Path) -> tuple[list[GridInstance], Dataset]:
 def write_manifest(path: str | Path, cfg: GenConfig, seed: int) -> None:
     payload = {"generator": asdict(cfg), "seed": seed, "format": "npz-v1"}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

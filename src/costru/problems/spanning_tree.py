@@ -30,6 +30,11 @@ class InfeasibleError(RuntimeError):
     """The graph cannot be spanned (disconnected input)."""
 
 
+def grid_edge_count(rows: int, cols: int) -> int:
+    """The number of edges of the rows x cols 4-neighbor grid."""
+    return rows * (cols - 1) + (rows - 1) * cols
+
+
 def grid_edges(rows: int, cols: int) -> np.ndarray:
     """4-neighbor grid edges as a read-only (E, 2) int64 array of endpoints,
     horizontal block first, row-major within each."""
@@ -245,7 +250,7 @@ class GridInstance:
     scenario_costs: np.ndarray      # (K, E) second-stage costs
 
     def __post_init__(self):
-        expected = self.rows * (self.cols - 1) + (self.rows - 1) * self.cols
+        expected = grid_edge_count(self.rows, self.cols)
         if self.first_stage_costs.shape != (expected,):
             raise InputError("first-stage cost vector does not match the grid")
         if self.features.shape[0] != expected:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import Dataset, InputError, LinearOracle, Scenario
-from ..simplex_lab import CostTable
 
 # Rows are the solutions {0, 1}; columns the scenarios {xi1, xi2, xi3}.
 TOY_COSTS = np.array([[4.0, -1.0, -2.0], [0.0, 0.0, 0.0]])
@@ -53,13 +52,8 @@ def toy_scenarios() -> list[Scenario]:
             for j in range(N_TOY_SCENARIOS)]
 
 
-def toy_dataset(split_tag: str = "train") -> Dataset:
-    return Dataset(tuple(toy_scenarios()), split_tag)
-
-
-def toy_cost_table() -> CostTable:
-    """Cost score vectors over Y = (0, 1) for the exact simplex laboratory."""
-    return CostTable(TOY_COSTS.T.copy())
+def toy_dataset() -> Dataset:
+    return Dataset(tuple(toy_scenarios()), "train")
 
 
 class ToyEvaluator:

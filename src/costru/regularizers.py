@@ -142,31 +142,17 @@ def _tilts(rng: RngStream, theta: np.ndarray, eps: float, m: int) -> np.ndarray:
     return theta[None, :] + eps * rng.generator().standard_normal((m, theta.shape[0]))
 
 
-def _perturbed_argmax_stats(
+def perturbed_argmax_stats(
     oracle: LinearOracle, theta: np.ndarray, eps: float, m: int, rng: RngStream
 ) -> tuple[float, np.ndarray]:
-    """Shared-draw (value, moment) pair for the perturbed maximum: the means
+    """Monte-Carlo estimates, from one set of m draws, of the perturbed
+    maximum E[max_y <theta + eps Z | y>] and of its gradient, the maximizer
+    moment E[argmax_y <theta + eps Z | y>], which lies in conv(Y): the means
     of the row values <theta + eps z_r | y_r> and of the maximizers y_r."""
     tilted = _tilts(rng, theta, eps, m)
     ys = oracle.argmax_linear_many(tilted)
     # The mean of the row values bit for bit, without np.mean's Python overhead.
     return float(np.einsum("ij,ij->i", tilted, ys).sum() / m), ys.mean(axis=0)
-
-
-def perturbed_max_value(
-    oracle: LinearOracle, theta: np.ndarray, eps: float, m: int, rng: RngStream
-) -> float:
-    """Monte-Carlo estimate of E[max_y <theta + eps Z | y>]."""
-    value, _ = _perturbed_argmax_stats(oracle, theta, eps, m, rng)
-    return value
-
-
-def perturbed_maximizer_moment(
-    oracle: LinearOracle, theta: np.ndarray, eps: float, m: int, rng: RngStream
-) -> np.ndarray:
-    """Monte-Carlo estimate of E[argmax_y <theta + eps Z | y>]; lies in conv(Y)."""
-    _, moment = _perturbed_argmax_stats(oracle, theta, eps, m, rng)
-    return moment
 
 
 def perturbed_fy_gradient(
@@ -186,7 +172,7 @@ def perturbed_fy_gradient(
     target_mu = ensure_finite(target_mu, "target moment")
     if target_mu.shape != np.shape(theta):
         raise InputError("theta and target dimensions differ")
-    value, moment = _perturbed_argmax_stats(oracle, theta, eps, m, rng)
+    value, moment = perturbed_argmax_stats(oracle, theta, eps, m, rng)
     loss_shifted = value - float(np.dot(theta, target_mu))
     gradient = moment - target_mu
     return loss_shifted, gradient

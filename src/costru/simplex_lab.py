@@ -235,28 +235,22 @@ def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float:
 # Jensen-gap convexity probe
 # ---------------------------------------------------------------------------
 
-def random_interior_product(g: np.random.Generator, n: int, k: int,
-                            floor: float = 2e-3) -> np.ndarray:
-    """Random product of interior distributions (every entry >= floor/k)."""
+def random_interior_product(g: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """Random product of interior distributions (every entry >= 2e-3 / k)."""
     raw = g.dirichlet(np.ones(k), size=n)
-    return (1.0 - floor) * raw + floor / k
+    return (1.0 - 2e-3) * raw + 2e-3 / k
 
 
-def check_jensen_gap_convexity(
-    kind: RegularizerKind,
-    n_trials: int,
-    rng: RngStream,
-    n_scenarios: int = 4,
-    n_atoms: int = 5,
-) -> float:
-    """Largest convexity violation of the Jensen gap over random triples."""
+def check_jensen_gap_convexity(kind: RegularizerKind, n_trials: int, rng: RngStream) -> float:
+    """Largest convexity violation of the Jensen gap over random triples of
+    products of four distributions on five atoms."""
     if n_trials < 1:
         raise InputError("the convexity probe needs at least one trial")
     g = rng.generator()
     worst = -np.inf
     for _ in range(n_trials):
-        qa = random_interior_product(g, n_scenarios, n_atoms)
-        qb = random_interior_product(g, n_scenarios, n_atoms)
+        qa = random_interior_product(g, 4, 5)
+        qb = random_interior_product(g, 4, 5)
         t = float(g.uniform(0.05, 0.95))
         combo = t * qa + (1.0 - t) * qb
         violation = jensen_gap(combo, kind) - (
@@ -524,12 +518,12 @@ def convergence_instance(inst_seed: int, n_scenarios: int = 5, n_atoms: int = 6)
     return random_cost_table(make_rng(inst_seed, 7).generator(), n_scenarios, n_atoms)
 
 
-def mirror_descent_instance(seed: int, n_scenarios: int = 3,
-                            n_atoms: int = 4) -> tuple[CostTable, np.ndarray]:
-    """The mirror-descent suite's cost table and zero-sum start score."""
+def mirror_descent_instance(seed: int) -> tuple[CostTable, np.ndarray]:
+    """The mirror-descent suite's cost table (three scenarios, four atoms)
+    and zero-sum start score."""
     g = make_rng(seed, 31).generator()
-    costs = random_cost_table(g, n_scenarios, n_atoms)
-    s0 = g.standard_normal(n_atoms)
+    costs = random_cost_table(g, 3, 4)
+    s0 = g.standard_normal(4)
     return costs, s0 - s0.mean()
 
 
@@ -605,30 +599,23 @@ def run_convergence_suite(
     return rows
 
 
-def run_five_point_suite(
-    probes: int = 1000,
-    n_scenarios: int = 4,
-    n_atoms: int = 5,
-    kappa: float = 1.0,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-) -> list[CheckRow]:
+def run_five_point_suite(probes: int, seed: int = 0, tolerance: float = 1e-9) -> list[CheckRow]:
+    """The five-point inequality at kappa = 1 on four scenarios over five atoms."""
     g = make_rng(seed, 11).generator()
     # Negentropy: arbitrary scales; iterates stay interior.
-    costs = random_cost_table(g, n_scenarios, n_atoms)
-    neg = five_point_check(costs, LabConfig(kappa, RegularizerKind.negentropy()), probes,
+    costs = random_cost_table(g, 4, 5)
+    neg = five_point_check(costs, LabConfig(1.0, RegularizerKind.negentropy()), probes,
                            make_rng(seed, 12))
     # Squared-l2: small scales keep the projections full-support, the regime
     # where the gradient identity behind the inequality applies.
-    costs_l2 = random_cost_table(g, n_scenarios, n_atoms, scale=0.05)
-    l2 = five_point_check(costs_l2, LabConfig(kappa, RegularizerKind.squared_l2()), probes,
+    costs_l2 = random_cost_table(g, 4, 5, scale=0.05)
+    l2 = five_point_check(costs_l2, LabConfig(1.0, RegularizerKind.squared_l2()), probes,
                           make_rng(seed, 13), score_scale=0.02)
     return [CheckRow(f"five-point/{name}", seed, violation, tolerance, violation <= tolerance)
             for name, violation in (("negentropy", neg), ("squared-l2", l2))]
 
 
-def run_jensen_gap_suite(trials: int = 1000, seed: int = 0,
-                         tolerance: float = 1e-10) -> list[CheckRow]:
+def run_jensen_gap_suite(trials: int, seed: int = 0, tolerance: float = 1e-10) -> list[CheckRow]:
     rows: list[CheckRow] = []
     for kind, sid in ((RegularizerKind.negentropy(), 21), (RegularizerKind.squared_l2(), 22)):
         worst = check_jensen_gap_convexity(kind, trials, make_rng(seed, sid))
@@ -637,19 +624,15 @@ def run_jensen_gap_suite(trials: int = 1000, seed: int = 0,
     return rows
 
 
-def run_mirror_descent_suite(
-    iters: int = 50,
-    n_scenarios: int = 3,
-    n_atoms: int = 4,
-    alpha: float = 0.5,
-    kappa: float = 1.0,
-    seed: int = 0,
-) -> list[CheckRow]:
-    costs, s0 = mirror_descent_instance(seed, n_scenarios, n_atoms)
-    config = LabConfig(kappa, RegularizerKind.negentropy())
+def run_mirror_descent_suite(iters: int, alpha: float = 0.5, seed: int = 0) -> list[CheckRow]:
+    """The damped alternating scheme against mirror descent at kappa = 1, and
+    the same comparison at twice the matched step as a negative control."""
+    costs, s0 = mirror_descent_instance(seed)
+    config = LabConfig(1.0, RegularizerKind.negentropy())
     matched_dev = float(run_mirror_descent_comparison(costs, config, s0, iters, alpha).max())
     doubled_dev = float(run_mirror_descent_comparison(
-        costs, config, s0, iters, alpha, eta=2.0 * n_scenarios * alpha / kappa).max())
+        costs, config, s0, iters, alpha,
+        eta=2.0 * costs.n_scenarios * alpha / config.kappa).max())
     return [
         CheckRow("mirror-descent/matched", seed, matched_dev, 1e-8, matched_dev < 1e-8),
         CheckRow("mirror-descent/eta-doubled-control", seed, doubled_dev, 1e-3,
@@ -659,23 +642,22 @@ def run_mirror_descent_suite(
 
 def run_risk_bound_suite(
     n_instances: int = 100,
-    n_scenarios: int = 3,
-    n_atoms: int = 6,
-    d: int = 4,
     kappas: tuple[float, ...] = (0.5, 1.0, 5.0),
     L: float = 1.0,
     seed: int = 0,
 ) -> list[CheckRow]:
+    """The risk bound and its pair form on three scenarios over six random
+    binary vertices in R^4, per kappa."""
     require_samples(n_instances=n_instances, kappas=len(kappas))
     kind = RegularizerKind.negentropy()
     rows: list[CheckRow] = []
     for inst in range(n_instances):
         inst_seed = seed + inst
         g = make_rng(inst_seed, 41).generator()
-        poly = random_binary_polytope(g, d, n_atoms)
-        costs = random_cost_table(g, n_scenarios, n_atoms)
-        s = poly.lift_scores(g.standard_normal(d))
-        s_other = poly.lift_scores(g.standard_normal(d))
+        poly = random_binary_polytope(g, 4, 6)
+        costs = random_cost_table(g, 3, 6)
+        s = poly.lift_scores(g.standard_normal(4))
+        s_other = poly.lift_scores(g.standard_normal(4))
         for kappa in kappas:
             terms = partial_surrogate_terms(s, costs, kappa, kind)
             slack = risk_bound_check(terms, costs, kappa, L)
@@ -693,25 +675,20 @@ def run_risk_bound_suite(
     return rows
 
 
-def run_conjugate_suite(
-    n_instances: int = 50,
-    n_atoms: int = 8,
-    d: int = 3,
-    seed: int = 0,
-    tolerance: float = 1e-12,
-) -> list[CheckRow]:
+def run_conjugate_suite(n_instances: int = 50, seed: int = 0) -> list[CheckRow]:
+    """The moment/distribution conjugate identities on eight random binary
+    vertices in R^3, and the closed form on the line, all to 1e-12."""
     require_samples(n_instances=n_instances)
     rows: list[CheckRow] = []
     for inst in range(n_instances):
         inst_seed = seed + inst
         g = make_rng(inst_seed, 51).generator()
-        poly = random_binary_polytope(g, d, n_atoms)
-        theta = g.standard_normal(d)
+        poly = random_binary_polytope(g, 3, 8)
+        theta = g.standard_normal(3)
         neg = omega_c_conjugate_check(theta, poly)
         per = perturbation_conjugate_check(theta, poly, 0.7, 64, make_rng(inst_seed, 52))
-        rows += [CheckRow("conjugates/negentropy", inst_seed, neg, tolerance, neg <= tolerance),
-                 CheckRow("conjugates/perturbation", inst_seed, per, tolerance,
-                          per <= tolerance)]
+        rows += [CheckRow("conjugates/negentropy", inst_seed, neg, 1e-12, neg <= 1e-12),
+                 CheckRow("conjugates/perturbation", inst_seed, per, 1e-12, per <= 1e-12)]
     # 1-D closed form: both sides equal log(1 + exp(t)) on Y = {0, 1}.
     line = ExplicitPolytope.from_vertices(np.array([[0.0], [1.0]]))
     g = make_rng(seed, 53).generator()

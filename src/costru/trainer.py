@@ -223,6 +223,12 @@ def subsample_batch(data: Dataset, nb_scenarios: int, rng: RngStream) -> list[Sc
     return batch
 
 
+def coordination_stream(root: RngStream, t: int) -> RngStream:
+    """The coordination pass's stream at outer iteration t of a run keyed on
+    ``root``; an imitation fit is that pass at t = 1."""
+    return root.split(t, _COORDINATION)
+
+
 def train_primal_dual(
     data: Dataset, oracle: LinearOracle, config: TrainConfig
 ) -> WeightTrajectory:
@@ -233,7 +239,7 @@ def train_primal_dual(
     for t in range(1, config.nb_iterations + 1):
         batch = subsample_batch(data, config.nb_scenarios, root.split(t, _SUBSAMPLE))
         targets = decomposition_pass(w, batch, oracle, config, root.split(t, _DECOMPOSITION))
-        w = coordination_pass(w, batch, targets, oracle, config, root.split(t, _COORDINATION))
+        w = coordination_pass(w, batch, targets, oracle, config, coordination_stream(root, t))
         history.append(w)
     iterates = np.asarray(history)
     averages = np.cumsum(iterates, axis=0) / np.arange(1, len(history) + 1)[:, None]

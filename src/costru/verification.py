@@ -15,9 +15,8 @@ from .problems.spanning_tree import (
 from .regularizers import (
     RegularizerKind,
     fy_loss_exact,
+    perturbed_argmax_stats,
     perturbed_fy_gradient,
-    perturbed_max_value,
-    perturbed_maximizer_moment,
 )
 from .simplex_lab import ExplicitOracle, random_binary_polytope, random_interior_product
 
@@ -48,9 +47,7 @@ def enumeration_gap(priced: np.ndarray, members: np.ndarray, answers) -> float:
     return worst
 
 
-def run_oracle_suite(
-    n_kruskal: int = 500, n_anticipative: int = 200, seed: int = 0
-) -> list[CheckRow]:
+def run_oracle_suite(n_kruskal: int, n_anticipative: int, seed: int = 0) -> list[CheckRow]:
     """Kruskal max-weight forests and two-stage anticipative solves against
     exhaustive enumeration on small graphs: each answer must be enumerated
     and priced at its row's optimum (``enumeration_gap`` 0.0)."""
@@ -86,14 +83,7 @@ def run_oracle_suite(
     return rows
 
 
-def run_gradient_suite(
-    seed: int = 0,
-    m_mc: int = 100_000,
-    d: int = 4,
-    n_atoms: int = 6,
-    eps: float = 1.0,
-    fd_step_mc: float = 1e-3,
-) -> list[CheckRow]:
+def run_gradient_suite(seed: int = 0, m_mc: int = 100_000) -> list[CheckRow]:
     """Finite-difference fidelity of exact and Monte-Carlo FY gradients."""
     rows: list[CheckRow] = []
 
@@ -116,23 +106,25 @@ def run_gradient_suite(
         worst = max(worst, float(np.max(np.abs(fd - grad))))
     rows.append(CheckRow("gradients/exact-fy-fd", seed, worst, 1e-6, worst <= 1e-6))
 
-    # Monte-Carlo perturbed gradients vs common-random-number differences.
+    # Monte-Carlo perturbed gradients at eps = 1 on six binary vertices in
+    # R^4 vs common-random-number differences, step 1e-3.
+    d, step = 4, 1e-3
     g = make_rng(seed, 72).generator()
-    poly = random_binary_polytope(g, d, n_atoms)
+    poly = random_binary_polytope(g, d, 6)
     oracle = ExplicitOracle(poly)
     theta = g.standard_normal(d)
-    target = poly.moment(random_interior_product(g, 1, n_atoms)[0])
+    target = poly.moment(random_interior_product(g, 1, 6)[0])
     stream = make_rng(seed, 73)
 
-    moment = perturbed_maximizer_moment(oracle, theta, eps, m_mc, stream)
-    _, fy_grad = perturbed_fy_gradient(oracle, theta, target, eps, m_mc, stream)
+    _, moment = perturbed_argmax_stats(oracle, theta, 1.0, m_mc, stream)
+    _, fy_grad = perturbed_fy_gradient(oracle, theta, target, 1.0, m_mc, stream)
     fd = np.empty(d)
     for k in range(d):
         e = np.zeros(d)
-        e[k] = fd_step_mc
-        up = perturbed_max_value(oracle, theta + e, eps, m_mc, stream)
-        down = perturbed_max_value(oracle, theta - e, eps, m_mc, stream)
-        fd[k] = (up - down) / (2 * fd_step_mc)
+        e[k] = step
+        up, _ = perturbed_argmax_stats(oracle, theta + e, 1.0, m_mc, stream)
+        down, _ = perturbed_argmax_stats(oracle, theta - e, 1.0, m_mc, stream)
+        fd[k] = (up - down) / (2 * step)
     rel_moment = float(np.linalg.norm(fd - moment) / np.linalg.norm(moment))
     rows.append(
         CheckRow("gradients/perturbed-moment-fd", seed, rel_moment, 1e-3, rel_moment < 1e-3)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from costru import cli, experiments, native, simplex_lab
+from costru import cli, experiments, native, simplex_lab, verification
 from costru.baselines import SaaConfig
 from costru.core import CheckRow, make_rng
 from costru.problems.datasets import GenConfig
@@ -397,6 +397,25 @@ class TestVerify:
         assert cli.main(["verify", "oracles", "--config", str(cfg),
                          "--out", str(out)]) == 0
 
+    # The explicit calls of tests/test_acceptance.py, by suite.
+    ACCEPTANCE_CALLS = {
+        "five-point": lambda: simplex_lab.run_five_point_suite(
+            probes=1000, seed=0, tolerance=1e-9),
+        "jensen-gap": lambda: simplex_lab.run_jensen_gap_suite(
+            trials=1000, seed=0, tolerance=1e-10),
+        "mirror-descent": lambda: simplex_lab.run_mirror_descent_suite(
+            iters=50, alpha=0.5, seed=0),
+        "oracles": lambda: verification.run_oracle_suite(
+            n_kruskal=500, n_anticipative=200, seed=0),
+    }
+
+    @pytest.mark.parametrize("suite", list(ACCEPTANCE_CALLS))
+    def test_defaults_are_the_acceptance_sizes(self, suite):
+        """The [verify] defaults own the suite sizes: a plain ``costru verify``
+        runs what the acceptance gate runs."""
+        expected = self.ACCEPTANCE_CALLS[suite]()
+        assert cli.run_verify_suite(suite, cli.load_config(None), 0) == expected
+
     def test_failure_exits_one(self, tmp_path, monkeypatch):
         failing = [CheckRow("synthetic", 0, 1.0, 0.5, False)]
         monkeypatch.setattr(cli, "run_verify_suite", lambda *a, **k: failing)
@@ -514,6 +533,14 @@ class TestSweepEpsilon:
         cfg.write_text(Path(toy_config).read_text().replace("nb_seeds = 2", "nb_seeds = 0"))
         assert cli.main(["sweep-epsilon", "--config", str(cfg),
                          "--out", str(tmp_path / "sweep.csv")]) == 2
+
+    def test_mst_config_exits_two(self, tmp_path, mst_config, capsys):
+        """The sweep is of the toy problem; an MST config used to run it with
+        the grid's [train] values and exit 0."""
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep-epsilon", "--config", mst_config, "--out", str(out)]) == 2
+        assert "problem.kind" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_deterministic(self, tmp_path, toy_config):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

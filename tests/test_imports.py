@@ -1,13 +1,22 @@
-"""Every name that a package module imports is used in that module."""
+"""Every name that a package module imports is used in that module, and
+every public function or class of the package has a caller in the package
+or the benchmark."""
 
 import ast
 from importlib import resources
+from pathlib import Path
 
 # (module, name): why the import stays although the module never uses it.
 _KEPT = {
     ("baselines", "evaluate_fixed_solutions"):
         "the benchmark's tracer wraps it in the baselines namespace",
 }
+
+# name: why a top-level public function or class stays although nothing in
+# src/ or benchmarks/ refers to it.
+_UNCALLED: dict[str, str] = {}
+
+_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -59,3 +68,36 @@ def test_kept_imports_are_still_imported():
     for module, name in _KEPT:
         imported, _ = _imports_and_uses(ast.parse(modules[module].read_text()))
         assert name in imported, f"{module} no longer imports {name}"
+
+
+def _public_definitions(tree: ast.Module) -> dict[str, int]:
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names that the code loads, bare or as an attribute; an import alone
+    is not a reference.  Matching is by name, whatever the module."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_public_names_have_callers():
+    """Tests do not count as callers: a public entry that only tests call is
+    surface to delete (the tests call what it forwards to)."""
+    trees = {module: ast.parse(path.read_text()) for module, path in _modules()}
+    referenced = set().union(*map(_references, trees.values()))
+    for path in sorted(_BENCHMARKS.rglob("*.py")):
+        referenced |= _references(ast.parse(path.read_text()))
+    uncalled = [f"{module}:{line} defines {name}" for module, tree in trees.items()
+                for name, line in _public_definitions(tree).items()
+                if name not in referenced and name not in _UNCALLED]
+    assert not uncalled, "\n".join(uncalled)
+
+
+def test_uncalled_entries_are_still_defined():
+    """An entry of _UNCALLED goes when its name is no longer defined."""
+    defined = set().union(*(_public_definitions(ast.parse(path.read_text()))
+                            for _, path in _modules()))
+    assert set(_UNCALLED) <= defined

@@ -1,6 +1,7 @@
 """Toy problem, spanning-tree oracles, generator, and containers."""
 
 import ctypes
+import json
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +26,6 @@ from costru.problems.datasets import (
     generate_mst_split,
     hidden_vector,
     load_split,
-    read_manifest,
     save_split,
     write_manifest,
 )
@@ -37,6 +37,7 @@ from costru.problems.spanning_tree import (
     bind_perturbed_forests,
     enumerate_forests,
     enumerate_spanning_pairs,
+    grid_edge_count,
     grid_edges,
     is_forest,
     max_weight_forests,
@@ -47,10 +48,9 @@ from costru.problems.toy import (
     TOY_COSTS,
     ToyEvaluator,
     ToyOracle,
-    toy_cost_table,
     toy_scenarios,
 )
-from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
+from costru.simplex_lab import CostTable, ExplicitOracle, ExplicitPolytope
 from costru.trainer import evaluate_policy, score_instance
 from costru.verification import _SMALL_GRAPHS, enumeration_gap
 
@@ -101,7 +101,7 @@ class TestToyProblem:
     def test_cost_table_values(self):
         np.testing.assert_array_equal(TOY_COSTS, np.array([[4.0, -1.0, -2.0],
                                                            [0.0, 0.0, 0.0]]))
-        np.testing.assert_array_equal(toy_cost_table().gamma,
+        np.testing.assert_array_equal(CostTable(TOY_COSTS.T.copy()).gamma,
                                       np.array([[4.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]]))
 
     def test_first_state_prefers_one(self):
@@ -142,8 +142,9 @@ class TestToyProblem:
 
 class TestGridEdges:
     def test_edge_count(self):
-        for rows, cols in ((2, 2), (2, 3), (3, 3), (6, 6)):
-            assert len(grid_edges(rows, cols)) == rows * (cols - 1) + (rows - 1) * cols
+        for rows, cols in ((1, 1), (1, 4), (2, 2), (2, 3), (3, 3), (6, 6)):
+            expected = rows * (cols - 1) + (rows - 1) * cols
+            assert len(grid_edges(rows, cols)) == grid_edge_count(rows, cols) == expected
 
     def test_horizontal_block_first(self):
         edges = grid_edges(2, 2)
@@ -951,6 +952,14 @@ class TestGenerator:
         corr = np.corrcoef(signals, costs)[0, 1]
         assert corr > 0.3
 
+    @pytest.mark.parametrize("low, span", [(1.5, 1.0), (1.0, 2.0)])
+    def test_ratio_range_must_straddle_one(self, low, span):
+        """A range that starts at or above 1 used to be accepted; generation
+        then took the log of a non-positive number and failed later with
+        "costs and features must be finite"."""
+        with pytest.raises(InputError, match="must straddle 1"):
+            GenConfig(ratio_low=low, ratio_span=span)
+
     def test_first_stage_cost_range_and_positivity(self):
         cfg = GenConfig(rows=3, cols=3, train_instances=3, val_instances=1,
                         test_instances=1, scenarios_per_instance=2)
@@ -982,6 +991,6 @@ class TestContainers:
                         test_instances=1, scenarios_per_instance=3)
         path = tmp_path / "manifest.json"
         write_manifest(path, cfg, seed=11)
-        manifest = read_manifest(path)
+        manifest = json.loads(path.read_text())
         assert manifest["seed"] == 11
         assert manifest["generator"]["rows"] == 3

@@ -15,10 +15,9 @@ from costru.regularizers import (
     RegularizerKind,
     conjugate_rows,
     fy_loss_exact,
+    perturbed_argmax_stats,
     perturbed_decomposition_target,
     perturbed_fy_gradient,
-    perturbed_max_value,
-    perturbed_maximizer_moment,
     prediction_rows,
     validate_distribution,
     value_rows,
@@ -217,31 +216,31 @@ class TestSparsemax:
 
 class TestPerturbedMaxValue:
     def test_degenerate_single_point(self):
-        value = perturbed_max_value(point_oracle(), np.array([3.0]), 1.0, 64, make_rng(1, 1))
+        value = perturbed_argmax_stats(point_oracle(), np.array([3.0]), 1.0, 64, make_rng(1, 1))[0]
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_half_normal_mean(self):
         m = 40000
-        value = perturbed_max_value(line_oracle(), np.array([0.0]), 1.0, m, make_rng(2, 1))
+        value = perturbed_argmax_stats(line_oracle(), np.array([0.0]), 1.0, m, make_rng(2, 1))[0]
         target = 1.0 / np.sqrt(2 * np.pi)
         sigma = 0.6 / np.sqrt(m)  # conservative bound on the estimator sd
         assert abs(value - target) < 3 * sigma
 
     def test_monotone_in_theta_with_common_draws(self):
         rng = make_rng(3, 1)
-        lo = perturbed_max_value(line_oracle(), np.array([0.1]), 1.0, 500, rng)
-        hi = perturbed_max_value(line_oracle(), np.array([0.4]), 1.0, 500, rng)
+        lo = perturbed_argmax_stats(line_oracle(), np.array([0.1]), 1.0, 500, rng)[0]
+        hi = perturbed_argmax_stats(line_oracle(), np.array([0.4]), 1.0, 500, rng)[0]
         assert hi >= lo
 
 
 class TestPerturbedMoment:
     def test_probability_half(self):
         m = 40000
-        mu = perturbed_maximizer_moment(line_oracle(), np.array([0.0]), 1.0, m, make_rng(4, 1))
+        mu = perturbed_argmax_stats(line_oracle(), np.array([0.0]), 1.0, m, make_rng(4, 1))[1]
         assert abs(mu[0] - 0.5) < 3 * 0.5 / np.sqrt(m)
 
     def test_vanishing_perturbation_recovers_argmax(self):
-        mu = perturbed_maximizer_moment(line_oracle(), np.array([2.0]), 1e-6, 200, make_rng(5, 1))
+        mu = perturbed_argmax_stats(line_oracle(), np.array([2.0]), 1e-6, 200, make_rng(5, 1))[1]
         np.testing.assert_array_equal(mu, np.array([1.0]))
 
     def test_in_hull(self):
@@ -249,7 +248,7 @@ class TestPerturbedMoment:
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
         poly = ExplicitPolytope.from_vertices(verts)
         oracle = ExplicitOracle(poly)
-        mu = perturbed_maximizer_moment(oracle, g.standard_normal(3), 0.5, 256, make_rng(6, 1))
+        mu = perturbed_argmax_stats(oracle, g.standard_normal(3), 0.5, 256, make_rng(6, 1))[1]
         # The eight vertices span the cube [0, 1]^3, which is their hull.
         assert np.all((mu >= 0.0) & (mu <= 1.0))
 
@@ -258,7 +257,7 @@ class TestPerturbedFyGradient:
     def test_fixed_point_zero_gradient(self):
         rng = make_rng(7, 1)
         theta = np.array([0.3])
-        mu = perturbed_maximizer_moment(line_oracle(), theta, 1.0, 300, rng)
+        mu = perturbed_argmax_stats(line_oracle(), theta, 1.0, 300, rng)[1]
         _, grad = perturbed_fy_gradient(line_oracle(), theta, mu, 1.0, 300, rng)
         np.testing.assert_allclose(grad, 0.0, atol=1e-14)
 
@@ -312,7 +311,7 @@ class TestPerturbedDecompositionTarget:
         rng = make_rng(11, 1)
         theta = np.array([0.4])
         mu = perturbed_decomposition_target(oracle, theta, scenario, 1e9, 1.0, 400, rng)
-        moment = perturbed_maximizer_moment(oracle, theta, 1.0, 400, rng)
+        moment = perturbed_argmax_stats(oracle, theta, 1.0, 400, rng)[1]
         np.testing.assert_allclose(mu, moment, atol=1e-12)
 
 
@@ -343,7 +342,7 @@ class TestPerturbationArguments:
         oracle, scenario = toy_or_mst("mst")
         theta = np.zeros(oracle.n_edges)
         calls = [lambda: oracle.bind_perturbed_stats(theta, eps, 4),
-                 lambda: perturbed_maximizer_moment(oracle, theta, eps, 4, make_rng(1)),
+                 lambda: perturbed_argmax_stats(oracle, theta, eps, 4, make_rng(1)),
                  lambda: perturbed_decomposition_target(oracle, theta, scenario, 1.0, eps, 4,
                                                         make_rng(1))]
         for call in calls:
@@ -364,8 +363,7 @@ class TestPerturbationArguments:
         """A 0-d theta used to end in a bare IndexError."""
         oracle, scenario = toy_or_mst("toy")
         theta = np.float64(0.5)
-        calls = [lambda: perturbed_max_value(oracle, theta, 1.0, 4, make_rng(1)),
-                 lambda: perturbed_maximizer_moment(oracle, theta, 1.0, 4, make_rng(1)),
+        calls = [lambda: perturbed_argmax_stats(oracle, theta, 1.0, 4, make_rng(1)),
                  lambda: perturbed_fy_gradient(oracle, theta, theta, 1.0, 4, make_rng(1)),
                  lambda: perturbed_decomposition_target(oracle, theta, scenario, 1.0, 1.0, 4,
                                                         make_rng(1))]
@@ -411,12 +409,10 @@ class TestConjugateAndAffineIdentities:
         theta = g.standard_normal(3)
         alpha = 0.83
         rng = make_rng(14, 1)
-        v0 = perturbed_max_value(oracle, theta, 0.5, 200, rng)
-        v1 = perturbed_max_value(oracle, theta + alpha, 0.5, 200, rng)
+        v0, m0 = perturbed_argmax_stats(oracle, theta, 0.5, 200, rng)
+        v1, m1 = perturbed_argmax_stats(oracle, theta + alpha, 0.5, 200, rng)
         # every vertex has coordinate sum 1, so <alpha 1 | y0> = alpha
         assert abs(v1 - (v0 + alpha)) < 1e-12
-        m0 = perturbed_maximizer_moment(oracle, theta, 0.5, 200, rng)
-        m1 = perturbed_maximizer_moment(oracle, theta + alpha, 0.5, 200, rng)
         np.testing.assert_allclose(m0, m1, atol=1e-12)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import rel_entr
 
 from costru.core import InputError, make_rng
-from costru.problems.toy import toy_cost_table
+from costru.problems.toy import TOY_COSTS
 from costru.regularizers import RegularizerKind, conjugate_rows, prediction_rows, value_rows
 from costru import verification
 from costru.simplex_lab import (
@@ -85,7 +85,7 @@ class TestExactDecomposition:
         )
 
     def test_toy_first_scenario(self):
-        gamma = toy_cost_table().gamma[0]  # costs of (y=0, y=1) under the first state
+        gamma = CostTable(TOY_COSTS.T.copy()).gamma[0]  # costs of (y=0, y=1), first state
         q = decompose(np.zeros(2), gamma, 1.0)
         expected = np.array([np.exp(-4) / (1 + np.exp(-4)), 1 / (1 + np.exp(-4))])
         np.testing.assert_allclose(q, expected, atol=1e-12)
@@ -502,10 +502,10 @@ class TestSuiteSampleCounts:
         (run_risk_bound_suite, dict(n_instances=1, kappas=())),
         (run_conjugate_suite, dict(n_instances=0)),
         (run_mirror_descent_suite, dict(iters=0)),
-        (run_oracle_suite, dict(n_anticipative=0)),
-        (run_oracle_suite, dict(n_anticipative=1)),
-        (run_oracle_suite, dict(n_kruskal=0)),
-        (run_oracle_suite, dict(n_kruskal=5)),
+        (run_oracle_suite, dict(n_kruskal=500, n_anticipative=0)),
+        (run_oracle_suite, dict(n_kruskal=500, n_anticipative=1)),
+        (run_oracle_suite, dict(n_kruskal=0, n_anticipative=200)),
+        (run_oracle_suite, dict(n_kruskal=5, n_anticipative=200)),
     ], ids=["convergence-instances", "convergence-t_check", "convergence-t_check>t_opt",
             "risk-bound-instances", "risk-bound-kappas", "conjugates-instances",
             "mirror-descent-iters", "oracles-anticipative-0", "oracles-anticipative-1",

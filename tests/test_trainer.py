@@ -11,7 +11,7 @@ from costru.core import InputError, LinearOracle, make_rng
 from costru.problems.datasets import GenConfig, generate_mst_dataset, generate_mst_split
 from costru.problems.spanning_tree import MstOracle
 from costru.problems.toy import ToyEvaluator, ToyOracle, toy_dataset, toy_scenarios
-from costru.regularizers import perturbed_fy_gradient, perturbed_maximizer_moment
+from costru.regularizers import perturbed_argmax_stats, perturbed_fy_gradient
 from costru.trainer import (
     AdamState,
     TrainConfig,
@@ -166,8 +166,8 @@ class TestCoordinationPass:
         rng = make_rng(0).split(1, 2)
         theta = score_instance(w, scenario)
         # the target equals the moment computed from the exact same draws
-        mu = perturbed_maximizer_moment(oracle, theta, config.epsilon,
-                                        config.nb_samples, rng.split(0, 0))
+        _, mu = perturbed_argmax_stats(oracle, theta, config.epsilon,
+                                       config.nb_samples, rng.split(0, 0))
         out = coordination_pass(w, [scenario], [mu], oracle, config, rng)
         np.testing.assert_array_equal(out, w)
 
