@@ -5,10 +5,10 @@ Exit codes: 0 ok, 1 verification failure, 2 usage/config error (a negative
 seed, a learning rate, perturbation scale, kappa or sigma0 that is not a
 finite positive number, an unreadable weights file, a config or split file
 that cannot be parsed and a non-toy sweep-epsilon config included), 3 IO
-error, 4 internal error (a non-finite gradient, a disconnected graph, an
-iterate on the simplex boundary, or a native library that the C compiler
-``cc`` failed to build, that lacks numpy's random library, or that failed
-to load).
+error, 4 internal error (any other exception: a non-finite gradient, a
+disconnected graph, an iterate on the simplex boundary, a native library
+that the C compiler ``cc`` failed to build, that lacks numpy's random
+library or that failed to load, or an array too large for memory).
 Every command is deterministic given (config, seed); all CSVs carry a
 comment line recording the config hash and seed, then a header row.
 """
@@ -32,9 +32,8 @@ import numpy as np
 
 from . import baselines, experiments, simplex_lab, verification
 from .core import CheckRow, InputError, read_npz
-from .native import NativeLibraryError
 from .problems import datasets as ds
-from .problems.spanning_tree import InfeasibleError, MstEvaluator, MstOracle
+from .problems.spanning_tree import MstEvaluator, MstOracle
 from .problems.toy import ToyEvaluator, ToyOracle, toy_dataset
 from .regularizers import RegularizerKind
 from .trainer import TrainConfig, evaluate_policy, train_primal_dual
@@ -400,21 +399,19 @@ def _write_verify_trace(suite: str, cfg: dict, seed: int, out: Path, chash: str)
     if suite == "convergence":
         costs = simplex_lab.convergence_instance(seed)
         kind = RegularizerKind.negentropy()
-        config = simplex_lab.LabConfig(1.0, kind, max_iters=iterations)
-        s0 = np.zeros(costs.n_vertices)
-        traj = simplex_lab.run_alternating_exact([costs], config, s0[None, :])
+        s0 = np.zeros(costs.shape[1])
+        traj = simplex_lab.run_alternating_exact(costs[None], s0[None, :], 1.0, kind, iterations)
         # Iteration t decomposes at s_{t-1} into q_t, then coordinates; a
         # stack of one, so row 0 of each record.
         steps = zip([s0, *(s[0] for s in traj.scores)], (q[0] for q in traj.q_products),
                     traj.values[:, 0])
-        rows = [[t, simplex_lab.surrogate_value(s, q, costs, config.kappa, kind), value,
+        rows = [[t, simplex_lab.surrogate_value(s, q, costs, 1.0, kind), value,
                  simplex_lab.jensen_gap(q, kind)]
                 for t, (s, q, value) in enumerate(steps, start=1)]
         header = ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"]
     elif suite == "mirror-descent":
         costs, s0 = simplex_lab.mirror_descent_instance(seed)
-        config = simplex_lab.LabConfig(1.0, RegularizerKind.negentropy())
-        deviations = simplex_lab.run_mirror_descent_comparison(costs, config, s0, iterations)
+        deviations = simplex_lab.run_mirror_descent_comparison(costs, s0, 1.0, iterations)
         rows = [[t, dev] for t, dev in enumerate(deviations, start=1)]
         header = ["iteration", "max_deviation"]
     else:
@@ -522,8 +519,8 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         print(f"costru: io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (FloatingPointError, InfeasibleError, simplex_lab.BoundaryError,
-            NativeLibraryError) as exc:
+    except Exception as exc:
+        log.debug("internal error", exc_info=True)
         log.error("%s: %s", type(exc).__name__, exc)
         print(f"costru: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

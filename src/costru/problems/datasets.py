@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import Dataset, InputError, Scenario, make_rng, read_npz
+from ..core import Dataset, InputError, Scenario, make_rng, read_npz, require_positive
 from .spanning_tree import GridInstance, grid_edge_count
 
 _SPLIT_IDS = {"train": 1, "val": 2, "test": 3}
@@ -58,10 +58,12 @@ class GenConfig:
             raise InputError("split sizes must be >= 1")
         if self.scenarios_per_instance < 1:
             raise InputError("scenarios_per_instance must be >= 1")
-        if self.cost_low <= 0 or self.cost_high < self.cost_low:
+        for name in ("cost_low", "cost_high", "ratio_span"):
+            require_positive(name, getattr(self, name))
+        if self.cost_high < self.cost_low:
             raise InputError("need 0 < cost_low <= cost_high")
-        if self.noise_scale < 0:
-            raise InputError("noise_scale must be >= 0")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise InputError(f"noise_scale must be a finite number >= 0, not {self.noise_scale!r}")
         if self.feature_dim < 3:
             raise InputError("feature_dim must be >= 3 (intercept, cost, signal)")
         if not 0.0 < self.ratio_low < 1.0 < self.ratio_low + self.ratio_span:

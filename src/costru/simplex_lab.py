@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -53,107 +52,49 @@ class BoundaryError(RuntimeError):
         self.instance = instance
 
 
-@dataclass(frozen=True)
-class ExplicitPolytope:
-    """An enumerated solution set with its d x |Y| vertex matrix, not checked
-    for exposed vertices: the lab's certificates hold for any finite Y."""
-
-    matrix: np.ndarray  # columns are the vertices
-
-    def __post_init__(self):
-        m = ensure_finite(self.matrix, "vertex matrix")
-        if m.ndim != 2:
-            raise InputError("vertex matrix must be two-dimensional")
-        object.__setattr__(self, "matrix", m)
-        self.matrix.setflags(write=False)
-
-    @staticmethod
-    def from_vertices(vertices) -> "ExplicitPolytope":
-        arr = np.asarray(vertices, dtype=float)
-        if arr.ndim != 2:
-            raise InputError("vertices must form a (|Y|, d) array")
-        return ExplicitPolytope(arr.T.copy())
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def vertices(self) -> np.ndarray:
-        return self.matrix.T
-
-    def lift_scores(self, theta: np.ndarray) -> np.ndarray:
-        """Map a direction theta in R^d to the score vector (theta.y)_y."""
-        return self.matrix.T @ ensure_finite(theta, "theta")
-
-    def moment(self, q: np.ndarray) -> np.ndarray:
-        return self.matrix @ validate_distribution(q)
-
-
 class ExplicitOracle(LinearOracle):
-    """Linear oracle backed by an enumerated vertex set.
+    """Linear oracle backed by an enumerated (|Y|, d) vertex set, not checked
+    for exposed vertices: the lab's certificates hold for any finite Y.
+    ``matrix`` is the read-only C-contiguous (d, |Y|) matrix whose columns
+    are the vertices.
 
     For the cost-shifted problem, the scenario's ``noise_payload`` must be
     the cost score vector (c(y, xi))_y over the same vertex order.
     """
 
-    def __init__(self, polytope: ExplicitPolytope):
-        self.polytope = polytope
+    def __init__(self, vertices):
+        vertices = ensure_finite(vertices, "vertices")
+        if vertices.ndim != 2:
+            raise InputError("vertices must form a (|Y|, d) array")
+        self.matrix = vertices.T.copy()
+        self.matrix.setflags(write=False)
 
     def _scores(self, thetas: np.ndarray) -> np.ndarray:
         """(m, |Y|) scores <thetas[r]|y> of finite (m, d) directions."""
         thetas = ensure_finite(thetas, "theta")
-        if thetas.ndim != 2 or thetas.shape[1] != self.polytope.dim:
+        if thetas.ndim != 2 or thetas.shape[1] != self.matrix.shape[0]:
             raise InputError("directions must form an (m, d) array")
-        return thetas @ self.polytope.matrix
+        return thetas @ self.matrix
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return self.polytope.vertices[np.argmax(self._scores(thetas), axis=1)]
+        return self.matrix.T[np.argmax(self._scores(thetas), axis=1)]
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         gamma = ensure_finite(scenario.noise_payload, "cost payload")
-        if gamma.shape != (self.polytope.n_vertices,):
+        if gamma.shape != (self.matrix.shape[1],):
             raise InputError("the cost payload needs one entry per vertex")
         obj = gamma[None, :] - kappa * self._scores(theta_tildes)
-        return self.polytope.vertices[np.argmin(obj, axis=1)]
+        return self.matrix.T[np.argmin(obj, axis=1)]
 
 
-@dataclass(frozen=True)
-class CostTable:
-    """Per-scenario cost score vectors gamma_i = (c(y, xi_i))_y, one row each."""
-
-    gamma: np.ndarray  # (N, |Y|)
-
-    def __post_init__(self):
-        g = ensure_finite(self.gamma, "cost table")
-        if g.ndim != 2:
-            raise InputError("cost table must be (N, |Y|)")
-        object.__setattr__(self, "gamma", g)
-        self.gamma.setflags(write=False)
-
-    @property
-    def n_scenarios(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def n_vertices(self) -> int:
-        return self.gamma.shape[1]
-
-
-@dataclass(frozen=True)
-class LabConfig:
-    kappa: float
-    regularizer: RegularizerKind
-    max_iters: int = 200
-
-    def __post_init__(self):
-        require_positive("kappa", self.kappa)
-        if self.max_iters < 1:
-            raise InputError("max_iters must be >= 1")
+def _cost_table(gamma, ndim: int = 2) -> np.ndarray:
+    """``gamma`` checked finite with ``ndim`` axes: an (N, K) table of cost
+    score vectors gamma_i = (c(y, xi_i))_y, or a (B, N, K) stack of them."""
+    gamma = ensure_finite(gamma, "cost table")
+    if gamma.ndim != ndim:
+        raise InputError("a cost table must be (N, K)" if ndim == 2
+                         else "a stack of cost tables must be (B, N, K)")
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -163,27 +104,29 @@ class LabConfig:
 def surrogate_value(
     s_product: np.ndarray,
     q_product: np.ndarray,
-    costs: CostTable,
+    gamma: np.ndarray,
     kappa: float,
     kind: RegularizerKind,
 ) -> float:
-    """(1/N) sum_i [<gamma_i|q_i> + kappa * FY(s_i; q_i)].
+    """(1/N) sum_i [<gamma_i|q_i> + kappa * FY(s_i; q_i)] for an (N, K) cost
+    table gamma.
 
     ``s_product`` may be one common score vector or one row per scenario.
     """
     q = validate_distribution(q_product, ndim=2)
+    gamma = _cost_table(gamma)
     n, k = q.shape
     s = np.asarray(s_product, dtype=float)
     if s.ndim == 1:
         s = np.broadcast_to(s, (n, k))
-    if s.shape != (n, k) or costs.gamma.shape != (n, k):
+    if s.shape != (n, k) or gamma.shape != (n, k):
         raise InputError("inconsistent surrogate dimensions")
     fy = (
         conjugate_rows(s, kind)
         + value_rows(q, kind)
         - np.einsum("ij,ij->i", s, q)
     )
-    per_scenario = np.einsum("ij,ij->i", costs.gamma, q) + kappa * fy
+    per_scenario = np.einsum("ij,ij->i", gamma, q) + kappa * fy
     return float(per_scenario.mean())
 
 
@@ -276,44 +219,45 @@ class AlternatingTrajectory:
 
 
 def run_alternating_exact(
-    costs: Sequence[CostTable],
-    config: LabConfig,
+    gamma: np.ndarray,
     s0: np.ndarray,
+    kappa: float,
+    kind: RegularizerKind,
+    max_iters: int,
     record_iterates: bool = True,
-    strict: bool = False,
 ) -> AlternatingTrajectory:
-    """Exact decomposition/coordination iterations on a stack of B cost
-    tables of one shape (N, K), advanced in lockstep from their common
+    """``max_iters`` exact decomposition/coordination iterations on a
+    (B, N, K) stack of cost tables, advanced in lockstep from their common
     scores s0, shape (B, K).  A single instance is a stack of one.
 
     When the surrogate optimum sits on the simplex boundary, the scores
-    drift and probabilities eventually underflow; with ``strict=False``
-    those coordinates are clamped at the interior floor (value changes of
-    the order of the clamp, far below every certificate tolerance).
+    drift and probabilities eventually underflow; those coordinates are
+    clamped at the interior floor (value changes of the order of the clamp,
+    far below every certificate tolerance).  A mean that vanishes outright
+    raises a ``BoundaryError`` naming the instance and the iteration.
     """
-    kind = config.regularizer
-    if len({c.gamma.shape for c in costs}) != 1:
-        raise InputError("the stacked cost tables must share one (N, K) shape")
-    gamma = np.stack([c.gamma for c in costs])
+    gamma = _cost_table(gamma, ndim=3)
+    require_positive("kappa", kappa)
+    require_samples(max_iters=max_iters)
     b, n, k = gamma.shape
-    shifted_costs = gamma / config.kappa
+    shifted_costs = gamma / kappa
     s = np.asarray(s0, dtype=float)
     if s.shape != (b, k):
         raise InputError(f"s0 must hold one score row per instance, shape ({b}, {k})")
-    values = np.empty((config.max_iters, b))
+    values = np.empty((max_iters, b))
     q_products: list[np.ndarray] = []
     scores: list[np.ndarray] = []
-    for t in range(config.max_iters):
+    for t in range(max_iters):
         q = prediction_rows((s[:, None, :] - shifted_costs).reshape(b * n, k), kind)
         q = q.reshape(b, n, k)
         if t == 0:
             first_q = q
         try:
-            s = exact_coordination(q, kind, strict=strict)
+            s = exact_coordination(q, kind, strict=False)
         except BoundaryError as err:
             err.iteration = t + 1
             raise
-        values[t] = partial_min_surrogate(q, gamma, config.kappa, kind)
+        values[t] = partial_min_surrogate(q, gamma, kappa, kind)
         if record_iterates:
             q_products.append(q)
             scores.append(s)
@@ -321,14 +265,14 @@ def run_alternating_exact(
 
 
 def _five_point_slack(
-    s0: np.ndarray, probe_q: np.ndarray, costs: CostTable, kappa: float, kind: RegularizerKind
+    s0: np.ndarray, probe_q: np.ndarray, gamma: np.ndarray, kappa: float, kind: RegularizerKind
 ) -> float:
     """Slack of the partial-minimizer five-point inequality at one probe."""
-    n = costs.n_scenarios
-    q1 = prediction_rows(s0[None, :] - costs.gamma / kappa, kind)
+    n = gamma.shape[0]
+    q1 = prediction_rows(s0[None, :] - gamma / kappa, kind)
     s1 = exact_coordination(q1, kind, strict=True)
-    lhs = partial_min_surrogate(probe_q, costs.gamma, kappa, kind) - partial_min_surrogate(
-        q1, costs.gamma, kappa, kind
+    lhs = partial_min_surrogate(probe_q, gamma, kappa, kind) - partial_min_surrogate(
+        q1, gamma, kappa, kind
     )
     rhs = (kappa / n) * (
         float(np.sum(q1 @ s1))
@@ -340,54 +284,55 @@ def _five_point_slack(
 
 
 def five_point_check(
-    costs: CostTable,
-    config: LabConfig,
+    gamma: np.ndarray,
+    kappa: float,
+    kind: RegularizerKind,
     probes: int,
     rng: RngStream,
     score_scale: float = 1.0,
 ) -> float:
-    """Largest violation (negated slack) of the five-point inequality over
-    random probes and score starts."""
+    """Largest violation (negated slack) of the five-point inequality on an
+    (N, K) cost table over random probes and score starts."""
+    gamma = _cost_table(gamma)
+    require_positive("kappa", kappa)
     if probes < 1:
         raise InputError("the five-point check needs at least one probe")
-    kind = config.regularizer
     g = rng.generator()
-    n, k = costs.gamma.shape
+    n, k = gamma.shape
     worst = np.inf
     for _ in range(probes):
         s0 = score_scale * g.standard_normal(k)
         s0 -= s0.mean()
         probe_q = random_interior_product(g, n, k)
-        worst = min(worst, _five_point_slack(s0, probe_q, costs, config.kappa, kind))
+        worst = min(worst, _five_point_slack(s0, probe_q, gamma, kappa, kind))
     return -float(worst)
 
 
 def run_mirror_descent_comparison(
-    costs: CostTable,
-    config: LabConfig,
+    gamma: np.ndarray,
     s0: np.ndarray,
+    kappa: float,
     iters: int,
     alpha: float = 0.5,
     eta: float | None = None,
 ) -> np.ndarray:
-    """Alternating scheme damped by alpha vs mirror descent, step eta = N alpha / kappa.
+    """Alternating scheme damped by alpha vs mirror descent, step eta = N alpha / kappa,
+    both under the negentropy on an (N, K) cost table.
 
     Both paths are run from matched initializations; entry t of the result
     is the sup-norm difference of the primal iterates at iteration t + 1,
     over all scenarios, and its max is the reported deviation.  Pass an
     explicit ``eta`` to mismatch the step on purpose (negative control).
     """
-    kind = config.regularizer
-    if kind.tag != NEGENTROPY:
-        raise InputError("mirror-descent comparison requires the negentropy kind")
+    gamma = _cost_table(gamma)
+    require_positive("kappa", kappa)
     require_samples(iters=iters)
     if not (0.0 < alpha < 1.0):
         raise InputError(f"alpha must lie in (0, 1), not {alpha!r}")
-    n, k = costs.gamma.shape
-    kappa = config.kappa
+    kind = RegularizerKind.negentropy()
+    n = gamma.shape[0]
     if eta is None:
         eta = n * alpha / kappa
-    gamma = costs.gamma
 
     def guard(q: np.ndarray, label: str) -> np.ndarray:
         if np.any(q < INTERIOR_CLAMP):
@@ -424,34 +369,37 @@ def run_mirror_descent_comparison(
 # ---------------------------------------------------------------------------
 
 def partial_surrogate_terms(
-    s: np.ndarray, costs: CostTable, kappa: float, kind: RegularizerKind
+    s: np.ndarray, gamma: np.ndarray, kappa: float, kind: RegularizerKind
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-scenario (risk, partially minimized surrogate) at a common score."""
-    risks = np.empty(costs.n_scenarios)
-    partials = np.empty(costs.n_scenarios)
+    """Per-scenario (risk, partially minimized surrogate) at a common score,
+    for an (N, K) cost table gamma."""
+    gamma = _cost_table(gamma)
+    risks = np.empty(gamma.shape[0])
+    partials = np.empty(gamma.shape[0])
     q_pred = prediction_rows(s[None, :], kind)[0]
     conjugate = float(conjugate_rows(s[None, :], kind)[0])
-    q_hat = prediction_rows(s[None, :] - costs.gamma / kappa, kind)
+    q_hat = prediction_rows(s[None, :] - gamma / kappa, kind)
     values = value_rows(q_hat, kind)
     # Per-row inner products, not one einsum: the reported sums keep their bits.
-    for i, gamma in enumerate(costs.gamma):
-        risks[i] = float(gamma @ q_pred)
+    for i, row in enumerate(gamma):
+        risks[i] = float(row @ q_pred)
         fy = conjugate + float(values[i]) - float(s @ q_hat[i])
-        partials[i] = float(gamma @ q_hat[i]) + kappa * fy
+        partials[i] = float(row @ q_hat[i]) + kappa * fy
     return risks, partials
 
 
 def risk_bound_check(
-    terms: tuple[np.ndarray, np.ndarray], costs: CostTable, kappa: float, L: float = 1.0
+    terms: tuple[np.ndarray, np.ndarray], gamma: np.ndarray, kappa: float, L: float = 1.0
 ) -> float:
     """Smallest slack of |partial surrogate - risk| <= 3 ||gamma_i||^2 / (2 L kappa)
     over the scenarios and their mean; the bound holds when it is >= 0.
     ``terms`` are the partial_surrogate_terms at the lifted scores."""
     risks, partials = terms
-    norms_sq = np.einsum("ij,ij->i", costs.gamma, costs.gamma)
+    gamma = _cost_table(gamma)
+    norms_sq = np.einsum("ij,ij->i", gamma, gamma)
     bounds = 3.0 * norms_sq / (2.0 * L * kappa)
     per_scenario = bounds - np.abs(partials - risks)
-    n = costs.n_scenarios
+    n = gamma.shape[0]
     summed_bound = 3.0 / (2.0 * n * L * kappa) * float(norms_sq.sum())
     summed_slack = summed_bound - abs(float(partials.mean()) - float(risks.mean()))
     return min(float(per_scenario.min()), float(summed_slack))
@@ -460,7 +408,7 @@ def risk_bound_check(
 def risk_suboptimality_pair_slack(
     terms_a: tuple[np.ndarray, np.ndarray],
     terms_b: tuple[np.ndarray, np.ndarray],
-    costs: CostTable,
+    gamma: np.ndarray,
     kappa: float,
     L: float = 1.0,
 ) -> float:
@@ -472,35 +420,38 @@ def risk_suboptimality_pair_slack(
         risk_gap = risks_a.mean() - risks_b.mean()
     else:
         risk_gap = risks_b.mean() - risks_a.mean()
-    norms_sq = float(np.einsum("ij,ij->", costs.gamma, costs.gamma))
-    bound = 3.0 / (L * kappa * costs.n_scenarios) * norms_sq
+    gamma = _cost_table(gamma)
+    norms_sq = float(np.einsum("ij,ij->", gamma, gamma))
+    bound = 3.0 / (L * kappa * gamma.shape[0]) * norms_sq
     return float(bound - risk_gap)
 
 
-def omega_c_conjugate_check(theta: np.ndarray, poly: ExplicitPolytope) -> float:
-    """|moment-space - distribution-space negentropy conjugate| at Y^T theta:
-    log-sum-exp of the lifted scores against an independently accumulated
-    long-double log-partition of the linear-feature family."""
-    s = poly.lift_scores(theta)
+def omega_c_conjugate_check(theta: np.ndarray, matrix: np.ndarray) -> float:
+    """|moment-space - distribution-space negentropy conjugate| at Y^T theta,
+    Y being an ``ExplicitOracle.matrix``: log-sum-exp of the lifted scores
+    against an independently accumulated long-double log-partition of the
+    linear-feature family."""
+    s = matrix.T @ ensure_finite(theta, "theta")
     lse = float(conjugate_rows(s[None, :], RegularizerKind.negentropy())[0])
-    scores_ld = poly.matrix.T.astype(np.longdouble) @ np.asarray(theta, dtype=np.longdouble)
+    scores_ld = matrix.T.astype(np.longdouble) @ np.asarray(theta, dtype=np.longdouble)
     m = scores_ld.max()
     return abs(lse - float(m + np.log(np.exp(scores_ld - m).sum())))
 
 
-def perturbation_conjugate_check(theta: np.ndarray, poly: ExplicitPolytope, epsilon: float,
+def perturbation_conjugate_check(theta: np.ndarray, matrix: np.ndarray, epsilon: float,
                                  n_draws: int, rng: RngStream) -> float:
     """Largest per-draw |moment-space - distribution-space| perturbed maximum,
     max <theta + eps z | y> against max_y (Y^T theta + eps Y^T z)_y, under
-    shared draws z."""
+    shared draws z, Y being an ``ExplicitOracle.matrix``."""
     require_samples(n_draws=n_draws)
     require_positive("epsilon", epsilon)
     theta = ensure_finite(theta, "theta")
-    s = poly.lift_scores(theta)
+    matrix = ensure_finite(matrix, "vertex matrix")  # NaN differences would read as 0
+    s = matrix.T @ theta
     worst = 0.0
-    for zj in rng.generator().standard_normal((n_draws, poly.dim)):
-        moment_side = float(np.max((theta + epsilon * zj) @ poly.matrix))
-        dist_side = float(np.max(s + epsilon * (poly.matrix.T @ zj)))
+    for zj in rng.generator().standard_normal((n_draws, matrix.shape[0])):
+        moment_side = float(np.max((theta + epsilon * zj) @ matrix))
+        dist_side = float(np.max(s + epsilon * (matrix.T @ zj)))
         worst = max(worst, abs(moment_side - dist_side))
     return worst
 
@@ -509,16 +460,16 @@ def perturbation_conjugate_check(theta: np.ndarray, poly: ExplicitPolytope, epsi
 # Random instances and verification suites
 # ---------------------------------------------------------------------------
 
-def random_cost_table(g: np.random.Generator, n: int, k: int, scale: float = 1.0) -> CostTable:
-    return CostTable(scale * g.standard_normal((n, k)))
+def random_cost_table(g: np.random.Generator, n: int, k: int, scale: float = 1.0) -> np.ndarray:
+    return scale * g.standard_normal((n, k))
 
 
-def convergence_instance(inst_seed: int, n_scenarios: int = 5, n_atoms: int = 6) -> CostTable:
+def convergence_instance(inst_seed: int, n_scenarios: int = 5, n_atoms: int = 6) -> np.ndarray:
     """The convergence suite's cost table for one instance seed."""
     return random_cost_table(make_rng(inst_seed, 7).generator(), n_scenarios, n_atoms)
 
 
-def mirror_descent_instance(seed: int) -> tuple[CostTable, np.ndarray]:
+def mirror_descent_instance(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The mirror-descent suite's cost table (three scenarios, four atoms)
     and zero-sum start score."""
     g = make_rng(seed, 31).generator()
@@ -527,8 +478,9 @@ def mirror_descent_instance(seed: int) -> tuple[CostTable, np.ndarray]:
     return costs, s0 - s0.mean()
 
 
-def random_binary_polytope(g: np.random.Generator, d: int, k: int) -> ExplicitPolytope:
-    """k distinct random 0/1 vertices in R^d, extreme points of their hull."""
+def random_binary_oracle(g: np.random.Generator, d: int, k: int) -> ExplicitOracle:
+    """The oracle over k distinct random 0/1 vertices in R^d, extreme points
+    of their hull."""
     if k > 2 ** d:
         raise InputError("cannot pick that many distinct binary vertices")
     chosen: list[np.ndarray] = []
@@ -539,7 +491,7 @@ def random_binary_polytope(g: np.random.Generator, d: int, k: int) -> ExplicitPo
         if key not in seen:
             seen.add(key)
             chosen.append(v)
-    return ExplicitPolytope.from_vertices(np.asarray(chosen))
+    return ExplicitOracle(np.asarray(chosen))
 
 
 def run_convergence_suite(
@@ -572,9 +524,8 @@ def run_convergence_suite(
     kind = RegularizerKind.negentropy()
     tables = [convergence_instance(seed + inst, n_scenarios, n_atoms)
               for inst in range(n_instances)]
-    config = LabConfig(kappa=kappa, regularizer=kind, max_iters=t_opt)
-    traj = run_alternating_exact(tables, config, np.zeros((n_instances, n_atoms)),
-                                 record_iterates=False)
+    traj = run_alternating_exact(np.stack(tables), np.zeros((n_instances, n_atoms)), kappa,
+                                 kind, t_opt, record_iterates=False)
     s0 = np.zeros(n_atoms)
     steps = np.arange(1, t_check)  # t - 1 for t = 2..t_check
     rows: list[CheckRow] = []
@@ -604,12 +555,11 @@ def run_five_point_suite(probes: int, seed: int = 0, tolerance: float = 1e-9) ->
     g = make_rng(seed, 11).generator()
     # Negentropy: arbitrary scales; iterates stay interior.
     costs = random_cost_table(g, 4, 5)
-    neg = five_point_check(costs, LabConfig(1.0, RegularizerKind.negentropy()), probes,
-                           make_rng(seed, 12))
+    neg = five_point_check(costs, 1.0, RegularizerKind.negentropy(), probes, make_rng(seed, 12))
     # Squared-l2: small scales keep the projections full-support, the regime
     # where the gradient identity behind the inequality applies.
     costs_l2 = random_cost_table(g, 4, 5, scale=0.05)
-    l2 = five_point_check(costs_l2, LabConfig(1.0, RegularizerKind.squared_l2()), probes,
+    l2 = five_point_check(costs_l2, 1.0, RegularizerKind.squared_l2(), probes,
                           make_rng(seed, 13), score_scale=0.02)
     return [CheckRow(f"five-point/{name}", seed, violation, tolerance, violation <= tolerance)
             for name, violation in (("negentropy", neg), ("squared-l2", l2))]
@@ -628,11 +578,10 @@ def run_mirror_descent_suite(iters: int, alpha: float = 0.5, seed: int = 0) -> l
     """The damped alternating scheme against mirror descent at kappa = 1, and
     the same comparison at twice the matched step as a negative control."""
     costs, s0 = mirror_descent_instance(seed)
-    config = LabConfig(1.0, RegularizerKind.negentropy())
-    matched_dev = float(run_mirror_descent_comparison(costs, config, s0, iters, alpha).max())
+    kappa = 1.0
+    matched_dev = float(run_mirror_descent_comparison(costs, s0, kappa, iters, alpha).max())
     doubled_dev = float(run_mirror_descent_comparison(
-        costs, config, s0, iters, alpha,
-        eta=2.0 * costs.n_scenarios * alpha / config.kappa).max())
+        costs, s0, kappa, iters, alpha, eta=2.0 * len(costs) * alpha / kappa).max())
     return [
         CheckRow("mirror-descent/matched", seed, matched_dev, 1e-8, matched_dev < 1e-8),
         CheckRow("mirror-descent/eta-doubled-control", seed, doubled_dev, 1e-3,
@@ -654,10 +603,10 @@ def run_risk_bound_suite(
     for inst in range(n_instances):
         inst_seed = seed + inst
         g = make_rng(inst_seed, 41).generator()
-        poly = random_binary_polytope(g, 4, 6)
+        matrix = random_binary_oracle(g, 4, 6).matrix
         costs = random_cost_table(g, 3, 6)
-        s = poly.lift_scores(g.standard_normal(4))
-        s_other = poly.lift_scores(g.standard_normal(4))
+        s = matrix.T @ g.standard_normal(4)
+        s_other = matrix.T @ g.standard_normal(4)
         for kappa in kappas:
             terms = partial_surrogate_terms(s, costs, kappa, kind)
             slack = risk_bound_check(terms, costs, kappa, L)
@@ -683,18 +632,18 @@ def run_conjugate_suite(n_instances: int = 50, seed: int = 0) -> list[CheckRow]:
     for inst in range(n_instances):
         inst_seed = seed + inst
         g = make_rng(inst_seed, 51).generator()
-        poly = random_binary_polytope(g, 3, 8)
+        matrix = random_binary_oracle(g, 3, 8).matrix
         theta = g.standard_normal(3)
-        neg = omega_c_conjugate_check(theta, poly)
-        per = perturbation_conjugate_check(theta, poly, 0.7, 64, make_rng(inst_seed, 52))
+        neg = omega_c_conjugate_check(theta, matrix)
+        per = perturbation_conjugate_check(theta, matrix, 0.7, 64, make_rng(inst_seed, 52))
         rows += [CheckRow("conjugates/negentropy", inst_seed, neg, 1e-12, neg <= 1e-12),
                  CheckRow("conjugates/perturbation", inst_seed, per, 1e-12, per <= 1e-12)]
     # 1-D closed form: both sides equal log(1 + exp(t)) on Y = {0, 1}.
-    line = ExplicitPolytope.from_vertices(np.array([[0.0], [1.0]]))
+    line = ExplicitOracle(np.array([[0.0], [1.0]])).matrix
     g = make_rng(seed, 53).generator()
     worst = 0.0
     for t in g.uniform(-5.0, 5.0, size=20):
-        scores = line.lift_scores(np.array([t]))[None, :]
+        scores = (line.T @ np.array([t]))[None, :]
         lse = float(conjugate_rows(scores, RegularizerKind.negentropy())[0])
         worst = max(worst, abs(lse - float(np.log1p(np.exp(t)))))
     rows.append(CheckRow("conjugates/line-closed-form", seed, worst, 1e-12, worst <= 1e-12))

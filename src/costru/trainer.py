@@ -200,10 +200,6 @@ class WeightTrajectory:
             raise InputError("trajectory arrays must share a shape")
 
     @property
-    def final_weights(self) -> GlmWeights:
-        return self.per_iteration[-1]
-
-    @property
     def final_average(self) -> GlmWeights:
         return self.running_average[-1]
 

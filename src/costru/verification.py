@@ -18,7 +18,7 @@ from .regularizers import (
     perturbed_argmax_stats,
     perturbed_fy_gradient,
 )
-from .simplex_lab import ExplicitOracle, random_binary_polytope, random_interior_product
+from .simplex_lab import random_binary_oracle, random_interior_product
 
 # Small graphs with at most 8 edges (edges, n_nodes).
 _SMALL_GRAPHS: list[tuple[np.ndarray, int]] = [
@@ -110,10 +110,9 @@ def run_gradient_suite(seed: int = 0, m_mc: int = 100_000) -> list[CheckRow]:
     # R^4 vs common-random-number differences, step 1e-3.
     d, step = 4, 1e-3
     g = make_rng(seed, 72).generator()
-    poly = random_binary_polytope(g, d, 6)
-    oracle = ExplicitOracle(poly)
+    oracle = random_binary_oracle(g, d, 6)
     theta = g.standard_normal(d)
-    target = poly.moment(random_interior_product(g, 1, 6)[0])
+    target = oracle.matrix @ random_interior_product(g, 1, 6)[0]
     stream = make_rng(seed, 73)
 
     _, moment = perturbed_argmax_stats(oracle, theta, 1.0, m_mc, stream)

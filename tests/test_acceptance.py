@@ -191,10 +191,10 @@ def test_11_first_iteration_identity():
     )
     trajectory = train_primal_dual(train_data, oracle, pd1_config)
     w_unc = baselines.uncoordinated_imitation(train_data, oracle, imit)
-    gap_pd1 = evaluate_policy(trajectory.final_weights, val_data, oracle, evaluator)[1]
+    gap_pd1 = evaluate_policy(trajectory.per_iteration[-1], val_data, oracle, evaluator)[1]
     gap_unc = evaluate_policy(w_unc, val_data, oracle, evaluator)[1]
     diff = abs(gap_pd1 - gap_unc)
-    weight_diff = float(np.max(np.abs(trajectory.final_weights - w_unc)))
+    weight_diff = float(np.max(np.abs(trajectory.per_iteration[-1] - w_unc)))
     ok = diff <= 1e-9
     report("first-iteration-identity", ok,
            f"gap difference {diff:.2e} (weights differ by {weight_diff:.2e})")

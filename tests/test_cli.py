@@ -206,6 +206,12 @@ class TestGenerate:
         cfg.write_text(Path(mst_config).read_text().replace(f"{key} = 3", f"{key} = 0"))
         assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 2
 
+    def test_non_finite_noise_scale_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.ini"
+        cfg.write_text("[generate]\nrows = 2\ncols = 2\nnoise_scale = nan\n")
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 2
+        assert "noise_scale must be a finite number" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_toy_primal_dual_trajectory(self, tmp_path, toy_config):
@@ -424,14 +430,20 @@ class TestVerify:
 
     @pytest.mark.parametrize("error", [FloatingPointError("non-finite gradient"),
                                        InfeasibleError("graph is disconnected"),
-                                       BoundaryError("iterate left the simplex")],
+                                       BoundaryError("iterate left the simplex"),
+                                       MemoryError("cannot allocate 14.9 GiB"),
+                                       RuntimeError("unexpected")],
                              ids=lambda exc: type(exc).__name__)
-    def test_internal_error_exits_four(self, tmp_path, monkeypatch, capsys, error):
+    def test_internal_error_exits_four(self, tmp_path, monkeypatch, capsys, caplog, error):
+        """Any exception outside exits 2 and 3 exits 4, never 1 (a failed
+        check); the traceback goes to the debug log."""
         def fail(*args, **kwargs):
             raise error
         monkeypatch.setattr(cli, "run_verify_suite", fail)
+        caplog.set_level("DEBUG", logger="costru")
         assert cli.main(["verify", "jensen-gap", "--out", str(tmp_path / "r.csv")]) == 4
         assert f"internal error: {type(error).__name__}" in capsys.readouterr().err
+        assert any(record.exc_info and record.exc_info[1] is error for record in caplog.records)
 
     @pytest.mark.parametrize("suite, key, value", [
         ("five-point", "probes", 0), ("jensen-gap", "trials", 0),
@@ -460,10 +472,10 @@ class TestVerify:
         s = np.zeros(6)
         expected = []
         for t in range(1, 41):
-            q = prediction_rows(s[None, :] - costs.gamma / 1.0, kind)
+            q = prediction_rows(s[None, :] - costs / 1.0, kind)
             expected.append([str(t)] + [format(v, ".17g") for v in (
                 simplex_lab.surrogate_value(s, q, costs, 1.0, kind),
-                simplex_lab.partial_min_surrogate(q, costs.gamma, 1.0, kind),
+                simplex_lab.partial_min_surrogate(q, costs, 1.0, kind),
                 simplex_lab.jensen_gap(q, kind))])
             s = simplex_lab.exact_coordination(q, kind, strict=False)
         rows = read_rows(tmp_path / "report_trace.csv")

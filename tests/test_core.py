@@ -14,7 +14,7 @@ from costru.core import Dataset, InputError, RngStream, Scenario, make_rng
 from costru.problems.spanning_tree import enumerate_forests, grid_edges
 from costru.problems.toy import ToyOracle, toy_scenarios
 from costru.regularizers import RegularizerKind, prediction_rows
-from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
+from costru.simplex_lab import ExplicitOracle
 
 
 def sparsemax(v):
@@ -220,8 +220,7 @@ class TestOracleSoundness:
     def test_explicit_oracle(self):
         g = make_rng(12, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
-        poly = ExplicitPolytope.from_vertices(verts)
-        oracle = ExplicitOracle(poly)
+        oracle = ExplicitOracle(verts)
         for theta in g.standard_normal((1000, 3)):
             y = oracle.argmax_linear(theta)
             assert theta @ y >= (verts @ theta).max() - 1e-12
@@ -240,7 +239,7 @@ class TestOracleSoundness:
 
 def _cube_oracle() -> ExplicitOracle:
     verts = np.array(list(itertools.product([0.0, 1.0], repeat=2)))
-    return ExplicitOracle(ExplicitPolytope.from_vertices(verts))
+    return ExplicitOracle(verts)
 
 
 class TestBatchedOracleInputs:

@@ -50,7 +50,7 @@ from costru.problems.toy import (
     ToyOracle,
     toy_scenarios,
 )
-from costru.simplex_lab import CostTable, ExplicitOracle, ExplicitPolytope
+from costru.simplex_lab import ExplicitOracle
 from costru.trainer import evaluate_policy, score_instance
 from costru.verification import _SMALL_GRAPHS, enumeration_gap
 
@@ -101,7 +101,7 @@ class TestToyProblem:
     def test_cost_table_values(self):
         np.testing.assert_array_equal(TOY_COSTS, np.array([[4.0, -1.0, -2.0],
                                                            [0.0, 0.0, 0.0]]))
-        np.testing.assert_array_equal(CostTable(TOY_COSTS.T.copy()).gamma,
+        np.testing.assert_array_equal(TOY_COSTS.T,
                                       np.array([[4.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]]))
 
     def test_first_state_prefers_one(self):
@@ -424,7 +424,7 @@ def explicit_thetas(draw):
     """The 0/1 cube of dimension d, whose vertices tie on integer scores."""
     d = draw(st.integers(1, 3))
     vertices = np.array(list(np.ndindex(*(2,) * d)), dtype=float)
-    oracle = ExplicitOracle(ExplicitPolytope.from_vertices(vertices))
+    oracle = ExplicitOracle(vertices)
     n_rows = draw(st.integers(1, 4))
     flat = draw(st.lists(_TIED, min_size=n_rows * d, max_size=n_rows * d))
     costs = draw(st.lists(_TIED, min_size=len(vertices), max_size=len(vertices)))
@@ -951,6 +951,15 @@ class TestGenerator:
         assert signals.size >= 10_000
         corr = np.corrcoef(signals, costs)[0, 1]
         assert corr > 0.3
+
+    @pytest.mark.parametrize("field", ["cost_low", "cost_high", "noise_scale", "ratio_span"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_scale_rejected_by_name(self, field, value):
+        """A NaN or infinite scale used to construct (or be reported as a
+        bad cost order); generation then failed with the misleading "costs
+        and features must be finite"."""
+        with pytest.raises(InputError, match=f"{field} must be a finite"):
+            GenConfig(rows=2, cols=2, **{field: value})
 
     @pytest.mark.parametrize("low, span", [(1.5, 1.0), (1.0, 2.0)])
     def test_ratio_range_must_straddle_one(self, low, span):

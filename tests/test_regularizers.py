@@ -22,7 +22,7 @@ from costru.regularizers import (
     validate_distribution,
     value_rows,
 )
-from costru.simplex_lab import ExplicitOracle, ExplicitPolytope
+from costru.simplex_lab import ExplicitOracle
 
 NEG = RegularizerKind.negentropy()
 L2 = RegularizerKind.squared_l2()
@@ -50,12 +50,12 @@ def logsumexp(s):
 
 def line_oracle():
     """Oracle over the one-dimensional set Y = {0, 1}."""
-    return ExplicitOracle(ExplicitPolytope.from_vertices(np.array([[0.0], [1.0]])))
+    return ExplicitOracle(np.array([[0.0], [1.0]]))
 
 
 def point_oracle():
     """Degenerate single-point set Y = {0}."""
-    return ExplicitOracle(ExplicitPolytope.from_vertices(np.array([[0.0]])))
+    return ExplicitOracle(np.array([[0.0]]))
 
 
 # Saturating, tied and zero entries next to ordinary ones.
@@ -246,8 +246,7 @@ class TestPerturbedMoment:
     def test_in_hull(self):
         g = make_rng(6, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
-        poly = ExplicitPolytope.from_vertices(verts)
-        oracle = ExplicitOracle(poly)
+        oracle = ExplicitOracle(verts)
         mu = perturbed_argmax_stats(oracle, g.standard_normal(3), 0.5, 256, make_rng(6, 1))[1]
         # The eight vertices span the cube [0, 1]^3, which is their hull.
         assert np.all((mu >= 0.0) & (mu <= 1.0))
@@ -272,10 +271,9 @@ class TestPerturbedFyGradient:
         """Central differences of the shifted loss with common draws."""
         g = make_rng(9, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=4)))
-        poly = ExplicitPolytope.from_vertices(verts)
-        oracle = ExplicitOracle(poly)
+        oracle = ExplicitOracle(verts)
         theta = g.standard_normal(4)
-        target = poly.moment(g.dirichlet(np.ones(len(verts))))
+        target = oracle.matrix @ g.dirichlet(np.ones(len(verts)))
         rng = make_rng(9, 1)
         m = 100000
         _, grad = perturbed_fy_gradient(oracle, theta, target, 1.0, m, rng)
@@ -377,10 +375,10 @@ class TestConjugateAndAffineIdentities:
         """Moment-space log-partition equals lifted log-sum-exp."""
         g = make_rng(12, 0).generator()
         verts = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
-        poly = ExplicitPolytope.from_vertices(verts)
+        matrix = ExplicitOracle(verts).matrix
         for _ in range(20):
             theta = g.standard_normal(3)
-            lse = logsumexp(poly.lift_scores(theta))
+            lse = logsumexp(matrix.T @ theta)
             direct = np.log(np.sum(np.exp(verts @ theta)))
             assert abs(lse - direct) < 1e-12
 
@@ -389,22 +387,21 @@ class TestConjugateAndAffineIdentities:
         draw by draw when the draws are shared."""
         g = make_rng(13, 0).generator()
         verts = np.eye(4)  # distribution-polytope geometry, V-perp = span(1)
-        poly = ExplicitPolytope.from_vertices(verts)
+        matrix = ExplicitOracle(verts).matrix
         theta = g.standard_normal(4)
         eps = 0.7
         z = make_rng(13, 1).generator().standard_normal((128, 4))
-        s = poly.lift_scores(theta)
+        s = matrix.T @ theta
         for zj in z:
-            moment_side = np.max((theta + eps * zj) @ poly.matrix)
-            dist_side = np.max(s + eps * (poly.matrix.T @ zj))
+            moment_side = np.max((theta + eps * zj) @ matrix)
+            dist_side = np.max(s + eps * (matrix.T @ zj))
             assert abs(moment_side - dist_side) < 1e-12
 
     def test_affine_over_orthogonal_complement(self):
         """Adding a vector orthogonal to the vertex differences shifts the
         perturbed max affinely and leaves the moment unchanged."""
         verts = np.eye(3)
-        poly = ExplicitPolytope.from_vertices(verts)
-        oracle = ExplicitOracle(poly)
+        oracle = ExplicitOracle(verts)
         g = make_rng(14, 0).generator()
         theta = g.standard_normal(3)
         alpha = 0.83

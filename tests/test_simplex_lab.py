@@ -11,9 +11,7 @@ from costru import verification
 from costru.simplex_lab import (
     INTERIOR_CLAMP,
     BoundaryError,
-    CostTable,
-    ExplicitPolytope,
-    LabConfig,
+    ExplicitOracle,
     check_jensen_gap_convexity,
     convergence_instance,
     exact_coordination,
@@ -23,7 +21,7 @@ from costru.simplex_lab import (
     partial_min_surrogate,
     partial_surrogate_terms,
     perturbation_conjugate_check,
-    random_binary_polytope,
+    random_binary_oracle,
     random_cost_table,
     random_interior_product,
     risk_bound_check,
@@ -58,11 +56,11 @@ class TestSurrogateValue:
         s = g.standard_normal((3, 5))
         q = prediction_rows(s, NEG)
         costs = random_cost_table(g, 3, 5)
-        cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / 3
+        cost_part = float(np.einsum("ij,ij->", costs, q)) / 3
         assert surrogate_value(s, q, costs, 1.0, NEG) == pytest.approx(cost_part, abs=1e-12)
 
     def test_kl_only_term(self):
-        costs = CostTable(np.zeros((1, 2)))
+        costs = np.zeros((1, 2))
         value = surrogate_value(np.zeros(2), np.array([[1.0, 0.0]]), costs, 1.0, NEG)
         assert value == pytest.approx(np.log(2))
 
@@ -72,7 +70,7 @@ class TestSurrogateValue:
             s = g.standard_normal(4)
             q = random_interior_product(g, 2, 4)
             costs = random_cost_table(g, 2, 4)
-            cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / 2
+            cost_part = float(np.einsum("ij,ij->", costs, q)) / 2
             assert surrogate_value(s, q, costs, 0.7, NEG) >= cost_part - 1e-12
 
 
@@ -85,7 +83,7 @@ class TestExactDecomposition:
         )
 
     def test_toy_first_scenario(self):
-        gamma = CostTable(TOY_COSTS.T.copy()).gamma[0]  # costs of (y=0, y=1), first state
+        gamma = TOY_COSTS.T[0]  # costs of (y=0, y=1), first state
         q = decompose(np.zeros(2), gamma, 1.0)
         expected = np.array([np.exp(-4) / (1 + np.exp(-4)), 1 / (1 + np.exp(-4))])
         np.testing.assert_allclose(q, expected, atol=1e-12)
@@ -136,8 +134,8 @@ class TestPartialMinAndJensen:
         g = make_rng(37, 0).generator()
         q = random_interior_product(g, 1, 5)
         costs = random_cost_table(g, 1, 5)
-        expected = float(costs.gamma[0] @ q[0])
-        value = partial_min_surrogate(q, costs.gamma, 1.3, NEG)
+        expected = float(costs[0] @ q[0])
+        value = partial_min_surrogate(q, costs, 1.3, NEG)
         assert value == pytest.approx(expected, abs=1e-12)
 
     def test_identical_rows_have_zero_gap(self):
@@ -145,8 +143,8 @@ class TestPartialMinAndJensen:
         row = random_interior_product(g, 1, 5)[0]
         q = np.stack([row] * 4)
         costs = random_cost_table(g, 4, 5)
-        cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / 4
-        value = partial_min_surrogate(q, costs.gamma, 2.0, NEG)
+        cost_part = float(np.einsum("ij,ij->", costs, q)) / 4
+        value = partial_min_surrogate(q, costs, 2.0, NEG)
         assert value == pytest.approx(cost_part, abs=1e-12)
         assert jensen_gap(q, NEG) == pytest.approx(0.0, abs=1e-14)
 
@@ -155,7 +153,7 @@ class TestPartialMinAndJensen:
         q = random_interior_product(g, 4, 5)
         costs = random_cost_table(g, 4, 5)
         s = exact_coordination(q, NEG)
-        assert partial_min_surrogate(q, costs.gamma, 1.0, NEG) == pytest.approx(
+        assert partial_min_surrogate(q, costs, 1.0, NEG) == pytest.approx(
             surrogate_value(s, q, costs, 1.0, NEG), abs=1e-10
         )
 
@@ -170,8 +168,8 @@ class TestPartialMinAndJensen:
         for kappa in (0.5, 1.0, 3.0):
             q = random_interior_product(g, 5, 6)
             costs = random_cost_table(g, 5, 6)
-            cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / 5
-            lhs = partial_min_surrogate(q, costs.gamma, kappa, NEG)
+            cost_part = float(np.einsum("ij,ij->", costs, q)) / 5
+            lhs = partial_min_surrogate(q, costs, kappa, NEG)
             rhs = cost_part + kappa * jensen_gap(q, NEG)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -210,14 +208,14 @@ class TestAlternatingScheme:
         costs = random_cost_table(g, 1, 5)
         s0 = g.standard_normal(5)
         kappa = 1.0
-        traj = run_alternating_exact([costs], LabConfig(kappa, NEG, max_iters=6), s0[None, :])
-        q1 = softmax(s0 - costs.gamma[0] / kappa)
+        traj = run_alternating_exact(costs[None], s0[None, :], kappa, NEG, 6)
+        q1 = softmax(s0 - costs[0] / kappa)
         np.testing.assert_allclose(traj.q_products[0][0, 0], q1, atol=1e-12)
         q = q1
         for t in range(1, 6):
-            q = softmax(np.log(q) - costs.gamma[0] / kappa)
+            q = softmax(np.log(q) - costs[0] / kappa)
             np.testing.assert_allclose(traj.q_products[t][0, 0], q, atol=1e-12)
-            assert traj.values[t, 0] == pytest.approx(float(costs.gamma[0] @ q), abs=1e-12)
+            assert traj.values[t, 0] == pytest.approx(float(costs[0] @ q), abs=1e-12)
         assert np.all(np.diff(traj.values[:, 0]) <= 1e-12)
 
     def test_identical_scenarios_stay_synchronized(self):
@@ -225,9 +223,8 @@ class TestAlternatingScheme:
         so the Jensen gap stays zero along the whole trajectory."""
         g = make_rng(44, 0).generator()
         gamma = g.standard_normal(4)
-        costs = CostTable(np.stack([gamma] * 3))
-        traj = run_alternating_exact([costs], LabConfig(1.0, NEG, max_iters=6),
-                                     np.zeros((1, 4)))
+        costs = np.stack([gamma] * 3)
+        traj = run_alternating_exact(costs[None], np.zeros((1, 4)), 1.0, NEG, 6)
         for t in range(6):
             q = traj.q_products[t][0]
             for i in (1, 2):
@@ -237,16 +234,15 @@ class TestAlternatingScheme:
     def test_monotone_descent(self):
         g = make_rng(45, 0).generator()
         costs = random_cost_table(g, 5, 6)
-        traj = run_alternating_exact([costs], LabConfig(1.0, NEG, max_iters=300),
-                                     np.zeros((1, 6)), record_iterates=False)
+        traj = run_alternating_exact(costs[None], np.zeros((1, 6)), 1.0, NEG, 300,
+                                     record_iterates=False)
         assert traj.values.shape == (300, 1) and traj.q_products == []
         assert np.max(np.diff(traj.values, axis=0)) <= 1e-12
 
     def test_squared_l2_descent(self):
         g = make_rng(46, 0).generator()
         costs = random_cost_table(g, 4, 5, scale=0.05)
-        traj = run_alternating_exact([costs], LabConfig(1.0, L2, max_iters=100),
-                                     np.zeros((1, 5)))
+        traj = run_alternating_exact(costs[None], np.zeros((1, 5)), 1.0, L2, 100)
         assert np.max(np.diff(traj.values, axis=0)) <= 1e-12
 
 
@@ -254,18 +250,18 @@ def alternating_reference(costs, kappa, iters):
     """One instance's alternating loop written out in full: decompose,
     mean, clamp, log, centre, partial minimum.  Returns the values, the
     first and final iterates and the (iteration, vertex) of every clamp."""
-    n = costs.n_scenarios
-    s = np.zeros(costs.n_vertices)
+    n, k = costs.shape
+    s = np.zeros(k)
     values, clamps, first_q = [], [], None
     for t in range(1, iters + 1):
-        q = prediction_rows(s[None, :] - costs.gamma / kappa, NEG)
+        q = prediction_rows(s[None, :] - costs / kappa, NEG)
         first_q = q if first_q is None else first_q
         q_bar = q.mean(axis=0)
         if q_bar.min() < INTERIOR_CLAMP:
             clamps.append((t, int(np.argmin(q_bar))))
         s = np.log(np.maximum(q_bar, INTERIOR_CLAMP))
         s = s - s.mean()
-        cost_part = float(np.einsum("ij,ij->", costs.gamma, q)) / n
+        cost_part = float(np.einsum("ij,ij->", costs, q)) / n
         bar_value = float(value_rows(q_bar[None, :], NEG)[0])
         values.append(cost_part + (kappa / n) * (float(value_rows(q, NEG).sum()) - n * bar_value))
     return np.array(values), first_q, q, clamps
@@ -279,8 +275,8 @@ class TestLockstep:
 
     def test_rows_equal_the_per_instance_loop(self):
         tables = [convergence_instance(seed) for seed in self.SEEDS]
-        traj = run_alternating_exact(tables, LabConfig(1.0, NEG, max_iters=500),
-                                     np.zeros((3, 6)), record_iterates=False)
+        traj = run_alternating_exact(np.stack(tables), np.zeros((3, 6)), 1.0, NEG, 500,
+                                     record_iterates=False)
         assert traj.values.shape == (500, 3) and traj.first_q.shape == (3, 5, 6)
         clamped = []
         for b, costs in enumerate(tables):
@@ -291,23 +287,22 @@ class TestLockstep:
             clamped.append(bool(clamps))
         assert clamped == [False, True, False]
 
-    def test_strict_names_the_instance(self):
-        tables = [convergence_instance(seed) for seed in self.SEEDS[:2]]
-        _, _, _, clamps = alternating_reference(tables[1], 1.0, 500)
-        iteration, vertex = clamps[0]
+    def test_vanished_mean_names_the_instance(self):
+        """A mean that underflows to zero is not clamped: the error names
+        the instance, the vertex and the iteration."""
+        tables = np.stack([convergence_instance(seed) for seed in self.SEEDS[:2]])
+        tables[1, :, 4] = 1e4  # exp(-1e4) is 0.0 in every scenario
         with pytest.raises(BoundaryError, match="instance 1") as err:
-            run_alternating_exact(tables, LabConfig(1.0, NEG, max_iters=500),
-                                  np.zeros((2, 6)), strict=True)
-        assert (err.value.instance, err.value.vertex, err.value.iteration) == (1, vertex,
-                                                                                iteration)
+            run_alternating_exact(tables, np.zeros((2, 6)), 1.0, NEG, 500)
+        assert (err.value.instance, err.value.vertex, err.value.iteration) == (1, 4, 1)
 
     def test_mismatched_shapes_rejected(self):
         g = make_rng(49, 0).generator()
         tables = [random_cost_table(g, 5, 6), random_cost_table(g, 4, 6)]
-        with pytest.raises(InputError, match="one \\(N, K\\) shape"):
-            run_alternating_exact(tables, LabConfig(1.0, NEG), np.zeros((2, 6)))
+        with pytest.raises(InputError, match="\\(B, N, K\\)"):
+            run_alternating_exact(tables[0], np.zeros((5, 6)), 1.0, NEG, 10)
         with pytest.raises(InputError, match="one score row per instance"):
-            run_alternating_exact(tables[:1], LabConfig(1.0, NEG), np.zeros(6))
+            run_alternating_exact(tables[0][None], np.zeros(6), 1.0, NEG, 10)
 
 
 class TestRateCertificate:
@@ -319,8 +314,8 @@ class TestRateCertificate:
         """The boundary instance seed 21 exceeds C at t = 1, where no bound
         holds, and meets C/(t - 1) from t = 2 on."""
         costs = convergence_instance(21)
-        traj = run_alternating_exact([costs], LabConfig(1.0, NEG, max_iters=10_000),
-                                     np.zeros((1, 6)), record_iterates=False)
+        traj = run_alternating_exact(costs[None], np.zeros((1, 6)), 1.0, NEG, 10_000,
+                                     record_iterates=False)
         values, first_q, final_q = traj.values[:, 0], traj.first_q[0], traj.final_q[0]
         s0 = np.zeros(6)
         c = (surrogate_value(s0, final_q, costs, 1.0, NEG)
@@ -339,7 +334,7 @@ class TestFivePoint:
         """A check of zero probes would pass with a slack of -inf."""
         costs = random_cost_table(make_rng(48, 0).generator(), 4, 5)
         with pytest.raises(InputError, match="at least one probe"):
-            five_point_check(costs, LabConfig(1.0, NEG), probes, make_rng(48, 1))
+            five_point_check(costs, 1.0, NEG, probes, make_rng(48, 1))
         with pytest.raises(InputError, match="at least one probe"):
             run_five_point_suite(probes=probes)
 
@@ -349,7 +344,7 @@ class TestFivePoint:
         s0 = g.standard_normal(5)
         from costru.simplex_lab import _five_point_slack
 
-        q1 = prediction_rows(s0[None, :] - costs.gamma, NEG)
+        q1 = prediction_rows(s0[None, :] - costs, NEG)
         slack = _five_point_slack(s0, q1, costs, 1.0, NEG)
         assert slack == pytest.approx(0.0, abs=1e-10)
 
@@ -357,7 +352,7 @@ class TestFivePoint:
     def test_no_violations(self, kind, scale, score_scale):
         g = make_rng(48, 0).generator()
         costs = random_cost_table(g, 4, 5, scale=scale)
-        violation = five_point_check(costs, LabConfig(1.0, kind), 1000, make_rng(48, 1),
+        violation = five_point_check(costs, 1.0, kind, 1000, make_rng(48, 1),
                                      score_scale=score_scale)
         assert violation <= 1e-9
 
@@ -367,19 +362,18 @@ class TestMirrorDescent:
         g = make_rng(49, 0).generator()
         costs = random_cost_table(g, 3, 4)
         s0 = g.standard_normal(4)
-        deviations = run_mirror_descent_comparison(costs, LabConfig(1.0, NEG), s0, 50, alpha=0.5)
+        deviations = run_mirror_descent_comparison(costs, s0, 1.0, 50, alpha=0.5)
         assert deviations.shape == (50,)
         assert deviations.max() < 1e-8
 
     def test_small_alpha_freezes_iterates(self):
         g = make_rng(50, 0).generator()
         costs = random_cost_table(g, 3, 4)
-        config = LabConfig(1.0, NEG)
-        assert run_mirror_descent_comparison(costs, config, np.zeros(4), 30,
+        assert run_mirror_descent_comparison(costs, np.zeros(4), 1.0, 30,
                                              alpha=1e-6).max() < 1e-10
         # Both paths start at the same iterate; with the step doubled they
         # part only as far as the frozen iterates move.
-        drift = run_mirror_descent_comparison(costs, config, np.zeros(4), 30, alpha=1e-6,
+        drift = run_mirror_descent_comparison(costs, np.zeros(4), 1.0, 30, alpha=1e-6,
                                               eta=2.0 * 3 * 1e-6 / 1.0).max()
         assert drift < 1e-4
 
@@ -387,7 +381,7 @@ class TestMirrorDescent:
         g = make_rng(51, 0).generator()
         costs = random_cost_table(g, 3, 4)
         deviations = run_mirror_descent_comparison(
-            costs, LabConfig(1.0, NEG), np.zeros(4), 50, alpha=0.5, eta=2.0 * 3 * 0.5 / 1.0
+            costs, np.zeros(4), 1.0, 50, alpha=0.5, eta=2.0 * 3 * 0.5 / 1.0
         )
         assert deviations.max() > 1e-3
 
@@ -395,31 +389,29 @@ class TestMirrorDescent:
     def test_damping_outside_unit_interval_rejected(self, alpha):
         costs = random_cost_table(make_rng(52, 0).generator(), 3, 4)
         with pytest.raises(InputError, match="alpha must lie in"):
-            run_mirror_descent_comparison(costs, LabConfig(1.0, NEG), np.zeros(4), 5,
-                                          alpha=alpha)
+            run_mirror_descent_comparison(costs, np.zeros(4), 1.0, 5, alpha=alpha)
 
 
 class TestRiskBound:
     def test_zero_costs(self):
         """Zero costs make the risk, the partial surrogate and the bound all
         zero, so the slack is exactly zero."""
-        poly = random_binary_polytope(make_rng(52, 0).generator(), 3, 4)
-        costs = CostTable(np.zeros((3, 4)))
+        matrix = random_binary_oracle(make_rng(52, 0).generator(), 3, 4).matrix
+        costs = np.zeros((3, 4))
         theta = np.array([0.3, -0.2, 0.5])
-        risks, partials = partial_surrogate_terms(poly.lift_scores(theta), costs, 1.0, NEG)
+        risks, partials = partial_surrogate_terms(matrix.T @ theta, costs, 1.0, NEG)
         np.testing.assert_allclose(risks, 0.0, atol=1e-15)
         np.testing.assert_allclose(partials, 0.0, atol=1e-15)
         assert risk_bound_check((risks, partials), costs, 1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_large_kappa_limit(self):
         g = make_rng(53, 0).generator()
-        poly = random_binary_polytope(g, 3, 4)
+        matrix = random_binary_oracle(g, 3, 4).matrix
         costs = random_cost_table(g, 3, 4)
         theta = g.standard_normal(3)
         gaps = []
         for kappa in (1.0, 10.0, 100.0):
-            risks, partials = partial_surrogate_terms(poly.lift_scores(theta), costs,
-                                                      kappa, NEG)
+            risks, partials = partial_surrogate_terms(matrix.T @ theta, costs, kappa, NEG)
             gaps.append(abs(partials.mean() - risks.mean()))
             assert risk_bound_check((risks, partials), costs, kappa) >= -1e-12
         assert gaps[2] < gaps[1] < gaps[0]
@@ -427,70 +419,99 @@ class TestRiskBound:
     def test_random_instances_hold(self):
         g = make_rng(54, 0).generator()
         for _ in range(30):
-            poly = random_binary_polytope(g, 4, 6)
+            matrix = random_binary_oracle(g, 4, 6).matrix
             costs = random_cost_table(g, 3, 6)
             theta = g.standard_normal(4)
             for kappa in (0.5, 1.0, 5.0):
-                terms = partial_surrogate_terms(poly.lift_scores(theta), costs, kappa, NEG)
+                terms = partial_surrogate_terms(matrix.T @ theta, costs, kappa, NEG)
                 assert risk_bound_check(terms, costs, kappa) >= -1e-12
 
 
 class TestConjugateCheck:
     def test_zero_theta_log_cardinality(self):
-        poly = random_binary_polytope(make_rng(55, 0).generator(), 3, 6)
-        assert omega_c_conjugate_check(np.zeros(3), poly) <= 1e-12
-        lse = conjugate_rows(poly.lift_scores(np.zeros(3))[None, :], NEG)[0]
+        matrix = random_binary_oracle(make_rng(55, 0).generator(), 3, 6).matrix
+        assert omega_c_conjugate_check(np.zeros(3), matrix) <= 1e-12
+        lse = conjugate_rows((matrix.T @ np.zeros(3))[None, :], NEG)[0]
         assert lse == pytest.approx(np.log(6))
 
     def test_line_closed_form(self):
-        poly = ExplicitPolytope.from_vertices(np.array([[0.0], [1.0]]))
+        matrix = ExplicitOracle(np.array([[0.0], [1.0]])).matrix
         for t in (-3.0, -0.5, 0.0, 1.2, 4.0):
-            lse = conjugate_rows(poly.lift_scores(np.array([t]))[None, :], NEG)[0]
+            lse = conjugate_rows((matrix.T @ np.array([t]))[None, :], NEG)[0]
             assert lse == pytest.approx(np.log1p(np.exp(t)), abs=1e-12)
 
     def test_random_equality(self):
         g = make_rng(56, 0).generator()
-        poly = random_binary_polytope(g, 3, 8)
+        matrix = random_binary_oracle(g, 3, 8).matrix
         for _ in range(20):
-            assert omega_c_conjugate_check(g.standard_normal(3), poly) <= 1e-12
+            assert omega_c_conjugate_check(g.standard_normal(3), matrix) <= 1e-12
 
     def test_perturbation_per_draw(self):
         g = make_rng(57, 0).generator()
-        poly = random_binary_polytope(g, 3, 8)
-        worst = perturbation_conjugate_check(g.standard_normal(3), poly, 0.5, 128,
+        matrix = random_binary_oracle(g, 3, 8).matrix
+        worst = perturbation_conjugate_check(g.standard_normal(3), matrix, 0.5, 128,
                                              make_rng(57, 1))
         assert worst <= 1e-12
 
     def test_perturbation_bad_scale_rejected(self):
         """A non-finite scale or theta would make every difference NaN,
         which the running maximum skips: the check would report 0."""
-        poly = random_binary_polytope(make_rng(57, 0).generator(), 3, 8)
+        matrix = random_binary_oracle(make_rng(57, 0).generator(), 3, 8).matrix
         for epsilon in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(InputError, match="epsilon"):
-                perturbation_conjugate_check(np.zeros(3), poly, epsilon, 10, make_rng(57, 1))
+                perturbation_conjugate_check(np.zeros(3), matrix, epsilon, 10, make_rng(57, 1))
         with pytest.raises(InputError, match="theta"):
-            perturbation_conjugate_check(np.array([0.0, np.nan, 0.0]), poly, 0.5, 10,
+            perturbation_conjugate_check(np.array([0.0, np.nan, 0.0]), matrix, 0.5, 10,
                                          make_rng(57, 1))
+        with pytest.raises(InputError, match="vertex matrix"):
+            perturbation_conjugate_check(np.zeros(3), np.where(matrix > 0, np.nan, matrix),
+                                         0.5, 10, make_rng(57, 1))
 
     def test_perturbation_no_draws_rejected(self):
         """Zero draws would report a worst difference of 0 and pass."""
-        poly = random_binary_polytope(make_rng(57, 0).generator(), 3, 8)
+        matrix = random_binary_oracle(make_rng(57, 0).generator(), 3, 8).matrix
         with pytest.raises(InputError, match="n_draws"):
-            perturbation_conjugate_check(np.zeros(3), poly, 1.0, 0, make_rng(57, 1))
+            perturbation_conjugate_check(np.zeros(3), matrix, 1.0, 0, make_rng(57, 1))
+
+
+def _lab_runs(kappa: float, max_iters: int = 5) -> list:
+    """The three lab functions that read kappa, on small instances."""
+    costs = random_cost_table(make_rng(58, 0).generator(), 3, 4)
+    return [lambda: run_alternating_exact(costs[None], np.zeros((1, 4)), kappa, NEG, max_iters),
+            lambda: five_point_check(costs, kappa, NEG, 5, make_rng(58, 1)),
+            lambda: run_mirror_descent_comparison(costs, np.zeros(4), kappa, 5)]
 
 
 class TestPolytopeValidation:
-    def test_lab_config_validation(self):
-        with pytest.raises(InputError):
-            LabConfig(-1.0, NEG)
-        with pytest.raises(InputError):
-            LabConfig(1.0, NEG, max_iters=0)
-
-    @pytest.mark.parametrize("kappa", [np.nan, np.inf])
-    def test_lab_config_rejects_non_finite_kappa(self, kappa):
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, np.nan, np.inf])
+    def test_kappa_must_be_finite_and_positive(self, kappa):
         """A NaN or infinite kappa used to run and report NaN values."""
-        with pytest.raises(InputError, match="kappa must be a finite positive number"):
-            LabConfig(kappa, NEG)
+        for run in _lab_runs(kappa):
+            with pytest.raises(InputError, match="kappa must be a finite positive number"):
+                run()
+
+    def test_alternating_needs_an_iteration(self):
+        with pytest.raises(InputError, match="max_iters must be >= 1"):
+            _lab_runs(1.0, max_iters=0)[0]()
+
+    @pytest.mark.parametrize("vertices", [
+        np.array([[0.0, 1.0], [np.nan, 0.0]]), np.array([[0.0, np.inf]]),
+        np.zeros(3), np.zeros((2, 2, 2))], ids=["nan", "inf", "1-D", "3-D"])
+    def test_vertices_must_be_finite_and_two_dimensional(self, vertices):
+        with pytest.raises(InputError, match="vertices"):
+            ExplicitOracle(vertices)
+
+    def test_oracle_matrix_is_the_vertex_columns(self):
+        vertices = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        matrix = ExplicitOracle(vertices).matrix
+        assert matrix.flags.c_contiguous and not matrix.flags.writeable
+        np.testing.assert_array_equal(matrix, vertices.T)
+
+    @pytest.mark.parametrize("costs", [np.array([[0.0, np.nan]]), np.zeros(2)],
+                             ids=["nan", "1-D"])
+    def test_cost_table_must_be_finite_and_two_dimensional(self, costs):
+        with pytest.raises(InputError, match="cost table"):
+            five_point_check(costs, 1.0, NEG, 5, make_rng(58, 1))
 
 
 class TestSuiteSampleCounts:
