@@ -1,6 +1,6 @@
 /* Native library of costru: the compiled Kruskal kernel, one entry per
  * spanning-tree oracle question, numpy's SeedSequence state words and its
- * PCG64 stream, and the in-place Adam step.
+ * PCG64 stream, the in-place Adam step, and the fused coordination pass.
  *
  * Every Kruskal entry runs the rule of kruskal_rows_py, the Python
  * reference in tests/kruskal_reference.py that the property tests compare
@@ -20,8 +20,7 @@
  *                    rounded as numpy rounds it (the library is built with
  *                    -ffp-contract=off, so no fused multiply-add).  Writes
  *                    the per-edge mean of the chosen edges over the m rows
- *                    (count / m), then each row's value, the sum of its
- *                    chosen w in selection order: E + m doubles.
+ *                    (count / m): E doubles.
  *   split_rows       eff (m, E), d (E,) or (m, E) (row stride 0 or E); key
  *                    min(eff, d), NaN when either is NaN.  Writes the
  *                    (m, E) rows of y (chosen, eff <= d), then those of z
@@ -44,7 +43,7 @@
  *
  *   seed_state       the four uint64 words of numpy's SeedSequence
  *                    .generate_state(4, np.uint64) for its n assembled
- *                    entropy words (uint32), which native.seed_state
+ *                    entropy words (uint32), which native.entropy
  *                    assembles as SeedSequence.get_assembled_entropy does.
  *   raw_fill, normal_fill
  *                    n raw 64-bit words, or n standard normals, of the
@@ -56,6 +55,18 @@
  *                    numpy's operations in numpy's order; the caller passes
  *                    the bias corrections 1 - beta**t.  A non-finite
  *                    gradient is an error, and then nothing is written.
+ *   perturbed_adam_pass
+ *                    trainer.coordination_pass's steps on a spanning-tree
+ *                    oracle, in one call: for each epoch and slot, theta =
+ *                    F w; the mean of perturbed_forest_rows on the stream
+ *                    of key (..., epoch, slot); g = mean - mu; the gradient
+ *                    F^T g; adam_step with t = t0 + step + 1, t0 being the
+ *                    state's earlier steps.  The products go
+ *                    through numpy's own cblas_dgemv and cblas_ddot, called
+ *                    as numpy's matmul calls them, so that they round as
+ *                    numpy's do.  Returns a negative status on error, and
+ *                    writes the number of steps done, the index of the
+ *                    failed one, to *step.
  *
  * Each stream's PCG64 state lives on the stack of the call that draws from
  * it, so calls from several threads never share one.
@@ -68,9 +79,10 @@
 enum {
     NO_MEMORY = -1,    /* no workspace */
     BAD_GRAPH = -2,    /* n_nodes < 1 or an endpoint outside [0, n_nodes) */
-    NON_FINITE = -3,   /* a weight, tilt or Adam gradient is NaN or infinite */
+    NON_FINITE = -3,   /* a weight or tilt is NaN or infinite */
     DISCONNECTED = -4, /* a row has fewer than n_nodes - 1 edges */
     CYCLE = -5,        /* completion_rows: the y edges contain a cycle */
+    BAD_GRADIENT = -6, /* an Adam gradient is NaN or infinite */
 };
 
 /* numpy/random/bitgen.h.  distributions.h, which declares the sampler,
@@ -244,13 +256,40 @@ int64_t forest_rows(const double *w, const int64_t *ends, int64_t m, int64_t n_e
         int64_t n = 0;
         for (int64_t e = 0; e < n_edges; e++) {
             if (!isfinite(wr[e])) status = NON_FINITE;
-            if (wr[e] > 0.0) ws.items[n++] = (item){-wr[e], e};
+            ws.items[n] = (item){-wr[e], e};
+            n += wr[e] > 0.0;
             row[e] = 0.0;
         }
         int64_t count = select_edges(&ws, n, ws.picks);
         for (int64_t i = 0; i < count; i++) row[ws.picks[i]] = 1.0;
     }
     close_workspace(&ws);
+    return status;
+}
+
+/* The mean over the m rows of the forests of the tilts theta + eps * z[r],
+ * z drawn row by row from the stream of words into the (E,) buffer z. */
+static int mean_forest(workspace *ws, const double *theta, const uint64_t *words,
+                       double eps, int64_t m, int64_t n_edges, double *z, double *mean) {
+    pcg64 rng;
+    bitgen_t stream = pcg64_stream(&rng, words);
+    int status = 0;
+    for (int64_t e = 0; e < n_edges; e++) mean[e] = 0.0;
+    for (int64_t r = 0; r < m && status == 0; r++) {
+        random_standard_normal_fill(&stream, n_edges, z);
+        int64_t n = 0;
+        for (int64_t e = 0; e < n_edges; e++) {
+            double w = theta[e] + eps * z[e];
+            if (!isfinite(w)) status = NON_FINITE;
+            /* Written always and kept when w > 0: a tilt's sign is a coin
+             * flip that a branch would mispredict. */
+            ws->items[n] = (item){-w, e};
+            n += w > 0.0;
+        }
+        int64_t count = select_edges(ws, n, ws->picks);
+        for (int64_t i = 0; i < count; i++) mean[ws->picks[i]] += 1.0;
+    }
+    for (int64_t e = 0; e < n_edges; e++) mean[e] /= (double)m;
     return status;
 }
 
@@ -261,32 +300,7 @@ int64_t perturbed_forest_rows(const double *theta, const uint64_t *words, double
     int status = open_workspace(&ws, ends, n_edges, n_nodes);
     if (status != 0) return status;
     double *z = malloc((size_t)(n_edges > 0 ? n_edges : 1) * sizeof(double));
-    if (z == NULL) {
-        close_workspace(&ws);
-        return NO_MEMORY;
-    }
-    pcg64 rng;
-    bitgen_t stream = pcg64_stream(&rng, words);
-    double *counts = out, *values = out + n_edges;
-    for (int64_t e = 0; e < n_edges; e++) counts[e] = 0.0;
-    for (int64_t r = 0; r < m && status == 0; r++) {
-        random_standard_normal_fill(&stream, n_edges, z);
-        int64_t n = 0;
-        for (int64_t e = 0; e < n_edges; e++) {
-            double w = theta[e] + eps * z[e];
-            if (!isfinite(w)) status = NON_FINITE;
-            if (w > 0.0) ws.items[n++] = (item){-w, e};
-        }
-        int64_t count = select_edges(&ws, n, ws.picks);
-        double value = 0.0;
-        for (int64_t i = 0; i < count; i++) {
-            int64_t e = ws.picks[i];
-            counts[e] += 1.0;
-            value += theta[e] + eps * z[e];
-        }
-        values[r] = value;
-    }
-    for (int64_t e = 0; e < n_edges; e++) counts[e] /= (double)m;
+    status = z == NULL ? NO_MEMORY : mean_forest(&ws, theta, words, eps, m, n_edges, z, out);
     free(z);
     close_workspace(&ws);
     return status;
@@ -368,28 +382,45 @@ static uint32_t mix(uint32_t x, uint32_t y) {
     return result ^ (result >> XSHIFT);
 }
 
-void seed_state(const uint32_t *entropy, int64_t n, uint64_t *state) {
-    /* mix_entropy: hash the first words into the pool (zeros where the
-     * entropy is shorter than the pool), mix the pool, then mix in each
-     * remaining word. */
-    uint32_t pool[POOL], hash_const = INIT_A;
-    for (int i = 0; i < POOL; i++) pool[i] = hashmix(i < n ? entropy[i] : 0, &hash_const);
+/* SeedSequence's pool and hash constant partway through mix_entropy. */
+typedef struct {
+    uint32_t pool[POOL], hash_const;
+} entropy_pool;
+
+static void mix_word(entropy_pool *ep, uint32_t word) {
+    for (int dst = 0; dst < POOL; dst++)
+        ep->pool[dst] = mix(ep->pool[dst], hashmix(word, &ep->hash_const));
+}
+
+/* mix_entropy: hash the first words into the pool (zeros where the entropy
+ * is shorter than the pool), mix the pool, then mix in each remaining
+ * word; more words may follow through mix_word. */
+static void mix_entropy(entropy_pool *ep, const uint32_t *entropy, int64_t n) {
+    ep->hash_const = INIT_A;
+    for (int i = 0; i < POOL; i++) ep->pool[i] = hashmix(i < n ? entropy[i] : 0, &ep->hash_const);
     for (int src = 0; src < POOL; src++)
         for (int dst = 0; dst < POOL; dst++)
-            if (src != dst) pool[dst] = mix(pool[dst], hashmix(pool[src], &hash_const));
-    for (int64_t src = POOL; src < n; src++)
-        for (int dst = 0; dst < POOL; dst++)
-            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash_const));
-    uint32_t words[2 * POOL];
-    hash_const = INIT_B;
+            if (src != dst)
+                ep->pool[dst] = mix(ep->pool[dst], hashmix(ep->pool[src], &ep->hash_const));
+    for (int64_t src = POOL; src < n; src++) mix_word(ep, entropy[src]);
+}
+
+static void pool_state(const entropy_pool *ep, uint64_t *state) {
+    uint32_t words[2 * POOL], hash_const = INIT_B;
     for (int i = 0; i < 2 * POOL; i++) {
-        uint32_t value = pool[i % POOL] ^ hash_const;
+        uint32_t value = ep->pool[i % POOL] ^ hash_const;
         hash_const *= MULT_B;
         value *= hash_const;
         words[i] = value ^ (value >> XSHIFT);
     }
     for (int i = 0; i < POOL; i++)
         state[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
+}
+
+void seed_state(const uint32_t *entropy, int64_t n, uint64_t *state) {
+    entropy_pool ep;
+    mix_entropy(&ep, entropy, n);
+    pool_state(&ep, state);
 }
 
 void raw_fill(const uint64_t *words, int64_t n, uint64_t *out) {
@@ -413,11 +444,93 @@ int64_t adam_step(double *state, int64_t n, double lr, double beta1, double beta
                   double eps, double bias1, double bias2) {
     double *w = state, *g = state + n, *m = state + 2 * n, *v = state + 3 * n;
     for (int64_t i = 0; i < n; i++)
-        if (!isfinite(g[i])) return NON_FINITE;
+        if (!isfinite(g[i])) return BAD_GRADIENT;
     for (int64_t i = 0; i < n; i++) {
         m[i] = beta1 * m[i] + (1.0 - beta1) * g[i];
         v[i] = beta2 * v[i] + (1.0 - beta2) * g[i] * g[i];
         w[i] = w[i] - lr * (m[i] / bias1) / (sqrt(v[i] / bias2) + eps);
     }
     return 0;
+}
+
+/* numpy's ILP64 cblas_dgemv and cblas_ddot, whose addresses the caller
+ * passes in that order. */
+typedef void (*dgemv_fn)(int order, int trans, int64_t m, int64_t n, double alpha,
+                         const double *a, int64_t lda, const double *x, int64_t incx,
+                         double beta, double *y, int64_t incy);
+typedef double (*ddot_fn)(int64_t n, const double *x, int64_t incx, const double *y,
+                          int64_t incy);
+enum { ROW_MAJOR = 101, COL_MAJOR = 102, TRANS = 112 };
+
+/* np.matmul(F, x) for a C-contiguous F (E, p), or np.matmul(F.T, x) when
+ * transposed, into out, one entry per row of the product's (rows, cols)
+ * matrix, with numpy's dispatch: ddot added to 0.0 for one row, dgemv for
+ * more rows and columns (column-major on F, row-major on F.T), and
+ * otherwise numpy's own loop, 0 plus each a * x in order. */
+static void matvec(void *const *blas, const double *f, int64_t n_edges, int64_t p,
+                   int transposed, const double *x, double *out) {
+    int64_t rows = transposed ? p : n_edges, cols = transposed ? n_edges : p;
+    int64_t row_stride = transposed ? 1 : p, col_stride = transposed ? p : 1;
+    if (rows == 1 && cols > 0) {
+        double sum = 0.0;
+        sum += ((ddot_fn)blas[1])(cols, f, col_stride, x, 1);
+        out[0] = sum;
+    } else if (rows > 1 && cols > 1) {
+        ((dgemv_fn)blas[0])(transposed ? ROW_MAJOR : COL_MAJOR, TRANS, cols, rows, 1.0, f, p,
+                            x, 1, 0.0, out, 1);
+    } else {
+        for (int64_t i = 0; i < rows; i++) {
+            out[i] = 0.0;
+            for (int64_t j = 0; j < cols; j++) out[i] += f[i * row_stride + j * col_stride] * x[j];
+        }
+    }
+}
+
+/* A step index as SeedSequence's entropy words: its low word, then its
+ * high word when that is not zero. */
+static void mix_index(entropy_pool *ep, int64_t index) {
+    mix_word(ep, (uint32_t)index);
+    if ((uint64_t)index >> 32) mix_word(ep, (uint32_t)((uint64_t)index >> 32));
+}
+
+int64_t perturbed_adam_pass(const double *const *features, const double *const *targets,
+                            int64_t n_slots, int64_t n_epochs, int64_t p,
+                            const uint32_t *entropy, int64_t n_entropy, double eps, int64_t m,
+                            const int64_t *ends, int64_t n_edges, int64_t n_nodes,
+                            double *adam, int64_t t0, double lr, double beta1,
+                            double beta2, double eps_adam, void *const *blas, int64_t *step) {
+    workspace ws;
+    int status = open_workspace(&ws, ends, n_edges, n_nodes);
+    int64_t t = 0;
+    *step = 0;
+    if (status != 0) return status;
+    double *theta = malloc((size_t)(3 * n_edges + 1) * sizeof(double));
+    if (theta == NULL) {
+        close_workspace(&ws);
+        return NO_MEMORY;
+    }
+    double *z = theta + n_edges, *g = z + n_edges, *w = adam, *gradient = adam + p;
+    entropy_pool key;
+    mix_entropy(&key, entropy, n_entropy);
+    for (; t < n_epochs * n_slots; t++) {
+        int64_t slot = t % n_slots;
+        entropy_pool ep = key;
+        uint64_t words[POOL];
+        mix_index(&ep, t / n_slots);
+        mix_index(&ep, slot);
+        pool_state(&ep, words);
+        matvec(blas, features[slot], n_edges, p, 0, w, theta);
+        status = mean_forest(&ws, theta, words, eps, m, n_edges, z, g);
+        if (status != 0) break;
+        for (int64_t e = 0; e < n_edges; e++) g[e] -= targets[slot][e];
+        matvec(blas, features[slot], n_edges, p, 1, g, gradient);
+        status = (int)adam_step(adam, p, lr, beta1, beta2, eps_adam,
+                                1.0 - pow(beta1, (double)(t0 + t + 1)),
+                                1.0 - pow(beta2, (double)(t0 + t + 1)));
+        if (status != 0) break;
+    }
+    free(theta);
+    close_workspace(&ws);
+    *step = t;
+    return status;
 }

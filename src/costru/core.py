@@ -193,7 +193,7 @@ class LinearOracle(ABC):
     a single-direction call is row 0 of the batched one.  Implementations
     must be deterministic given inputs, with ties broken lowest-index-first,
     and must always return elements of Y(x).  The one optional method is
-    ``bind_perturbed_stats`` (see ``MstOracle``); the base class has no default.
+    ``perturbed_adam_pass`` (see ``MstOracle``); the base class has no default.
     """
 
     @abstractmethod

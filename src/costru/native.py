@@ -6,7 +6,8 @@ sampler, and loaded through ctypes.
 The library is the only implementation of the spanning-tree oracles and of
 stream seeding, so ``cc`` and the archive are required:
 ``_compiled_kernel()`` raises ``NativeLibraryError`` when the archive is
-missing or the build or the load fails.  Nothing here runs at import time.
+missing or the build or the load fails.  Its coordination pass calls
+numpy's own BLAS (``_numpy_blas``).  Nothing here runs at import time.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _POOL = 4
 # PCG64's state words, as the library reads and writes them.
 _STATE = ctypes.c_uint64 * 4
+# numpy's ILP64 cblas_dgemv and cblas_ddot, as its OpenBLAS names them.
+_BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
 
 class NativeLibraryError(RuntimeError):
@@ -102,6 +105,8 @@ def _compiled_kernel():
     for name, argtypes, restype in (
         ("forest_rows", [ptr, ptr, size, size, size, ptr], size),
         ("perturbed_forest_rows", [ptr, ptr, real, ptr, size, size, size, ptr], size),
+        ("perturbed_adam_pass", [ptr, ptr, size, size, size, ptr, size, real, size, ptr, size,
+                                 size, ptr, size, real, real, real, real, ptr, ptr], size),
         ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr], size),
         ("completion_rows", [ptr, ptr, ptr, size, size, size, ptr], size),
         ("seed_state", [ptr, size, ptr], None),
@@ -115,26 +120,37 @@ def _compiled_kernel():
     return lib
 
 
-def doubles(n: int) -> tuple[ctypes.Array, np.ndarray]:
-    """A zeroed buffer of n doubles to pass to the library, and numpy's view
-    of it: cheaper than a new array and its ``.ctypes.data``."""
-    buffer = (ctypes.c_double * n)()
-    return buffer, np.frombuffer(buffer)
+@functools.cache
+def _numpy_blas() -> ctypes.Array:
+    """The addresses of numpy's BLAS entries ``_BLAS``, which its matmul calls,
+    found on first use; ``NativeLibraryError`` when numpy lacks them."""
+    try:
+        core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        return (ctypes.c_void_p * len(_BLAS))(*(ctypes.cast(getattr(core, name), ctypes.c_void_p)
+                                                for name in _BLAS))
+    except (AttributeError, OSError) as exc:
+        raise NativeLibraryError(f"cannot find numpy's BLAS entries {', '.join(_BLAS)}: "
+                                 f"{exc}") from exc
+
+
+def entropy(seed: int, spawn_key: tuple[int, ...]) -> bytes:
+    """numpy's ``SeedSequence.get_assembled_entropy`` as native uint32 words;
+    a negative seed or key entry raises ``ValueError`` and one that is not
+    an int ``TypeError``, as numpy does."""
+    try:
+        return _short_entropy(len(spawn_key))(seed, *spawn_key)
+    except struct.error:
+        return _assembled_entropy(seed, spawn_key)
 
 
 def seed_state(seed: int, spawn_key: tuple[int, ...]) -> ctypes.Array:
     """The state words ``generate_state(4, np.uint64)`` of numpy's seed
     sequence of ``seed`` and ``spawn_key``, bit for bit, computed by the
     library, as a ctypes array of four ``c_uint64``: the library's entries
-    take it in place, and ``np.frombuffer`` views it.  The seed and key
-    entries are non-negative ints: a negative one raises ``ValueError`` and
-    one that is not an int ``TypeError``, as numpy does."""
-    try:
-        entropy = _short_entropy(len(spawn_key))(seed, *spawn_key)
-    except struct.error:
-        entropy = _assembled_entropy(seed, spawn_key)
+    take it in place, and ``np.frombuffer`` views it."""
+    words = entropy(seed, spawn_key)
     state = _STATE()
-    _compiled_kernel().seed_state(entropy, len(entropy) // 4, state)
+    _compiled_kernel().seed_state(words, len(words) // 4, state)
     return state
 
 
@@ -147,9 +163,7 @@ def _short_entropy(n_key: int):
 
 
 def _assembled_entropy(seed: int, spawn_key: tuple[int, ...]) -> bytes:
-    """numpy's ``SeedSequence.get_assembled_entropy`` as native uint32 words:
-    each int as its little-endian 32-bit words, the seed's zero-padded to the
-    pool size when a key follows."""
+    """``entropy`` for ints of any width."""
     run = _words(seed)
     key = [word for entry in spawn_key for word in _words(entry)]
     if key:

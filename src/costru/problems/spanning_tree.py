@@ -7,9 +7,9 @@ the (shifted) stage costs, because y + z must form a spanning tree and any
 sub-forest of a tree is feasible as its first stage; stage attribution per
 chosen edge goes to the cheaper stage, ties to stage one.
 
-Every oracle question -- forest argmax, perturbed forest statistics,
-two-stage split, second-stage completion -- is one call into the compiled
-Kruskal kernel of ``costru.native``; there is no second implementation.
+Every oracle question -- forest argmax, two-stage split, second-stage
+completion, a coordination pass of perturbed forests -- is one call into
+the compiled Kruskal kernel of ``costru.native``; there is no second one.
 The Python functions here check shapes and dtypes, and read the kernel's
 output buffers.  ``is_forest`` and the enumerators at the end (0/1 matrices
 of a small graph's forests and spanning pairs) are independent references.
@@ -17,8 +17,8 @@ of a small graph's forests and spanning pairs) are independent references.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -125,40 +125,6 @@ def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> 
     _kernel("forest_rows", w.ctypes.data, edges.ctypes.data, w.shape[0], w.shape[1], n_nodes,
             out.ctypes.data)
     return out
-
-
-def bind_perturbed_forests(
-    theta: np.ndarray, eps: float, m: int, edges: np.ndarray, n_nodes: int
-) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
-    """A function of a stream rng that answers, in one kernel call on the
-    current entries of theta, a C-contiguous (E,) float64 buffer, with the
-    row values and the mean of the maximum-weight forests y_r of the tilts
-    theta + eps * z[r], z being ``rng.generator().standard_normal((m, E))``
-    bit for bit, drawn inside the kernel.
-
-    The mean is that of ``max_weight_forests`` on the tilts, bit for bit;
-    row r's value <theta + eps * z[r] | y_r> is summed in selection order,
-    so it may differ from an ``einsum`` in its last bits.  A non-finite tilt
-    raises ``InputError``.  The results are views of one buffer that the
-    next call overwrites, so a bound function serves one thread."""
-    _check_edges(edges)
-    n_edges = len(edges)
-    if not (isinstance(theta, np.ndarray) and theta.dtype == np.float64
-            and theta.shape == (n_edges,) and theta.flags.c_contiguous):
-        raise InputError("theta must be a C-contiguous float64 array with one entry per edge")
-    require_perturbation(eps, m)
-    buffer, out = native.doubles(n_edges + m)  # the mean, then the row values
-    stats = out[n_edges:], out[:n_edges]
-    entry = native._compiled_kernel().perturbed_forest_rows
-    args = (eps, edges.ctypes.data, m, n_edges, n_nodes, buffer)
-    address = theta.ctypes.data
-
-    def perturbed_stats(rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
-        _status(entry(address, rng.state_words(), *args))
-        return stats
-
-    perturbed_stats.inputs = theta, edges  # the kernel reads them by address
-    return perturbed_stats
 
 
 def _completions(
@@ -291,13 +257,36 @@ class MstOracle(LinearOracle):
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
         return max_weight_forests(thetas, self.edges, self.n_nodes)
 
-    def bind_perturbed_stats(
-        self, theta: np.ndarray, eps: float, m: int
-    ) -> Callable[[RngStream], tuple[np.ndarray, np.ndarray]]:
-        """The optional fused entry of the perturbed maximum:
-        ``bind_perturbed_forests`` on this grid, for a loop that rewrites
-        theta in place."""
-        return bind_perturbed_forests(theta, eps, m, self.edges, self.n_nodes)
+    def perturbed_adam_pass(self, adam, features, targets, eps: float, m: int,
+                            n_epochs: int, lr: float, rng: RngStream) -> None:
+        """The optional fused coordination pass in one native call: per epoch
+        and slot s, theta = F w for F = ``features[s]``, the mean of the
+        maximum-weight forests of theta + eps * z for the (m, E) normals z of
+        ``rng.split(epoch, s)``, and one in-place Adam step of ``adam`` (a
+        ``trainer.AdamState``) from F^T (mean - ``targets[s]``), the products
+        being numpy's matmul through numpy's BLAS.  A non-finite tilt raises
+        ``InputError``, a non-finite gradient ``FloatingPointError``."""
+        n_features = len(adam.weights)
+        features = [np.ascontiguousarray(f, dtype=np.float64) for f in features]
+        targets = [np.ascontiguousarray(mu, dtype=np.float64) for mu in targets]
+        if len(features) != len(targets) or any(
+                f.shape != (self.n_edges, n_features) or mu.shape != (self.n_edges,)
+                for f, mu in zip(features, targets)):
+            raise InputError("each example needs (E, p) features and an (E,) target")
+        require_perturbation(eps, m)
+        key = native.entropy(rng.seed, (rng.stream_id, *rng.path))
+        pointers, step = ctypes.c_void_p * len(features), ctypes.c_int64()
+        status = native._compiled_kernel().perturbed_adam_pass(
+            pointers(*(f.ctypes.data for f in features)),
+            pointers(*(mu.ctypes.data for mu in targets)), len(features), n_epochs,
+            n_features, key, len(key) // 4, eps, m, self.edges.ctypes.data, self.n_edges,
+            self.n_nodes, adam.address, adam.step_count, lr, adam.beta1, adam.beta2,
+            adam.eps_adam, native._numpy_blas(), ctypes.byref(step))
+        adam.step_count += step.value
+        if status == -6:
+            epoch, slot = divmod(step.value, len(features))
+            raise FloatingPointError(f"non-finite gradient at epoch {epoch}, example {slot}")
+        _status(status)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         """First stages of the two-stage splits under c - kappa * theta_tilde,

@@ -60,7 +60,7 @@ class AdamState:
     """Adam's state for one weight vector, updated in place by ``adam_step``:
     the weights, the gradient that the next step applies, the first and
     second moments, and the step count.  The four vectors are the rows of
-    one buffer, whose address is looked up once."""
+    one buffer, whose ``address`` the native entries take."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -74,7 +74,7 @@ class AdamState:
         self.weights, self.gradient, self.first_moment, self.second_moment = self._rows
         self.weights[:] = w
         self.step_count = 0
-        self._address = self._rows.ctypes.data
+        self.address = self._rows.ctypes.data
 
 
 def adam_step(adam: AdamState, lr: float) -> None:
@@ -84,7 +84,7 @@ def adam_step(adam: AdamState, lr: float) -> None:
     changes nothing."""
     t = adam.step_count + 1
     status = native._compiled_kernel().adam_step(
-        adam._address, len(adam.weights), lr, AdamState.beta1, AdamState.beta2,
+        adam.address, len(adam.weights), lr, AdamState.beta1, AdamState.beta2,
         AdamState.eps_adam, 1.0 - AdamState.beta1 ** t, 1.0 - AdamState.beta2 ** t)
     if status < 0:
         raise FloatingPointError("non-finite gradient")
@@ -143,8 +143,8 @@ def coordination_pass(
     perturbation draws from its own sub-stream.  The score-space gradient
     (perturbed maximizer moment minus target) is chained through the GLM
     Jacobian, i.e. the feature matrix.  An oracle with the optional
-    ``bind_perturbed_stats`` gives the moment from one native call per
-    step, which draws too; any other goes through ``perturbed_fy_gradient``.
+    ``perturbed_adam_pass`` runs the pass in one native call; any other goes
+    through ``perturbed_fy_gradient`` and ``adam_step``, to the same bits.
     """
     if len(batch) != len(targets):
         raise InputError("targets must align with the batch")
@@ -153,19 +153,18 @@ def coordination_pass(
     adam = AdamState(weights)
     examples = [_example(scenario, mu, batch[0].dim, len(adam.weights))
                 for scenario, mu in zip(batch, targets)]
-    theta, g_theta = np.empty(batch[0].dim), np.empty(batch[0].dim)
-    bind = getattr(oracle, "bind_perturbed_stats", None)
-    fused = None if bind is None else bind(theta, config.epsilon, config.nb_samples)
+    fused = getattr(oracle, "perturbed_adam_pass", None)
+    if fused is not None:
+        fused(adam, *zip(*examples), config.epsilon, config.nb_samples, config.nb_epochs,
+              config.lr_init, rng)
+        return adam.weights.copy()
+    theta = np.empty(batch[0].dim)
     for epoch in range(config.nb_epochs):
-        for slot, (features, features_t, mu) in enumerate(examples):
+        for slot, (features, mu) in enumerate(examples):
             np.matmul(features, adam.weights, out=theta)
-            stream = rng.split(epoch, slot)
-            if fused is None:
-                _, g = perturbed_fy_gradient(oracle, theta, mu, config.epsilon,
-                                             config.nb_samples, stream)
-            else:
-                g = np.subtract(fused(stream)[1], mu, out=g_theta)
-            np.matmul(features_t, g, out=adam.gradient)
+            _, g = perturbed_fy_gradient(oracle, theta, mu, config.epsilon, config.nb_samples,
+                                         rng.split(epoch, slot))
+            np.matmul(features.T, g, out=adam.gradient)
             try:
                 adam_step(adam, config.lr_init)
             except FloatingPointError as exc:
@@ -174,12 +173,10 @@ def coordination_pass(
     return adam.weights.copy()
 
 
-def _example(scenario: Scenario, target: np.ndarray, dim: int,
-             width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A coordination example's features, their transpose and its target,
-    checked once per pass: every scenario of a batch has ``dim`` solution
-    coordinates and ``width`` features, and its target is ``dim`` finite
-    numbers."""
+def _example(scenario: Scenario, target: np.ndarray, dim: int, width: int) -> tuple:
+    """A coordination example's features and target, checked once per pass:
+    every scenario of a batch has ``dim`` solution coordinates and ``width``
+    features, and its target is ``dim`` finite numbers."""
     if scenario.feature_width != width:
         raise InputError(f"feature width {scenario.feature_width} does not match {width} weights")
     if scenario.dim != dim:
@@ -187,7 +184,7 @@ def _example(scenario: Scenario, target: np.ndarray, dim: int,
     mu = ensure_finite(target, "target moment")
     if mu.shape != (dim,):
         raise InputError("theta and target dimensions differ")
-    return scenario.features, scenario.features.T, mu
+    return scenario.features, mu
 
 
 @dataclass(frozen=True)

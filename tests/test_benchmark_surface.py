@@ -51,8 +51,8 @@ def test_traced_training_keeps_weights_and_restores_originals(monkeypatch):
     calls = span_calls(tracer)
     assert calls["trainer.train_primal_dual"] == 1
     assert calls["trainer.coordination_pass"] == 2
-    # Two contexts of two subsampled scenarios, two epochs, two iterations.
-    assert calls["trainer.adam_step"] == 16
+    # The spanning-tree oracle's fused pass takes every Adam step natively.
+    assert calls.get("trainer.adam_step", 0) == 0
     assert calls["regularizers.perturbed_decomposition_target"] == 8
     assert all(getattr(ns, attr) is original for ns, attr, original in wrapped)
 

@@ -284,6 +284,21 @@ class TestTrain:
                          "--out", str(tmp_path / "run")]) == 2
         assert "sigma0 must be a finite positive number" in capsys.readouterr().err
 
+    def test_missing_numpy_blas_exits_four(self, tmp_path, monkeypatch, capsys, request,
+                                           mst_config, mst_data):
+        """Without numpy's BLAS entries the fused pass cannot run: exit 4,
+        with a message that names the missing entry, and no weights."""
+        monkeypatch.setattr(native, "_BLAS", ("no_such_dgemv", "scipy_cblas_ddot64_"))
+        request.addfinalizer(native._numpy_blas.cache_clear)
+        native._numpy_blas.cache_clear()
+        out = tmp_path / "run"
+        assert cli.main(["train", "primal-dual", "--config", mst_config, "--data", mst_data,
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "internal error: NativeLibraryError" in err
+        assert "no_such_dgemv" in err
+        assert not (out / "weights.npz").exists()
+
     def test_rerun_byte_identical_csv(self, tmp_path, mst_config, mst_data):
         outs = []
         for name in ("r1", "r2"):

@@ -17,7 +17,7 @@ _KEPT = {
 _UNCALLED: dict[str, str] = {
     "_StateWords.generate_state":
         "numpy's PCG64 calls it on the object registered as its seed sequence",
-    "MstOracle.bind_perturbed_stats":
+    "MstOracle.perturbed_adam_pass":
         "the trainer looks it up through getattr by its name as a string",
 }
 

@@ -34,7 +34,6 @@ from costru.problems.spanning_tree import (
     MstEvaluator,
     MstOracle,
     TwoStageCosts,
-    bind_perturbed_forests,
     enumerate_forests,
     enumerate_spanning_pairs,
     grid_edge_count,
@@ -51,7 +50,7 @@ from costru.problems.toy import (
     toy_scenarios,
 )
 from costru.simplex_lab import ExplicitOracle
-from costru.trainer import evaluate_policy, score_instance
+from costru.trainer import AdamState, evaluate_policy, score_instance
 from costru.verification import _SMALL_GRAPHS, enumeration_gap
 
 
@@ -682,12 +681,23 @@ class TestCompiledKernel:
         assert cli.main(["verify", "oracles", "--out", str(out)]) == 4
         assert not out.exists()
 
+    def test_missing_numpy_blas_raises(self, monkeypatch, request):
+        """Without numpy's BLAS entries there is no fused pass: the error
+        names the entry that is missing."""
+        monkeypatch.setattr(native, "_BLAS", ("scipy_cblas_dgemv64_", "no_such_ddot"))
+        request.addfinalizer(native._numpy_blas.cache_clear)
+        native._numpy_blas.cache_clear()
+        oracle = MstOracle(2, 3)
+        with pytest.raises(native.NativeLibraryError, match="no_such_ddot"):
+            oracle.perturbed_adam_pass(AdamState(np.zeros(1)), [np.ones((7, 1))], [np.ones(7)],
+                                       0.5, 1, 1, 0.1, make_rng(0))
+
     def test_source_ships_as_package_data(self):
         source = resources.files("costru").joinpath("_native.c")
         assert source.is_file()
         text = source.read_text()
         for entry in ("forest_rows(", "perturbed_forest_rows(", "split_rows(",
-                      "completion_rows(", "adam_step("):
+                      "completion_rows(", "adam_step(", "perturbed_adam_pass("):
             assert f"int64_t {entry}" in text
         for entry in ("seed_state(", "raw_fill(", "normal_fill("):
             assert f"void {entry}" in text
@@ -707,7 +717,8 @@ class TestCompiledKernel:
         theta = np.ones(oracle.n_edges)
         scenario = Scenario(0, np.zeros((oracle.n_edges, 1)), TwoStageCosts(theta, theta))
         calls = [lambda: oracle.argmax_linear_many(theta[None, :]),
-                 lambda: oracle.bind_perturbed_stats(theta, 0.5, 1)(make_rng(0)),
+                 lambda: oracle.perturbed_adam_pass(AdamState(np.ones(1)), [theta[:, None]],
+                                                    [theta], 0.5, 1, 1, 0.1, make_rng(0)),
                  lambda: oracle.argmin_shifted(theta, 1.0, scenario),
                  lambda: second_stage_value(0.0 * theta, theta, oracle.edges, oracle.n_nodes)]
         if isinstance(build, str):
@@ -741,37 +752,40 @@ def tilt_cases(draw):
     return edges, n_nodes, theta, eps, m, stream
 
 
-def _forest_stats(theta, eps, m, stream, edges, n_nodes):
-    """The numpy path that the fused entry replaces: draw, tilt, forests,
-    values and mean."""
+def _forest_mean(theta, eps, m, stream, edges, n_nodes):
+    """The numpy path that the kernel's draws replace: draw, tilt, forests,
+    mean."""
     z = stream.generator().standard_normal((m, len(edges)))
-    tilted = theta[None, :] + eps * z
-    ys = max_weight_forests(tilted, edges, n_nodes)
-    return np.einsum("ij,ij->i", tilted, ys), ys.mean(axis=0)
+    return max_weight_forests(theta[None, :] + eps * z, edges, n_nodes).mean(axis=0)
+
+
+def _kernel_mean(theta, eps, m, stream, edges, n_nodes):
+    """The mean forest of the kernel's row entry, which draws z itself."""
+    mean = np.empty(len(edges))
+    spanning_tree._kernel("perturbed_forest_rows", theta.ctypes.data, stream.state_words(),
+                          eps, edges.ctypes.data, m, len(edges), n_nodes, mean.ctypes.data)
+    return mean
 
 
 class TestPerturbedForestStats:
-    """The fused perturbed-forest entry, which draws inside the kernel,
-    against the numpy path it replaces."""
+    """The kernel's perturbed forests, drawn inside the kernel, against the
+    numpy path they replace, through the row entry and the pass entry."""
 
     @settings(max_examples=300, deadline=None)
     @given(tilt_cases())
     def test_matches_numpy_glue(self, case):
-        """The mean is bit-identical; the row values, summed in selection
-        order, agree to 1e-12 relative."""
+        """The mean is bit-identical."""
         edges, n_nodes, theta, eps, m, stream = case
-        expected_values, expected_moment = _forest_stats(theta, eps, m, stream, edges, n_nodes)
-        values, moment = bind_perturbed_forests(theta, eps, m, edges, n_nodes)(stream)
-        assert (moment.shape, moment.dtype) == (expected_moment.shape, np.float64)
-        assert moment.tobytes() == expected_moment.tobytes()
-        np.testing.assert_allclose(values, expected_values, rtol=1e-12, atol=0.0)
+        expected = _forest_mean(theta, eps, m, stream, edges, n_nodes)
+        assert _kernel_mean(theta, eps, m, stream, edges, n_nodes).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("kernel", ["compiled", "reference"])
+    @pytest.mark.parametrize("kernel", ["compiled", "pass", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_tilt_raises(self, kernel, bad):
         """A non-finite tilt, also one that overflows, raises the error of
-        the reference on the tilt that numpy computes."""
+        the reference on the tilt that numpy computes; in a pass, theta is
+        the single feature column times the weight 1."""
         oracle = MstOracle(2, 3)
         stream = make_rng(20, 1)
         theta, eps = np.ones(oracle.n_edges), 8.0
@@ -781,7 +795,11 @@ class TestPerturbedForestStats:
             theta[2] = bad
         with pytest.raises(InputError, match="weights must be finite"):
             if kernel == "compiled":
-                oracle.bind_perturbed_stats(theta, eps, 3)(stream)
+                _kernel_mean(theta, eps, 3, stream, oracle.edges, oracle.n_nodes)
+            elif kernel == "pass":
+                adam = AdamState(np.ones(1))
+                oracle.perturbed_adam_pass(adam, [theta[:, None]], [np.zeros(oracle.n_edges)],
+                                           eps, 3, 1, 0.1, stream)
             else:
                 z = stream.generator().standard_normal((3, oracle.n_edges))
                 reference.max_weight_forests_py(theta[None, :] + eps * z, oracle.edges,
@@ -790,50 +808,48 @@ class TestPerturbedForestStats:
     @pytest.mark.parametrize("theta_shape, m", [((5,), 2), ((7, 1), 2), ((7,), 0), ((7,), -1)],
                              ids=["short-theta", "column-theta", "no-draws", "negative-draws"])
     def test_other_shapes_rejected(self, theta_shape, m):
+        """A pass needs an (E,) target per example, an (E, p) feature
+        matrix and at least one draw."""
         oracle = MstOracle(2, 3)
         with pytest.raises(InputError):
-            oracle.bind_perturbed_stats(np.ones(theta_shape), 1.0, m)
+            oracle.perturbed_adam_pass(AdamState(np.zeros(2)), [np.ones((7, 2))],
+                                       [np.ones(theta_shape)], 1.0, m, 1, 0.1, make_rng(0))
 
-    def test_bound_entry_reads_the_buffer_in_place(self):
-        """The bound entry answers for the current entries of its theta
-        buffer, as an entry bound to a copy of them does, and takes no copy
-        of another."""
-        oracle = MstOracle(3, 3)
-        theta = np.zeros(oracle.n_edges)
-        bound = oracle.bind_perturbed_stats(theta, 0.5, 6)
-        g = make_rng(21, 0).generator()
-        for slot in range(5):
-            theta[:] = g.standard_normal(oracle.n_edges)
-            stream = make_rng(21, 1).split(slot)
-            values, moment = bound(stream)
-            expected_values, expected_moment = oracle.bind_perturbed_stats(
-                theta.copy(), 0.5, 6)(stream)
-            assert values.tobytes() == expected_values.tobytes()
-            assert moment.tobytes() == expected_moment.tobytes()
-        for other in (theta.astype(np.float32), np.zeros((oracle.n_edges, 2))[:, 0],
-                      theta.tolist(), theta[:-1]):
-            with pytest.raises(InputError, match="C-contiguous float64"):
-                oracle.bind_perturbed_stats(other, 0.5, 6)
+    @pytest.mark.parametrize("features, targets", [
+        ([np.ones((6, 2))], [np.ones(7)]), ([np.ones((7, 3))], [np.ones(7)]),
+        ([np.ones((7, 2))] * 2, [np.ones(7)]),
+    ], ids=["short-features", "wide-features", "unmatched-targets"])
+    def test_feature_shapes_rejected(self, features, targets):
+        """Each example needs E rows of p features, p being the number of
+        weights, and a target of its own."""
+        with pytest.raises(InputError, match=r"\(E, p\) features and an \(E,\) target"):
+            MstOracle(2, 3).perturbed_adam_pass(AdamState(np.zeros(2)), features, targets,
+                                                1.0, 2, 1, 0.1, make_rng(0))
 
     def test_concurrent_calls_match_sequential(self):
-        """Each call keeps its stream's state on its own stack: calls from
-        more threads than cores, each binding its own entry, give the
-        sequential results."""
+        """Each pass keeps its workspace and its streams on its own stack:
+        passes from more threads than cores give the sequential weights."""
         oracle = MstOracle(6, 6)
-        theta = make_rng(19, 0).generator().normal(size=(64, oracle.n_edges))
-        streams = [make_rng(19, 1).split(k) for k in range(64)]
-        call = lambda t, s: oracle.bind_perturbed_stats(t, 0.7, 20)(s)  # noqa: E731
-        expected = [call(t, s) for t, s in zip(theta, streams)]
+        g = make_rng(19, 0).generator()
+        features = [g.uniform(-1.0, 1.0, (oracle.n_edges, 5)) for _ in range(3)]
+        targets = [g.uniform(0.0, 1.0, oracle.n_edges) for _ in range(3)]
+
+        def run(k):
+            adam = AdamState(np.zeros(5))
+            oracle.perturbed_adam_pass(adam, features, targets, 0.7, 20, 4, 0.05,
+                                       make_rng(19, 1).split(k))
+            return adam.weights
+
+        expected = [run(k) for k in range(16)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                got = list(pool.map(call, theta, streams, timeout=60))
+                got = list(pool.map(run, range(16), timeout=60))
         finally:
             sys.setswitchinterval(interval)
-        for (values, moment), (exp_values, exp_moment) in zip(got, expected, strict=True):
-            assert values.tobytes() == exp_values.tobytes()
-            assert moment.tobytes() == exp_moment.tobytes()
+        for weights, exp_weights in zip(got, expected, strict=True):
+            assert weights.tobytes() == exp_weights.tobytes()
 
 
 @st.composite

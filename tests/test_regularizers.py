@@ -23,6 +23,7 @@ from costru.regularizers import (
     value_rows,
 )
 from costru.simplex_lab import ExplicitOracle
+from costru.trainer import AdamState
 
 NEG = RegularizerKind.negentropy()
 L2 = RegularizerKind.squared_l2()
@@ -336,10 +337,11 @@ class TestPerturbationArguments:
 
     @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
     def test_eps_must_be_finite_and_positive(self, eps):
-        """The fused spanning-tree entry and the numpy estimators agree."""
+        """The fused spanning-tree pass and the numpy estimators agree."""
         oracle, scenario = toy_or_mst("mst")
         theta = np.zeros(oracle.n_edges)
-        calls = [lambda: oracle.bind_perturbed_stats(theta, eps, 4),
+        calls = [lambda: oracle.perturbed_adam_pass(AdamState(np.zeros(1)), [theta[:, None]],
+                                                    [theta], eps, 4, 1, 0.1, make_rng(1)),
                  lambda: perturbed_argmax_stats(oracle, theta, eps, 4, make_rng(1)),
                  lambda: perturbed_decomposition_target(oracle, theta, scenario, 1.0, eps, 4,
                                                         make_rng(1))]

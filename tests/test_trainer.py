@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from costru import trainer
-from costru.core import InputError, LinearOracle, make_rng
+from costru import native, trainer
+from costru.core import InputError, LinearOracle, RngStream, Scenario, make_rng
 from costru.problems.datasets import GenConfig, generate_mst_dataset, generate_mst_split
 from costru.problems.spanning_tree import MstOracle
 from costru.problems.toy import ToyEvaluator, ToyOracle, toy_dataset, toy_scenarios
@@ -216,6 +216,28 @@ class TestCoordinationPass:
                                     config, rng)
         assert np.array_equal(fused, generic)
 
+    @pytest.mark.parametrize("rows, cols, p", [
+        (1, 2, 1), (1, 2, 5), (3, 3, 1), (3, 3, 2), (3, 3, 5), (6, 6, 2), (6, 6, 5),
+    ])
+    @pytest.mark.parametrize("n_contexts", [1, 3])
+    @pytest.mark.parametrize("root", [make_rng(9).split(1, 2),
+                                      RngStream(2 ** 96, 2 ** 64 - 1, (2 ** 40, 2 ** 32, 7))],
+                             ids=["narrow", "wide"])
+    def test_fused_pass_keeps_numpy_products_and_streams(self, rows, cols, p, n_contexts,
+                                                         root):
+        """The fused pass equals the generic path and the manual chain bit
+        for bit through each of numpy's matmul dispatches: E = 1 and p = 1
+        (ddot, or numpy's own loop), several contexts' feature matrices, and
+        seed and key words wider than 32 bits."""
+        oracle, batch, targets = random_batch(rows, cols, p, n_contexts)
+        config = toy_config(nb_epochs=2, nb_samples=4, lr_init=0.1, epsilon=0.5)
+        w0 = np.linspace(-0.3, 0.3, p)
+        fused = coordination_pass(w0, batch, targets, oracle, config, root)
+        generic = coordination_pass(w0, batch, targets, GenericOracle(oracle), config, root)
+        assert fused.tobytes() == generic.tobytes()
+        expected = manual_adam_chain(oracle, batch, targets, config, root, w0)
+        assert fused.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("defect, message", [
         (lambda mu: mu[:-1], "dimensions differ"),
         (lambda mu: np.where(mu > 0.5, np.nan, mu), "non-finite"),
@@ -224,8 +246,69 @@ class TestCoordinationPass:
         oracle, batch, targets = mst_batch()
         targets[-1] = defect(targets[-1])
         monkeypatch.setattr(trainer, "adam_step", lambda *args: pytest.fail("stepped"))
+        monkeypatch.setattr(MstOracle, "perturbed_adam_pass",
+                            lambda *args: pytest.fail("stepped"))
         with pytest.raises(InputError, match=message):
             coordination_pass(np.zeros(4), batch, targets, oracle, toy_config(), make_rng(1))
+
+    @pytest.mark.parametrize("fused", [True, False], ids=["fused", "generic"])
+    def test_non_finite_gradient_names_its_step(self, fused):
+        """Features of 1e308 overflow the gradient of example 1 on its
+        first step, whatever the draws; both paths say where."""
+        oracle, batch, targets = random_batch(3, 3, 2, 3, per_context=1)
+        batch[1] = Scenario(1, np.full((oracle.n_edges, 2), 1e308), None)
+        targets[1] = np.full(oracle.n_edges, -1.0)
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite gradient at epoch 0, example 1$"):
+            with np.errstate(over="ignore"):
+                coordination_pass(np.zeros(2), batch, targets,
+                                  oracle if fused else GenericOracle(oracle),
+                                  toy_config(nb_epochs=2), make_rng(1))
+
+    def test_fused_failure_names_epoch_and_example(self, monkeypatch):
+        """The fused pass names the epoch and example of the step index at
+        which the kernel reports a non-finite gradient: step 7 of three
+        examples is epoch 2, example 1."""
+        class Kernel:
+            def perturbed_adam_pass(self, *args):
+                args[-1]._obj.value = 7
+                return -6
+
+        oracle, batch, targets = mst_batch()
+        monkeypatch.setattr(native, "_compiled_kernel", Kernel)
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite gradient at epoch 2, example 1$"):
+            coordination_pass(np.zeros(4), batch, targets, oracle, toy_config(), make_rng(1))
+
+    def test_fused_pass_continues_the_step_count(self):
+        """A pass on a state that has taken steps corrects its bias from the
+        state's step count, as adam_step does, bit for bit."""
+        oracle, batch, targets = random_batch(3, 3, 2, 1)
+        features, mu = batch[0].features, targets[0]
+        rng = make_rng(12).split(3)
+        states = []
+        for fused in (True, False):
+            adam = AdamState(np.array([0.2, -0.1]))
+            for _ in range(5):
+                adam.gradient[:] = [0.3, -0.7]
+                adam_step(adam, 0.1)
+            if fused:
+                oracle.perturbed_adam_pass(adam, [features], [mu], 0.5, 3, 2, 0.1, rng)
+            else:
+                for epoch in range(2):
+                    _, g = perturbed_fy_gradient(oracle, features @ adam.weights, mu, 0.5, 3,
+                                                 rng.split(epoch, 0))
+                    adam.gradient[:] = features.T @ g
+                    adam_step(adam, 0.1)
+            states.append([adam.step_count, adam.weights.tobytes(),
+                           adam.first_moment.tobytes(), adam.second_moment.tobytes()])
+        assert states[0] == states[1]
+
+    def test_non_finite_tilt_raises(self):
+        oracle, batch, targets = random_batch(3, 3, 2, 1)
+        batch[0] = Scenario(0, np.where(batch[0].features > 0.5, np.inf, 0.0), None)
+        with pytest.raises(InputError, match="weights must be finite"):
+            coordination_pass(np.ones(2), batch, targets, oracle, toy_config(), make_rng(1))
 
 
 class GenericOracle(LinearOracle):
@@ -251,6 +334,22 @@ def mst_batch():
     g = make_rng(63, 0).generator()
     batch = [inst.scenario(0, k) for k in range(3)]
     return MstOracle(3, 3), batch, [g.uniform(0.0, 1.0, inst.n_edges) for _ in batch]
+
+
+def random_batch(rows, cols, p, n_contexts, per_context=2):
+    """A rows x cols grid oracle and a batch of per_context scenarios for
+    each of n_contexts feature matrices of p features in [-1, 1], some of
+    them 0, with a target moment per scenario."""
+    oracle = MstOracle(rows, cols)
+    g = make_rng(64, 0).generator()
+    batch, targets = [], []
+    for ctx in range(n_contexts):
+        features = g.uniform(-1.0, 1.0, (oracle.n_edges, p))
+        features[g.uniform(size=features.shape) < 0.2] = 0.0
+        for _ in range(per_context):
+            batch.append(Scenario(ctx, features, None))
+            targets.append(g.uniform(0.0, 1.0, oracle.n_edges))
+    return oracle, batch, targets
 
 
 def manual_adam_chain(oracle, batch, targets, config, rng, w0=None):
