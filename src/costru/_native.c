@@ -1,6 +1,8 @@
 /* Native library of costru: the compiled Kruskal kernel, one entry per
- * spanning-tree oracle question, numpy's SeedSequence state words and its
- * PCG64 stream, the in-place Adam step, and the fused coordination pass.
+ * spanning-tree oracle question, numpy's PCG64 stream seeded as numpy's
+ * SeedSequence seeds it, the in-place Adam step, and the fused
+ * coordination pass.  numpy seeds and draws a stream's ordinary draws
+ * itself; the library draws the Monte-Carlo tilts from the same stream.
  *
  * Every Kruskal entry runs the rule of kruskal_rows_py, the Python
  * reference in tests/kruskal_reference.py that the property tests compare
@@ -12,7 +14,7 @@
  *   forest_rows      w (m, E); key -w where w > 0.  Writes the 0/1 rows of
  *                    the chosen edges.  A non-finite weight is an error.
  *   perturbed_forest_rows
- *                    theta (E,), the four PCG64 state words of a stream,
+ *                    theta (E,), a stream's n_entropy entropy words,
  *                    eps; draws z (m, E) row by row from the stream with
  *                    numpy's own standard normal sampler, so z equals
  *                    Generator.standard_normal((m, E)) bit for bit, then
@@ -41,13 +43,13 @@
  * Every Kruskal entry returns a negative status on error (see below), with
  * its output rows unspecified.
  *
- *   seed_state       the four uint64 words of numpy's SeedSequence
- *                    .generate_state(4, np.uint64) for its n assembled
- *                    entropy words (uint32), which native.entropy
- *                    assembles as SeedSequence.get_assembled_entropy does.
+ * Every entry that draws takes a stream's assembled entropy words (uint32),
+ * which native.entropy assembles as SeedSequence.get_assembled_entropy
+ * does, and seeds PCG64 from them as numpy's SeedSequence and PCG64 do.
+ *
  *   raw_fill, normal_fill
  *                    n raw 64-bit words, or n standard normals, of the
- *                    PCG64 stream of four state words: numpy's
+ *                    stream of n_entropy entropy words: numpy's
  *                    PCG64.random_raw(n) and Generator.standard_normal(n).
  *   adam_step        one bias-corrected Adam update, in place, of the
  *                    rows (w, g, m, v) of a (4, n) state: the weights w
@@ -149,6 +151,67 @@ static bitgen_t pcg64_stream(pcg64 *rng, const uint64_t *words) {
     rng->has_uint32 = 0;
     rng->uinteger = 0;
     return (bitgen_t){rng, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+}
+
+/* numpy/random/bit_generator.pyx: SeedSequence with its default pool of
+ * four words, then generate_state(8) viewed as four little-endian uint64. */
+enum { POOL = 4, XSHIFT = 16 };
+static const uint32_t INIT_A = 0x43b0d7e5, MULT_A = 0x931e8875;
+static const uint32_t INIT_B = 0x8b51f9dd, MULT_B = 0x58f38ded;
+static const uint32_t MIX_MULT_L = 0xca01f9dd, MIX_MULT_R = 0x4973f715;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash_const) {
+    value ^= *hash_const;
+    *hash_const *= MULT_A;
+    value *= *hash_const;
+    return value ^ (value >> XSHIFT);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y) {
+    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
+    return result ^ (result >> XSHIFT);
+}
+
+/* SeedSequence's pool and hash constant partway through mix_entropy. */
+typedef struct {
+    uint32_t pool[POOL], hash_const;
+} entropy_pool;
+
+static void mix_word(entropy_pool *ep, uint32_t word) {
+    for (int dst = 0; dst < POOL; dst++)
+        ep->pool[dst] = mix(ep->pool[dst], hashmix(word, &ep->hash_const));
+}
+
+/* mix_entropy: hash the first words into the pool (zeros where the entropy
+ * is shorter than the pool), mix the pool, then mix in each remaining
+ * word; more words may follow through mix_word. */
+static void mix_entropy(entropy_pool *ep, const uint32_t *entropy, int64_t n) {
+    ep->hash_const = INIT_A;
+    for (int i = 0; i < POOL; i++) ep->pool[i] = hashmix(i < n ? entropy[i] : 0, &ep->hash_const);
+    for (int src = 0; src < POOL; src++)
+        for (int dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                ep->pool[dst] = mix(ep->pool[dst], hashmix(ep->pool[src], &ep->hash_const));
+    for (int64_t src = POOL; src < n; src++) mix_word(ep, entropy[src]);
+}
+
+static void pool_state(const entropy_pool *ep, uint64_t *state) {
+    uint32_t words[2 * POOL], hash_const = INIT_B;
+    for (int i = 0; i < 2 * POOL; i++) {
+        uint32_t value = ep->pool[i % POOL] ^ hash_const;
+        hash_const *= MULT_B;
+        value *= hash_const;
+        words[i] = value ^ (value >> XSHIFT);
+    }
+    for (int i = 0; i < POOL; i++)
+        state[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
+}
+
+/* SeedSequence(...).generate_state(4, np.uint64) of n entropy words. */
+static void seed_words(const uint32_t *entropy, int64_t n, uint64_t *words) {
+    entropy_pool ep;
+    mix_entropy(&ep, entropy, n);
+    pool_state(&ep, words);
 }
 
 typedef struct {
@@ -293,12 +356,14 @@ static int mean_forest(workspace *ws, const double *theta, const uint64_t *words
     return status;
 }
 
-int64_t perturbed_forest_rows(const double *theta, const uint64_t *words, double eps,
-                              const int64_t *ends, int64_t m, int64_t n_edges,
+int64_t perturbed_forest_rows(const double *theta, const uint32_t *entropy, int64_t n_entropy,
+                              double eps, const int64_t *ends, int64_t m, int64_t n_edges,
                               int64_t n_nodes, double *out) {
     workspace ws;
+    uint64_t words[POOL];
     int status = open_workspace(&ws, ends, n_edges, n_nodes);
     if (status != 0) return status;
+    seed_words(entropy, n_entropy, words);
     double *z = malloc((size_t)(n_edges > 0 ? n_edges : 1) * sizeof(double));
     status = z == NULL ? NO_MEMORY : mean_forest(&ws, theta, words, eps, m, n_edges, z, out);
     free(z);
@@ -363,74 +428,18 @@ int64_t completion_rows(const double *y, const double *d, const int64_t *ends,
     return status != 0 ? status : n_first;
 }
 
-/* numpy/random/bit_generator.pyx: SeedSequence with its default pool of
- * four words, then generate_state(8) viewed as four little-endian uint64. */
-enum { POOL = 4, XSHIFT = 16 };
-static const uint32_t INIT_A = 0x43b0d7e5, MULT_A = 0x931e8875;
-static const uint32_t INIT_B = 0x8b51f9dd, MULT_B = 0x58f38ded;
-static const uint32_t MIX_MULT_L = 0xca01f9dd, MIX_MULT_R = 0x4973f715;
-
-static uint32_t hashmix(uint32_t value, uint32_t *hash_const) {
-    value ^= *hash_const;
-    *hash_const *= MULT_A;
-    value *= *hash_const;
-    return value ^ (value >> XSHIFT);
-}
-
-static uint32_t mix(uint32_t x, uint32_t y) {
-    uint32_t result = MIX_MULT_L * x - MIX_MULT_R * y;
-    return result ^ (result >> XSHIFT);
-}
-
-/* SeedSequence's pool and hash constant partway through mix_entropy. */
-typedef struct {
-    uint32_t pool[POOL], hash_const;
-} entropy_pool;
-
-static void mix_word(entropy_pool *ep, uint32_t word) {
-    for (int dst = 0; dst < POOL; dst++)
-        ep->pool[dst] = mix(ep->pool[dst], hashmix(word, &ep->hash_const));
-}
-
-/* mix_entropy: hash the first words into the pool (zeros where the entropy
- * is shorter than the pool), mix the pool, then mix in each remaining
- * word; more words may follow through mix_word. */
-static void mix_entropy(entropy_pool *ep, const uint32_t *entropy, int64_t n) {
-    ep->hash_const = INIT_A;
-    for (int i = 0; i < POOL; i++) ep->pool[i] = hashmix(i < n ? entropy[i] : 0, &ep->hash_const);
-    for (int src = 0; src < POOL; src++)
-        for (int dst = 0; dst < POOL; dst++)
-            if (src != dst)
-                ep->pool[dst] = mix(ep->pool[dst], hashmix(ep->pool[src], &ep->hash_const));
-    for (int64_t src = POOL; src < n; src++) mix_word(ep, entropy[src]);
-}
-
-static void pool_state(const entropy_pool *ep, uint64_t *state) {
-    uint32_t words[2 * POOL], hash_const = INIT_B;
-    for (int i = 0; i < 2 * POOL; i++) {
-        uint32_t value = ep->pool[i % POOL] ^ hash_const;
-        hash_const *= MULT_B;
-        value *= hash_const;
-        words[i] = value ^ (value >> XSHIFT);
-    }
-    for (int i = 0; i < POOL; i++)
-        state[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
-}
-
-void seed_state(const uint32_t *entropy, int64_t n, uint64_t *state) {
-    entropy_pool ep;
-    mix_entropy(&ep, entropy, n);
-    pool_state(&ep, state);
-}
-
-void raw_fill(const uint64_t *words, int64_t n, uint64_t *out) {
+void raw_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, uint64_t *out) {
     pcg64 rng;
+    uint64_t words[POOL];
+    seed_words(entropy, n_entropy, words);
     bitgen_t stream = pcg64_stream(&rng, words);
     for (int64_t i = 0; i < n; i++) out[i] = stream.next_raw(stream.state);
 }
 
-void normal_fill(const uint64_t *words, int64_t n, double *out) {
+void normal_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, double *out) {
     pcg64 rng;
+    uint64_t words[POOL];
+    seed_words(entropy, n_entropy, words);
     bitgen_t stream = pcg64_stream(&rng, words);
     random_standard_normal_fill(&stream, n, out);
 }

@@ -7,7 +7,6 @@ threads.  Oracles must be callable concurrently (no interior mutation).
 
 from __future__ import annotations
 
-import functools
 import zipfile
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -117,28 +116,6 @@ class Dataset:
         return groups
 
 
-class _StateWords:
-    """The four state words that PCG64 asks its seed sequence for, already
-    computed; registered as numpy's ``ISeedSequence`` on first use."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or dtype is not np.uint64:
-            raise NotImplementedError("holds PCG64's four uint64 state words only")
-        return self.words
-
-
-@functools.cache
-def _register_state_words() -> None:
-    """Register ``_StateWords`` as a seed sequence; imports numpy.random,
-    which waits for the first draw to keep the package import fast."""
-    np.random.bit_generator.ISeedSequence.register(_StateWords)
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Reproducible, independent random stream.
@@ -146,28 +123,27 @@ class RngStream:
     Identical (seed, stream_id, path) always reproduce identical draw
     sequences; distinct ids give statistically independent streams.  The
     stream is numpy's default generator seeded by the seed sequence of
-    ``seed`` with spawn key ``(stream_id, *path)``, bit for bit; the native
-    library computes its PCG64 state words, from which both ``generator()``
-    and the library's own draws start.  ``generator()`` returns a fresh
-    generator each call, so two calls on the same stream see the same draws
-    -- this is what makes common-random-number estimator pairing and
-    processing-order independence trivial.
+    ``seed`` with spawn key ``(stream_id, *path)``.  ``generator()`` returns
+    a fresh generator each call, so two calls on the same stream see the
+    same draws -- this is what makes common-random-number estimator pairing
+    and processing-order independence trivial.
     """
 
     seed: int
     stream_id: int = 0
     path: tuple[int, ...] = ()
 
-    def state_words(self):
-        """The stream's four PCG64 state words, a ctypes array of
-        ``c_uint64`` that the native entries take in place (see
-        ``native.seed_state``)."""
-        return native.seed_state(self.seed, (self.stream_id, *self.path))
-
     def generator(self) -> np.random.Generator:
-        words = np.frombuffer(self.state_words(), dtype=np.uint64)
-        _register_state_words()
-        return np.random.Generator(np.random.PCG64(_StateWords(words)))
+        key = (self.stream_id, *self.path)
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """``generator().standard_normal(shape)`` bit for bit, drawn by the
+        native library in one call from the stream's entropy words."""
+        out = np.empty(shape)
+        key = native.entropy(self.seed, (self.stream_id, *self.path))
+        native._compiled_kernel().normal_fill(key, len(key) // 4, out.size, out.ctypes.data)
+        return out
 
     def split(self, *ids: int) -> "RngStream":
         """Derive a child stream; children with distinct ids are independent."""
@@ -183,6 +159,18 @@ def _one_row(theta: ScoreDirection) -> np.ndarray:
     if row.ndim != 1:
         raise InputError("a single direction must be a one-dimensional array")
     return row[None, :]
+
+
+def direction_rows(thetas, d: int, kappa: float = 0.0) -> np.ndarray:
+    """The input rule of every batched oracle entry: ``thetas`` as an (m, d)
+    array of finite floats, and a finite ``kappa`` (0 included: the
+    anticipative solves use it)."""
+    thetas = ensure_finite(thetas, "theta")
+    if thetas.ndim != 2 or thetas.shape[1] != d:
+        raise InputError(f"directions must form an (m, {d}) array")
+    if not np.isfinite(kappa):
+        raise InputError(f"kappa must be finite, not {kappa!r}")
+    return thetas
 
 
 class LinearOracle(ABC):

@@ -3,8 +3,9 @@
 ``numpy/random/lib/libnpyrandom.a`` for numpy's own standard normal
 sampler, and loaded through ctypes.
 
-The library is the only implementation of the spanning-tree oracles and of
-stream seeding, so ``cc`` and the archive are required:
+The library is the only implementation of the spanning-tree oracles, and it
+draws every Monte-Carlo tilt, so ``cc`` and the archive are required for
+those; numpy seeds and draws every other random number without it.
 ``_compiled_kernel()`` raises ``NativeLibraryError`` when the archive is
 missing or the build or the load fails.  Its coordination pass calls
 numpy's own BLAS (``_numpy_blas``).  Nothing here runs at import time.
@@ -29,8 +30,6 @@ import numpy as np
 _FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # numpy's SeedSequence pool size, in 32-bit words.
 _POOL = 4
-# PCG64's state words, as the library reads and writes them.
-_STATE = ctypes.c_uint64 * 4
 # numpy's ILP64 cblas_dgemv and cblas_ddot, as its OpenBLAS names them.
 _BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
 
@@ -104,14 +103,13 @@ def _compiled_kernel():
     ptr, size, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     for name, argtypes, restype in (
         ("forest_rows", [ptr, ptr, size, size, size, ptr], size),
-        ("perturbed_forest_rows", [ptr, ptr, real, ptr, size, size, size, ptr], size),
+        ("perturbed_forest_rows", [ptr, ptr, size, real, ptr, size, size, size, ptr], size),
         ("perturbed_adam_pass", [ptr, ptr, size, size, size, ptr, size, real, size, ptr, size,
                                  size, ptr, size, real, real, real, real, ptr, ptr], size),
         ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr], size),
         ("completion_rows", [ptr, ptr, ptr, size, size, size, ptr], size),
-        ("seed_state", [ptr, size, ptr], None),
-        ("raw_fill", [ptr, size, ptr], None),
-        ("normal_fill", [ptr, size, ptr], None),
+        ("raw_fill", [ptr, size, size, ptr], None),
+        ("normal_fill", [ptr, size, size, ptr], None),
         ("adam_step", [ptr, size, real, real, real, real, real, real], size),
     ):
         fn = getattr(lib, name)
@@ -141,17 +139,6 @@ def entropy(seed: int, spawn_key: tuple[int, ...]) -> bytes:
         return _short_entropy(len(spawn_key))(seed, *spawn_key)
     except struct.error:
         return _assembled_entropy(seed, spawn_key)
-
-
-def seed_state(seed: int, spawn_key: tuple[int, ...]) -> ctypes.Array:
-    """The state words ``generate_state(4, np.uint64)`` of numpy's seed
-    sequence of ``seed`` and ``spawn_key``, bit for bit, computed by the
-    library, as a ctypes array of four ``c_uint64``: the library's entries
-    take it in place, and ``np.frombuffer`` views it."""
-    words = entropy(seed, spawn_key)
-    state = _STATE()
-    _compiled_kernel().seed_state(words, len(words) // 4, state)
-    return state
 
 
 @functools.cache

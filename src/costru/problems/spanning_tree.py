@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import native
-from ..core import InputError, LinearOracle, RngStream, Scenario, require_perturbation
+from ..core import (InputError, LinearOracle, RngStream, Scenario, direction_rows,
+                    require_perturbation)
 
 
 class InfeasibleError(RuntimeError):
@@ -294,7 +295,8 @@ class MstOracle(LinearOracle):
         payload = scenario.noise_payload
         if not isinstance(payload, TwoStageCosts):
             raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
-        eff = payload.first_stage[None, :] - kappa * np.asarray(theta_tildes, dtype=float)
+        thetas = direction_rows(theta_tildes, self.n_edges, kappa)
+        eff = payload.first_stage[None, :] - kappa * thetas
         y, _ = two_stage_splits(eff, payload.second_stage, self.edges, self.n_nodes)
         return y
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import Dataset, InputError, LinearOracle, Scenario
+from ..core import Dataset, InputError, LinearOracle, Scenario, direction_rows
 
 # Rows are the solutions {0, 1}; columns the scenarios {xi1, xi2, xi3}.
 TOY_COSTS = np.array([[4.0, -1.0, -2.0], [0.0, 0.0, 0.0]])
@@ -25,24 +25,17 @@ def _scenario_index(scenario: Scenario) -> int:
     return int(j)
 
 
-def _directions(thetas) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != 1:
-        raise InputError("toy directions must form an (m, 1) array")
-    return thetas
-
-
 class ToyOracle(LinearOracle):
     """Linear oracle for the one-dimensional set Y = {0, 1}; ties go to 0."""
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return (_directions(thetas) > 0.0).astype(float)
+        return (direction_rows(thetas, 1) > 0.0).astype(float)
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         j = _scenario_index(scenario)
         # y = 1 strictly wins iff kappa * theta_tilde > cost(1) - cost(0).
         margin = TOY_COSTS[1, j] - TOY_COSTS[0, j]
-        return (kappa * _directions(theta_tildes) > margin).astype(float)
+        return (kappa * direction_rows(theta_tildes, 1, kappa) > margin).astype(float)
 
 
 def toy_scenarios() -> list[Scenario]:

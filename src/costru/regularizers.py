@@ -139,7 +139,7 @@ def _tilts(rng: RngStream, theta: np.ndarray, eps: float, m: int) -> np.ndarray:
     if theta.ndim != 1:
         raise InputError("theta must be a one-dimensional array")
     require_perturbation(eps, m)
-    return theta[None, :] + eps * rng.generator().standard_normal((m, theta.shape[0]))
+    return theta[None, :] + eps * rng.standard_normal((m, theta.shape[0]))
 
 
 def perturbed_argmax_stats(

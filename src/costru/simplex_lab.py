@@ -20,6 +20,7 @@ from .core import (
     LinearOracle,
     RngStream,
     Scenario,
+    direction_rows,
     ensure_finite,
     make_rng,
     require_positive,
@@ -69,12 +70,10 @@ class ExplicitOracle(LinearOracle):
         self.matrix = vertices.T.copy()
         self.matrix.setflags(write=False)
 
-    def _scores(self, thetas: np.ndarray) -> np.ndarray:
-        """(m, |Y|) scores <thetas[r]|y> of finite (m, d) directions."""
-        thetas = ensure_finite(thetas, "theta")
-        if thetas.ndim != 2 or thetas.shape[1] != self.matrix.shape[0]:
-            raise InputError("directions must form an (m, d) array")
-        return thetas @ self.matrix
+    def _scores(self, thetas, kappa: float = 0.0) -> np.ndarray:
+        """(m, |Y|) scores <thetas[r]|y> of (m, d) directions, checked with
+        kappa by ``direction_rows``."""
+        return direction_rows(thetas, self.matrix.shape[0], kappa) @ self.matrix
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
         return self.matrix.T[np.argmax(self._scores(thetas), axis=1)]
@@ -83,7 +82,7 @@ class ExplicitOracle(LinearOracle):
         gamma = ensure_finite(scenario.noise_payload, "cost payload")
         if gamma.shape != (self.matrix.shape[1],):
             raise InputError("the cost payload needs one entry per vertex")
-        obj = gamma[None, :] - kappa * self._scores(theta_tildes)
+        obj = gamma[None, :] - kappa * self._scores(theta_tildes, kappa)
         return self.matrix.T[np.argmin(obj, axis=1)]
 
 
@@ -373,6 +372,7 @@ def partial_surrogate_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-scenario (risk, partially minimized surrogate) at a common score,
     for an (N, K) cost table gamma."""
+    require_positive("kappa", kappa)
     gamma = _cost_table(gamma)
     risks = np.empty(gamma.shape[0])
     partials = np.empty(gamma.shape[0])
@@ -394,6 +394,8 @@ def risk_bound_check(
     """Smallest slack of |partial surrogate - risk| <= 3 ||gamma_i||^2 / (2 L kappa)
     over the scenarios and their mean; the bound holds when it is >= 0.
     ``terms`` are the partial_surrogate_terms at the lifted scores."""
+    require_positive("kappa", kappa)
+    require_positive("L", L)
     risks, partials = terms
     gamma = _cost_table(gamma)
     norms_sq = np.einsum("ij,ij->i", gamma, gamma)
@@ -415,6 +417,8 @@ def risk_suboptimality_pair_slack(
     """Slack of the derived bound R(th1) - R(th2) <= (3/(L kappa N)) sum ||gamma||^2,
     where th1 is whichever of the pair has the smaller partial surrogate; the
     terms are the partial_surrogate_terms of the two directions."""
+    require_positive("kappa", kappa)
+    require_positive("L", L)
     (risks_a, partials_a), (risks_b, partials_b) = terms_a, terms_b
     if partials_a.mean() <= partials_b.mean():
         risk_gap = risks_a.mean() - risks_b.mean()
@@ -598,6 +602,9 @@ def run_risk_bound_suite(
     """The risk bound and its pair form on three scenarios over six random
     binary vertices in R^4, per kappa."""
     require_samples(n_instances=n_instances, kappas=len(kappas))
+    require_positive("L", L)
+    for kappa in kappas:
+        require_positive("kappa", kappa)
     kind = RegularizerKind.negentropy()
     rows: list[CheckRow] = []
     for inst in range(n_instances):

@@ -523,12 +523,36 @@ class TestVerify:
         request.addfinalizer(native._compiled_kernel.cache_clear)
         native._compiled_kernel.cache_clear()
         out = tmp_path / "report.csv"
-        assert cli.main(["verify", "conjugates", "--out", str(out)]) == 4
+        assert cli.main(["verify", "oracles", "--out", str(out)]) == 4
         err = capsys.readouterr().err
         assert "internal error: NativeLibraryError" in err
         assert "C compiler cc" in err
         assert err.rstrip().endswith("kernel.c:1: error: no registers")
         assert not out.exists()
+
+    def test_generate_and_exact_lab_need_no_library(self, tmp_path, mst_config, monkeypatch,
+                                                    request):
+        """numpy seeds and draws all that ``generate`` and the exact lab
+        draw: with the build failing they exit 0 and write the files that
+        they write with the library loaded, byte for byte."""
+        def run(out):
+            assert cli.main(["generate", "--config", mst_config, "--out", str(out / "data")]) == 0
+            assert cli.main(["verify", "convergence", "--out", str(out / "report.csv")]) == 0
+            return {path.relative_to(out): path.read_bytes()
+                    for path in sorted(out.rglob("*")) if path.is_file()}
+
+        native._compiled_kernel()
+        expected = run(tmp_path / "loaded")
+
+        def build():
+            raise FileNotFoundError("No such file or directory: 'cc'")
+
+        request.addfinalizer(native._compiled_kernel.cache_clear)
+        monkeypatch.setattr(native, "_build_kernel", build)
+        native._compiled_kernel.cache_clear()
+        assert run(tmp_path / "unbuilt") == expected
+        with pytest.raises(native.NativeLibraryError):
+            native._compiled_kernel()
 
     def test_io_failure_exits_three(self, tmp_path):
         cfg = tmp_path / "v.ini"

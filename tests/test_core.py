@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from costru import native
 from costru.core import Dataset, InputError, RngStream, Scenario, make_rng
-from costru.problems.spanning_tree import enumerate_forests, grid_edges
+from costru.problems.spanning_tree import MstOracle, TwoStageCosts, enumerate_forests, grid_edges
 from costru.problems.toy import ToyOracle, toy_scenarios
 from costru.regularizers import RegularizerKind, prediction_rows
 from costru.simplex_lab import ExplicitOracle
@@ -72,20 +72,23 @@ def _numpy_stream(seed, stream_id, path):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id, *path)))
 
 
-def _assert_same_stream(got: np.random.Generator, expected: np.random.Generator):
-    assert got.bit_generator.state == expected.bit_generator.state
-    assert got.standard_normal((3, 5)).tobytes() == expected.standard_normal((3, 5)).tobytes()
-    assert got.integers(0, 2 ** 62, 4).tobytes() == expected.integers(0, 2 ** 62, 4).tobytes()
+def _library_draws(entry: str, stream: RngStream, n: int, dtype) -> np.ndarray:
+    """n draws of a library entry, seeded by the stream's entropy words."""
+    out = np.empty(n, dtype=dtype)
+    key = native.entropy(stream.seed, (stream.stream_id, *stream.path))
+    getattr(native._compiled_kernel(), entry)(key, len(key) // 4, n, out.ctypes.data)
+    return out
 
 
 def _assert_numpy_words(seed, stream_id, path):
-    """The library's state words and the stream's draws are numpy's."""
-    key = (stream_id, *path)
-    words = native.seed_state(seed, key)
-    expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
-    assert bytes(words) == expected.tobytes()
-    _assert_same_stream(RngStream(seed, stream_id, tuple(path)).generator(),
-                        _numpy_stream(seed, stream_id, path))
+    """The library seeds PCG64 as numpy does: its first raw words are
+    numpy's, and so are its standard normals."""
+    stream = RngStream(seed, stream_id, tuple(path))
+    expected = np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(stream_id, *path))).random_raw(4)
+    assert _library_draws("raw_fill", stream, 4, np.uint64).tobytes() == expected.tobytes()
+    expected = _numpy_stream(seed, stream_id, path).standard_normal((3, 5))
+    assert stream.standard_normal((3, 5)).tobytes() == expected.tobytes()
 
 
 @pytest.fixture
@@ -100,8 +103,8 @@ def no_library(monkeypatch, request):
 
 
 class TestNativeSeedState:
-    """``RngStream.generator`` is numpy's SeedSequence stream bit for bit,
-    its state computed by the library for any non-negative seed and key."""
+    """The library seeds a stream's PCG64 as numpy's SeedSequence does, bit
+    for bit, for any non-negative seed and key."""
 
     @settings(max_examples=300, deadline=None)
     @given(_WORDS, _WORDS, st.lists(_WORDS, max_size=6))
@@ -122,7 +125,7 @@ class TestNativeSeedState:
     def test_wide_words_fall_back_to_numpy(self, seed, stream_id, path):
         """A two-word seed, stream id and path entry and a three-word seed:
         these once fell back to numpy's SeedSequence, and the library's
-        words for them must still be numpy's."""
+        seeding of them must still be numpy's."""
         _assert_numpy_words(seed, stream_id, path)
 
     @pytest.mark.parametrize("seed, path", [(-1, ()), (1, (-2,)), (1.5, ())])
@@ -131,17 +134,23 @@ class TestNativeSeedState:
             _numpy_stream(seed, 0, path)
         with pytest.raises(numpy_error.type):
             RngStream(seed, 0, path).generator()
+        with pytest.raises(numpy_error.type):
+            RngStream(seed, 0, path).standard_normal(3)
 
     def test_failed_build_raises(self, no_library):
-        """Without the library there is no stream: the error names cc."""
+        """Without the library numpy still seeds the stream, but there are no
+        library draws: the error names cc."""
+        stream = RngStream(3, 1, (4,))
+        expected = _numpy_stream(3, 1, (4,)).standard_normal(5)
+        assert stream.generator().standard_normal(5).tobytes() == expected.tobytes()
         with pytest.raises(native.NativeLibraryError, match="C compiler cc") as error:
-            RngStream(3, 1, (4,)).generator()
+            stream.standard_normal(5)
         assert isinstance(error.value.__cause__, FileNotFoundError)
 
     def test_concurrent_calls_match_sequential(self):
         streams = [make_rng(5, 1).split(t, slot) for t in range(8) for slot in range(16)]
-        draw = lambda s: s.generator().standard_normal(40)  # noqa: E731
-        expected = [draw(s) for s in streams]
+        draw = lambda s: s.standard_normal(40)  # noqa: E731
+        expected = [s.generator().standard_normal(40) for s in streams]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -153,14 +162,8 @@ class TestNativeSeedState:
             assert g.tobytes() == e.tobytes()
 
 
-def _library_draws(entry: str, stream: RngStream, n: int, dtype) -> np.ndarray:
-    out = np.empty(n, dtype=dtype)
-    getattr(native._compiled_kernel(), entry)(stream.state_words(), n, out.ctypes.data)
-    return out
-
-
 class TestNativeDraws:
-    """The library's PCG64 stream, started from a stream's state words, is
+    """The library's PCG64 stream, seeded from a stream's entropy words, is
     numpy's bit for bit: its raw words and its standard normals."""
 
     @settings(max_examples=100, deadline=None)
@@ -168,14 +171,14 @@ class TestNativeDraws:
     @example(2 ** 96, 2 ** 64 - 1, [3, 2 ** 40], 10 ** 5).via("wide words, 10**5 draws")
     def test_normals_equal_numpy(self, seed, stream_id, path, n):
         stream = RngStream(seed, stream_id, tuple(path))
-        got = _library_draws("normal_fill", stream, n, np.float64)
-        assert got.tobytes() == stream.generator().standard_normal(n).tobytes()
+        expected = stream.generator().standard_normal(n)
+        assert stream.standard_normal(n).tobytes() == expected.tobytes()
 
     def test_normals_reach_the_ziggurat_tail(self):
         """10**5 draws pass numpy's outermost layer, |z| > 3.6541528853610088,
         which the sampler draws by rejection with log1p; they still agree."""
         stream = make_rng(11, 3).split(5)
-        got = _library_draws("normal_fill", stream, 10 ** 5, np.float64)
+        got = stream.standard_normal(10 ** 5)
         assert np.abs(got).max() > 3.6541528853610088
         assert got.tobytes() == stream.generator().standard_normal(10 ** 5).tobytes()
 
@@ -226,8 +229,6 @@ class TestOracleSoundness:
             assert theta @ y >= (verts @ theta).max() - 1e-12
 
     def test_mst_oracle(self):
-        from costru.problems.spanning_tree import MstOracle
-
         oracle = MstOracle(2, 3)
         forests = enumerate_forests(grid_edges(2, 3), 6)
         g = make_rng(13, 0).generator()
@@ -272,8 +273,33 @@ class TestBatchedOracleInputs:
         with pytest.raises(InputError, match="one entry per vertex"):
             _cube_oracle().argmin_shifted_many(np.zeros((1, 2)), 1.0, scenario)
 
-    @pytest.mark.parametrize("oracle, d", [(ToyOracle(), 1), (_cube_oracle(), 2)],
-                             ids=["toy", "explicit"])
+    @pytest.mark.parametrize("bad", ["theta-nan", "theta-inf", "kappa-nan", "kappa-inf"])
+    @pytest.mark.parametrize("oracle, scenario", [
+        (ToyOracle(), Scenario(0, np.ones((1, 1)), 0)),
+        (_cube_oracle(), Scenario(0, np.ones((2, 1)), np.zeros(4))),
+        (MstOracle(2, 3), Scenario(0, np.ones((7, 1)), TwoStageCosts(np.ones(7), np.ones(7)))),
+    ], ids=["toy", "explicit", "mst"])
+    def test_non_finite_directions_and_kappa_rejected(self, oracle, scenario, bad):
+        """One rule for every oracle: finite directions and a finite kappa,
+        0 included.  A NaN once gave y = 0 (toy), vertex 0 (explicit) or
+        "graph is disconnected" (spanning tree)."""
+        thetas, kappa = np.zeros((3, scenario.dim)), 1.0
+        value = np.nan if bad.endswith("nan") else np.inf
+        if bad.startswith("theta"):
+            thetas[1, 0] = value
+            with pytest.raises(InputError):
+                oracle.argmax_linear_many(thetas)
+        else:
+            kappa = value
+        zero_kappa = oracle.argmin_shifted_many(np.zeros_like(thetas), 0.0, scenario)
+        assert zero_kappa.shape == thetas.shape
+        with pytest.raises(InputError, match="non-finite|kappa must be finite"):
+            oracle.argmin_shifted_many(thetas, kappa, scenario)
+        with pytest.raises(InputError, match="non-finite|kappa must be finite"):
+            oracle.argmin_shifted(thetas[1], kappa, scenario)
+
+    @pytest.mark.parametrize("oracle, d", [(ToyOracle(), 1), (_cube_oracle(), 2),
+                                           (MstOracle(2, 3), 7)], ids=["toy", "explicit", "mst"])
     def test_directions_of_another_shape_rejected(self, oracle, d):
         with pytest.raises(InputError):
             oracle.argmax_linear_many(np.zeros((2, d + 1)))

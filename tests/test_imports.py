@@ -15,8 +15,6 @@ _KEPT = {
 # name (``Class.method`` for a method or property): why a public definition
 # stays although nothing in src/ or benchmarks/ refers to it by name.
 _UNCALLED: dict[str, str] = {
-    "_StateWords.generate_state":
-        "numpy's PCG64 calls it on the object registered as its seed sequence",
     "MstOracle.perturbed_adam_pass":
         "the trainer looks it up through getattr by its name as a string",
 }

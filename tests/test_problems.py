@@ -699,7 +699,7 @@ class TestCompiledKernel:
         for entry in ("forest_rows(", "perturbed_forest_rows(", "split_rows(",
                       "completion_rows(", "adam_step(", "perturbed_adam_pass("):
             assert f"int64_t {entry}" in text
-        for entry in ("seed_state(", "raw_fill(", "normal_fill("):
+        for entry in ("raw_fill(", "normal_fill("):
             assert f"void {entry}" in text
 
     @pytest.mark.parametrize("build, stderr", [
@@ -762,7 +762,8 @@ def _forest_mean(theta, eps, m, stream, edges, n_nodes):
 def _kernel_mean(theta, eps, m, stream, edges, n_nodes):
     """The mean forest of the kernel's row entry, which draws z itself."""
     mean = np.empty(len(edges))
-    spanning_tree._kernel("perturbed_forest_rows", theta.ctypes.data, stream.state_words(),
+    key = native.entropy(stream.seed, (stream.stream_id, *stream.path))
+    spanning_tree._kernel("perturbed_forest_rows", theta.ctypes.data, key, len(key) // 4,
                           eps, edges.ctypes.data, m, len(edges), n_nodes, mean.ctypes.data)
     return mean
 

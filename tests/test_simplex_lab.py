@@ -25,6 +25,7 @@ from costru.simplex_lab import (
     random_cost_table,
     random_interior_product,
     risk_bound_check,
+    risk_suboptimality_pair_slack,
     run_alternating_exact,
     run_conjugate_suite,
     run_convergence_suite,
@@ -426,6 +427,20 @@ class TestRiskBound:
                 terms = partial_surrogate_terms(matrix.T @ theta, costs, kappa, NEG)
                 assert risk_bound_check(terms, costs, kappa) >= -1e-12
 
+    @pytest.mark.parametrize("kappa, L", [(0.0, 1.0), (np.nan, 1.0), (1.0, 0.0), (1.0, np.inf)])
+    def test_scales_must_be_finite_and_positive(self, kappa, L):
+        """A zero kappa or L used to end in a bare ZeroDivisionError, and a
+        NaN one in NaN slacks reported as failed checks."""
+        costs, s = np.ones((3, 4)), np.zeros(4)
+        terms = partial_surrogate_terms(s, costs, 1.0, NEG)
+        calls = [lambda: risk_bound_check(terms, costs, kappa, L),
+                 lambda: risk_suboptimality_pair_slack(terms, terms, costs, kappa, L)]
+        if kappa != 1.0:
+            calls.append(lambda: partial_surrogate_terms(s, costs, kappa, NEG))
+        for call in calls:
+            with pytest.raises(InputError, match="must be a finite positive number"):
+                call()
+
 
 class TestConjugateCheck:
     def test_zero_theta_log_cardinality(self):
@@ -521,6 +536,10 @@ class TestSuiteSampleCounts:
         (run_convergence_suite, dict(n_instances=1, t_check=11, t_opt=10)),
         (run_risk_bound_suite, dict(n_instances=0)),
         (run_risk_bound_suite, dict(n_instances=1, kappas=())),
+        (run_risk_bound_suite, dict(n_instances=1, L=0.0)),
+        (run_risk_bound_suite, dict(n_instances=1, L=np.nan)),
+        (run_risk_bound_suite, dict(n_instances=1, kappas=(1.0, 0.0))),
+        (run_risk_bound_suite, dict(n_instances=1, kappas=(np.nan,))),
         (run_conjugate_suite, dict(n_instances=0)),
         (run_mirror_descent_suite, dict(iters=0)),
         (run_oracle_suite, dict(n_kruskal=500, n_anticipative=0)),
@@ -528,12 +547,15 @@ class TestSuiteSampleCounts:
         (run_oracle_suite, dict(n_kruskal=0, n_anticipative=200)),
         (run_oracle_suite, dict(n_kruskal=5, n_anticipative=200)),
     ], ids=["convergence-instances", "convergence-t_check", "convergence-t_check>t_opt",
-            "risk-bound-instances", "risk-bound-kappas", "conjugates-instances",
+            "risk-bound-instances", "risk-bound-kappas", "risk-bound-L-zero",
+            "risk-bound-L-nan", "risk-bound-kappa-zero", "risk-bound-kappa-nan",
+            "conjugates-instances",
             "mirror-descent-iters", "oracles-anticipative-0", "oracles-anticipative-1",
             "oracles-kruskal-0", "oracles-kruskal-5"])
     def test_no_samples_rejected(self, suite, counts):
         """A suite called with a count that leaves a check without samples
-        (or, for t_check, beyond the trajectory) refuses to run."""
+        (or, for t_check, beyond the trajectory), or with a risk-bound scale
+        that is not finite and positive, refuses to run."""
         with pytest.raises(InputError):
             suite(**counts)
 
