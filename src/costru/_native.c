@@ -1,8 +1,9 @@
 /* Native library of costru: the compiled Kruskal kernel, one entry per
  * spanning-tree oracle question, numpy's PCG64 stream seeded as numpy's
  * SeedSequence seeds it, the in-place Adam step, and the fused
- * coordination pass.  numpy seeds and draws a stream's ordinary draws
- * itself; the library draws the Monte-Carlo tilts from the same stream.
+ * coordination and decomposition passes.  numpy seeds and draws a stream's
+ * ordinary draws itself; the library draws the Monte-Carlo tilts from the
+ * same stream.
  *
  * Every Kruskal entry runs the rule of kruskal_rows_py, the Python
  * reference in tests/kruskal_reference.py that the property tests compare
@@ -38,6 +39,14 @@
  *                    that leaves a y edge out is a cycle error, one with
  *                    fewer than n_nodes - 1 edges a disconnected error,
  *                    and a cycle in any row comes first.
+ *   completion_sums  ys (n, E), d (K, E): the (n, K) sums of
+ *                    completion_rows' costs, each forest's row k summed
+ *                    in numpy's pairwise order, as costs.sum(axis=1) sums
+ *                    it.  Each row of d is sorted once by (cost, index);
+ *                    a forest then takes its y edges in index order merged
+ *                    with the row's other edges in that order, which is
+ *                    completion_rows' order.  The first forest with an
+ *                    error returns it, a cycle before a disconnected row.
  *
  * Arrays are C-contiguous; the Python wrappers check shapes and dtypes.
  * Every Kruskal entry returns a negative status on error (see below), with
@@ -69,11 +78,28 @@
  *                    numpy's do.  Returns a negative status on error, and
  *                    writes the number of steps done, the index of the
  *                    failed one, to *step.
+ *   perturbed_split_pass
+ *                    trainer.decomposition_pass on a spanning-tree oracle,
+ *                    in one call: for each slot s, theta = F w; the
+ *                    (m, E) normals z of the stream of key (..., s); the
+ *                    tilts theta + eps * z; split_rows on the effective
+ *                    costs c - kappa * tilt against d; the per-edge count
+ *                    of stage-one edges over m.  A non-finite theta or
+ *                    tilt is an error; writes the failed slot to *step.
  *
- * Each stream's PCG64 state lives on the stack of the call that draws from
- * it, so calls from several threads never share one.
+ * Both passes may start one helper thread, which draws the normals of the
+ * coming steps while the calling thread runs Kruskal, the products and
+ * Adam (see "The normals of a pass" below); they run inline when the
+ * caller passes threaded = 0 or pthread_create fails.  The helper is
+ * joined before the pass returns, so a pass is still one blocking call:
+ * Ctrl-C waits for it.
+ *
+ * Each stream's PCG64 state lives on the stack of the thread that draws
+ * from it, so calls from several threads never share one.
  */
 #include <math.h>
+#include <pthread.h>
+#include <stdatomic.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -330,30 +356,23 @@ int64_t forest_rows(const double *w, const int64_t *ends, int64_t m, int64_t n_e
     return status;
 }
 
-/* The mean over the m rows of the forests of the tilts theta + eps * z[r],
- * z drawn row by row from the stream of words into the (E,) buffer z. */
-static int mean_forest(workspace *ws, const double *theta, const uint64_t *words,
-                       double eps, int64_t m, int64_t n_edges, double *z, double *mean) {
-    pcg64 rng;
-    bitgen_t stream = pcg64_stream(&rng, words);
+/* Adds the forest of the tilt theta + eps * z to sum; z holds E normals. */
+static int add_forest(workspace *ws, const double *theta, const double *z, double eps,
+                      int64_t n_edges, double *sum) {
     int status = 0;
-    for (int64_t e = 0; e < n_edges; e++) mean[e] = 0.0;
-    for (int64_t r = 0; r < m && status == 0; r++) {
-        random_standard_normal_fill(&stream, n_edges, z);
-        int64_t n = 0;
-        for (int64_t e = 0; e < n_edges; e++) {
-            double w = theta[e] + eps * z[e];
-            if (!isfinite(w)) status = NON_FINITE;
-            /* Written always and kept when w > 0: a tilt's sign is a coin
-             * flip that a branch would mispredict. */
-            ws->items[n] = (item){-w, e};
-            n += w > 0.0;
-        }
-        int64_t count = select_edges(ws, n, ws->picks);
-        for (int64_t i = 0; i < count; i++) mean[ws->picks[i]] += 1.0;
+    int64_t n = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        double w = theta[e] + eps * z[e];
+        if (!isfinite(w)) status = NON_FINITE;
+        /* Written always and kept when w > 0: a tilt's sign is a coin
+         * flip that a branch would mispredict. */
+        ws->items[n] = (item){-w, e};
+        n += w > 0.0;
     }
-    for (int64_t e = 0; e < n_edges; e++) mean[e] /= (double)m;
-    return status;
+    if (status != 0) return status;
+    int64_t count = select_edges(ws, n, ws->picks);
+    for (int64_t i = 0; i < count; i++) sum[ws->picks[i]] += 1.0;
+    return 0;
 }
 
 int64_t perturbed_forest_rows(const double *theta, const uint32_t *entropy, int64_t n_entropy,
@@ -365,10 +384,32 @@ int64_t perturbed_forest_rows(const double *theta, const uint32_t *entropy, int6
     if (status != 0) return status;
     seed_words(entropy, n_entropy, words);
     double *z = malloc((size_t)(n_edges > 0 ? n_edges : 1) * sizeof(double));
-    status = z == NULL ? NO_MEMORY : mean_forest(&ws, theta, words, eps, m, n_edges, z, out);
+    if (z == NULL) status = NO_MEMORY;
+    pcg64 rng;
+    bitgen_t stream = pcg64_stream(&rng, words);
+    for (int64_t e = 0; e < n_edges; e++) out[e] = 0.0;
+    for (int64_t r = 0; r < m && status == 0; r++) {
+        random_standard_normal_fill(&stream, n_edges, z);
+        status = add_forest(&ws, theta, z, eps, n_edges, out);
+    }
+    for (int64_t e = 0; e < n_edges; e++) out[e] /= (double)m;
     free(z);
     close_workspace(&ws);
     return status;
+}
+
+/* Kruskal on the keys min(eff, d) of one row, NaN when either is NaN:
+ * writes the chosen edges to ws->picks and returns DISCONNECTED when they
+ * do not span the graph.  A chosen edge goes to stage one when eff <= d. */
+static int split_row(workspace *ws, const double *eff, const double *d, int64_t n_edges,
+                     int64_t *count) {
+    int64_t n = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        double key = isnan(eff[e]) || isnan(d[e]) ? NAN : d[e] < eff[e] ? d[e] : eff[e];
+        if (key < INFINITY) ws->items[n++] = (item){key, e};
+    }
+    *count = select_edges(ws, n, ws->picks);
+    return *count == ws->n_nodes - 1 ? 0 : DISCONNECTED;
 }
 
 int64_t split_rows(const double *eff, const double *d, int64_t d_stride,
@@ -380,14 +421,9 @@ int64_t split_rows(const double *eff, const double *d, int64_t d_stride,
     for (int64_t r = 0; r < m && status == 0; r++) {
         const double *er = eff + r * n_edges, *dr = d + r * d_stride;
         double *yr = yz + r * n_edges, *zr = yz + (m + r) * n_edges;
-        int64_t n = 0;
-        for (int64_t e = 0; e < n_edges; e++) {
-            double key = isnan(er[e]) || isnan(dr[e]) ? NAN : dr[e] < er[e] ? dr[e] : er[e];
-            if (key < INFINITY) ws.items[n++] = (item){key, e};
-            yr[e] = zr[e] = 0.0;
-        }
-        int64_t count = select_edges(&ws, n, ws.picks);
-        if (count != n_nodes - 1) status = DISCONNECTED;
+        int64_t count;
+        for (int64_t e = 0; e < n_edges; e++) yr[e] = zr[e] = 0.0;
+        status = split_row(&ws, er, dr, n_edges, &count);
         for (int64_t i = 0; i < count; i++) {
             int64_t e = ws.picks[i];
             if (er[e] <= dr[e]) yr[e] = 1.0;
@@ -426,6 +462,92 @@ int64_t completion_rows(const double *y, const double *d, const int64_t *ends,
     }
     close_workspace(&ws);
     return status != 0 ? status : n_first;
+}
+
+/* numpy's pairwise summation of n doubles (DOUBLE_pairwise_sum), which
+ * its add.reduce adds to 0.0: blocks of at most 128 in eight interleaved
+ * partial sums, halved recursively at multiples of eight above that. */
+static double pairwise_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double sum = 0.0;
+        for (int64_t i = 0; i < n; i++) sum += a[i];
+        return sum;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++) r[j] += a[i + j];
+        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) sum += a[i];
+        return sum;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+int64_t completion_sums(const double *ys, int64_t n_ys, const double *d, int64_t k_rows,
+                        const int64_t *ends, int64_t n_edges, int64_t n_nodes, double *out) {
+    workspace ws;
+    int status = open_workspace(&ws, ends, n_edges, n_nodes);
+    if (status != 0) return status;
+    /* Each row's edges of cost < +inf, sorted once by (cost, index); then
+     * the y edges of a forest, in index order, and the costs of a row's
+     * completion, in selection order. */
+    item *sorted = malloc((size_t)(k_rows * n_edges + 1) * sizeof(item));
+    int64_t *lengths = malloc((size_t)(k_rows + n_edges + 1) * sizeof(int64_t));
+    double *costs = malloc((size_t)n_nodes * sizeof(double));
+    if (sorted == NULL || lengths == NULL || costs == NULL) status = NO_MEMORY;
+    int64_t *first = lengths + k_rows;
+    for (int64_t r = 0; r < k_rows && status == 0; r++) {
+        const double *dr = d + r * n_edges;
+        int64_t n = 0;
+        for (int64_t e = 0; e < n_edges; e++)
+            if (dr[e] < INFINITY) ws.items[n++] = (item){dr[e], e};
+        sort_items(ws.items, ws.tmp, n);
+        memcpy(sorted + r * n_edges, ws.items, (size_t)n * sizeof(item));
+        lengths[r] = n;
+    }
+    for (int64_t k = 0; k < n_ys && status == 0; k++) {
+        const double *y = ys + k * n_edges;
+        int64_t n_first = 0;
+        for (int64_t e = 0; e < n_edges; e++)
+            if (y[e] > 0.5) first[n_first++] = e;
+        for (int64_t r = 0; r < k_rows && status != CYCLE; r++) {
+            /* completion_rows' Kruskal on keys -inf (y) and d (the rest):
+             * the y edges merged with the row's sorted other edges by
+             * (key, index). */
+            const item *rest = sorted + r * n_edges;
+            int64_t *parent = ws.parent, count = 0, taken_y = 0, i = 0, j = 0;
+            for (int64_t v = 0; v < n_nodes; v++) parent[v] = v;
+            while (count < n_nodes - 1) {
+                while (j < lengths[r] && y[rest[j].edge] > 0.5) j++;
+                int from_y = i < n_first
+                             && (j == lengths[r] || -INFINITY < rest[j].key
+                                 || first[i] < rest[j].edge);
+                if (!from_y && j == lengths[r]) break;
+                int64_t edge = from_y ? first[i++] : rest[j++].edge;
+                int64_t ru = find(parent, ends[2 * edge]), rv = find(parent, ends[2 * edge + 1]);
+                if (ru != rv) {
+                    parent[ru] = rv;
+                    ws.picks[count++] = edge;
+                    taken_y += from_y;
+                }
+            }
+            if (taken_y != n_first) status = CYCLE;
+            else if (count != n_nodes - 1) status = DISCONNECTED;
+            for (int64_t c = n_first; c < count; c++) costs[c - n_first] = d[r * n_edges + ws.picks[c]];
+            out[k * k_rows + r] = 0.0;
+            out[k * k_rows + r] += pairwise_sum(costs, count - n_first < 0 ? 0 : count - n_first);
+        }
+    }
+    free(sorted);
+    free(lengths);
+    free(costs);
+    close_workspace(&ws);
+    return status;
 }
 
 void raw_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, uint64_t *out) {
@@ -502,35 +624,183 @@ static void mix_index(entropy_pool *ep, int64_t index) {
     if ((uint64_t)index >> 32) mix_word(ep, (uint32_t)((uint64_t)index >> 32));
 }
 
+/* The normals of a pass, step by step: step s draws count standard normals
+ * from the stream of the key's entropy followed by (s / n_slots, s % n_slots)
+ * when by_epoch, else by s.  No stream depends on the pass's results, so a
+ * helper thread draws ahead of the caller into a ring of DEPTH steps while
+ * the caller runs Kruskal, the products and Adam; a step's normals are the
+ * same whoever draws them.  The caller never waits for the helper: a step
+ * that the helper has not drawn yet, the caller draws itself, into a
+ * buffer of its own, so a helper that gets no CPU costs little.  Without
+ * the helper the caller draws every step that way.
+ *
+ * drawn is the helper's count: drawn > s means that the ring's slot of step
+ * s holds step s, since the helper draws consecutive steps and jumps only
+ * to the caller's position.  used is the caller's: the steps before it are
+ * released, and the helper draws step t only while t < used + DEPTH, so it
+ * never overwrites a slot that the caller reads.  When the ring is full
+ * the helper spins briefly, then posts the count it waits for (half the
+ * ring free) as wanted and sleeps; the caller wakes it once used reaches
+ * wanted.  Sequentially consistent atomics make the helper's check of used
+ * and the caller's check of wanted see at least one of the two writes. */
+enum { DEPTH = 16, SPIN = 64 };
+
+typedef struct {
+    entropy_pool key;
+    int64_t n_slots, n_steps, count;
+    int by_epoch, threaded;
+    double *own, *ring;
+    _Atomic int64_t drawn, used, wanted; /* wanted: the helper's target, else INT64_MAX */
+    _Atomic int stop;
+    pthread_mutex_t lock;
+    pthread_cond_t wake;
+    pthread_t helper;
+} normals;
+
+static void relax(void) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#endif
+}
+
+static void draw_step(const normals *src, int64_t s, double *out) {
+    entropy_pool ep = src->key;
+    uint64_t words[POOL];
+    pcg64 rng;
+    if (src->by_epoch) mix_index(&ep, s / src->n_slots);
+    mix_index(&ep, s % src->n_slots);
+    pool_state(&ep, words);
+    bitgen_t stream = pcg64_stream(&rng, words);
+    random_standard_normal_fill(&stream, src->count, out);
+}
+
+/* The helper waits until used reaches target or the pass stops. */
+static void wait_for_used(normals *src, int64_t target) {
+    for (int i = 0; i < SPIN; i++) {
+        if (atomic_load(&src->used) >= target || atomic_load(&src->stop)) return;
+        relax();
+    }
+    pthread_mutex_lock(&src->lock);
+    atomic_store(&src->wanted, target);
+    while (atomic_load(&src->used) < target && !atomic_load(&src->stop))
+        pthread_cond_wait(&src->wake, &src->lock);
+    atomic_store(&src->wanted, INT64_MAX);
+    pthread_mutex_unlock(&src->lock);
+}
+
+static void *draw_ahead(void *arg) {
+    normals *src = arg;
+    int64_t s = 0;
+    while (!atomic_load(&src->stop)) {
+        int64_t used = atomic_load(&src->used);
+        if (s < used) s = used; /* the caller has drawn these itself */
+        if (s >= src->n_steps) break;
+        if (s - used >= DEPTH) {
+            wait_for_used(src, s - DEPTH / 2 + 1);
+            continue;
+        }
+        draw_step(src, s, src->ring + (s % DEPTH) * src->count);
+        atomic_store(&src->drawn, ++s);
+    }
+    return NULL;
+}
+
+/* Starts the helper when threaded and pthread_create succeeds; otherwise
+ * the caller draws every step. */
+static int open_normals(normals *src, const uint32_t *entropy, int64_t n_entropy,
+                        int by_epoch, int64_t n_slots, int64_t n_steps, int64_t count,
+                        int threaded) {
+    mix_entropy(&src->key, entropy, n_entropy);
+    src->by_epoch = by_epoch;
+    src->n_slots = n_slots;
+    src->n_steps = n_steps;
+    src->count = count;
+    src->threaded = 0;
+    threaded = threaded && n_steps > 1;
+    src->own = malloc((size_t)((threaded ? DEPTH + 1 : 1) * count + 1) * sizeof(double));
+    if (src->own == NULL) return NO_MEMORY;
+    src->ring = src->own + count;
+    if (!threaded) return 0;
+    atomic_init(&src->drawn, 0);
+    atomic_init(&src->used, 0);
+    atomic_init(&src->wanted, INT64_MAX);
+    atomic_init(&src->stop, 0);
+    if (pthread_mutex_init(&src->lock, NULL) != 0) return 0;
+    if (pthread_cond_init(&src->wake, NULL) == 0) {
+        if (pthread_create(&src->helper, NULL, draw_ahead, src) == 0) {
+            src->threaded = 1;
+            return 0;
+        }
+        pthread_cond_destroy(&src->wake);
+    }
+    pthread_mutex_destroy(&src->lock);
+    return 0;
+}
+
+/* Step s's normals, valid until release_step(src, s). */
+static const double *step_normals(normals *src, int64_t s) {
+    if (src->threaded && atomic_load(&src->drawn) > s) return src->ring + (s % DEPTH) * src->count;
+    draw_step(src, s, src->own);
+    return src->own;
+}
+
+static void release_step(normals *src, int64_t s) {
+    if (!src->threaded) return;
+    atomic_store(&src->used, s + 1);
+    if (atomic_load(&src->wanted) <= s + 1) {
+        pthread_mutex_lock(&src->lock);
+        pthread_cond_signal(&src->wake);
+        pthread_mutex_unlock(&src->lock);
+    }
+}
+
+/* Stops and joins the helper, on every return path of a pass. */
+static void close_normals(normals *src) {
+    if (src->threaded) {
+        atomic_store(&src->stop, 1);
+        pthread_mutex_lock(&src->lock);
+        pthread_cond_signal(&src->wake);
+        pthread_mutex_unlock(&src->lock);
+        pthread_join(src->helper, NULL);
+        pthread_cond_destroy(&src->wake);
+        pthread_mutex_destroy(&src->lock);
+    }
+    free(src->own);
+}
+
 int64_t perturbed_adam_pass(const double *const *features, const double *const *targets,
                             int64_t n_slots, int64_t n_epochs, int64_t p,
                             const uint32_t *entropy, int64_t n_entropy, double eps, int64_t m,
                             const int64_t *ends, int64_t n_edges, int64_t n_nodes,
                             double *adam, int64_t t0, double lr, double beta1,
-                            double beta2, double eps_adam, void *const *blas, int64_t *step) {
+                            double beta2, double eps_adam, void *const *blas,
+                            int64_t threaded, int64_t *step) {
     workspace ws;
+    normals src;
     int status = open_workspace(&ws, ends, n_edges, n_nodes);
     int64_t t = 0;
     *step = 0;
     if (status != 0) return status;
-    double *theta = malloc((size_t)(3 * n_edges + 1) * sizeof(double));
-    if (theta == NULL) {
+    double *theta = malloc((size_t)(2 * n_edges + 1) * sizeof(double));
+    status = theta == NULL ? NO_MEMORY
+                           : open_normals(&src, entropy, n_entropy, 1, n_slots,
+                                          n_epochs * n_slots, m * n_edges, (int)threaded);
+    if (status != 0) {
+        free(theta);
         close_workspace(&ws);
-        return NO_MEMORY;
+        return status;
     }
-    double *z = theta + n_edges, *g = z + n_edges, *w = adam, *gradient = adam + p;
-    entropy_pool key;
-    mix_entropy(&key, entropy, n_entropy);
+    double *g = theta + n_edges, *w = adam, *gradient = adam + p;
     for (; t < n_epochs * n_slots; t++) {
         int64_t slot = t % n_slots;
-        entropy_pool ep = key;
-        uint64_t words[POOL];
-        mix_index(&ep, t / n_slots);
-        mix_index(&ep, slot);
-        pool_state(&ep, words);
         matvec(blas, features[slot], n_edges, p, 0, w, theta);
-        status = mean_forest(&ws, theta, words, eps, m, n_edges, z, g);
+        const double *z = step_normals(&src, t);
+        for (int64_t e = 0; e < n_edges; e++) g[e] = 0.0;
+        for (int64_t r = 0; r < m && status == 0; r++)
+            status = add_forest(&ws, theta, z + r * n_edges, eps, n_edges, g);
+        release_step(&src, t);
         if (status != 0) break;
+        for (int64_t e = 0; e < n_edges; e++) g[e] /= (double)m;
         for (int64_t e = 0; e < n_edges; e++) g[e] -= targets[slot][e];
         matvec(blas, features[slot], n_edges, p, 1, g, gradient);
         status = (int)adam_step(adam, p, lr, beta1, beta2, eps_adam,
@@ -538,8 +808,65 @@ int64_t perturbed_adam_pass(const double *const *features, const double *const *
                                 1.0 - pow(beta2, (double)(t0 + t + 1)));
         if (status != 0) break;
     }
+    close_normals(&src);
     free(theta);
     close_workspace(&ws);
     *step = t;
+    return status;
+}
+
+int64_t perturbed_split_pass(const double *const *features, const double *const *first,
+                             const double *const *second, int64_t n_slots, int64_t p,
+                             const double *w, const uint32_t *entropy, int64_t n_entropy,
+                             double kappa, double eps, int64_t m, const int64_t *ends,
+                             int64_t n_edges, int64_t n_nodes, void *const *blas,
+                             int64_t threaded, double *out, int64_t *step) {
+    workspace ws;
+    normals src;
+    int status = open_workspace(&ws, ends, n_edges, n_nodes);
+    int64_t s = 0;
+    *step = 0;
+    if (status != 0) return status;
+    double *theta = malloc((size_t)((m + 1) * n_edges + 1) * sizeof(double));
+    status = theta == NULL ? NO_MEMORY
+                           : open_normals(&src, entropy, n_entropy, 0, n_slots, n_slots,
+                                          m * n_edges, (int)threaded);
+    if (status != 0) {
+        free(theta);
+        close_workspace(&ws);
+        return status;
+    }
+    double *eff = theta + n_edges;
+    for (; s < n_slots; s++) {
+        const double *c = first[s], *d = second[s];
+        double *mean = out + s * n_edges;
+        matvec(blas, features[s], n_edges, p, 0, w, theta);
+        for (int64_t e = 0; e < n_edges; e++)
+            if (!isfinite(theta[e])) status = NON_FINITE;
+        if (status != 0) break;
+        const double *z = step_normals(&src, s);
+        for (int64_t r = 0; r < m; r++)
+            for (int64_t e = 0; e < n_edges; e++) {
+                double tilt = theta[e] + eps * z[r * n_edges + e];
+                if (!isfinite(tilt)) status = NON_FINITE;
+                eff[r * n_edges + e] = c[e] - kappa * tilt;
+            }
+        release_step(&src, s);
+        if (status != 0) break;
+        for (int64_t e = 0; e < n_edges; e++) mean[e] = 0.0;
+        for (int64_t r = 0; r < m && status == 0; r++) {
+            const double *er = eff + r * n_edges;
+            int64_t count;
+            status = split_row(&ws, er, d, n_edges, &count);
+            for (int64_t i = 0; i < count; i++)
+                mean[ws.picks[i]] += er[ws.picks[i]] <= d[ws.picks[i]];
+        }
+        if (status != 0) break;
+        for (int64_t e = 0; e < n_edges; e++) mean[e] /= (double)m;
+    }
+    close_normals(&src);
+    free(theta);
+    close_workspace(&ws);
+    *step = s;
     return status;
 }

@@ -18,6 +18,7 @@ from .problems.spanning_tree import (
     MstOracle,
     TwoStageCosts,
     second_stage_value,
+    second_stage_values,
     two_stage_splits,
 )
 # evaluate_fixed_solutions is also this module's: it prices the median
@@ -102,8 +103,9 @@ def lagrangian_saa_solution(
     """Heuristic SAA solve by multiplier coordination of anticipative solves.
 
     Every per-scenario solution seen during the run and every consensus
-    recovery candidate is evaluated on the exact SAA objective; the best
-    candidate is returned.
+    recovery candidate is evaluated on the exact SAA objective, as
+    ``saa_objective`` evaluates it but with all completions in one call; the
+    first best candidate is returned.
     """
     if len(scenarios) < 2:
         raise InputError("the SAA heuristic needs at least two scenarios")
@@ -128,10 +130,12 @@ def lagrangian_saa_solution(
         lam = lam + sigma * (ys - y_bar)
         lam = lam - lam.mean(axis=0)
 
+    ys = list(candidates.values())
+    means = second_stage_values(np.stack(ys), d_all, oracle.edges, oracle.n_nodes).mean(axis=1)
     best_y = None
     best_value = np.inf
-    for y in candidates.values():
-        value = saa_objective(y, c, d_all, oracle)
+    for y, mean in zip(ys, means):
+        value = float(c @ y) + float(mean)
         if value < best_value:
             best_value = value
             best_y = y

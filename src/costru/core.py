@@ -180,8 +180,10 @@ class LinearOracle(ABC):
     with an (m, d) stack of solutions, row r being the answer to row r, and
     a single-direction call is row 0 of the batched one.  Implementations
     must be deterministic given inputs, with ties broken lowest-index-first,
-    and must always return elements of Y(x).  The one optional method is
-    ``perturbed_adam_pass`` (see ``MstOracle``); the base class has no default.
+    and must always return elements of Y(x).  The two optional entries are
+    the fused passes ``perturbed_adam_pass`` and ``perturbed_split_pass``
+    (see ``MstOracle``); the base class has no default, and an oracle may
+    offer either as None.
     """
 
     @abstractmethod

@@ -7,8 +7,9 @@ The library is the only implementation of the spanning-tree oracles, and it
 draws every Monte-Carlo tilt, so ``cc`` and the archive are required for
 those; numpy seeds and draws every other random number without it.
 ``_compiled_kernel()`` raises ``NativeLibraryError`` when the archive is
-missing or the build or the load fails.  Its coordination pass calls
-numpy's own BLAS (``_numpy_blas``).  Nothing here runs at import time.
+missing or the build or the load fails.  Its fused passes call numpy's own
+BLAS (``_numpy_blas``), and each may start one helper thread that draws the
+normals ahead (``_cpu_count``).  Nothing here runs at import time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import ctypes
 import functools
 import hashlib
+import logging
 import os
 import struct
 import tempfile
@@ -26,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 # -ffp-contract=off forbids fused multiply-adds, so that theta + eps * z
-# rounds twice, as numpy's two array operations round it.
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# rounds twice, as numpy's two array operations round it; -pthread for the
+# passes' helper thread.
+_FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 # numpy's SeedSequence pool size, in 32-bit words.
 _POOL = 4
 # numpy's ILP64 cblas_dgemv and cblas_ddot, as its OpenBLAS names them.
@@ -105,9 +108,12 @@ def _compiled_kernel():
         ("forest_rows", [ptr, ptr, size, size, size, ptr], size),
         ("perturbed_forest_rows", [ptr, ptr, size, real, ptr, size, size, size, ptr], size),
         ("perturbed_adam_pass", [ptr, ptr, size, size, size, ptr, size, real, size, ptr, size,
-                                 size, ptr, size, real, real, real, real, ptr, ptr], size),
+                                 size, ptr, size, real, real, real, real, ptr, size, ptr], size),
+        ("perturbed_split_pass", [ptr, ptr, ptr, size, size, ptr, ptr, size, real, real, size,
+                                  ptr, size, size, ptr, size, ptr, ptr], size),
         ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr], size),
         ("completion_rows", [ptr, ptr, ptr, size, size, size, ptr], size),
+        ("completion_sums", [ptr, size, ptr, size, ptr, size, size, ptr], size),
         ("raw_fill", [ptr, size, size, ptr], None),
         ("normal_fill", [ptr, size, size, ptr], None),
         ("adam_step", [ptr, size, real, real, real, real, real, real], size),
@@ -119,16 +125,28 @@ def _compiled_kernel():
 
 
 @functools.cache
-def _numpy_blas() -> ctypes.Array:
+def _numpy_blas() -> ctypes.Array | None:
     """The addresses of numpy's BLAS entries ``_BLAS``, which its matmul calls,
-    found on first use; ``NativeLibraryError`` when numpy lacks them."""
+    found on first use; None when numpy lacks them (a numpy built on another
+    BLAS), which is logged once at info level: the spanning-tree oracle then
+    offers no fused pass, and training takes the generic path."""
     try:
         core = ctypes.CDLL(np._core._multiarray_umath.__file__)
         return (ctypes.c_void_p * len(_BLAS))(*(ctypes.cast(getattr(core, name), ctypes.c_void_p)
                                                 for name in _BLAS))
     except (AttributeError, OSError) as exc:
-        raise NativeLibraryError(f"cannot find numpy's BLAS entries {', '.join(_BLAS)}: "
-                                 f"{exc}") from exc
+        logging.getLogger(__name__).info(
+            "numpy's BLAS entries %s are missing (%s): training takes the generic path",
+            ", ".join(_BLAS), exc)
+        return None
+
+
+def _cpu_count() -> int:
+    """The number of CPUs that this process may run on, asked at every pass:
+    a pass starts its helper thread only when there is more than one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def entropy(seed: int, spawn_key: tuple[int, ...]) -> bytes:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .. import native
 from ..core import (InputError, LinearOracle, RngStream, Scenario, direction_rows,
-                    require_perturbation)
+                    require_perturbation, require_positive)
 
 
 class InfeasibleError(RuntimeError):
@@ -171,6 +171,26 @@ def second_stage_value(
     return values, z
 
 
+def second_stage_values(
+    ys: np.ndarray, second_stage_costs: np.ndarray, edges: np.ndarray, n_nodes: int
+) -> np.ndarray:
+    """The completion costs of each forest row of ys (n, E) under each row of
+    the (K, E) second-stage costs, in one kernel call: an (n, K) array whose
+    row i is ``second_stage_value(ys[i], second_stage_costs)[0]`` bit for
+    bit.  Each cost row is sorted once; a forest's completion then takes its
+    own edges in index order, then the row's other edges in sorted order,
+    and the kernel sums each completion in numpy's pairwise order.  The
+    first forest that has a cycle or cannot be completed raises the error
+    that ``second_stage_value`` would."""
+    _check_edges(edges)
+    ys = _rows(ys, len(edges), n_nodes)
+    d = _rows(second_stage_costs, len(edges), n_nodes)
+    out = np.empty((len(ys), len(d)))
+    _kernel("completion_sums", ys.ctypes.data, len(ys), d.ctypes.data, len(d),
+            edges.ctypes.data, len(edges), n_nodes, out.ctypes.data, disconnected=_NO_COMPLETION)
+    return out
+
+
 def two_stage_splits(
     eff: np.ndarray, second: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -258,11 +278,23 @@ class MstOracle(LinearOracle):
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
         return max_weight_forests(thetas, self.edges, self.n_nodes)
 
-    def perturbed_adam_pass(self, adam, features, targets, eps: float, m: int,
-                            n_epochs: int, lr: float, rng: RngStream) -> None:
-        """The optional fused coordination pass in one native call: per epoch
-        and slot s, theta = F w for F = ``features[s]``, the mean of the
-        maximum-weight forests of theta + eps * z for the (m, E) normals z of
+    @property
+    def perturbed_adam_pass(self):
+        """The optional fused coordination pass, ``_adam_pass``, offered only
+        where numpy's BLAS entries resolve; otherwise None."""
+        return self._adam_pass if native._numpy_blas() is not None else None
+
+    @property
+    def perturbed_split_pass(self):
+        """The optional fused decomposition pass, ``_split_pass``, offered
+        only where numpy's BLAS entries resolve; otherwise None."""
+        return self._split_pass if native._numpy_blas() is not None else None
+
+    def _adam_pass(self, adam, features, targets, eps: float, m: int, n_epochs: int,
+                   lr: float, rng: RngStream) -> None:
+        """The coordination pass in one native call: per epoch and slot s,
+        theta = F w for F = ``features[s]``, the mean of the maximum-weight
+        forests of theta + eps * z for the (m, E) normals z of
         ``rng.split(epoch, s)``, and one in-place Adam step of ``adam`` (a
         ``trainer.AdamState``) from F^T (mean - ``targets[s]``), the products
         being numpy's matmul through numpy's BLAS.  A non-finite tilt raises
@@ -282,12 +314,47 @@ class MstOracle(LinearOracle):
             pointers(*(mu.ctypes.data for mu in targets)), len(features), n_epochs,
             n_features, key, len(key) // 4, eps, m, self.edges.ctypes.data, self.n_edges,
             self.n_nodes, adam.address, adam.step_count, lr, adam.beta1, adam.beta2,
-            adam.eps_adam, native._numpy_blas(), ctypes.byref(step))
+            adam.eps_adam, native._numpy_blas(), native._cpu_count() > 1, ctypes.byref(step))
         adam.step_count += step.value
         if status == -6:
             epoch, slot = divmod(step.value, len(features))
             raise FloatingPointError(f"non-finite gradient at epoch {epoch}, example {slot}")
         _status(status)
+
+    def _split_pass(self, weights, batch, kappa: float, eps: float, m: int,
+                    rng: RngStream) -> np.ndarray:
+        """The decomposition pass in one native call: row s of the (S, E)
+        result is the mean over the (m, E) normals z of ``rng.split(s)`` of
+        the first stages of the two-stage splits of ``batch[s]`` under
+        c - kappa * (theta + eps * z), theta = F w being numpy's matmul of the
+        scenario's features through numpy's BLAS.  A non-finite theta or
+        tilt raises ``InputError``."""
+        w = np.ascontiguousarray(weights, dtype=np.float64)
+        features = [np.ascontiguousarray(s.features, dtype=np.float64) for s in batch]
+        if any(f.shape != (self.n_edges, len(w)) for f in features):
+            raise InputError("each scenario needs (E, p) features for p weights")
+        if not all(isinstance(s.noise_payload, TwoStageCosts) for s in batch):
+            raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
+        costs = [np.ascontiguousarray(getattr(s.noise_payload, stage))
+                 for stage in ("first_stage", "second_stage") for s in batch]
+        if any(c.shape != (self.n_edges,) for c in costs):
+            raise InputError("stage costs need one entry per edge")
+        require_positive("kappa", kappa)
+        require_perturbation(eps, m)
+        key = native.entropy(rng.seed, (rng.stream_id, *rng.path))
+        pointers, step = ctypes.c_void_p * len(batch), ctypes.c_int64()
+        out = np.empty((len(batch), self.n_edges))
+        status = native._compiled_kernel().perturbed_split_pass(
+            pointers(*(f.ctypes.data for f in features)),
+            pointers(*(c.ctypes.data for c in costs[:len(batch)])),
+            pointers(*(c.ctypes.data for c in costs[len(batch):])), len(batch), len(w),
+            w.ctypes.data, key, len(key) // 4, kappa, eps, m, self.edges.ctypes.data,
+            self.n_edges, self.n_nodes, native._numpy_blas(), native._cpu_count() > 1,
+            out.ctypes.data, ctypes.byref(step))
+        if status == -3:
+            raise InputError(f"non-finite theta or tilt at example {step.value}")
+        _status(status)
+        return out
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         """First stages of the two-stage splits under c - kappa * theta_tilde,

@@ -110,10 +110,16 @@ def decomposition_pass(
     """Per-scenario target moments from the cost-shifted perturbed problems.
 
     Each batch slot draws from its own sub-stream, so the result is
-    independent of processing order.
+    independent of processing order.  An oracle with the optional
+    ``perturbed_split_pass`` computes the perturbed targets in one native
+    call; any other goes through ``perturbed_decomposition_target``, to the
+    same bits.
     """
     if not batch:
         raise InputError("decomposition needs a nonempty batch")
+    fused = None if config.unperturbed_targets else getattr(oracle, "perturbed_split_pass", None)
+    if fused is not None:
+        return list(fused(weights, batch, config.kappa, config.epsilon, config.nb_samples, rng))
 
     def solve(slot: int) -> np.ndarray:
         scenario = batch[slot]

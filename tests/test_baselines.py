@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from costru import baselines
 from costru.baselines import (
     SaaConfig,
     evaluate_fixed_solutions,
@@ -150,6 +151,36 @@ class TestLagrangianSaa:
             scenario = Scenario(0, np.zeros((n_edges, 1)), TwoStageCosts(c + lam[k], d_all[k]))
             single = oracle.argmin_shifted(np.zeros(n_edges), 0.0, scenario)
             assert ys[k].tobytes() == single.tobytes()
+
+    def test_one_call_pricing_equals_saa_objective(self, monkeypatch):
+        """Each candidate's value is its ``saa_objective`` bit for bit, and
+        the first candidate of least value in insertion order wins; integer
+        costs make tied candidates common."""
+        priced = []
+        one_call = baselines.second_stage_values
+
+        def recording(ys, *args):
+            priced.append(ys.copy())
+            return one_call(ys, *args)
+
+        monkeypatch.setattr(baselines, "second_stage_values", recording)
+        oracle = MstOracle(2, 3)
+        g = make_rng(82, 0).generator()
+        ties = 0
+        for _ in range(40):
+            c = g.integers(1, 4, oracle.n_edges).astype(float)
+            d = g.integers(1, 4, (4, oracle.n_edges)).astype(float)
+            scenarios = [GridInstance(2, 3, c, np.ones((oracle.n_edges, 2)), d).scenario(0, k)
+                         for k in range(4)]
+            y = lagrangian_saa_solution(scenarios, oracle, SaaConfig(lagrangian_iters=6))
+            candidates = priced.pop()
+            values = [saa_objective(cand, c, d, oracle) for cand in candidates]
+            means = one_call(candidates, d, oracle.edges, oracle.n_nodes).mean(axis=1)
+            assert [float(c @ cand) + float(mean)
+                    for cand, mean in zip(candidates, means)] == values
+            assert y.tobytes() == candidates[values.index(min(values))].tobytes()
+            ties += values.count(min(values)) > 1
+        assert ties > 0
 
     def test_toy_analog_saa_optimum_is_one(self):
         """Exhaustive SAA objective over the two tabular decisions."""

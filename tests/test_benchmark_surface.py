@@ -14,6 +14,7 @@ import numpy as np
 from costru import baselines, cli, simplex_lab, trainer
 from costru.problems.datasets import GenConfig, generate_mst_dataset
 from costru.problems.spanning_tree import MstEvaluator, MstOracle
+from costru.problems.toy import ToyOracle, toy_dataset
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -51,10 +52,29 @@ def test_traced_training_keeps_weights_and_restores_originals(monkeypatch):
     calls = span_calls(tracer)
     assert calls["trainer.train_primal_dual"] == 1
     assert calls["trainer.coordination_pass"] == 2
-    # The spanning-tree oracle's fused pass takes every Adam step natively.
+    # The spanning-tree oracle's fused passes take every Adam step and
+    # compute every decomposition target natively.
     assert calls.get("trainer.adam_step", 0) == 0
-    assert calls["regularizers.perturbed_decomposition_target"] == 8
+    assert calls.get("regularizers.perturbed_decomposition_target", 0) == 0
     assert all(getattr(ns, attr) is original for ns, attr, original in wrapped)
+
+
+def test_traced_generic_training_spans_the_regularizers(monkeypatch):
+    """An oracle without fused passes, the toy one, goes through the traced
+    ``perturbed_decomposition_target`` and ``adam_step`` wrappers."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    config = trainer.TrainConfig(nb_iterations=2, nb_scenarios=2, nb_samples=5, nb_epochs=2,
+                                 lr_init=0.1, epsilon=0.5, seed=3)
+    expected = trainer.train_primal_dual(toy_dataset(), ToyOracle(), config)
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        traced = trainer.train_primal_dual(toy_dataset(), ToyOracle(), config)
+    assert traced.per_iteration.tobytes() == expected.per_iteration.tobytes()
+    calls = span_calls(tracer)
+    assert calls["regularizers.perturbed_decomposition_target"] == 2 * 2
+    assert calls["trainer.adam_step"] == 2 * 2 * 2
 
 
 def test_traced_evaluation_keeps_gaps_and_restores_originals(monkeypatch):

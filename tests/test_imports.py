@@ -17,6 +17,8 @@ _KEPT = {
 _UNCALLED: dict[str, str] = {
     "MstOracle.perturbed_adam_pass":
         "the trainer looks it up through getattr by its name as a string",
+    "MstOracle.perturbed_split_pass":
+        "the trainer looks it up through getattr by its name as a string",
 }
 
 _BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"

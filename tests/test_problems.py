@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import logging
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -41,6 +42,7 @@ from costru.problems.spanning_tree import (
     is_forest,
     max_weight_forests,
     second_stage_value,
+    second_stage_values,
     two_stage_splits,
 )
 from costru.problems.toy import (
@@ -50,7 +52,8 @@ from costru.problems.toy import (
     toy_scenarios,
 )
 from costru.simplex_lab import ExplicitOracle
-from costru.trainer import AdamState, evaluate_policy, score_instance
+from costru.trainer import (AdamState, TrainConfig, evaluate_policy, score_instance,
+                            train_primal_dual)
 from costru.verification import _SMALL_GRAPHS, enumeration_gap
 
 
@@ -681,23 +684,35 @@ class TestCompiledKernel:
         assert cli.main(["verify", "oracles", "--out", str(out)]) == 4
         assert not out.exists()
 
-    def test_missing_numpy_blas_raises(self, monkeypatch, request):
-        """Without numpy's BLAS entries there is no fused pass: the error
-        names the entry that is missing."""
+    def test_missing_numpy_blas_offers_no_fused_pass(self, monkeypatch, request, caplog):
+        """Without numpy's BLAS entries the oracle offers neither fused pass
+        and says so once at info level; training then takes the generic
+        path, to the fused path's bits."""
+        cfg = GenConfig(rows=2, cols=3, train_instances=2, val_instances=1, test_instances=1,
+                        scenarios_per_instance=3)
+        _, train = generate_mst_dataset(cfg, seed=4)["train"]
+        oracle = MstOracle(2, 3)
+        config = TrainConfig(nb_iterations=2, nb_scenarios=2, nb_samples=5, nb_epochs=2,
+                             lr_init=0.1, epsilon=0.5, seed=3)
+        expected = train_primal_dual(train, oracle, config)
         monkeypatch.setattr(native, "_BLAS", ("scipy_cblas_dgemv64_", "no_such_ddot"))
         request.addfinalizer(native._numpy_blas.cache_clear)
         native._numpy_blas.cache_clear()
-        oracle = MstOracle(2, 3)
-        with pytest.raises(native.NativeLibraryError, match="no_such_ddot"):
-            oracle.perturbed_adam_pass(AdamState(np.zeros(1)), [np.ones((7, 1))], [np.ones(7)],
-                                       0.5, 1, 1, 0.1, make_rng(0))
+        with caplog.at_level(logging.INFO, logger="costru.native"):
+            assert oracle.perturbed_adam_pass is None
+            assert oracle.perturbed_split_pass is None
+            got = train_primal_dual(train, oracle, config)
+        assert got.per_iteration.tobytes() == expected.per_iteration.tobytes()
+        assert [r.levelno for r in caplog.records if "no_such_ddot" in r.getMessage()] == [
+            logging.INFO]
 
     def test_source_ships_as_package_data(self):
         source = resources.files("costru").joinpath("_native.c")
         assert source.is_file()
         text = source.read_text()
         for entry in ("forest_rows(", "perturbed_forest_rows(", "split_rows(",
-                      "completion_rows(", "adam_step(", "perturbed_adam_pass("):
+                      "completion_rows(", "completion_sums(", "adam_step(",
+                      "perturbed_adam_pass(", "perturbed_split_pass("):
             assert f"int64_t {entry}" in text
         for entry in ("raw_fill(", "normal_fill("):
             assert f"void {entry}" in text
@@ -882,6 +897,61 @@ class TestBatchedCompletion:
         for k, (value, z_k) in enumerate(singles):
             assert values[k] == value
             np.testing.assert_array_equal(z[k], z_k)
+
+
+@st.composite
+def pricing_cases(draw):
+    """(edges, n_nodes, (n, E) 0/1 rows, (K, E) costs): forests and edge
+    sets with cycles, over integer costs with ties, both zeros, both
+    infinities and NaN."""
+    edges, n_nodes = draw(st.sampled_from(_KERNEL_GRAPHS))
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    flags = draw(st.lists(st.booleans(), min_size=n * len(edges), max_size=n * len(edges)))
+    costs = st.one_of(st.integers(1, 4).map(float), _ZEROS,
+                      st.sampled_from([np.inf, -np.inf, np.nan]))
+    flat = draw(st.lists(costs, min_size=k * len(edges), max_size=k * len(edges)))
+    return (edges, n_nodes, np.array(flags, dtype=float).reshape(n, len(edges)),
+            np.array(flat).reshape(k, len(edges)))
+
+
+class TestOneCallPricing:
+    """``second_stage_values``, which presorts each cost row once, against
+    one ``second_stage_value`` call per forest."""
+
+    @_PROPERTY
+    @given(pricing_cases())
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_rows_equal_single_calls(self, case):
+        """Row i is the call on ys[i] bit for bit, NaN sums included; a
+        failing forest makes the whole call raise what the first failing
+        forest raises."""
+        edges, n, ys, d = case
+        singles = [_outcome(lambda: second_stage_value(y, d, edges, n)) for y in ys]
+        priced = _outcome(lambda: second_stage_values(ys, d, edges, n))
+        failures = [s for s in singles if isinstance(s, type)]
+        if failures:
+            assert priced is failures[0]
+            return
+        assert priced.shape == (len(ys), len(d))
+        for row, (values, _) in zip(priced, singles):
+            assert row.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("cols", [2, 8, 9, 16, 17, 129, 130, 137, 257, 300])
+    def test_long_completions_sum_in_numpy_order(self, cols):
+        """The kernel's pairwise sum is numpy's: completions of 0 to 299
+        edges of continuous costs on a path, and up to 399 on a 20x20 grid,
+        across numpy's block sizes."""
+        g = make_rng(77, cols).generator()
+        for edges, n_nodes in ((grid_edges(1, cols), cols), (grid_edges(20, 20), 400)):
+            d = g.uniform(0.1, 100.0, (3, len(edges)))
+            ys = np.zeros((4, len(edges)))
+            ys[1, : len(edges) // 3] = 1.0
+            ys[2] = max_weight_forests(g.standard_normal((1, len(edges))), edges, n_nodes)
+            ys[3, 0] = 1.0
+            priced = second_stage_values(ys, d, edges, n_nodes)
+            for row, y in zip(priced, ys):
+                if is_forest(y, edges, n_nodes):
+                    assert row.tobytes() == second_stage_value(y, d, edges, n_nodes)[0].tobytes()
 
 
 def _per_scenario_policy(weights, data, oracle, evaluator):

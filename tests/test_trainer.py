@@ -1,6 +1,10 @@
 """Primal-dual trainer: scoring, Adam, passes, full loop, evaluation."""
 
 import itertools
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from scipy.stats import norm
 from costru import native, trainer
 from costru.core import InputError, LinearOracle, RngStream, Scenario, make_rng
 from costru.problems.datasets import GenConfig, generate_mst_dataset, generate_mst_split
-from costru.problems.spanning_tree import MstOracle
+from costru.problems.spanning_tree import MstOracle, TwoStageCosts
 from costru.problems.toy import ToyEvaluator, ToyOracle, toy_dataset, toy_scenarios
 from costru.regularizers import perturbed_argmax_stats, perturbed_fy_gradient
 from costru.trainer import (
@@ -372,6 +376,173 @@ def manual_adam_chain(oracle, batch, targets, config, rng, w0=None):
             v = b2 * v + (1.0 - b2) * g * g
             w = w - config.lr_init * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
     return w
+
+
+def split_batch(rows, cols, p, n_contexts, per_context=2):
+    """``random_batch`` with a two-stage cost payload per scenario: first
+    stage costs in [0, 2] shared by a context, second stage in [0.5, 2.5]."""
+    oracle, batch, targets = random_batch(rows, cols, p, n_contexts, per_context)
+    g = make_rng(65, 0).generator()
+    first = {ctx: g.uniform(0.0, 2.0, oracle.n_edges) for ctx in range(n_contexts)}
+    batch = [Scenario(s.context_id, s.features,
+                      TwoStageCosts(first[s.context_id], g.uniform(0.5, 2.5, oracle.n_edges)))
+             for s in batch]
+    return oracle, batch, targets
+
+
+_ROOTS = [make_rng(9).split(1, 2), RngStream(2 ** 96, 2 ** 64 - 1, (2 ** 40, 2 ** 32, 7))]
+
+
+def _threads() -> int:
+    return len(os.listdir("/proc/self/task"))
+
+
+def _with_cpus(monkeypatch, cpus: int) -> None:
+    """Make the passes see ``cpus`` usable CPUs: with one they draw inline,
+    with more on their helper thread."""
+    monkeypatch.setattr(native, "_cpu_count", lambda: cpus)
+
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                reason="counts threads through /proc/self/task")
+
+
+class TestHelperThread:
+    """The fused passes draw each step's normals on a helper thread when
+    more than one CPU is usable, and inline otherwise, to the same bits."""
+
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (3, 3), (6, 6)])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 3, 20])
+    @pytest.mark.parametrize("root", _ROOTS, ids=["narrow", "wide"])
+    def test_threaded_equals_inline(self, monkeypatch, rows, cols, p, m, root):
+        oracle, batch, targets = split_batch(rows, cols, p, 3)
+        config = toy_config(nb_epochs=3, nb_samples=m, lr_init=0.1, epsilon=0.5)
+        w0 = np.linspace(-0.3, 0.3, p)
+        runs = []
+        for cpus in (2, 1):
+            _with_cpus(monkeypatch, cpus)
+            moments = decomposition_pass(w0, batch, oracle, config, root.split(1))
+            weights = coordination_pass(w0, batch, targets, oracle, config, root.split(2))
+            runs.append((np.stack(moments).tobytes(), weights.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (3, 3), (6, 6)])
+    @pytest.mark.parametrize("p", [1, 2, 5])
+    @pytest.mark.parametrize("root", _ROOTS, ids=["narrow", "wide"])
+    def test_fused_decomposition_equals_generic(self, rows, cols, p, root):
+        """The one-call decomposition equals ``perturbed_decomposition_target``
+        per slot, through each of numpy's matmul dispatches."""
+        oracle, batch, _ = split_batch(rows, cols, p, 3)
+        config = toy_config(nb_samples=7, epsilon=0.5, kappa=1.5)
+        w0 = np.linspace(-0.3, 0.3, p)
+        fused = decomposition_pass(w0, batch, oracle, config, root)
+        generic = decomposition_pass(w0, batch, GenericOracle(oracle), config, root)
+        assert np.stack(fused).tobytes() == np.stack(generic).tobytes()
+
+    @needs_proc
+    @pytest.mark.parametrize("cpus, helpers", [(2, 1), (1, 0)], ids=["two-cpus", "one-cpu"])
+    def test_one_helper_at_most_joined_on_return(self, monkeypatch, cpus, helpers):
+        """While a long pass runs on a Python thread, the process has one
+        more thread with two CPUs and none more with one; none is left."""
+        _with_cpus(monkeypatch, cpus)
+        oracle, batch, targets = split_batch(6, 6, 2, 2)
+        config = toy_config(nb_epochs=400, nb_samples=20)
+        before = _threads()
+
+        def run():
+            coordination_pass(np.zeros(2), batch, targets, oracle, config, make_rng(3))
+            return _threads()
+
+        seen = []
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            done = pool.submit(run)
+            deadline = time.monotonic() + 60
+            while not done.done() and time.monotonic() < deadline:
+                seen.append(_threads())
+                time.sleep(1e-3)
+            assert done.result(timeout=1) == before + 1
+        assert max(seen) == before + 1 + helpers
+
+    @needs_proc
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_late_non_finite_tilt_stops_at_its_step(self, monkeypatch, cpus):
+        """A tilt that is not finite at example 17 of 20, past the helper's
+        ring, stops the coordination pass after 17 steps and the
+        decomposition pass at example 17 in both modes."""
+        _with_cpus(monkeypatch, cpus)
+        oracle, batch, targets = split_batch(3, 3, 2, 10)
+        bad = batch[17]
+        batch[17] = Scenario(bad.context_id, np.where(bad.features > 0.0, np.inf, 0.0),
+                             bad.noise_payload)
+        before = _threads()
+        adam = AdamState(np.ones(2))
+        with pytest.raises(InputError, match="weights must be finite"):
+            oracle.perturbed_adam_pass(adam, [s.features for s in batch], targets, 0.5, 5, 3,
+                                       0.1, make_rng(4))
+        assert adam.step_count == 17
+        with pytest.raises(InputError, match=r"^non-finite theta or tilt at example 17$"):
+            decomposition_pass(np.ones(2), batch, oracle, toy_config(nb_samples=5),
+                               make_rng(4))
+        assert _threads() == before
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_overflowing_tilt_raises_as_generic(self, monkeypatch, cpus):
+        """A finite theta, the largest double, whose tilts overflow at
+        example 17 raises InputError in the fused decomposition, as in the
+        generic path; no other example's tilt overflows at eps = 2**1000."""
+        _with_cpus(monkeypatch, cpus)
+        oracle, batch, _ = split_batch(3, 3, 1, 10)
+        bad = batch[17]
+        batch[17] = Scenario(bad.context_id, np.full((oracle.n_edges, 1), np.finfo(float).max),
+                             bad.noise_payload)
+        config = toy_config(nb_samples=5, epsilon=2.0 ** 1000)
+        with np.errstate(over="ignore"):
+            with pytest.raises(InputError, match=r"^non-finite theta or tilt at example 17$"):
+                decomposition_pass(np.ones(1), batch, oracle, config, make_rng(4))
+            with pytest.raises(InputError, match="theta contains non-finite entries"):
+                decomposition_pass(np.ones(1), batch, GenericOracle(oracle), config, make_rng(4))
+
+    @needs_proc
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_non_finite_gradient_stops_at_its_step(self, monkeypatch, cpus):
+        _with_cpus(monkeypatch, cpus)
+        oracle, batch, targets = random_batch(3, 3, 2, 10)
+        batch[13] = Scenario(6, np.full((oracle.n_edges, 2), 1e308), None)
+        targets[13] = np.full(oracle.n_edges, -1.0)
+        before = _threads()
+        adam = AdamState(np.zeros(2))
+        with pytest.raises(FloatingPointError,
+                           match=r"^non-finite gradient at epoch 0, example 13$"):
+            with np.errstate(over="ignore"):
+                oracle.perturbed_adam_pass(adam, [s.features for s in batch], targets, 0.5, 5,
+                                           3, 0.1, make_rng(4))
+        assert adam.step_count == 13
+        assert _threads() == before
+
+    def test_python_threads_match_sequential(self, monkeypatch):
+        """Four Python threads, each running passes with its own helper,
+        give the sequential results."""
+        _with_cpus(monkeypatch, 2)
+        oracle, batch, targets = split_batch(6, 6, 3, 3)
+        config = toy_config(nb_epochs=4, nb_samples=10)
+
+        def run(k):
+            root = make_rng(21).split(k)
+            moments = decomposition_pass(np.full(3, 0.1), batch, oracle, config, root.split(1))
+            weights = coordination_pass(np.full(3, 0.1), batch, targets, oracle, config,
+                                        root.split(2))
+            return np.stack(moments).tobytes(), weights.tobytes()
+
+        expected = [run(k) for k in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(run, range(16), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
 
 
 class TestTrainPrimalDual:
