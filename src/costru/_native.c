@@ -29,24 +29,16 @@
  *                    (m, E) rows of y (chosen, eff <= d), then those of z
  *                    (chosen, otherwise).  A row with fewer than
  *                    n_nodes - 1 edges is an error.
- *   completion_rows  y (E,), d (K, E); key -inf where y > 0.5, else d.
- *                    The picks of a row after its first n_first, n_first
- *                    being the number of y > 0.5, are its completion: the
- *                    entry writes their costs in selection order as the
- *                    rows of a packed (K, n_nodes - 1 - n_first) array at
- *                    the start of out, and their 0/1 (K, E) rows from
- *                    out + K * (n_nodes - 1).  Returns n_first.  A row
- *                    that leaves a y edge out is a cycle error, one with
- *                    fewer than n_nodes - 1 edges a disconnected error,
- *                    and a cycle in any row comes first.
- *   completion_sums  ys (n, E), d (K, E): the (n, K) sums of
- *                    completion_rows' costs, each forest's row k summed
- *                    in numpy's pairwise order, as costs.sum(axis=1) sums
- *                    it.  Each row of d is sorted once by (cost, index);
- *                    a forest then takes its y edges in index order merged
- *                    with the row's other edges in that order, which is
- *                    completion_rows' order.  The first forest with an
- *                    error returns it, a cycle before a disconnected row.
+ *   completion_sums  ys (n, E), d (K, E): the (n, K) costs of the cheapest
+ *                    spanning completions of each forest under each row of
+ *                    d.  A forest's own edges (y > 0.5) go first, in index
+ *                    order, whatever they cost; a cycle among them is an
+ *                    error.  Then the row's other edges follow the rule
+ *                    above on the keys d; each row is sorted once.  A
+ *                    completion's costs are summed in selection order, in
+ *                    numpy's pairwise order, as costs.sum(axis=1) sums
+ *                    them.  The first forest with an error returns it: a
+ *                    cycle, else a row with fewer than n_nodes - 1 edges.
  *
  * Arrays are C-contiguous; the Python wrappers check shapes and dtypes.
  * Every Kruskal entry returns a negative status on error (see below), with
@@ -109,7 +101,7 @@ enum {
     BAD_GRAPH = -2,    /* n_nodes < 1 or an endpoint outside [0, n_nodes) */
     NON_FINITE = -3,   /* a weight or tilt is NaN or infinite */
     DISCONNECTED = -4, /* a row has fewer than n_nodes - 1 edges */
-    CYCLE = -5,        /* completion_rows: the y edges contain a cycle */
+    CYCLE = -5,        /* completion_sums: a forest's own edges contain a cycle */
     BAD_GRADIENT = -6, /* an Adam gradient is NaN or infinite */
 };
 
@@ -434,36 +426,6 @@ int64_t split_rows(const double *eff, const double *d, int64_t d_stride,
     return status;
 }
 
-int64_t completion_rows(const double *y, const double *d, const int64_t *ends,
-                        int64_t k_rows, int64_t n_edges, int64_t n_nodes, double *out) {
-    workspace ws;
-    int status = open_workspace(&ws, ends, n_edges, n_nodes);
-    if (status != 0) return status;
-    int64_t n_first = 0;
-    for (int64_t e = 0; e < n_edges; e++) n_first += y[e] > 0.5;
-    for (int64_t r = 0; r < k_rows && status != CYCLE; r++) {
-        const double *dr = d + r * n_edges;
-        double *costs = out + r * (n_nodes - 1 - n_first);
-        double *zr = out + k_rows * (n_nodes - 1) + r * n_edges;
-        int64_t n = 0, taken_y = 0;
-        for (int64_t e = 0; e < n_edges; e++) {
-            double key = y[e] > 0.5 ? -INFINITY : dr[e];
-            if (key < INFINITY) ws.items[n++] = (item){key, e};
-            zr[e] = 0.0;
-        }
-        int64_t count = select_edges(&ws, n, ws.picks);
-        for (int64_t i = 0; i < count; i++) taken_y += y[ws.picks[i]] > 0.5;
-        if (taken_y != n_first) status = CYCLE;
-        else if (count != n_nodes - 1) status = DISCONNECTED;
-        for (int64_t i = n_first; i < count; i++) {
-            costs[i - n_first] = dr[ws.picks[i]];
-            zr[ws.picks[i]] = 1.0;
-        }
-    }
-    close_workspace(&ws);
-    return status != 0 ? status : n_first;
-}
-
 /* numpy's pairwise summation of n doubles (DOUBLE_pairwise_sum), which
  * its add.reduce adds to 0.0: blocks of at most 128 in eight interleaved
  * partial sums, halved recursively at multiples of eight above that. */
@@ -493,14 +455,12 @@ int64_t completion_sums(const double *ys, int64_t n_ys, const double *d, int64_t
     workspace ws;
     int status = open_workspace(&ws, ends, n_edges, n_nodes);
     if (status != 0) return status;
-    /* Each row's edges of cost < +inf, sorted once by (cost, index); then
-     * the y edges of a forest, in index order, and the costs of a row's
-     * completion, in selection order. */
+    /* Each row's edges of cost < +inf, sorted once by (cost, index), and
+     * the costs of a completion, in selection order. */
     item *sorted = malloc((size_t)(k_rows * n_edges + 1) * sizeof(item));
-    int64_t *lengths = malloc((size_t)(k_rows + n_edges + 1) * sizeof(int64_t));
+    int64_t *lengths = malloc((size_t)(k_rows + 1) * sizeof(int64_t));
     double *costs = malloc((size_t)n_nodes * sizeof(double));
     if (sorted == NULL || lengths == NULL || costs == NULL) status = NO_MEMORY;
-    int64_t *first = lengths + k_rows;
     for (int64_t r = 0; r < k_rows && status == 0; r++) {
         const double *dr = d + r * n_edges;
         int64_t n = 0;
@@ -510,37 +470,36 @@ int64_t completion_sums(const double *ys, int64_t n_ys, const double *d, int64_t
         memcpy(sorted + r * n_edges, ws.items, (size_t)n * sizeof(item));
         lengths[r] = n;
     }
+    /* The union-find of a forest's own edges, which each row's completion
+     * copies and continues. */
+    int64_t *forest = ws.picks, *parent = ws.parent;
     for (int64_t k = 0; k < n_ys && status == 0; k++) {
         const double *y = ys + k * n_edges;
         int64_t n_first = 0;
-        for (int64_t e = 0; e < n_edges; e++)
-            if (y[e] > 0.5) first[n_first++] = e;
-        for (int64_t r = 0; r < k_rows && status != CYCLE; r++) {
-            /* completion_rows' Kruskal on keys -inf (y) and d (the rest):
-             * the y edges merged with the row's sorted other edges by
-             * (key, index). */
+        for (int64_t v = 0; v < n_nodes; v++) forest[v] = v;
+        for (int64_t e = 0; e < n_edges && status == 0; e++) {
+            if (!(y[e] > 0.5)) continue;
+            int64_t ru = find(forest, ends[2 * e]), rv = find(forest, ends[2 * e + 1]);
+            if (ru == rv) status = CYCLE;
+            else forest[ru] = rv;
+            n_first++;
+        }
+        for (int64_t r = 0; r < k_rows && status == 0; r++) {
             const item *rest = sorted + r * n_edges;
-            int64_t *parent = ws.parent, count = 0, taken_y = 0, i = 0, j = 0;
-            for (int64_t v = 0; v < n_nodes; v++) parent[v] = v;
-            while (count < n_nodes - 1) {
-                while (j < lengths[r] && y[rest[j].edge] > 0.5) j++;
-                int from_y = i < n_first
-                             && (j == lengths[r] || -INFINITY < rest[j].key
-                                 || first[i] < rest[j].edge);
-                if (!from_y && j == lengths[r]) break;
-                int64_t edge = from_y ? first[i++] : rest[j++].edge;
+            int64_t n = 0;
+            memcpy(parent, forest, (size_t)n_nodes * sizeof(int64_t));
+            for (int64_t j = 0; j < lengths[r] && n_first + n < n_nodes - 1; j++) {
+                int64_t edge = rest[j].edge;
+                if (y[edge] > 0.5) continue;
                 int64_t ru = find(parent, ends[2 * edge]), rv = find(parent, ends[2 * edge + 1]);
                 if (ru != rv) {
                     parent[ru] = rv;
-                    ws.picks[count++] = edge;
-                    taken_y += from_y;
+                    costs[n++] = rest[j].key;
                 }
             }
-            if (taken_y != n_first) status = CYCLE;
-            else if (count != n_nodes - 1) status = DISCONNECTED;
-            for (int64_t c = n_first; c < count; c++) costs[c - n_first] = d[r * n_edges + ws.picks[c]];
+            if (n_first + n != n_nodes - 1) status = DISCONNECTED;
             out[k * k_rows + r] = 0.0;
-            out[k * k_rows + r] += pairwise_sum(costs, count - n_first < 0 ? 0 : count - n_first);
+            out[k * k_rows + r] += pairwise_sum(costs, n);
         }
     }
     free(sorted);

@@ -93,7 +93,7 @@ def saa_objective(
     y: np.ndarray, first_stage: np.ndarray, second_stages: np.ndarray, oracle: MstOracle
 ) -> float:
     """c . y + (1/K) sum_k Q(y; xi_k)."""
-    completions, _ = second_stage_value(y, second_stages, oracle.edges, oracle.n_nodes)
+    completions = second_stage_value(y, second_stages, oracle.edges, oracle.n_nodes)
     return float(first_stage @ y) + float(np.mean(completions))
 
 

@@ -112,7 +112,6 @@ def _compiled_kernel():
         ("perturbed_split_pass", [ptr, ptr, ptr, size, size, ptr, ptr, size, real, real, size,
                                   ptr, size, size, ptr, size, ptr, ptr], size),
         ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr], size),
-        ("completion_rows", [ptr, ptr, ptr, size, size, size, ptr], size),
         ("completion_sums", [ptr, size, ptr, size, ptr, size, size, ptr], size),
         ("raw_fill", [ptr, size, size, ptr], None),
         ("normal_fill", [ptr, size, size, ptr], None),

@@ -128,60 +128,35 @@ def max_weight_forests(weights: np.ndarray, edges: np.ndarray, n_nodes: int) -> 
     return out
 
 
-def _completions(
-    y: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Completions of the forest y, a float (E,) array, under each row of the
-    (K, E) second-stage costs d: a C-contiguous (K, L) array of the costs of
-    each row's completion edges in selection order, and their (K, E) 0/1
-    rows."""
-    k, n_edges = d.shape
-    # One buffer: the (K, L) costs packed from its start, L = n_nodes - 1 -
-    # n_first being known only after the call, and the (K, E) rows of z
-    # after the K * (n_nodes - 1) entries that L can reach.
-    out = np.empty(k * (n_nodes - 1 + n_edges))
-    n_first = _kernel("completion_rows", y.ctypes.data, d.ctypes.data, edges.ctypes.data, k,
-                      n_edges, n_nodes, out.ctypes.data, disconnected=_NO_COMPLETION)
-    width = max(n_nodes - 1 - n_first, 0)  # a y with n_nodes or more edges meets no row
-    return out[:k * width].reshape(k, width), out[k * (n_nodes - 1):].reshape(k, n_edges)
-
-
 def second_stage_value(
     y: np.ndarray, second_stage_costs: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Minimum-cost completion of the forest y into a spanning tree.
+) -> float | np.ndarray:
+    """Cost of the cheapest completion of the forest y into a spanning tree.
 
-    Kruskal with y's edges first, then the other edges in increasing
-    second-stage cost.  Returns the completion cost and indicator; for a
-    (K, E) stack of second-stage costs, a (K,) cost array and (K, E)
-    indicators, row k being the single call on row k.
+    Kruskal with y's own edges first, whatever they cost, then the other
+    edges in increasing second-stage cost.  Returns a float for an (E,)
+    cost vector, and for a (K, E) stack of costs a (K,) array whose entry
+    k is the call on row k: row 0 of ``second_stage_values``.
     """
     _check_edges(edges)
     d = np.asarray(second_stage_costs, dtype=float)
-    d_rows = _rows(d[None, :] if d.ndim == 1 else d, len(edges), n_nodes)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.asarray(y, dtype=float)
     if y.shape != (len(edges),):
         raise InputError("y needs one entry per edge")
-    costs, z = _completions(y, d_rows, edges, n_nodes)
-    # The costs are C-contiguous, so each row is summed in selection order
-    # with the pairwise order of a 1-D sum.
-    values = costs.sum(axis=1)
-    if d.ndim == 1:
-        return float(values[0]), z[0]
-    return values, z
+    values = second_stage_values(y[None, :], d[None, :] if d.ndim == 1 else d, edges, n_nodes)[0]
+    return float(values[0]) if d.ndim == 1 else values
 
 
 def second_stage_values(
     ys: np.ndarray, second_stage_costs: np.ndarray, edges: np.ndarray, n_nodes: int
 ) -> np.ndarray:
     """The completion costs of each forest row of ys (n, E) under each row of
-    the (K, E) second-stage costs, in one kernel call: an (n, K) array whose
-    row i is ``second_stage_value(ys[i], second_stage_costs)[0]`` bit for
-    bit.  Each cost row is sorted once; a forest's completion then takes its
-    own edges in index order, then the row's other edges in sorted order,
-    and the kernel sums each completion in numpy's pairwise order.  The
-    first forest that has a cycle or cannot be completed raises the error
-    that ``second_stage_value`` would."""
+    the (K, E) second-stage costs, in one kernel call: an (n, K) array.
+    Each cost row is sorted once; a forest's completion then takes its own
+    edges in index order, then the row's other edges in sorted order, and
+    the kernel sums each completion's costs, in selection order, in numpy's
+    pairwise order.  The first forest that has a cycle or cannot be
+    completed raises: ``InputError`` for a cycle, else ``InfeasibleError``."""
     _check_edges(edges)
     ys = _rows(ys, len(edges), n_nodes)
     d = _rows(second_stage_costs, len(edges), n_nodes)
@@ -377,7 +352,7 @@ class MstEvaluator:
 
     def policy_cost(self, y: np.ndarray, scenario: Scenario) -> float:
         payload = scenario.noise_payload
-        completion, _ = second_stage_value(
+        completion = second_stage_value(
             y, payload.second_stage, self.oracle.edges, self.oracle.n_nodes
         )
         return float(payload.first_stage @ y) + completion

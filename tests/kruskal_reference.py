@@ -76,26 +76,29 @@ def max_weight_forests_py(w: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.
     return indicators(picks_py(keys, edges, n_nodes), w.shape[1])
 
 
-def completions_py(
-    y: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reference of ``spanning_tree._completions``."""
+def completions_py(y: np.ndarray, d: np.ndarray, edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """The costs of the completions of the forest y under each row of d, in
+    selection order, as a C-contiguous (K, n_nodes - 1 - |y|) array: y's own
+    edges first, in index order, then the other edges under the keys d."""
     in_y = y > 0.5
-    picks = picks_py(np.where(in_y, -np.inf, d), edges, n_nodes)
     n_first = int(np.count_nonzero(in_y))
-    chosen, counts = picks[:, :-1], picks[:, -1]
-    taken = np.arange(n_nodes - 1) < counts[:, None]
-    taken_y = np.zeros(chosen.shape, dtype=bool)
-    taken_y[taken] = in_y[chosen[taken]]  # no padding index reaches in_y, even when E = 0
-    if (taken_y.sum(axis=1) != n_first).any():
+    if len(kruskal_rows_py(np.where(in_y, 0.0, np.inf)[None, :], edges, n_nodes)[0]) != n_first:
         raise InputError("first-stage selection contains a cycle")
-    if (counts != n_nodes - 1).any():
+    # y's edges moved to the front, where keys of -inf keep them in index
+    # order ahead of every other edge, a -inf cost included.
+    order = np.concatenate([np.flatnonzero(in_y), np.flatnonzero(~in_y)])
+    picks = picks_py(np.where(in_y, -np.inf, d)[:, order], edges[order], n_nodes)
+    if (picks[:, -1] != n_nodes - 1).any():
         raise InfeasibleError(_NO_COMPLETION)
-    rows = np.arange(d.shape[0])[:, None]
-    completion = chosen[:, n_first:]
-    z = np.zeros(d.shape)
-    z[rows, completion] = 1.0
-    return d[rows, completion], z
+    return np.take_along_axis(d, order[picks[:, n_first:-1]], axis=1)
+
+
+def completion_sums_py(ys: np.ndarray, d: np.ndarray, edges: np.ndarray,
+                       n_nodes: int) -> np.ndarray:
+    """Reference of ``second_stage_values``: each forest's completion costs
+    summed by numpy, row by row; the first failing forest raises."""
+    return np.array([completions_py(y, d, edges, n_nodes).sum(axis=1) for y in ys]
+                    ).reshape(len(ys), len(d))
 
 
 def two_stage_splits_py(
