@@ -1,9 +1,10 @@
-/* Native library of costru: the compiled Kruskal kernel, one entry per
- * spanning-tree oracle question, numpy's PCG64 stream seeded as numpy's
- * SeedSequence seeds it, the in-place Adam step, and the fused
- * coordination and decomposition passes.  numpy seeds and draws a stream's
- * ordinary draws itself; the library draws the Monte-Carlo tilts from the
- * same stream.
+/* Native library of costru, seven entries: the compiled Kruskal kernel's
+ * forest_rows, split_rows and completion_sums, one per spanning-tree oracle
+ * question; normal_fill, the normals of numpy's PCG64 stream seeded as
+ * numpy's SeedSequence seeds it; adam_step, the in-place Adam step; and the
+ * fused coordination and decomposition passes, perturbed_adam_pass and
+ * perturbed_split_pass.  numpy seeds and draws a stream's ordinary draws
+ * itself; the library draws the Monte-Carlo tilts from the same stream.
  *
  * Every Kruskal entry runs the rule of kruskal_rows_py, the Python
  * reference in tests/kruskal_reference.py that the property tests compare
@@ -14,16 +15,6 @@
  *
  *   forest_rows      w (m, E); key -w where w > 0.  Writes the 0/1 rows of
  *                    the chosen edges.  A non-finite weight is an error.
- *   perturbed_forest_rows
- *                    theta (E,), a stream's n_entropy entropy words,
- *                    eps; draws z (m, E) row by row from the stream with
- *                    numpy's own standard normal sampler, so z equals
- *                    Generator.standard_normal((m, E)) bit for bit, then
- *                    runs forest_rows on the tilt w = theta + eps * z,
- *                    rounded as numpy rounds it (the library is built with
- *                    -ffp-contract=off, so no fused multiply-add).  Writes
- *                    the per-edge mean of the chosen edges over the m rows
- *                    (count / m): E doubles.
  *   split_rows       eff (m, E), d (E,) or (m, E) (row stride 0 or E); key
  *                    min(eff, d), NaN when either is NaN.  Writes the
  *                    (m, E) rows of y (chosen, eff <= d), then those of z
@@ -47,11 +38,12 @@
  * Every entry that draws takes a stream's assembled entropy words (uint32),
  * which native.entropy assembles as SeedSequence.get_assembled_entropy
  * does, and seeds PCG64 from them as numpy's SeedSequence and PCG64 do.
+ * The normals are numpy's own sampler's, Generator.standard_normal bit for
+ * bit, and a tilt theta + eps * z rounds as numpy rounds it (the library
+ * is built with -ffp-contract=off, so no fused multiply-add).
  *
- *   raw_fill, normal_fill
- *                    n raw 64-bit words, or n standard normals, of the
- *                    stream of n_entropy entropy words: numpy's
- *                    PCG64.random_raw(n) and Generator.standard_normal(n).
+ *   normal_fill      n standard normals of the stream of n_entropy entropy
+ *                    words: numpy's Generator.standard_normal(n).
  *   adam_step        one bias-corrected Adam update, in place, of the
  *                    rows (w, g, m, v) of a (4, n) state: the weights w
  *                    and the moments m and v from the gradient g, with
@@ -61,18 +53,19 @@
  *   perturbed_adam_pass
  *                    trainer.coordination_pass's steps on a spanning-tree
  *                    oracle, in one call: for each epoch and slot, theta =
- *                    F w; the mean of perturbed_forest_rows on the stream
- *                    of key (..., epoch, slot); g = mean - mu; the gradient
- *                    F^T g; adam_step with t = t0 + step + 1, t0 being the
- *                    state's earlier steps.  The products go
- *                    through numpy's own cblas_dgemv and cblas_ddot, called
- *                    as numpy's matmul calls them, so that they round as
- *                    numpy's do.  Returns a negative status on error, and
- *                    writes the number of steps done, the index of the
+ *                    F w; the mean of forest_rows on the m tilts theta +
+ *                    eps * z, z being the normals of the stream of key
+ *                    (..., epoch, slot); g = mean - mu; the gradient F^T g;
+ *                    adam_step with t = t0 + step + 1, t0 being the
+ *                    state's earlier steps.  Only this entry calls numpy's
+ *                    own cblas_dgemv and cblas_ddot, as numpy's matmul
+ *                    calls them, so that the products round as numpy's do.
+ *                    Writes the number of steps done, the index of the
  *                    failed one, to *step.
  *   perturbed_split_pass
  *                    trainer.decomposition_pass on a spanning-tree oracle,
- *                    in one call: for each slot s, theta = F w; the
+ *                    in one call: for each slot s, the scores theta (row s
+ *                    of thetas (S, E), which the caller computes); the
  *                    (m, E) normals z of the stream of key (..., s); the
  *                    tilts theta + eps * z; split_rows on the effective
  *                    costs c - kappa * tilt against d; the per-edge count
@@ -367,29 +360,6 @@ static int add_forest(workspace *ws, const double *theta, const double *z, doubl
     return 0;
 }
 
-int64_t perturbed_forest_rows(const double *theta, const uint32_t *entropy, int64_t n_entropy,
-                              double eps, const int64_t *ends, int64_t m, int64_t n_edges,
-                              int64_t n_nodes, double *out) {
-    workspace ws;
-    uint64_t words[POOL];
-    int status = open_workspace(&ws, ends, n_edges, n_nodes);
-    if (status != 0) return status;
-    seed_words(entropy, n_entropy, words);
-    double *z = malloc((size_t)(n_edges > 0 ? n_edges : 1) * sizeof(double));
-    if (z == NULL) status = NO_MEMORY;
-    pcg64 rng;
-    bitgen_t stream = pcg64_stream(&rng, words);
-    for (int64_t e = 0; e < n_edges; e++) out[e] = 0.0;
-    for (int64_t r = 0; r < m && status == 0; r++) {
-        random_standard_normal_fill(&stream, n_edges, z);
-        status = add_forest(&ws, theta, z, eps, n_edges, out);
-    }
-    for (int64_t e = 0; e < n_edges; e++) out[e] /= (double)m;
-    free(z);
-    close_workspace(&ws);
-    return status;
-}
-
 /* Kruskal on the keys min(eff, d) of one row, NaN when either is NaN:
  * writes the chosen edges to ws->picks and returns DISCONNECTED when they
  * do not span the graph.  A chosen edge goes to stage one when eff <= d. */
@@ -507,14 +477,6 @@ int64_t completion_sums(const double *ys, int64_t n_ys, const double *d, int64_t
     free(costs);
     close_workspace(&ws);
     return status;
-}
-
-void raw_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, uint64_t *out) {
-    pcg64 rng;
-    uint64_t words[POOL];
-    seed_words(entropy, n_entropy, words);
-    bitgen_t stream = pcg64_stream(&rng, words);
-    for (int64_t i = 0; i < n; i++) out[i] = stream.next_raw(stream.state);
 }
 
 void normal_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, double *out) {
@@ -774,32 +736,29 @@ int64_t perturbed_adam_pass(const double *const *features, const double *const *
     return status;
 }
 
-int64_t perturbed_split_pass(const double *const *features, const double *const *first,
-                             const double *const *second, int64_t n_slots, int64_t p,
-                             const double *w, const uint32_t *entropy, int64_t n_entropy,
-                             double kappa, double eps, int64_t m, const int64_t *ends,
-                             int64_t n_edges, int64_t n_nodes, void *const *blas,
-                             int64_t threaded, double *out, int64_t *step) {
+int64_t perturbed_split_pass(const double *thetas, const double *const *first,
+                             const double *const *second, int64_t n_slots,
+                             const uint32_t *entropy, int64_t n_entropy, double kappa,
+                             double eps, int64_t m, const int64_t *ends, int64_t n_edges,
+                             int64_t n_nodes, int64_t threaded, double *out, int64_t *step) {
     workspace ws;
     normals src;
     int status = open_workspace(&ws, ends, n_edges, n_nodes);
     int64_t s = 0;
     *step = 0;
     if (status != 0) return status;
-    double *theta = malloc((size_t)((m + 1) * n_edges + 1) * sizeof(double));
-    status = theta == NULL ? NO_MEMORY
-                           : open_normals(&src, entropy, n_entropy, 0, n_slots, n_slots,
-                                          m * n_edges, (int)threaded);
+    double *eff = malloc((size_t)(m * n_edges + 1) * sizeof(double));
+    status = eff == NULL ? NO_MEMORY
+                         : open_normals(&src, entropy, n_entropy, 0, n_slots, n_slots,
+                                        m * n_edges, (int)threaded);
     if (status != 0) {
-        free(theta);
+        free(eff);
         close_workspace(&ws);
         return status;
     }
-    double *eff = theta + n_edges;
     for (; s < n_slots; s++) {
-        const double *c = first[s], *d = second[s];
+        const double *theta = thetas + s * n_edges, *c = first[s], *d = second[s];
         double *mean = out + s * n_edges;
-        matvec(blas, features[s], n_edges, p, 0, w, theta);
         for (int64_t e = 0; e < n_edges; e++)
             if (!isfinite(theta[e])) status = NON_FINITE;
         if (status != 0) break;
@@ -824,7 +783,7 @@ int64_t perturbed_split_pass(const double *const *features, const double *const 
         for (int64_t e = 0; e < n_edges; e++) mean[e] /= (double)m;
     }
     close_normals(&src);
-    free(theta);
+    free(eff);
     close_workspace(&ws);
     *step = s;
     return status;

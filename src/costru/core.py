@@ -181,9 +181,10 @@ class LinearOracle(ABC):
     a single-direction call is row 0 of the batched one.  Implementations
     must be deterministic given inputs, with ties broken lowest-index-first,
     and must always return elements of Y(x).  The two optional entries are
-    the fused passes ``perturbed_adam_pass`` and ``perturbed_split_pass``
-    (see ``MstOracle``); the base class has no default, and an oracle may
-    offer either as None.
+    the fused passes ``perturbed_adam_pass`` and ``perturbed_split_pass``,
+    which takes a batch's (S, d) scores F w (see ``MstOracle``, whose
+    coordination pass alone needs numpy's BLAS); the base class has no
+    default, and an oracle may offer either as None.
     """
 
     @abstractmethod

@@ -7,9 +7,11 @@ The library is the only implementation of the spanning-tree oracles, and it
 draws every Monte-Carlo tilt, so ``cc`` and the archive are required for
 those; numpy seeds and draws every other random number without it.
 ``_compiled_kernel()`` raises ``NativeLibraryError`` when the archive is
-missing or the build or the load fails.  Its fused passes call numpy's own
-BLAS (``_numpy_blas``), and each may start one helper thread that draws the
-normals ahead (``_cpu_count``).  Nothing here runs at import time.
+missing or the build or the load fails.  Its seven entries are those of
+``_ENTRIES``.  Each fused pass may start one helper thread that draws the
+normals ahead (``_cpu_count``); the coordination pass, and no other entry,
+calls numpy's own BLAS (``_numpy_blas``).  Nothing here runs at import
+time.
 """
 
 from __future__ import annotations
@@ -35,6 +37,20 @@ _FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 _POOL = 4
 # numpy's ILP64 cblas_dgemv and cblas_ddot, as its OpenBLAS names them.
 _BLAS = ("scipy_cblas_dgemv64_", "scipy_cblas_ddot64_")
+# The library's entries: (name, argument types, return type).
+_PTR, _SIZE, _REAL = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+_ENTRIES = (
+    ("forest_rows", [_PTR, _PTR, _SIZE, _SIZE, _SIZE, _PTR], _SIZE),
+    ("split_rows", [_PTR, _PTR, _SIZE, _PTR, _SIZE, _SIZE, _SIZE, _PTR], _SIZE),
+    ("completion_sums", [_PTR, _SIZE, _PTR, _SIZE, _PTR, _SIZE, _SIZE, _PTR], _SIZE),
+    ("normal_fill", [_PTR, _SIZE, _SIZE, _PTR], None),
+    ("adam_step", [_PTR, _SIZE, _REAL, _REAL, _REAL, _REAL, _REAL, _REAL], _SIZE),
+    ("perturbed_adam_pass", [_PTR, _PTR, _SIZE, _SIZE, _SIZE, _PTR, _SIZE, _REAL, _SIZE, _PTR,
+                             _SIZE, _SIZE, _PTR, _SIZE, _REAL, _REAL, _REAL, _REAL, _PTR, _SIZE,
+                             _PTR], _SIZE),
+    ("perturbed_split_pass", [_PTR, _PTR, _PTR, _SIZE, _PTR, _SIZE, _REAL, _REAL, _SIZE, _PTR,
+                              _SIZE, _SIZE, _SIZE, _PTR, _PTR], _SIZE),
+)
 
 
 class NativeLibraryError(RuntimeError):
@@ -103,20 +119,7 @@ def _compiled_kernel():
         raise NativeLibraryError("\n".join(
             [f"cannot build the native library with the C compiler cc, or load it: {exc}",
              *tail])) from exc
-    ptr, size, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    for name, argtypes, restype in (
-        ("forest_rows", [ptr, ptr, size, size, size, ptr], size),
-        ("perturbed_forest_rows", [ptr, ptr, size, real, ptr, size, size, size, ptr], size),
-        ("perturbed_adam_pass", [ptr, ptr, size, size, size, ptr, size, real, size, ptr, size,
-                                 size, ptr, size, real, real, real, real, ptr, size, ptr], size),
-        ("perturbed_split_pass", [ptr, ptr, ptr, size, size, ptr, ptr, size, real, real, size,
-                                  ptr, size, size, ptr, size, ptr, ptr], size),
-        ("split_rows", [ptr, ptr, size, ptr, size, size, size, ptr], size),
-        ("completion_sums", [ptr, size, ptr, size, ptr, size, size, ptr], size),
-        ("raw_fill", [ptr, size, size, ptr], None),
-        ("normal_fill", [ptr, size, size, ptr], None),
-        ("adam_step", [ptr, size, real, real, real, real, real, real], size),
-    ):
+    for name, argtypes, restype in _ENTRIES:
         fn = getattr(lib, name)
         fn.argtypes = argtypes
         fn.restype = restype
@@ -128,14 +131,14 @@ def _numpy_blas() -> ctypes.Array | None:
     """The addresses of numpy's BLAS entries ``_BLAS``, which its matmul calls,
     found on first use; None when numpy lacks them (a numpy built on another
     BLAS), which is logged once at info level: the spanning-tree oracle then
-    offers no fused pass, and training takes the generic path."""
+    offers no coordination pass, and coordination takes the generic path."""
     try:
         core = ctypes.CDLL(np._core._multiarray_umath.__file__)
         return (ctypes.c_void_p * len(_BLAS))(*(ctypes.cast(getattr(core, name), ctypes.c_void_p)
                                                 for name in _BLAS))
     except (AttributeError, OSError) as exc:
         logging.getLogger(__name__).info(
-            "numpy's BLAS entries %s are missing (%s): training takes the generic path",
+            "numpy's BLAS entries %s are missing (%s): coordination takes the generic path",
             ", ".join(_BLAS), exc)
         return None
 

@@ -8,7 +8,7 @@ sub-forest of a tree is feasible as its first stage; stage attribution per
 chosen edge goes to the cheaper stage, ties to stage one.
 
 Every oracle question -- forest argmax, two-stage split, second-stage
-completion, a coordination pass of perturbed forests -- is one call into
+completion, a fused coordination or decomposition pass -- is one call into
 the compiled Kruskal kernel of ``costru.native``; there is no second one.
 The Python functions here check shapes and dtypes, and read the kernel's
 output buffers.  ``is_forest`` and the enumerators at the end (0/1 matrices
@@ -255,15 +255,9 @@ class MstOracle(LinearOracle):
 
     @property
     def perturbed_adam_pass(self):
-        """The optional fused coordination pass, ``_adam_pass``, offered only
-        where numpy's BLAS entries resolve; otherwise None."""
+        """The optional fused coordination pass ``_adam_pass``, whose products
+        call numpy's BLAS entries: None where those do not resolve."""
         return self._adam_pass if native._numpy_blas() is not None else None
-
-    @property
-    def perturbed_split_pass(self):
-        """The optional fused decomposition pass, ``_split_pass``, offered
-        only where numpy's BLAS entries resolve; otherwise None."""
-        return self._split_pass if native._numpy_blas() is not None else None
 
     def _adam_pass(self, adam, features, targets, eps: float, m: int, n_epochs: int,
                    lr: float, rng: RngStream) -> None:
@@ -296,18 +290,16 @@ class MstOracle(LinearOracle):
             raise FloatingPointError(f"non-finite gradient at epoch {epoch}, example {slot}")
         _status(status)
 
-    def _split_pass(self, weights, batch, kappa: float, eps: float, m: int,
-                    rng: RngStream) -> np.ndarray:
+    def perturbed_split_pass(self, thetas, batch, kappa: float, eps: float, m: int,
+                             rng: RngStream) -> np.ndarray:
         """The decomposition pass in one native call: row s of the (S, E)
         result is the mean over the (m, E) normals z of ``rng.split(s)`` of
         the first stages of the two-stage splits of ``batch[s]`` under
-        c - kappa * (theta + eps * z), theta = F w being numpy's matmul of the
-        scenario's features through numpy's BLAS.  A non-finite theta or
-        tilt raises ``InputError``."""
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        features = [np.ascontiguousarray(s.features, dtype=np.float64) for s in batch]
-        if any(f.shape != (self.n_edges, len(w)) for f in features):
-            raise InputError("each scenario needs (E, p) features for p weights")
+        c - kappa * (theta + eps * z), theta being row s of the (S, E) scores
+        ``thetas``.  A non-finite theta or tilt raises ``InputError``."""
+        if len(thetas) != len(batch) or any(np.shape(t) != (self.n_edges,) for t in thetas):
+            raise InputError("thetas need one (E,) row per scenario")
+        thetas = np.ascontiguousarray(thetas, dtype=np.float64)
         if not all(isinstance(s.noise_payload, TwoStageCosts) for s in batch):
             raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
         costs = [np.ascontiguousarray(getattr(s.noise_payload, stage))
@@ -320,12 +312,10 @@ class MstOracle(LinearOracle):
         pointers, step = ctypes.c_void_p * len(batch), ctypes.c_int64()
         out = np.empty((len(batch), self.n_edges))
         status = native._compiled_kernel().perturbed_split_pass(
-            pointers(*(f.ctypes.data for f in features)),
-            pointers(*(c.ctypes.data for c in costs[:len(batch)])),
-            pointers(*(c.ctypes.data for c in costs[len(batch):])), len(batch), len(w),
-            w.ctypes.data, key, len(key) // 4, kappa, eps, m, self.edges.ctypes.data,
-            self.n_edges, self.n_nodes, native._numpy_blas(), native._cpu_count() > 1,
-            out.ctypes.data, ctypes.byref(step))
+            thetas.ctypes.data, pointers(*(c.ctypes.data for c in costs[:len(batch)])),
+            pointers(*(c.ctypes.data for c in costs[len(batch):])), len(batch), key,
+            len(key) // 4, kappa, eps, m, self.edges.ctypes.data, self.n_edges, self.n_nodes,
+            native._cpu_count() > 1, out.ctypes.data, ctypes.byref(step))
         if status == -3:
             raise InputError(f"non-finite theta or tilt at example {step.value}")
         _status(status)

@@ -109,29 +109,24 @@ def decomposition_pass(
 ) -> list[np.ndarray]:
     """Per-scenario target moments from the cost-shifted perturbed problems.
 
-    Each batch slot draws from its own sub-stream, so the result is
+    Each slot's scores theta = F w are computed once, by ``score_instance``,
+    and each batch slot draws from its own sub-stream, so the result is
     independent of processing order.  An oracle with the optional
-    ``perturbed_split_pass`` computes the perturbed targets in one native
-    call; any other goes through ``perturbed_decomposition_target``, to the
-    same bits.
+    ``perturbed_split_pass`` takes the S rows of scores and computes the
+    perturbed targets in one native call; any other goes through
+    ``perturbed_decomposition_target``, to the same bits.
     """
     if not batch:
         raise InputError("decomposition needs a nonempty batch")
-    fused = None if config.unperturbed_targets else getattr(oracle, "perturbed_split_pass", None)
+    thetas = [score_instance(weights, scenario) for scenario in batch]
+    if config.unperturbed_targets:
+        return [oracle.argmin_shifted(t, config.kappa, s) for t, s in zip(thetas, batch)]
+    fused = getattr(oracle, "perturbed_split_pass", None)
     if fused is not None:
-        return list(fused(weights, batch, config.kappa, config.epsilon, config.nb_samples, rng))
-
-    def solve(slot: int) -> np.ndarray:
-        scenario = batch[slot]
-        theta = score_instance(weights, scenario)
-        if config.unperturbed_targets:
-            return oracle.argmin_shifted(theta, config.kappa, scenario)
-        return perturbed_decomposition_target(
-            oracle, theta, scenario, config.kappa, config.epsilon,
-            config.nb_samples, rng.split(slot),
-        )
-
-    return [solve(slot) for slot in range(len(batch))]
+        return list(fused(thetas, batch, config.kappa, config.epsilon, config.nb_samples, rng))
+    return [perturbed_decomposition_target(oracle, theta, scenario, config.kappa,
+                                           config.epsilon, config.nb_samples, rng.split(slot))
+            for slot, (theta, scenario) in enumerate(zip(thetas, batch))]
 
 
 def coordination_pass(

@@ -286,8 +286,8 @@ class TestTrain:
 
     def test_missing_numpy_blas_trains_on_the_generic_path(self, tmp_path, monkeypatch,
                                                           request, mst_config, mst_data):
-        """Without numpy's BLAS entries there is no fused pass: training
-        exits 0 with the files of a fused run, byte for byte."""
+        """Without numpy's BLAS entries there is no coordination pass:
+        training exits 0 with the files of a fused run, byte for byte."""
         fused = tmp_path / "fused"
         assert cli.main(["train", "primal-dual", "--config", mst_config, "--data", mst_data,
                          "--out", str(fused)]) == 0

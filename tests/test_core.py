@@ -72,21 +72,10 @@ def _numpy_stream(seed, stream_id, path):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream_id, *path)))
 
 
-def _library_draws(entry: str, stream: RngStream, n: int, dtype) -> np.ndarray:
-    """n draws of a library entry, seeded by the stream's entropy words."""
-    out = np.empty(n, dtype=dtype)
-    key = native.entropy(stream.seed, (stream.stream_id, *stream.path))
-    getattr(native._compiled_kernel(), entry)(key, len(key) // 4, n, out.ctypes.data)
-    return out
-
-
 def _assert_numpy_words(seed, stream_id, path):
-    """The library seeds PCG64 as numpy does: its first raw words are
-    numpy's, and so are its standard normals."""
+    """The library seeds PCG64 as numpy does: its standard normals, which
+    ``normal_fill`` draws with numpy's own sampler, are numpy's."""
     stream = RngStream(seed, stream_id, tuple(path))
-    expected = np.random.PCG64(
-        np.random.SeedSequence(seed, spawn_key=(stream_id, *path))).random_raw(4)
-    assert _library_draws("raw_fill", stream, 4, np.uint64).tobytes() == expected.tobytes()
     expected = _numpy_stream(seed, stream_id, path).standard_normal((3, 5))
     assert stream.standard_normal((3, 5)).tobytes() == expected.tobytes()
 
@@ -181,14 +170,6 @@ class TestNativeDraws:
         got = stream.standard_normal(10 ** 5)
         assert np.abs(got).max() > 3.6541528853610088
         assert got.tobytes() == stream.generator().standard_normal(10 ** 5).tobytes()
-
-    @settings(max_examples=100, deadline=None)
-    @given(_WIDE, _WIDE, st.lists(_WIDE, max_size=4), st.integers(0, 2000))
-    def test_raw_words_equal_numpy(self, seed, stream_id, path, n):
-        stream = RngStream(seed, stream_id, tuple(path))
-        expected = np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(stream_id, *path))).random_raw(n)
-        assert _library_draws("raw_fill", stream, n, np.uint64).tobytes() == expected.tobytes()
 
 
 class TestContainers:

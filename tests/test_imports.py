@@ -1,10 +1,14 @@
-"""Every name that a package module imports is used in that module, and
-every public function, class, method or property of the package has a
-caller in the package or the benchmark."""
+"""Every name that a package module imports is used in that module, every
+public function, class, method or property of the package has a caller in
+the package or the benchmark, and every entry of the native library has
+one in the package."""
 
 import ast
+import re
 from importlib import resources
 from pathlib import Path
+
+from costru import native
 
 # (module, name): why the import stays although the module never uses it.
 _KEPT = {
@@ -115,3 +119,27 @@ def test_uncalled_entries_are_still_defined():
     defined = set().union(*(_public_definitions(ast.parse(path.read_text()))
                             for _, path in _modules()))
     assert set(_UNCALLED) <= defined
+
+
+# A function that _native.c exports: a definition at the start of a line
+# that is not static.
+_EXPORTED = re.compile(r"^(?!static |typedef )[a-z_][\w ]*[ *](\w+)\([^;{]*\)\s*\{", re.M)
+
+
+def test_native_entries_are_registered_and_called():
+    """Every function that _native.c exports is registered in
+    ``native._ENTRIES``, and every registered entry is named, as a string
+    or an attribute, in a package module other than native.py: an entry
+    that only tests call is surface to delete."""
+    exported = set(_EXPORTED.findall(resources.files("costru").joinpath("_native.c").read_text()))
+    registered = {name for name, _, _ in native._ENTRIES}
+    assert exported == registered
+    named = set()
+    for module, path in _modules():
+        if module != "native":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    named.add(node.value)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+    assert sorted(registered - named) == []

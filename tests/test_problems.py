@@ -7,6 +7,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -689,10 +690,12 @@ class TestCompiledKernel:
         assert cli.main(["verify", "oracles", "--out", str(out)]) == 4
         assert not out.exists()
 
-    def test_missing_numpy_blas_offers_no_fused_pass(self, monkeypatch, request, caplog):
-        """Without numpy's BLAS entries the oracle offers neither fused pass
-        and says so once at info level; training then takes the generic
-        path, to the fused path's bits."""
+    def test_missing_numpy_blas_withdraws_only_the_coordination_pass(self, monkeypatch, request,
+                                                                      caplog):
+        """Without numpy's BLAS entries the oracle offers no coordination
+        pass and says so once at info level; its decomposition pass, which
+        takes numpy's scores, is still offered and gives the same bytes, and
+        training gives the same weights bit for bit."""
         cfg = GenConfig(rows=2, cols=3, train_instances=2, val_instances=1, test_instances=1,
                         scenarios_per_instance=3)
         _, train = generate_mst_dataset(cfg, seed=4)["train"]
@@ -700,14 +703,18 @@ class TestCompiledKernel:
         config = TrainConfig(nb_iterations=2, nb_scenarios=2, nb_samples=5, nb_epochs=2,
                              lr_init=0.1, epsilon=0.5, seed=3)
         expected = train_primal_dual(train, oracle, config)
+        batch = list(train)
+        thetas = np.stack([score_instance(np.full(train.feature_width, 0.3), s) for s in batch])
+        split = oracle.perturbed_split_pass(thetas, batch, 1.5, 0.5, 5, make_rng(8))
         monkeypatch.setattr(native, "_BLAS", ("scipy_cblas_dgemv64_", "no_such_ddot"))
         request.addfinalizer(native._numpy_blas.cache_clear)
         native._numpy_blas.cache_clear()
         with caplog.at_level(logging.INFO, logger="costru.native"):
             assert oracle.perturbed_adam_pass is None
-            assert oracle.perturbed_split_pass is None
-            got = train_primal_dual(train, oracle, config)
-        assert got.per_iteration.tobytes() == expected.per_iteration.tobytes()
+            got = oracle.perturbed_split_pass(thetas, batch, 1.5, 0.5, 5, make_rng(8))
+            assert got.tobytes() == split.tobytes()
+            trained = train_primal_dual(train, oracle, config)
+        assert trained.per_iteration.tobytes() == expected.per_iteration.tobytes()
         assert [r.levelno for r in caplog.records if "no_such_ddot" in r.getMessage()] == [
             logging.INFO]
 
@@ -715,12 +722,8 @@ class TestCompiledKernel:
         source = resources.files("costru").joinpath("_native.c")
         assert source.is_file()
         text = source.read_text()
-        for entry in ("forest_rows(", "perturbed_forest_rows(", "split_rows(",
-                      "completion_sums(", "adam_step(",
-                      "perturbed_adam_pass(", "perturbed_split_pass("):
-            assert f"int64_t {entry}" in text
-        for entry in ("raw_fill(", "normal_fill("):
-            assert f"void {entry}" in text
+        for entry, _, restype in native._ENTRIES:
+            assert f"{'void' if restype is None else 'int64_t'} {entry}(" in text
 
     @pytest.mark.parametrize("build, stderr", [
         (_raise(FileNotFoundError("No such file or directory: 'cc'")), None),
@@ -780,33 +783,37 @@ def _forest_mean(theta, eps, m, stream, edges, n_nodes):
 
 
 def _kernel_mean(theta, eps, m, stream, edges, n_nodes):
-    """The mean forest of the kernel's row entry, which draws z itself."""
-    mean = np.empty(len(edges))
-    key = native.entropy(stream.seed, (stream.stream_id, *stream.path))
-    spanning_tree._kernel("perturbed_forest_rows", theta.ctypes.data, key, len(key) // 4,
-                          eps, edges.ctypes.data, m, len(edges), n_nodes, mean.ctypes.data)
-    return mean
+    """The mean forest of a one-step coordination pass on the graph, which
+    draws z itself from ``stream.split(0, 0)``: with identity features
+    (p = E) the scores are the weights theta, and a zero target leaves the
+    mean in the gradient."""
+    graph = SimpleNamespace(edges=edges, n_edges=len(edges), n_nodes=n_nodes)
+    adam = AdamState(theta)
+    MstOracle._adam_pass(graph, adam, [np.eye(len(edges))], [np.zeros(len(edges))], eps, m, 1,
+                         0.1, stream)
+    return adam.gradient
 
 
 class TestPerturbedForestStats:
     """The kernel's perturbed forests, drawn inside the kernel, against the
-    numpy path they replace, through the row entry and the pass entry."""
+    numpy path they replace, through the coordination pass."""
 
     @settings(max_examples=300, deadline=None)
     @given(tilt_cases())
     def test_matches_numpy_glue(self, case):
         """The mean is bit-identical."""
         edges, n_nodes, theta, eps, m, stream = case
-        expected = _forest_mean(theta, eps, m, stream, edges, n_nodes)
+        expected = _forest_mean(theta, eps, m, stream.split(0, 0), edges, n_nodes)
         assert _kernel_mean(theta, eps, m, stream, edges, n_nodes).tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("kernel", ["compiled", "pass", "reference"])
+    @pytest.mark.parametrize("kernel", ["identity", "pass", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_non_finite_tilt_raises(self, kernel, bad):
         """A non-finite tilt, also one that overflows, raises the error of
         the reference on the tilt that numpy computes; in a pass, theta is
-        the single feature column times the weight 1."""
+        the weights through identity features, or the single feature
+        column times the weight 1."""
         oracle = MstOracle(2, 3)
         stream = make_rng(20, 1)
         theta, eps = np.ones(oracle.n_edges), 8.0
@@ -815,7 +822,7 @@ class TestPerturbedForestStats:
         else:
             theta[2] = bad
         with pytest.raises(InputError, match="weights must be finite"):
-            if kernel == "compiled":
+            if kernel == "identity":
                 _kernel_mean(theta, eps, 3, stream, oracle.edges, oracle.n_nodes)
             elif kernel == "pass":
                 adam = AdamState(np.ones(1))

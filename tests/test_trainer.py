@@ -3,6 +3,7 @@
 import itertools
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -159,6 +160,17 @@ class TestDecompositionPass:
                                      make_rng(0).split(1, 1))
         assert targets[0][0] != targets[1][0]  # distinct draws per slot
         assert abs(targets[0][0] - targets[1][0]) < 0.1  # same expectation
+
+    def test_scenario_of_another_graph_raises_as_generic(self):
+        """A batch whose last scenario has fewer edges than the oracle's
+        graph raises InputError in the fused pass, as in the generic path."""
+        oracle, batch, _ = split_batch(3, 3, 1, 2)
+        ones = np.ones(7)
+        batch.append(Scenario(9, np.ones((7, 1)), TwoStageCosts(ones, ones)))
+        for solver in (oracle, GenericOracle(oracle)):
+            with pytest.raises(InputError):
+                decomposition_pass(np.ones(1), batch, solver, toy_config(nb_samples=5),
+                                   make_rng(4))
 
 
 class TestCoordinationPass:
@@ -393,8 +405,10 @@ def split_batch(rows, cols, p, n_contexts, per_context=2):
 _ROOTS = [make_rng(9).split(1, 2), RngStream(2 ** 96, 2 ** 64 - 1, (2 ** 40, 2 ** 32, 7))]
 
 
-def _threads() -> int:
-    return len(os.listdir("/proc/self/task"))
+def _threads() -> set[str]:
+    """The ids of the process's threads.  Tests compare sets, not counts: a
+    thread of an earlier test may still be listed, and leave at any time."""
+    return set(os.listdir("/proc/self/task"))
 
 
 def _with_cpus(monkeypatch, cpus: int) -> None:
@@ -443,8 +457,9 @@ class TestHelperThread:
     @needs_proc
     @pytest.mark.parametrize("cpus, helpers", [(2, 1), (1, 0)], ids=["two-cpus", "one-cpu"])
     def test_one_helper_at_most_joined_on_return(self, monkeypatch, cpus, helpers):
-        """While a long pass runs on a Python thread, the process has one
-        more thread with two CPUs and none more with one; none is left."""
+        """While a long pass runs on a Python thread, the new threads are
+        that thread and one helper with two CPUs, or no helper with one;
+        after the pass only the Python thread is new."""
         _with_cpus(monkeypatch, cpus)
         oracle, batch, targets = split_batch(6, 6, 2, 2)
         config = toy_config(nb_epochs=400, nb_samples=20)
@@ -452,17 +467,19 @@ class TestHelperThread:
 
         def run():
             coordination_pass(np.zeros(2), batch, targets, oracle, config, make_rng(3))
-            return _threads()
+            return str(threading.get_native_id()), _threads() - before
 
         seen = []
         with ThreadPoolExecutor(max_workers=1) as pool:
             done = pool.submit(run)
             deadline = time.monotonic() + 60
             while not done.done() and time.monotonic() < deadline:
-                seen.append(_threads())
+                seen.append(_threads() - before)
                 time.sleep(1e-3)
-            assert done.result(timeout=1) == before + 1
-        assert max(seen) == before + 1 + helpers
+            worker, after = done.result(timeout=1)
+        assert after == {worker}
+        assert max(map(len, seen)) == 1 + helpers
+        assert all(len(new - {worker}) <= helpers for new in seen)
 
     @needs_proc
     @pytest.mark.parametrize("cpus", [2, 1])
@@ -484,7 +501,7 @@ class TestHelperThread:
         with pytest.raises(InputError, match=r"^non-finite theta or tilt at example 17$"):
             decomposition_pass(np.ones(2), batch, oracle, toy_config(nb_samples=5),
                                make_rng(4))
-        assert _threads() == before
+        assert _threads() - before == set()
 
     @pytest.mark.parametrize("cpus", [2, 1])
     def test_overflowing_tilt_raises_as_generic(self, monkeypatch, cpus):
@@ -518,7 +535,7 @@ class TestHelperThread:
                 oracle.perturbed_adam_pass(adam, [s.features for s in batch], targets, 0.5, 5,
                                            3, 0.1, make_rng(4))
         assert adam.step_count == 13
-        assert _threads() == before
+        assert _threads() - before == set()
 
     def test_python_threads_match_sequential(self, monkeypatch):
         """Four Python threads, each running passes with its own helper,
