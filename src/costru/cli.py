@@ -203,27 +203,24 @@ def _saa_config(cfg: dict) -> baselines.SaaConfig:
 
 
 def _load_mst_data(data_dir: Path):
-    """The three splits; every instance must lie on train's grid, the one
-    the oracle is built for."""
+    """The three splits; every split must lie on train's grid, the one the
+    oracle is built for, and have train's feature width."""
     splits = {}
     for split in ("train", "val", "test"):
         path = data_dir / f"{split}.npz"
         if not path.exists():
             raise ConfigError(f"missing dataset file {path}")
         splits[split] = ds.load_split(path)
-    train = splits["train"][0][0]
-    for split, (instances, _) in splits.items():
-        for inst in instances:
-            if (inst.rows, inst.cols) != (train.rows, train.cols):
-                raise InputError(f"the {split} split is on a {inst.rows}x{inst.cols} grid, "
-                                 f"train on {train.rows}x{train.cols}")
+    train, train_data = splits["train"][0][0], splits["train"][1]
+    for split, (instances, data) in splits.items():
+        inst = instances[0]
+        if (inst.rows, inst.cols) != (train.rows, train.cols):
+            raise InputError(f"the {split} split is on a {inst.rows}x{inst.cols} grid, "
+                             f"train on {train.rows}x{train.cols}")
+        if data.feature_width != train_data.feature_width:
+            raise InputError(f"the {split} split has feature width {data.feature_width}, "
+                             f"train {train_data.feature_width}")
     return splits
-
-
-def _save_by_context(path: Path, solutions: dict[int, np.ndarray]) -> None:
-    """One solution per context, in increasing context id."""
-    ctx_ids = np.array(sorted(solutions), dtype=np.int64)
-    np.savez(path, context_ids=ctx_ids, solutions=np.stack([solutions[c] for c in ctx_ids]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,56 +278,17 @@ def _train_toy(args, cfg, seed, chash, out: Path) -> int:
 
 def _train_mst(args, cfg, seed, chash, out: Path) -> int:
     splits = _load_mst_data(Path(args.data))
-    train_insts, train_data = splits["train"]
-    _, val_data = splits["val"]
-    _, test_data = splits["test"]
-    oracle = MstOracle(train_insts[0].rows, train_insts[0].cols)
-    evaluator = MstEvaluator(oracle)
-    config = _train_config(cfg, seed)
+    train = splits["train"][0][0]
+    oracle = MstOracle(train.rows, train.cols)
     start = time.perf_counter()
-
-    if args.method == "primal-dual":
-        trajectory = train_primal_dual(train_data, oracle, config)
-        columns = [experiments.gap_series(weights, data, oracle, evaluator)
-                   for data in (val_data, test_data)
-                   for weights in (trajectory.per_iteration, trajectory.running_average)]
-        rows = [[t + 1, *(column[t] for column in columns)]
-                for t in range(config.nb_iterations)]
-        write_csv(out / "metrics.csv",
-                  ["iteration", "val_gap_current_w", "val_gap_avg_w",
-                   "test_gap_current_w", "test_gap_avg_w"], rows, chash, seed)
-        np.savez(out / "weights.npz", per_iteration=trajectory.per_iteration,
-                 running_average=trajectory.running_average,
-                 final_average=trajectory.final_average)
-    elif args.method in ("uncoordinated", "fully-coordinated"):
-        if args.method == "uncoordinated":
-            w = baselines.uncoordinated_imitation(train_data, oracle, config)
-        else:
-            targets = baselines.lagrangian_targets(train_data, oracle, _saa_config(cfg))
-            _save_by_context(out / "targets.npz", targets)
-            w = baselines.fully_coordinated_imitation(
-                train_data, oracle, _saa_config(cfg), config, targets)
-        val = evaluate_policy(w, val_data, oracle, evaluator)
-        test = evaluate_policy(w, test_data, oracle, evaluator)
-        write_csv(out / "metrics.csv",
-                  ["val_mean_cost", "val_gap", "test_mean_cost", "test_gap"],
-                  [[val[0], val[1], test[0], test[1]]], chash, seed)
-        np.savez(out / "weights.npz", weights=w, final_average=w)
-    elif args.method == "median":
-        d_median = baselines.pooled_median_second_stage(train_data)
-        rows = []
-        for split_name, data in (("val", val_data), ("test", test_data)):
-            sols = {ctx: baselines.median_policy_solution(group[0], d_median, oracle)
-                    for ctx, group in data.by_context().items()}
-            rows.append([split_name,
-                         *baselines.evaluate_fixed_solutions(sols, data, evaluator)])
-            _save_by_context(out / f"median_solutions_{split_name}.npz", sols)
-        write_csv(out / "metrics.csv", ["split", "mean_cost", "mean_gap"], rows,
-                  chash, seed)
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
+    run = experiments.run_mst_method(
+        args.method, *(splits[split][1] for split in ("train", "val", "test")), oracle,
+        MstEvaluator(oracle), _train_config(cfg, seed), _saa_config(cfg))
     log.info("%s training took %.0f ms", args.method,
              1e3 * (time.perf_counter() - start))
+    write_csv(out / "metrics.csv", run.header, run.rows, chash, seed)
+    for name, arrays in run.files.items():
+        np.savez(out / name, **arrays)
     return EXIT_OK
 
 

@@ -85,14 +85,71 @@ def run_toy_epsilon_sweep(
     return results
 
 
-def gap_series(weights: np.ndarray, data: Dataset, oracle: MstOracle,
-               evaluator: MstEvaluator) -> np.ndarray:
-    """Mean gap on one split of each weight vector, one per row of ``weights``."""
-    return np.array([evaluate_policy(w, data, oracle, evaluator)[1] for w in weights])
-
-
 def total_variation(series: np.ndarray) -> float:
     return float(np.sum(np.abs(np.diff(series))))
+
+
+@dataclass(frozen=True)
+class MethodRun:
+    """One spanning-tree method's run: its metrics table, the arrays of each
+    ``.npz`` file it writes (file name -> array name -> array) and its test
+    gap (primal-dual's with the averaged weights)."""
+
+    header: list[str]
+    rows: list[list]
+    files: dict[str, dict[str, np.ndarray]]
+    test_gap: float
+
+
+def _by_context(solutions: dict[int, np.ndarray]) -> dict[str, np.ndarray]:
+    """One solution per context, in increasing context id."""
+    ctx_ids = np.array(sorted(solutions), dtype=np.int64)
+    return dict(context_ids=ctx_ids, solutions=np.stack([solutions[c] for c in ctx_ids]))
+
+
+def run_mst_method(method: str, train: Dataset, val: Dataset, test: Dataset,
+                   oracle: MstOracle, evaluator: MstEvaluator, config: TrainConfig | None,
+                   saa: baselines.SaaConfig) -> MethodRun:
+    """Train one of the four methods on ``train`` and evaluate it on ``val``
+    and ``test``.  Median learns nothing and takes no ``config``; only
+    fully-coordinated reads ``saa``."""
+    if method == "median":
+        d_median = baselines.pooled_median_second_stage(train)
+        rows, files = [], {}
+        for split, data in (("val", val), ("test", test)):
+            sols = {ctx: baselines.median_policy_solution(group[0], d_median, oracle)
+                    for ctx, group in data.by_context().items()}
+            rows.append([split, *baselines.evaluate_fixed_solutions(sols, data, evaluator)])
+            files[f"median_solutions_{split}.npz"] = _by_context(sols)
+        return MethodRun(["split", "mean_cost", "mean_gap"], rows, files, rows[1][2])
+    if method == "primal-dual":
+        trajectory = train_primal_dual(train, oracle, config)
+        # The mean gap of each iterate, current and averaged, on val and test.
+        columns = [[evaluate_policy(w, data, oracle, evaluator)[1] for w in weights]
+                   for data in (val, test)
+                   for weights in (trajectory.per_iteration, trajectory.running_average)]
+        rows = [[t + 1, *(column[t] for column in columns)]
+                for t in range(config.nb_iterations)]
+        arrays = dict(per_iteration=trajectory.per_iteration,
+                      running_average=trajectory.running_average,
+                      final_average=trajectory.final_average)
+        return MethodRun(["iteration", "val_gap_current_w", "val_gap_avg_w",
+                          "test_gap_current_w", "test_gap_avg_w"],
+                         rows, {"weights.npz": arrays}, rows[-1][4])
+    files = {}
+    if method == "uncoordinated":
+        w = baselines.uncoordinated_imitation(train, oracle, config)
+    elif method == "fully-coordinated":
+        targets = baselines.lagrangian_targets(train, oracle, saa)
+        files["targets.npz"] = _by_context(targets)
+        w = baselines.fully_coordinated_imitation(train, oracle, saa, config, targets)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    files["weights.npz"] = dict(weights=w, final_average=w)
+    val_cost, val_gap = evaluate_policy(w, val, oracle, evaluator)
+    test_cost, test_gap = evaluate_policy(w, test, oracle, evaluator)
+    return MethodRun(["val_mean_cost", "val_gap", "test_mean_cost", "test_gap"],
+                     [[val_cost, val_gap, test_cost, test_gap]], files, test_gap)
 
 
 @dataclass(frozen=True)
@@ -113,44 +170,24 @@ def run_mst_method_benchmark(seeds=range(5)) -> MstBenchmarkResult:
     """Four-method comparison on the small-grid benchmark, one dataset and
     training run per seed; gaps are measured on the test split with the
     averaged weights for the primal-dual method."""
-    med, unc, pd, fc, ratios = [], [], [], [], []
+    gaps = {method: [] for method in ("median", "uncoordinated", "primal-dual",
+                                      "fully-coordinated")}
+    ratios = []
     for seed in seeds:
         splits = datasets.generate_mst_dataset(MST_BENCH_GEN, seed=seed)
-        _, train_data = splits["train"]
-        _, val_data = splits["val"]
-        _, test_data = splits["test"]
         oracle = MstOracle(MST_BENCH_GEN.rows, MST_BENCH_GEN.cols)
         evaluator = MstEvaluator(oracle)
-
-        d_median = baselines.pooled_median_second_stage(train_data)
-        solutions = {
-            ctx: baselines.median_policy_solution(group[0], d_median, oracle)
-            for ctx, group in test_data.by_context().items()
-        }
-        med.append(baselines.evaluate_fixed_solutions(solutions, test_data, evaluator)[1])
-
-        w_unc = baselines.uncoordinated_imitation(
-            train_data, oracle, mst_bench_imitation_config(seed))
-        unc.append(evaluate_policy(w_unc, test_data, oracle, evaluator)[1])
-
-        trajectory = train_primal_dual(train_data, oracle,
-                                       mst_bench_primal_dual_config(seed))
-        pd.append(evaluate_policy(trajectory.final_average, test_data, oracle,
-                                  evaluator)[1])
-        current = gap_series(trajectory.per_iteration, val_data, oracle, evaluator)
-        averaged = gap_series(trajectory.running_average, val_data, oracle, evaluator)
-        ratios.append(total_variation(averaged) / total_variation(current))
-
-        targets = baselines.lagrangian_targets(train_data, oracle, MST_BENCH_SAA)
-        w_fc = baselines.fully_coordinated_imitation(
-            train_data, oracle, MST_BENCH_SAA,
-            mst_bench_imitation_config(seed, epsilon=0.5), targets)
-        fc.append(evaluate_policy(w_fc, test_data, oracle, evaluator)[1])
-
+        configs = {"median": None,
+                   "uncoordinated": mst_bench_imitation_config(seed),
+                   "primal-dual": mst_bench_primal_dual_config(seed),
+                   "fully-coordinated": mst_bench_imitation_config(seed, epsilon=0.5)}
+        for method, config in configs.items():
+            run = run_mst_method(method, splits["train"][1], splits["val"][1],
+                                 splits["test"][1], oracle, evaluator, config, MST_BENCH_SAA)
+            gaps[method].append(run.test_gap)
+            if method == "primal-dual":  # columns val_gap_current_w, val_gap_avg_w
+                val_current, val_averaged = np.array(run.rows)[:, 1:3].T
+                ratios.append(total_variation(val_averaged) / total_variation(val_current))
     return MstBenchmarkResult(
-        median_gaps=np.asarray(med),
-        uncoordinated_gaps=np.asarray(unc),
-        primal_dual_gaps=np.asarray(pd),
-        fully_coordinated_gaps=np.asarray(fc),
-        val_tv_ratios=np.asarray(ratios),
-    )
+        **{f"{method.replace('-', '_')}_gaps": np.asarray(g) for method, g in gaps.items()},
+        val_tv_ratios=np.asarray(ratios))

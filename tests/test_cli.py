@@ -165,6 +165,42 @@ class TestShippedConfigs:
             assert (TrainConfig(**cfg["train"], seed=seed)
                     == experiments.mst_bench_primal_dual_config(seed))
 
+    def test_mst_small_imitation_files_are_the_method_benchmark(self):
+        small = cli.load_config(str(CONFIGS / "mst-small.ini"))
+        unc = cli.load_config(str(CONFIGS / "mst-small-uncoordinated.ini"))
+        fc = cli.load_config(str(CONFIGS / "mst-small-fully-coordinated.ini"))
+        for cfg in (unc, fc):
+            assert {k: cfg[k] for k in ("problem", "run", "generate")} == {
+                k: small[k] for k in ("problem", "run", "generate")}
+        assert SaaConfig(**fc["saa"]) == experiments.MST_BENCH_SAA
+        for seed in (0, 7):
+            assert (TrainConfig(**unc["train"], seed=seed)
+                    == experiments.mst_bench_imitation_config(seed))
+            assert (TrainConfig(**fc["train"], seed=seed)
+                    == experiments.mst_bench_imitation_config(seed, epsilon=0.5))
+
+    def test_cli_gives_the_method_benchmark_gaps(self, tmp_path):
+        """``costru train`` on the shipped mst-small files gives the four
+        test gaps of ``run_mst_method_benchmark`` at seed 0, bit for bit."""
+        data = tmp_path / "data"
+        assert cli.main(["generate", "--config", str(CONFIGS / "mst-small.ini"),
+                         "--seed", "0", "--out", str(data)]) == 0
+        # method -> (config file, metrics column of its test gap in the last row)
+        runs = {"median": ("mst-small.ini", "mean_gap"),
+                "uncoordinated": ("mst-small-uncoordinated.ini", "test_gap"),
+                "primal-dual": ("mst-small.ini", "test_gap_avg_w"),
+                "fully-coordinated": ("mst-small-fully-coordinated.ini", "test_gap")}
+        gaps = []
+        for method, (config, column) in runs.items():
+            out = tmp_path / method
+            assert cli.main(["train", method, "--config", str(CONFIGS / config), "--seed",
+                             "0", "--data", str(data), "--out", str(out)]) == 0
+            header, *rows = read_rows(out / "metrics.csv")
+            gaps.append(float(rows[-1][header.index(column)]))
+        ref = experiments.run_mst_method_benchmark([0])
+        assert gaps == [ref.median_gaps[0], ref.uncoordinated_gaps[0],
+                        ref.primal_dual_gaps[0], ref.fully_coordinated_gaps[0]]
+
     def test_mst_is_the_grid_defaults(self):
         cfg = cli.load_config(str(CONFIGS / "mst.ini"))
         assert GenConfig(**cfg["generate"]) == GenConfig()
@@ -253,11 +289,27 @@ class TestTrain:
         assert cli.main(["generate", "--config", str(other), "--out", str(other_data)]) == 0
         (other_data / "val.npz").replace(Path(mst_data) / "val.npz")
         trained = []
-        monkeypatch.setattr(cli, "train_primal_dual", lambda *args: trained.append(args))
+        monkeypatch.setattr(experiments, "train_primal_dual",
+                            lambda *args: trained.append(args))
         assert cli.main(["train", "primal-dual", "--config", mst_config,
                          "--data", mst_data, "--out", str(tmp_path / "run")]) == 2
         assert trained == []
         assert "val split is on a 2x3 grid, train on 3x3" in capsys.readouterr().err
+
+    def test_splits_of_another_feature_width_exit_two_before_training(
+            self, tmp_path, monkeypatch, capsys, mst_config, mst_data):
+        other = tmp_path / "other.ini"
+        other.write_text(MST_CONFIG.replace("[generate]\n", "[generate]\nfeature_dim = 6\n"))
+        other_data = tmp_path / "other-data"
+        assert cli.main(["generate", "--config", str(other), "--out", str(other_data)]) == 0
+        (other_data / "val.npz").replace(Path(mst_data) / "val.npz")
+        trained = []
+        monkeypatch.setattr(experiments, "train_primal_dual",
+                            lambda *args: trained.append(args))
+        assert cli.main(["train", "primal-dual", "--config", mst_config,
+                         "--data", mst_data, "--out", str(tmp_path / "run")]) == 2
+        assert trained == []
+        assert "val split has feature width 6, train 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("write", NOT_NPZ.values(), ids=NOT_NPZ)
     def test_split_that_is_not_npz_exits_two(self, tmp_path, capsys, mst_config, mst_data,
