@@ -62,7 +62,7 @@ def _dataclass_section(cls, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
 _GENERATE_TYPES, _GENERATE_DEFAULTS = _dataclass_section(ds.GenConfig)
 _SAA_TYPES, _SAA_DEFAULTS = _dataclass_section(baselines.SaaConfig)
 # [train] defaults depend on the problem kind (experiments.*_DEFAULTS).
-_TRAIN_TYPES, _ = _dataclass_section(TrainConfig, skip=("seed", "unperturbed_targets"))
+_TRAIN_TYPES, _ = _dataclass_section(TrainConfig, skip=("seed",))
 
 # Section -> key -> type.  Unknown sections or keys are rejected.
 _SCHEMA: dict[str, dict[str, type]] = {
@@ -230,8 +230,8 @@ def _load_mst_data(data_dir: Path):
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg, seed, chash = _run_setup(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg["problem"]["kind"] == "toy":
+        out.mkdir(parents=True, exist_ok=True)
         manifest = {"problem": "toy", "seed": seed, "config_hash": chash}
         (out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -239,6 +239,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         log.info("toy problem is tabular; wrote manifest only")
         return EXIT_OK
     gen_cfg = ds.GenConfig(**cfg["generate"])
+    out.mkdir(parents=True, exist_ok=True)
     for split in ("train", "val", "test"):
         instances = ds.generate_mst_split(gen_cfg, seed, split)
         ds.save_split(out / f"{split}.npz", instances, split)
@@ -248,9 +249,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _train_toy(args, cfg, seed, chash, out: Path) -> int:
+    if args.method not in ("primal-dual", "uncoordinated"):
+        log.error("method %s is not defined for the toy problem", args.method)
+        return EXIT_USAGE
     data = toy_dataset()
     oracle = ToyOracle()
     config = _train_config(cfg, seed)
+    out.mkdir(parents=True, exist_ok=True)
     if args.method == "primal-dual":
         start = time.perf_counter()
         trajectory = train_primal_dual(data, oracle, config)
@@ -264,15 +269,12 @@ def _train_toy(args, cfg, seed, chash, out: Path) -> int:
         np.savez(out / "weights.npz", per_iteration=trajectory.per_iteration,
                  running_average=trajectory.running_average,
                  final_average=trajectory.final_average)
-    elif args.method == "uncoordinated":
+    else:
         w = baselines.uncoordinated_imitation(data, oracle, config)
         cost, gap = evaluate_policy(w, data, oracle, ToyEvaluator())
         write_csv(out / "metrics.csv", ["mean_cost", "mean_gap"], [[cost, gap]],
                   chash, seed)
         np.savez(out / "weights.npz", weights=w, final_average=w)
-    else:
-        log.error("method %s is not defined for the toy problem", args.method)
-        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -280,10 +282,12 @@ def _train_mst(args, cfg, seed, chash, out: Path) -> int:
     splits = _load_mst_data(Path(args.data))
     train = splits["train"][0][0]
     oracle = MstOracle(train.rows, train.cols)
+    config, saa = _train_config(cfg, seed), _saa_config(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
     run = experiments.run_mst_method(
         args.method, *(splits[split][1] for split in ("train", "val", "test")), oracle,
-        MstEvaluator(oracle), _train_config(cfg, seed), _saa_config(cfg))
+        MstEvaluator(oracle), config, saa)
     log.info("%s training took %.0f ms", args.method,
              1e3 * (time.perf_counter() - start))
     write_csv(out / "metrics.csv", run.header, run.rows, chash, seed)
@@ -295,7 +299,6 @@ def _train_mst(args, cfg, seed, chash, out: Path) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg, seed, chash = _run_setup(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg["problem"]["kind"] == "toy":
         return _train_toy(args, cfg, seed, chash, out)
     if args.data is None:
@@ -343,8 +346,7 @@ def run_verify_suite(suite: str, cfg: dict, seed: int) -> list[CheckRow]:
     if suite == "conjugates":
         return simplex_lab.run_conjugate_suite(seed=seed, **sized)
     if suite == "oracles":
-        return verification.run_oracle_suite(
-            n_kruskal=v["draws"], n_anticipative=max(2, v["draws"] * 2 // 5), seed=seed)
+        return verification.run_oracle_suite(draws=v["draws"], seed=seed)
     if suite == "gradients":
         return verification.run_gradient_suite(seed=seed)
     raise ConfigError(f"unknown suite {suite!r}")

@@ -50,17 +50,18 @@ class RegularizerKind:
         return RegularizerKind(SQUARED_L2)
 
 
-def validate_distribution(q: np.ndarray, tol: float = 1e-12, ndim: int = 1) -> np.ndarray:
-    """Check q is a probability vector (entries >= 0, sums to 1 within tol),
-    or with ``ndim=2`` an (N, |Y|) stack of them, one per row."""
+def validate_distribution(q: np.ndarray, ndim: int = 1) -> np.ndarray:
+    """Check q is a probability vector (entries >= -1e-12, sums to 1 within
+    1e-12 per entry), or with ``ndim=2`` an (N, |Y|) stack of them, one per
+    row."""
     q = ensure_finite(q, "distribution")
     if q.ndim != ndim:
         raise InputError("distribution must be one-dimensional" if ndim == 1
                          else "a product distribution must be an (N, |Y|) array")
-    if np.any(q < -tol):
+    if np.any(q < -1e-12):
         raise InputError("distribution has negative entries")
     sums = q.sum(axis=-1)
-    off = np.abs(sums - 1.0) > max(tol, 1e-12 * q.shape[-1])
+    off = np.abs(sums - 1.0) > 1e-12 * max(1, q.shape[-1])
     if np.any(off):
         raise InputError(f"distribution sums to {sums[off][0]!r}, not 1")
     return q

@@ -468,9 +468,10 @@ def random_cost_table(g: np.random.Generator, n: int, k: int, scale: float = 1.0
     return scale * g.standard_normal((n, k))
 
 
-def convergence_instance(inst_seed: int, n_scenarios: int = 5, n_atoms: int = 6) -> np.ndarray:
-    """The convergence suite's cost table for one instance seed."""
-    return random_cost_table(make_rng(inst_seed, 7).generator(), n_scenarios, n_atoms)
+def convergence_instance(inst_seed: int) -> np.ndarray:
+    """The convergence suite's cost table for one instance seed (five
+    scenarios, six atoms)."""
+    return random_cost_table(make_rng(inst_seed, 7).generator(), 5, 6)
 
 
 def mirror_descent_instance(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -498,17 +499,9 @@ def random_binary_oracle(g: np.random.Generator, d: int, k: int) -> ExplicitOrac
     return ExplicitOracle(np.asarray(chosen))
 
 
-def run_convergence_suite(
-    n_instances: int = 20,
-    n_scenarios: int = 5,
-    n_atoms: int = 6,
-    kappa: float = 1.0,
-    t_check: int = 200,
-    t_opt: int = 10_000,
-    seed: int = 0,
-) -> list[CheckRow]:
-    """Monotone descent and the O(1/t) rate on random instances, the rate
-    checked at t = 2..t_check of t_opt iterations.
+def run_convergence_suite(n_instances: int = 20, seed: int = 0) -> list[CheckRow]:
+    """Monotone descent and the O(1/t) rate at kappa = 1 on random instances,
+    the rate checked at t = 2..200 of 10 000 iterations.
 
     The rate.  With L = kappa/N, an alternating step is mirror descent with
     step 1/L on the partial-min surrogate f (``values[t - 1]`` at the
@@ -522,21 +515,18 @@ def run_convergence_suite(
     instances are clamped, which moves values far below the 1e-10 tolerance.
     """
     require_samples(n_instances=n_instances)
-    require_samples(2, t_check=t_check)
-    if t_check > t_opt:
-        raise InputError(f"t_check = {t_check} exceeds t_opt = {t_opt}")
+    kappa, t_check, t_opt = 1.0, 200, 10_000
     kind = RegularizerKind.negentropy()
-    tables = [convergence_instance(seed + inst, n_scenarios, n_atoms)
-              for inst in range(n_instances)]
-    traj = run_alternating_exact(np.stack(tables), np.zeros((n_instances, n_atoms)), kappa,
+    tables = [convergence_instance(seed + inst) for inst in range(n_instances)]
+    s0 = np.zeros(tables[0].shape[1])
+    traj = run_alternating_exact(np.stack(tables), np.zeros((n_instances, len(s0))), kappa,
                                  kind, t_opt, record_iterates=False)
-    s0 = np.zeros(n_atoms)
     steps = np.arange(1, t_check)  # t - 1 for t = 2..t_check
     rows: list[CheckRow] = []
     for inst, costs in enumerate(tables):
         inst_seed = seed + inst
         values = traj.values[:, inst]
-        worst_increase = float(np.max(np.diff(values)))  # t_opt >= t_check >= 2
+        worst_increase = float(np.max(np.diff(values)))
         rows.append(
             CheckRow("convergence/monotone", inst_seed, worst_increase, 1e-12,
                      worst_increase <= 1e-12)
@@ -554,8 +544,9 @@ def run_convergence_suite(
     return rows
 
 
-def run_five_point_suite(probes: int, seed: int = 0, tolerance: float = 1e-9) -> list[CheckRow]:
-    """The five-point inequality at kappa = 1 on four scenarios over five atoms."""
+def run_five_point_suite(probes: int, seed: int = 0) -> list[CheckRow]:
+    """The five-point inequality at kappa = 1 on four scenarios over five
+    atoms, to 1e-9."""
     g = make_rng(seed, 11).generator()
     # Negentropy: arbitrary scales; iterates stay interior.
     costs = random_cost_table(g, 4, 5)
@@ -565,24 +556,25 @@ def run_five_point_suite(probes: int, seed: int = 0, tolerance: float = 1e-9) ->
     costs_l2 = random_cost_table(g, 4, 5, scale=0.05)
     l2 = five_point_check(costs_l2, 1.0, RegularizerKind.squared_l2(), probes,
                           make_rng(seed, 13), score_scale=0.02)
-    return [CheckRow(f"five-point/{name}", seed, violation, tolerance, violation <= tolerance)
+    return [CheckRow(f"five-point/{name}", seed, violation, 1e-9, violation <= 1e-9)
             for name, violation in (("negentropy", neg), ("squared-l2", l2))]
 
 
-def run_jensen_gap_suite(trials: int, seed: int = 0, tolerance: float = 1e-10) -> list[CheckRow]:
+def run_jensen_gap_suite(trials: int, seed: int = 0) -> list[CheckRow]:
+    """The Jensen gap's convexity under both regularizers, to 1e-10."""
     rows: list[CheckRow] = []
     for kind, sid in ((RegularizerKind.negentropy(), 21), (RegularizerKind.squared_l2(), 22)):
         worst = check_jensen_gap_convexity(kind, trials, make_rng(seed, sid))
-        rows.append(CheckRow(f"jensen-gap/{kind.tag}", seed, worst, tolerance,
-                             worst <= tolerance))
+        rows.append(CheckRow(f"jensen-gap/{kind.tag}", seed, worst, 1e-10, worst <= 1e-10))
     return rows
 
 
-def run_mirror_descent_suite(iters: int, alpha: float = 0.5, seed: int = 0) -> list[CheckRow]:
-    """The damped alternating scheme against mirror descent at kappa = 1, and
-    the same comparison at twice the matched step as a negative control."""
+def run_mirror_descent_suite(iters: int, seed: int = 0) -> list[CheckRow]:
+    """The alternating scheme damped by alpha = 1/2 against mirror descent at
+    kappa = 1, and the same comparison at twice the matched step as a
+    negative control."""
     costs, s0 = mirror_descent_instance(seed)
-    kappa = 1.0
+    kappa, alpha = 1.0, 0.5
     matched_dev = float(run_mirror_descent_comparison(costs, s0, kappa, iters, alpha).max())
     doubled_dev = float(run_mirror_descent_comparison(
         costs, s0, kappa, iters, alpha, eta=2.0 * len(costs) * alpha / kappa).max())
@@ -593,18 +585,10 @@ def run_mirror_descent_suite(iters: int, alpha: float = 0.5, seed: int = 0) -> l
     ]
 
 
-def run_risk_bound_suite(
-    n_instances: int = 100,
-    kappas: tuple[float, ...] = (0.5, 1.0, 5.0),
-    L: float = 1.0,
-    seed: int = 0,
-) -> list[CheckRow]:
-    """The risk bound and its pair form on three scenarios over six random
-    binary vertices in R^4, per kappa."""
-    require_samples(n_instances=n_instances, kappas=len(kappas))
-    require_positive("L", L)
-    for kappa in kappas:
-        require_positive("kappa", kappa)
+def run_risk_bound_suite(n_instances: int = 100, seed: int = 0) -> list[CheckRow]:
+    """The risk bound (modulus L = 1) and its pair form on three scenarios
+    over six random binary vertices in R^4, at kappa = 0.5, 1 and 5."""
+    require_samples(n_instances=n_instances)
     kind = RegularizerKind.negentropy()
     rows: list[CheckRow] = []
     for inst in range(n_instances):
@@ -614,15 +598,15 @@ def run_risk_bound_suite(
         costs = random_cost_table(g, 3, 6)
         s = matrix.T @ g.standard_normal(4)
         s_other = matrix.T @ g.standard_normal(4)
-        for kappa in kappas:
+        for kappa in (0.5, 1.0, 5.0):
             terms = partial_surrogate_terms(s, costs, kappa, kind)
-            slack = risk_bound_check(terms, costs, kappa, L)
+            slack = risk_bound_check(terms, costs, kappa)
             rows.append(
                 CheckRow(f"risk-bound/kappa={kappa:g}", inst_seed, slack, 0.0,
                          slack >= -1e-12)
             )
             pair_slack = risk_suboptimality_pair_slack(
-                terms, partial_surrogate_terms(s_other, costs, kappa, kind), costs, kappa, L
+                terms, partial_surrogate_terms(s_other, costs, kappa, kind), costs, kappa
             )
             rows.append(
                 CheckRow(f"risk-bound/pair/kappa={kappa:g}", inst_seed, pair_slack, 0.0,

@@ -43,10 +43,6 @@ class TrainConfig:
     epsilon: float
     kappa: float = 1.0
     seed: int = 0
-    # Replace the Monte-Carlo decomposition targets with the exact
-    # unperturbed single-scenario solutions (used by the first-iteration
-    # identity with uncoordinated imitation).
-    unperturbed_targets: bool = False
 
     def __post_init__(self):
         counts = (self.nb_iterations, self.nb_scenarios, self.nb_samples, self.nb_epochs)
@@ -119,8 +115,6 @@ def decomposition_pass(
     if not batch:
         raise InputError("decomposition needs a nonempty batch")
     thetas = [score_instance(weights, scenario) for scenario in batch]
-    if config.unperturbed_targets:
-        return [oracle.argmin_shifted(t, config.kappa, s) for t, s in zip(thetas, batch)]
     fused = getattr(oracle, "perturbed_split_pass", None)
     if fused is not None:
         return list(fused(thetas, batch, config.kappa, config.epsilon, config.nb_samples, rng))

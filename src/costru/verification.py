@@ -47,23 +47,22 @@ def enumeration_gap(priced: np.ndarray, members: np.ndarray, answers) -> float:
     return worst
 
 
-def run_oracle_suite(n_kruskal: int, n_anticipative: int, seed: int = 0) -> list[CheckRow]:
+def run_oracle_suite(draws: int, seed: int = 0) -> list[CheckRow]:
     """Kruskal max-weight forests and two-stage anticipative solves against
     exhaustive enumeration on small graphs: each answer must be enumerated
     and priced at its row's optimum (``enumeration_gap`` 0.0)."""
-    # The n_kruskal draws are split over the graphs, each of which gets at
-    # least one; the anticipative check solves n_anticipative // 2 instances
+    # The Kruskal draws are split over the graphs, each of which gets at
+    # least one; the anticipative check solves max(1, draws // 5) instances
     # per grid.  Each graph is enumerated once.
-    require_samples(len(_SMALL_GRAPHS), n_kruskal=n_kruskal)
-    require_samples(2, n_anticipative=n_anticipative)
+    require_samples(len(_SMALL_GRAPHS), draws=draws)
     g = make_rng(seed, 61).generator()
     worst = 0.0
     for i, (edges, n_nodes) in enumerate(_SMALL_GRAPHS):
-        per_graph = (n_kruskal + i) // len(_SMALL_GRAPHS)
-        draws = g.normal(0.0, 2.0, size=(per_graph, len(edges)))
+        per_graph = (draws + i) // len(_SMALL_GRAPHS)
+        weights = g.normal(0.0, 2.0, size=(per_graph, len(edges)))
         forests = enumerate_forests(edges, n_nodes)
-        answers = max_weight_forests(draws, edges, n_nodes)
-        worst = max(worst, enumeration_gap(draws @ forests.T, forests, answers))
+        answers = max_weight_forests(weights, edges, n_nodes)
+        worst = max(worst, enumeration_gap(weights @ forests.T, forests, answers))
     rows = [CheckRow("oracles/kruskal-forest", seed, worst, 0.0, worst == 0.0)]
 
     g = make_rng(seed, 62).generator()
@@ -72,7 +71,7 @@ def run_oracle_suite(n_kruskal: int, n_anticipative: int, seed: int = 0) -> list
     for edges, n_nodes in (_SMALL_GRAPHS[2], _SMALL_GRAPHS[4]):  # the 2x2 and 2x3 grids
         pairs = np.hstack(enumerate_spanning_pairs(edges, n_nodes))  # rows (y, z)
         effs, ds = [], []
-        for i in range(n_anticipative // 2):
+        for i in range(max(1, draws // 5)):
             c = g.uniform(5.0, 10.0, size=len(edges))
             ds.append(g.uniform(2.0, 12.0, size=len(edges)))
             effs.append(c - kappas[i % len(kappas)] * g.standard_normal(len(edges)))
@@ -83,9 +82,11 @@ def run_oracle_suite(n_kruskal: int, n_anticipative: int, seed: int = 0) -> list
     return rows
 
 
-def run_gradient_suite(seed: int = 0, m_mc: int = 100_000) -> list[CheckRow]:
-    """Finite-difference fidelity of exact and Monte-Carlo FY gradients."""
+def run_gradient_suite(seed: int = 0) -> list[CheckRow]:
+    """Finite-difference fidelity of exact and Monte-Carlo FY gradients, the
+    latter on 100 000 draws."""
     rows: list[CheckRow] = []
+    m_mc = 100_000
 
     # Exact negentropy FY gradient vs central differences, dim 6, step 1e-6.
     g = make_rng(seed, 71).generator()

@@ -18,21 +18,18 @@ from costru.problems.datasets import generate_mst_dataset
 from costru.problems.spanning_tree import MstEvaluator, MstOracle
 from costru.problems.toy import ToyOracle, toy_scenarios
 from costru.regularizers import perturbed_decomposition_target
-from costru.simplex_lab import (
-    run_convergence_suite,
-    run_five_point_suite,
-    run_jensen_gap_suite,
-    run_mirror_descent_suite,
-    run_risk_bound_suite,
-)
 from costru.trainer import TrainConfig, evaluate_policy, train_primal_dual
-from costru.verification import run_gradient_suite, run_oracle_suite
 from costru import baselines, experiments
 
 
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"\n{'PASS' if ok else 'FAIL'} {name}: {detail}")
     assert ok, f"{name}: {detail}"
+
+
+def verify_suite(name: str) -> list:
+    """The rows of ``costru verify <name>`` at the default config, seed 0."""
+    return cli.run_verify_suite(name, cli.load_config(None), 0)
 
 
 @pytest.fixture(scope="module")
@@ -89,14 +86,14 @@ def test_02_toy_decomposition_moments():
 
 
 def test_03_oracle_exactness():
-    rows = run_oracle_suite(n_kruskal=500, n_anticipative=200, seed=0)
+    rows = verify_suite("oracles")
     ok = all(r.passed for r in rows) and all(r.measured == 0.0 for r in rows)
     detail = "; ".join(f"{r.check}: max|diff|={r.measured}" for r in rows)
     report("oracle-exactness", ok, detail)
 
 
 def test_04_gradient_fidelity():
-    rows = run_gradient_suite(seed=0, m_mc=100_000)
+    rows = verify_suite("gradients")
     ok = all(r.passed for r in rows)
     detail = "; ".join(f"{r.check}={r.measured:.2e}(<= {r.threshold})" for r in rows)
     report("gradient-fidelity", ok, detail)
@@ -104,8 +101,7 @@ def test_04_gradient_fidelity():
 
 def test_05_alternating_convergence():
     start = time.perf_counter()
-    rows = run_convergence_suite(n_instances=20, n_scenarios=5, n_atoms=6,
-                                 kappa=1.0, t_check=200, t_opt=10_000, seed=0)
+    rows = verify_suite("convergence")
     elapsed = time.perf_counter() - start
     mono = [r for r in rows if "monotone" in r.check]
     rate = [r for r in rows if "rate" in r.check]
@@ -118,21 +114,21 @@ def test_05_alternating_convergence():
 
 
 def test_06_five_point_property():
-    rows = run_five_point_suite(probes=1000, seed=0, tolerance=1e-9)
+    rows = verify_suite("five-point")
     ok = all(r.passed for r in rows)
     detail = "; ".join(f"{r.check}: worst violation {r.measured:.2e}" for r in rows)
     report("five-point-property", ok, detail)
 
 
 def test_07_jensen_gap_convexity():
-    rows = run_jensen_gap_suite(trials=1000, seed=0, tolerance=1e-10)
+    rows = verify_suite("jensen-gap")
     ok = all(r.passed for r in rows)
     detail = "; ".join(f"{r.check}: max violation {r.measured:.2e}" for r in rows)
     report("jensen-gap-convexity", ok, detail)
 
 
 def test_08_mirror_descent_equivalence():
-    rows = run_mirror_descent_suite(iters=50, alpha=0.5, seed=0)
+    rows = verify_suite("mirror-descent")
     matched = next(r for r in rows if "matched" in r.check)
     control = next(r for r in rows if "control" in r.check)
     ok = matched.passed and control.passed
@@ -142,7 +138,7 @@ def test_08_mirror_descent_equivalence():
 
 
 def test_09_risk_bound():
-    rows = run_risk_bound_suite(n_instances=100, kappas=(0.5, 1.0, 5.0), L=1.0, seed=0)
+    rows = verify_suite("risk-bound")
     direct = [r for r in rows if "pair" not in r.check]
     pairs = [r for r in rows if "pair" in r.check]
     ok = all(r.passed for r in rows)
@@ -176,8 +172,9 @@ def test_10_mst_method_ordering(mst_benchmark):
 
 
 def test_11_first_iteration_identity():
-    """One outer iteration with exact (unperturbed) targets reproduces
-    uncoordinated imitation."""
+    """One outer iteration at kappa = 2^-40, where every decomposition target
+    is the scenario's anticipative split, reproduces uncoordinated
+    imitation."""
     splits = generate_mst_dataset(experiments.MST_BENCH_GEN, seed=0)
     _, train_data = splits["train"]
     _, val_data = splits["val"]
@@ -187,7 +184,7 @@ def test_11_first_iteration_identity():
     pd1_config = TrainConfig(
         nb_iterations=1, nb_scenarios=imit.nb_scenarios, nb_samples=imit.nb_samples,
         nb_epochs=imit.nb_epochs, lr_init=imit.lr_init, epsilon=imit.epsilon,
-        kappa=imit.kappa, seed=0, unperturbed_targets=True,
+        kappa=9.094947017729282e-13, seed=0,
     )
     trajectory = train_primal_dual(train_data, oracle, pd1_config)
     w_unc = baselines.uncoordinated_imitation(train_data, oracle, imit)

@@ -120,7 +120,7 @@ def test_traced_lab_keeps_rows(monkeypatch):
 
     def rows():
         return (cli.run_verify_suite("mirror-descent", cfg, 2),
-                simplex_lab.run_convergence_suite(n_instances=2, t_check=5, t_opt=20, seed=4))
+                simplex_lab.run_convergence_suite(n_instances=2, seed=4))
 
     expected = rows()
     tracer = tracing.Tracer()
@@ -133,4 +133,4 @@ def test_traced_lab_keeps_rows(monkeypatch):
     # One lockstep call for both instances; its work counts iterations.
     assert spans.count("simplex_lab.run_alternating_exact") == 1
     alternating = tracer.names.index("simplex_lab.run_alternating_exact")
-    assert [w for i, w in zip(tracer.name_id, tracer.work) if i == alternating] == [20.0]
+    assert [w for i, w in zip(tracer.name_id, tracer.work) if i == alternating] == [10_000.0]

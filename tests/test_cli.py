@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from costru import cli, experiments, native, simplex_lab, verification
+from costru import cli, experiments, native, simplex_lab
 from costru.baselines import SaaConfig
 from costru.core import CheckRow, make_rng
 from costru.problems.datasets import GenConfig
@@ -238,9 +238,12 @@ class TestGenerate:
 
     @pytest.mark.parametrize("key", ["rows", "cols"])
     def test_empty_grid_exits_two(self, tmp_path, mst_config, key):
+        """The config is checked before the output directory is made."""
         cfg = tmp_path / "empty.ini"
         cfg.write_text(Path(mst_config).read_text().replace(f"{key} = 3", f"{key} = 0"))
-        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "ds")]) == 2
+        out = tmp_path / "ds"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_non_finite_noise_scale_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "nan.ini"
@@ -259,13 +262,24 @@ class TestTrain:
         assert len(rows) == 1 + 3  # header + nb_iterations
         assert (out / "weights.npz").exists()
 
+    # A run that exits 2 has made no run directory: the method, the config
+    # and the splits are checked first.
     def test_toy_rejects_median(self, tmp_path, toy_config):
-        assert cli.main(["train", "median", "--config", toy_config,
-                         "--out", str(tmp_path / "x")]) == 2
+        out = tmp_path / "x"
+        assert cli.main(["train", "median", "--config", toy_config, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_mst_requires_data(self, tmp_path, mst_config):
+        out = tmp_path / "x"
         assert cli.main(["train", "primal-dual", "--config", mst_config,
-                         "--out", str(tmp_path / "x")]) == 2
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_mst_missing_data_directory_exits_two(self, tmp_path, mst_config):
+        out = tmp_path / "x"
+        assert cli.main(["train", "primal-dual", "--config", mst_config,
+                         "--data", str(tmp_path / "nodata"), "--out", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("method", ["primal-dual", "uncoordinated",
                                         "fully-coordinated", "median"])
@@ -472,25 +486,6 @@ class TestVerify:
         out = tmp_path / "report.csv"
         assert cli.main(["verify", "oracles", "--config", str(cfg),
                          "--out", str(out)]) == 0
-
-    # The explicit calls of tests/test_acceptance.py, by suite.
-    ACCEPTANCE_CALLS = {
-        "five-point": lambda: simplex_lab.run_five_point_suite(
-            probes=1000, seed=0, tolerance=1e-9),
-        "jensen-gap": lambda: simplex_lab.run_jensen_gap_suite(
-            trials=1000, seed=0, tolerance=1e-10),
-        "mirror-descent": lambda: simplex_lab.run_mirror_descent_suite(
-            iters=50, alpha=0.5, seed=0),
-        "oracles": lambda: verification.run_oracle_suite(
-            n_kruskal=500, n_anticipative=200, seed=0),
-    }
-
-    @pytest.mark.parametrize("suite", list(ACCEPTANCE_CALLS))
-    def test_defaults_are_the_acceptance_sizes(self, suite):
-        """The [verify] defaults own the suite sizes: a plain ``costru verify``
-        runs what the acceptance gate runs."""
-        expected = self.ACCEPTANCE_CALLS[suite]()
-        assert cli.run_verify_suite(suite, cli.load_config(None), 0) == expected
 
     def test_failure_exits_one(self, tmp_path, monkeypatch):
         failing = [CheckRow("synthetic", 0, 1.0, 0.5, False)]

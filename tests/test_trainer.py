@@ -6,15 +6,16 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from costru import native, trainer
+from costru import experiments, native, trainer
 from costru.core import InputError, LinearOracle, RngStream, Scenario, make_rng
 from costru.problems.datasets import GenConfig, generate_mst_dataset, generate_mst_split
-from costru.problems.spanning_tree import MstOracle, TwoStageCosts
+from costru.problems.spanning_tree import MstEvaluator, MstOracle, TwoStageCosts
 from costru.problems.toy import ToyEvaluator, ToyOracle, toy_dataset, toy_scenarios
 from costru.regularizers import perturbed_argmax_stats, perturbed_fy_gradient
 from costru.trainer import (
@@ -30,11 +31,26 @@ from costru.trainer import (
 )
 
 
+# 2^-40, written so that it parses back exactly: at this kappa no tilt
+# moves a split, so every decomposition target is anticipative.
+TINY_KAPPA = 9.094947017729282e-13
+
+
 def toy_config(**overrides) -> TrainConfig:
     params = dict(nb_iterations=3, nb_scenarios=3, nb_samples=200, nb_epochs=4,
                   lr_init=0.1, epsilon=1.0, kappa=1.0, seed=0)
     params.update(overrides)
     return TrainConfig(**params)
+
+
+def gate_setup(seed: int):
+    """The four-method gate's train and val splits at one seed (the
+    mst-small data), its oracle and evaluator, and its primal-dual config."""
+    gen = experiments.MST_BENCH_GEN
+    splits = generate_mst_dataset(gen, seed)
+    oracle = MstOracle(gen.rows, gen.cols)
+    return (splits["train"][1], splits["val"][1], oracle, MstEvaluator(oracle),
+            experiments.mst_bench_primal_dual_config(seed))
 
 
 class TestScoreInstance:
@@ -144,13 +160,25 @@ class TestDecompositionPass:
             sigma = max(np.sqrt(mu_true * (1 - mu_true) / 4000), 1e-4)
             assert abs(mu[0] - mu_true) < 4 * sigma
 
-    def test_unperturbed_targets_are_anticipative(self):
-        oracle = ToyOracle()
-        config = toy_config(unperturbed_targets=True)
-        targets = decomposition_pass(np.zeros(1), toy_scenarios(), oracle, config,
-                                     make_rng(0).split(1, 1))
+    def test_tiny_kappa_targets_are_anticipative_on_the_toy(self):
+        targets = decomposition_pass(np.zeros(1), toy_scenarios(), ToyOracle(),
+                                     toy_config(kappa=TINY_KAPPA), make_rng(0).split(1, 1))
         # anticipative optima per state: y = (1, 0, 0)
         np.testing.assert_array_equal(np.concatenate(targets), np.array([1.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tiny_kappa_targets_are_anticipative_on_the_gate(self, seed):
+        """On the gate's train split, at w = 0 and at the weights after one
+        outer iteration, every target is the scenario's anticipative split:
+        the primal-dual run at kappa = 2^-40 does not coordinate."""
+        train, _, oracle, _, config = gate_setup(seed)
+        config = replace(config, kappa=TINY_KAPPA, nb_iterations=1)
+        w1 = train_primal_dual(train, oracle, config).per_iteration[-1]
+        batch = list(train)
+        expected = [oracle.argmin_shifted(np.zeros(s.dim), 0.0, s) for s in batch]
+        for w in (np.zeros(train.feature_width), w1):
+            targets = decomposition_pass(w, batch, oracle, config, make_rng(seed).split(1, 1))
+            np.testing.assert_array_equal(targets, expected)
 
     def test_duplicate_scenarios_use_per_slot_streams(self):
         oracle = ToyOracle()
@@ -615,6 +643,49 @@ class TestTrainPrimalDual:
         assert len(batch) == 2
         full = subsample_batch(data, 10, make_rng(0).split(1, 0))
         assert len(full) == 3
+
+
+class TestScaleLaw:
+    """Training at (kappa, s eps, s lr) gives s times the weights of
+    (s kappa, eps, lr), bit for bit, for s a power of two: the tilt
+    kappa (theta + eps z) scales exactly, the oracles read only the order
+    and sign of a tilt, and Adam's step is lr times a quantity that does
+    not depend on s.  So training depends on kappa eps and lr / eps only,
+    and the deployed policy is unchanged."""
+
+    @staticmethod
+    def train_pair(path: str, first, second) -> list:
+        """(per-iteration weights, final (cost, gap)) of training under two
+        changes of the problem's config, each a function of that config."""
+        if path == "toy":
+            train = val = toy_dataset()
+            oracle = solver = ToyOracle()
+            evaluator, config = ToyEvaluator(), toy_config()
+        else:
+            train, val, oracle, evaluator, config = gate_setup(0)
+            solver = GenericOracle(oracle) if path == "generic" else oracle
+            config = replace(config, nb_iterations=3)
+        out = []
+        for change in (first, second):
+            w = train_primal_dual(train, solver, change(config)).per_iteration
+            out.append((w, evaluate_policy(w[-1], val, oracle, evaluator)))
+        return out
+
+    @pytest.mark.parametrize("s", [2.0 ** -4, 2.0, 8.0])
+    @pytest.mark.parametrize("path", ["fused", "generic", "toy"])
+    def test_weights_scale_and_gaps_do_not_move(self, path, s):
+        (w_eps, eval_eps), (w_kappa, eval_kappa) = self.train_pair(
+            path, lambda c: replace(c, epsilon=s * c.epsilon, lr_init=s * c.lr_init),
+            lambda c: replace(c, kappa=s * c.kappa))
+        assert np.any(w_kappa != 0.0)
+        np.testing.assert_array_equal(w_eps, s * w_kappa)
+        assert eval_eps == eval_kappa
+
+    def test_control_scaling_eps_without_lr_breaks_the_law(self):
+        (w_eps, _), (w_kappa, _) = self.train_pair(
+            "fused", lambda c: replace(c, epsilon=2.0 * c.epsilon),
+            lambda c: replace(c, kappa=2.0 * c.kappa))
+        assert not np.array_equal(w_eps, 2.0 * w_kappa)
 
 
 def coordination_objective(weights, batch, targets, oracle, config, rng) -> float:
