@@ -358,20 +358,23 @@ def _write_verify_trace(suite: str, cfg: dict, seed: int, out: Path, chash: str)
     iterations = cfg["verify"]["iterations"]
     if suite == "convergence":
         costs = simplex_lab.convergence_instance(seed)
-        kind = RegularizerKind.negentropy()
+        kind, kappa = RegularizerKind.negentropy(), simplex_lab.CONVERGENCE_KAPPA
         s0 = np.zeros(costs.shape[1])
-        traj = simplex_lab.run_alternating_exact(costs[None], s0[None, :], 1.0, kind, iterations)
+        traj = simplex_lab.run_alternating_exact(costs[None], s0[None, :], kappa, kind,
+                                                 iterations)
         # Iteration t decomposes at s_{t-1} into q_t, then coordinates; a
         # stack of one, so row 0 of each record.
-        steps = zip([s0, *(s[0] for s in traj.scores)], (q[0] for q in traj.q_products),
-                    traj.values[:, 0])
-        rows = [[t, simplex_lab.surrogate_value(s, q, costs, 1.0, kind), value,
-                 simplex_lab.jensen_gap(q, kind)]
-                for t, (s, q, value) in enumerate(steps, start=1)]
+        q_rows = np.stack([q[0] for q in traj.q_products])
+        steps = zip([s0, *(s[0] for s in traj.scores)], q_rows, traj.values[:, 0],
+                    simplex_lab.jensen_gap(q_rows, kind))
+        rows = [[t, simplex_lab.surrogate_value(s, q, costs, kappa, kind), value, gap]
+                for t, (s, q, value, gap) in enumerate(steps, start=1)]
         header = ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"]
     elif suite == "mirror-descent":
         costs, s0 = simplex_lab.mirror_descent_instance(seed)
-        deviations = simplex_lab.run_mirror_descent_comparison(costs, s0, 1.0, iterations)
+        deviations = simplex_lab.run_mirror_descent_comparison(
+            costs, s0, simplex_lab.MIRROR_DESCENT_KAPPA, iterations,
+            simplex_lab.MIRROR_DESCENT_ALPHA)
         rows = [[t, dev] for t, dev in enumerate(deviations, start=1)]
         header = ["iteration", "max_deviation"]
     else:

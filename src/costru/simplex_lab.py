@@ -40,6 +40,13 @@ log = logging.getLogger(__name__)
 # Distributions are clamped here before taking logs; a clamp is logged and
 # treated as a boundary event in strict mode.
 INTERIOR_CLAMP = 1e-300
+# The alternating scheme prices its partial-min surrogate once per block of
+# this many iterations: at 20 instances of 5 x 6 a block holds 307 KB.
+PRICING_BLOCK = 64
+# kappa of the convergence suite, and kappa and the damping alpha of the
+# mirror-descent suite; the suites and their ``costru verify`` traces read them.
+CONVERGENCE_KAPPA = 1.0
+MIRROR_DESCENT_KAPPA, MIRROR_DESCENT_ALPHA = 1.0, 0.5
 
 
 class BoundaryError(RuntimeError):
@@ -157,7 +164,7 @@ def exact_coordination(q: np.ndarray, kind: RegularizerKind, strict: bool = True
 def partial_min_surrogate(q: np.ndarray, gamma: np.ndarray, kappa: float,
                           kind: RegularizerKind) -> np.ndarray:
     """Surrogate minimized over the common score, in closed form, for (N, K)
-    rows of q and costs gamma, or one per entry of a (B, N, K) stack."""
+    rows of q and costs gamma, or one per entry of a (..., N, K) stack."""
     n, k = q.shape[-2:]
     cost_part = np.einsum("...ij,...ij->...", gamma, q) / n
     values = value_rows(q.reshape(-1, k), kind).reshape(q.shape[:-1]).sum(axis=-1)
@@ -166,11 +173,18 @@ def partial_min_surrogate(q: np.ndarray, gamma: np.ndarray, kappa: float,
     return cost_part + (kappa / n) * (values - n * bar_value)
 
 
-def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float:
-    """(1/N) sum_i Psi(q_i) - Psi(mean q_i); nonnegative by convexity."""
-    q = validate_distribution(q_product, ndim=2)
-    mean_value = float(value_rows(q, kind).mean())
-    return mean_value - float(value_rows(q.mean(axis=0)[None, :], kind)[0])
+def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float | np.ndarray:
+    """(1/N) sum_i Psi(q_i) - Psi(mean q_i), nonnegative by convexity, of an
+    (N, K) product; of a (B, N, K) stack, a (B,) array of one per entry."""
+    q = ensure_finite(q_product, "distribution")
+    if q.ndim not in (2, 3):
+        raise InputError("a product distribution must be an (N, |Y|) array or a stack of them")
+    k = q.shape[-1]
+    rows = validate_distribution(q.reshape(-1, k), ndim=2)
+    mean_value = value_rows(rows, kind).reshape(q.shape[:-1]).mean(axis=-1)
+    q_bar = q.mean(axis=-2)
+    gap = mean_value - value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1])
+    return float(gap) if q.ndim == 2 else gap
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +203,15 @@ def check_jensen_gap_convexity(kind: RegularizerKind, n_trials: int, rng: RngStr
     if n_trials < 1:
         raise InputError("the convexity probe needs at least one trial")
     g = rng.generator()
-    worst = -np.inf
-    for _ in range(n_trials):
-        qa = random_interior_product(g, 4, 5)
-        qb = random_interior_product(g, 4, 5)
-        t = float(g.uniform(0.05, 0.95))
-        combo = t * qa + (1.0 - t) * qb
-        violation = jensen_gap(combo, kind) - (
-            t * jensen_gap(qa, kind) + (1.0 - t) * jensen_gap(qb, kind)
-        )
-        worst = max(worst, violation)
-    return float(worst)
+    qa, qb, t = np.empty((n_trials, 4, 5)), np.empty((n_trials, 4, 5)), np.empty(n_trials)
+    for i in range(n_trials):  # each trial draws qa, then qb, then t
+        qa[i], qb[i], t[i] = (random_interior_product(g, 4, 5),
+                              random_interior_product(g, 4, 5), g.uniform(0.05, 0.95))
+    combo = t[:, None, None] * qa + (1.0 - t[:, None, None]) * qb
+    violation = jensen_gap(combo, kind) - (
+        t * jensen_gap(qa, kind) + (1.0 - t) * jensen_gap(qb, kind)
+    )
+    return float(violation.max())
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +256,7 @@ def run_alternating_exact(
     if s.shape != (b, k):
         raise InputError(f"s0 must hold one score row per instance, shape ({b}, {k})")
     values = np.empty((max_iters, b))
+    block = np.empty((min(PRICING_BLOCK, max_iters), b, n, k))  # reused: q_t are copied in
     q_products: list[np.ndarray] = []
     scores: list[np.ndarray] = []
     for t in range(max_iters):
@@ -256,30 +269,15 @@ def run_alternating_exact(
         except BoundaryError as err:
             err.iteration = t + 1
             raise
-        values[t] = partial_min_surrogate(q, gamma, kappa, kind)
+        filled = t % PRICING_BLOCK + 1
+        block[filled - 1] = q
+        if filled == PRICING_BLOCK or t + 1 == max_iters:
+            values[t + 1 - filled:t + 1] = partial_min_surrogate(block[:filled], gamma, kappa,
+                                                                 kind)
         if record_iterates:
             q_products.append(q)
             scores.append(s)
     return AlternatingTrajectory(values, q_products, scores, first_q, q)
-
-
-def _five_point_slack(
-    s0: np.ndarray, probe_q: np.ndarray, gamma: np.ndarray, kappa: float, kind: RegularizerKind
-) -> float:
-    """Slack of the partial-minimizer five-point inequality at one probe."""
-    n = gamma.shape[0]
-    q1 = prediction_rows(s0[None, :] - gamma / kappa, kind)
-    s1 = exact_coordination(q1, kind, strict=True)
-    lhs = partial_min_surrogate(probe_q, gamma, kappa, kind) - partial_min_surrogate(
-        q1, gamma, kappa, kind
-    )
-    rhs = (kappa / n) * (
-        float(np.sum(q1 @ s1))
-        + float(np.sum(probe_q @ s0))
-        - float(np.sum(probe_q @ s1))
-        - float(np.sum(q1 @ s0))
-    )
-    return lhs - rhs
 
 
 def five_point_check(
@@ -298,13 +296,22 @@ def five_point_check(
         raise InputError("the five-point check needs at least one probe")
     g = rng.generator()
     n, k = gamma.shape
-    worst = np.inf
-    for _ in range(probes):
-        s0 = score_scale * g.standard_normal(k)
-        s0 -= s0.mean()
-        probe_q = random_interior_product(g, n, k)
-        worst = min(worst, _five_point_slack(s0, probe_q, gamma, kappa, kind))
-    return -float(worst)
+    s0, probe_q = np.empty((probes, k)), np.empty((probes, n, k))
+    for p in range(probes):  # each probe draws its start score, then its product
+        start = score_scale * g.standard_normal(k)
+        s0[p], probe_q[p] = start - start.mean(), random_interior_product(g, n, k)
+    # One step from each start: q1 decomposes at s0, s1 coordinates q1.
+    q1 = prediction_rows((s0[:, None, :] - gamma / kappa).reshape(-1, k), kind)
+    q1 = q1.reshape(probes, n, k)
+    s1 = exact_coordination(q1, kind, strict=True)
+    lhs = partial_min_surrogate(probe_q, gamma, kappa, kind) - partial_min_surrogate(
+        q1, gamma, kappa, kind
+    )
+    # Per-probe products: batched ones round differently in the last bits.
+    rhs = np.array([float(np.sum(q @ s_b)) + float(np.sum(probe @ s_a))
+                    - float(np.sum(probe @ s_b)) - float(np.sum(q @ s_a))
+                    for q, probe, s_a, s_b in zip(q1, probe_q, s0, s1)])
+    return -float(np.min(lhs - (kappa / n) * rhs))
 
 
 def run_mirror_descent_comparison(
@@ -312,7 +319,7 @@ def run_mirror_descent_comparison(
     s0: np.ndarray,
     kappa: float,
     iters: int,
-    alpha: float = 0.5,
+    alpha: float = MIRROR_DESCENT_ALPHA,
     eta: float | None = None,
 ) -> np.ndarray:
     """Alternating scheme damped by alpha vs mirror descent, step eta = N alpha / kappa,
@@ -515,7 +522,7 @@ def run_convergence_suite(n_instances: int = 20, seed: int = 0) -> list[CheckRow
     instances are clamped, which moves values far below the 1e-10 tolerance.
     """
     require_samples(n_instances=n_instances)
-    kappa, t_check, t_opt = 1.0, 200, 10_000
+    kappa, t_check, t_opt = CONVERGENCE_KAPPA, 200, 10_000
     kind = RegularizerKind.negentropy()
     tables = [convergence_instance(seed + inst) for inst in range(n_instances)]
     s0 = np.zeros(tables[0].shape[1])
@@ -574,7 +581,7 @@ def run_mirror_descent_suite(iters: int, seed: int = 0) -> list[CheckRow]:
     kappa = 1, and the same comparison at twice the matched step as a
     negative control."""
     costs, s0 = mirror_descent_instance(seed)
-    kappa, alpha = 1.0, 0.5
+    kappa, alpha = MIRROR_DESCENT_KAPPA, MIRROR_DESCENT_ALPHA
     matched_dev = float(run_mirror_descent_comparison(costs, s0, kappa, iters, alpha).max())
     doubled_dev = float(run_mirror_descent_comparison(
         costs, s0, kappa, iters, alpha, eta=2.0 * len(costs) * alpha / kappa).max())

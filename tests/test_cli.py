@@ -547,6 +547,26 @@ class TestVerify:
         assert rows[0] == ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"]
         assert rows[1:] == expected
 
+    def test_trace_reads_the_suite_constants(self, tmp_path, monkeypatch):
+        """The traces run at the suites' own kappa and alpha: moved to 2.0
+        and 0.25, the convergence trace's partial minimum is the alternating
+        scheme's at kappa = 2 and the mirror-descent trace the comparison's
+        at kappa = 2, alpha = 0.25."""
+        monkeypatch.setattr(simplex_lab, "CONVERGENCE_KAPPA", 2.0)
+        monkeypatch.setattr(simplex_lab, "MIRROR_DESCENT_KAPPA", 2.0)
+        monkeypatch.setattr(simplex_lab, "MIRROR_DESCENT_ALPHA", 0.25)
+        for suite in ("convergence", "mirror-descent"):
+            cli.main(["verify", suite, "--seed", "3", "--out", str(tmp_path / f"{suite}.csv")])
+        kind = RegularizerKind.negentropy()
+        costs = simplex_lab.convergence_instance(3)
+        traj = simplex_lab.run_alternating_exact(costs[None], np.zeros((1, 6)), 2.0, kind, 50)
+        rows = read_rows(tmp_path / "convergence_trace.csv")
+        assert [float(r[2]) for r in rows[1:]] == traj.values[:, 0].tolist()
+        costs, s0 = simplex_lab.mirror_descent_instance(3)
+        deviations = simplex_lab.run_mirror_descent_comparison(costs, s0, 2.0, 50, 0.25)
+        rows = read_rows(tmp_path / "mirror-descent_trace.csv")
+        assert [float(r[1]) for r in rows[1:]] == deviations.tolist()
+
     def test_negative_seed_exits_two(self, tmp_path, capsys):
         """numpy's seed sequences take no negative seed; neither does the CLI,
         from the command line or from the config."""

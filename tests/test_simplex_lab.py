@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.special import rel_entr
 
+import lab_reference as reference
 from costru.core import InputError, make_rng
 from costru.problems.toy import TOY_COSTS
 from costru.regularizers import RegularizerKind, conjugate_rows, prediction_rows, value_rows
 from costru import verification
 from costru.simplex_lab import (
     INTERIOR_CLAMP,
+    PRICING_BLOCK,
     BoundaryError,
     ExplicitOracle,
     check_jensen_gap_convexity,
@@ -306,6 +308,86 @@ class TestLockstep:
             run_alternating_exact(tables[0][None], np.zeros(6), 1.0, NEG, 10)
 
 
+class TestBatchedLoops:
+    """The alternating scheme prices its surrogate in blocks of iterations
+    and the Jensen-gap and five-point checks run all their trials as one
+    stack; each equals its one-step-at-a-time loop in ``lab_reference``
+    bit for bit."""
+
+    @staticmethod
+    def assert_same_trajectory(traj, ref):
+        assert np.array_equal(traj.values, ref.values)
+        assert np.array_equal(traj.first_q, ref.first_q)
+        assert np.array_equal(traj.final_q, ref.final_q)
+        assert len(traj.q_products) == len(ref.q_products) == len(traj.scores)
+        for got, want in zip(traj.q_products + traj.scores, ref.q_products + ref.scores):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind,scale", [(NEG, 1.0), (L2, 0.05)])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("max_iters", [1, PRICING_BLOCK - 1, PRICING_BLOCK,
+                                           PRICING_BLOCK + 1, 3 * PRICING_BLOCK + 5])
+    def test_alternating_equals_the_per_iteration_loop(self, kind, scale, b, max_iters):
+        g = make_rng(60, b).generator()
+        gamma = np.stack([random_cost_table(g, 5, 6, scale) for _ in range(b)])
+        s0 = 0.1 * g.standard_normal((b, 6))
+        args = (gamma, s0, 1.5, kind, max_iters)
+        self.assert_same_trajectory(run_alternating_exact(*args),
+                                    reference.run_alternating_py(*args))
+
+    def test_boundary_instance_clamps_inside_blocks(self):
+        """Instance seed 21 clamps in 1 632 of its first 2 000 iterations,
+        at every position of a block."""
+        gamma = convergence_instance(21)[None]
+        args = (gamma, np.zeros((1, 6)), 1.0, NEG, 2_000)
+        _, _, _, clamps = alternating_reference(gamma[0], 1.0, 2_000)
+        assert len(clamps) == 1_632
+        assert {t % PRICING_BLOCK for t, _ in clamps} == set(range(PRICING_BLOCK))
+        self.assert_same_trajectory(run_alternating_exact(*args, record_iterates=False),
+                                    reference.run_alternating_py(*args, record_iterates=False))
+
+    def test_mean_vanishing_after_the_first_block_names_the_iteration(self):
+        """Instance 1 starts its cheapest vertex 0 at score -700.  Its
+        dearest vertex 4, 50 above the others, hovers at the clamp until
+        vertex 0, 58 below it, takes over; then vertex 4's mean underflows
+        to zero."""
+        tables = np.stack([convergence_instance(20), convergence_instance(21)])
+        tables[1] = [0.0, 8.0, 8.0, 8.0, 58.0, 8.0]
+        s0 = np.zeros((2, 6))
+        s0[1, 0] = -700.0
+        with pytest.raises(BoundaryError, match="instance 1") as err:
+            run_alternating_exact(tables, s0, 1.0, NEG, 500)
+        with pytest.raises(BoundaryError) as ref_err:
+            reference.run_alternating_py(tables, s0, 1.0, NEG, 500)
+        assert (err.value.instance, err.value.vertex) == (1, 4)
+        assert err.value.iteration == ref_err.value.iteration > PRICING_BLOCK
+
+    @pytest.mark.parametrize("kind", [NEG, L2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jensen_gap_check_equals_the_per_trial_loop(self, kind, seed):
+        assert check_jensen_gap_convexity(kind, 1000, make_rng(seed, 21)) == (
+            reference.check_jensen_gap_convexity_py(kind, 1000, make_rng(seed, 21)))
+
+    @pytest.mark.parametrize("kind,scale,score_scale", [(NEG, 1.0, 1.0), (L2, 0.05, 0.02)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_five_point_check_equals_the_per_probe_loop(self, kind, scale, score_scale, seed):
+        costs = random_cost_table(make_rng(seed, 11).generator(), 4, 5, scale)
+        args = (costs, 1.0, kind, 1000)
+        assert five_point_check(*args, make_rng(seed, 12), score_scale) == (
+            reference.five_point_check_py(*args, make_rng(seed, 12), score_scale))
+
+    def test_jensen_gap_of_a_stack_is_one_per_entry(self):
+        g = make_rng(61, 0).generator()
+        stack = np.stack([random_interior_product(g, 4, 5) for _ in range(3)])
+        gaps = jensen_gap(stack, NEG)
+        assert gaps.shape == (3,)
+        assert gaps.tolist() == [reference.jensen_gap_py(q, NEG) for q in stack]
+        with pytest.raises(InputError, match="sums to"):
+            jensen_gap(np.concatenate([stack, 2.0 * stack[:1]]), NEG)
+        with pytest.raises(InputError, match="product distribution"):
+            jensen_gap(stack[0, 0], NEG)
+
+
 class TestRateCertificate:
     """The ``convergence/rate`` row checks values[t] - values[T] <= C/(t - 1)
     for t = 2..200, C being kappa times the mean KL divergence of the
@@ -343,10 +425,8 @@ class TestFivePoint:
         g = make_rng(47, 0).generator()
         costs = random_cost_table(g, 4, 5)
         s0 = g.standard_normal(5)
-        from costru.simplex_lab import _five_point_slack
-
         q1 = prediction_rows(s0[None, :] - costs, NEG)
-        slack = _five_point_slack(s0, q1, costs, 1.0, NEG)
+        slack = reference.five_point_slack_py(s0, q1, costs, 1.0, NEG)
         assert slack == pytest.approx(0.0, abs=1e-10)
 
     @pytest.mark.parametrize("kind,scale,score_scale", [(NEG, 1.0, 1.0), (L2, 0.05, 0.02)])
