@@ -90,11 +90,15 @@ def prediction_rows(scores: np.ndarray, kind: RegularizerKind) -> np.ndarray:
     return np.maximum(scores - tau[:, None], 0.0)
 
 
+def negentropy_terms(q: np.ndarray) -> np.ndarray:
+    """q log q entrywise, 0 log 0 = 0: the terms of the negentropy."""
+    return q * np.log(np.where(q > 0.0, q, 1.0))
+
+
 def value_rows(q: np.ndarray, kind: RegularizerKind) -> np.ndarray:
     """Omega(q) per row: sum q log q with 0 log 0 = 0, or ||q||^2 / 2."""
     if kind.tag == NEGENTROPY:
-        safe = np.where(q > 0.0, q, 1.0)
-        return np.sum(q * np.log(safe), axis=1)
+        return np.add.reduce(negentropy_terms(q), axis=1)
     return 0.5 * np.einsum("ij,ij->i", q, q)
 
 

@@ -30,6 +30,7 @@ from .regularizers import (
     NEGENTROPY,
     RegularizerKind,
     conjugate_rows,
+    negentropy_terms,
     prediction_rows,
     validate_distribution,
     value_rows,
@@ -93,6 +94,24 @@ class ExplicitOracle(LinearOracle):
         return self.matrix.T[np.argmin(obj, axis=1)]
 
 
+def _row_order_sum(a: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum along ``axis`` in numpy's order for a contiguous row (a sum over
+    another axis adds left to right): left to right below 8 terms, in eight
+    interleaved partial sums up to 128, in halves at a multiple of 8 above."""
+    n = a.shape[axis]
+    if n < 8:
+        return np.add.reduce(a, axis=axis, out=out)
+    a = np.moveaxis(a, axis, 0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_row_order_sum(a[:half], 0), _row_order_sum(a[half:], 0), out=out)
+    r = np.add.reduce(a[:n - n % 8].reshape(n // 8, 8, *a.shape[1:]), axis=0)
+    total = np.add((r[0] + r[1]) + (r[2] + r[3]), (r[4] + r[5]) + (r[6] + r[7]), out=out)
+    for rest in a[n - n % 8:]:
+        total += rest
+    return total
+
+
 def _cost_table(gamma, ndim: int = 2) -> np.ndarray:
     """``gamma`` checked finite with ``ndim`` axes: an (N, K) table of cost
     score vectors gamma_i = (c(y, xi_i))_y, or a (B, N, K) stack of them."""
@@ -127,11 +146,7 @@ def surrogate_value(
         s = np.broadcast_to(s, (n, k))
     if s.shape != (n, k) or gamma.shape != (n, k):
         raise InputError("inconsistent surrogate dimensions")
-    fy = (
-        conjugate_rows(s, kind)
-        + value_rows(q, kind)
-        - np.einsum("ij,ij->i", s, q)
-    )
+    fy = conjugate_rows(s, kind) + value_rows(q, kind) - np.einsum("ij,ij->i", s, q)
     per_scenario = np.einsum("ij,ij->i", gamma, q) + kappa * fy
     return float(per_scenario.mean())
 
@@ -140,10 +155,12 @@ def exact_coordination(q: np.ndarray, kind: RegularizerKind, strict: bool = True
     """Common score s with prediction(s) = the mean of the (N, K) rows of q,
     or one per entry of a (B, N, K) stack; of the scores, defined up to a
     shift, the zero-sum one keeps trajectories comparable across runs."""
-    q_bar = q.mean(axis=-2)
+    # q.mean(axis=-2) bit for bit, C-ordered (so summed by rows) for any q.
+    q_bar = np.add.reduce(q, axis=-2, out=np.empty(q.shape[:-2] + q.shape[-1:]))
+    q_bar /= q.shape[-2]
     if kind.tag == NEGENTROPY:
-        if np.any(q_bar < INTERIOR_CLAMP):
-            vanished = bool(np.any(q_bar <= 0.0))
+        if (q_bar < INTERIOR_CLAMP).any():
+            vanished = bool((q_bar <= 0.0).any())
             if strict or vanished:
                 # The first vanished entry, else the smallest, in row-major order.
                 where = np.argwhere(q_bar <= 0.0 if vanished else q_bar == q_bar.min())[0]
@@ -154,23 +171,32 @@ def exact_coordination(q: np.ndarray, kind: RegularizerKind, strict: bool = True
                 raise BoundaryError(f"mean distribution{of} {what} at vertex {vertex}",
                                     vertex=vertex, instance=instance)
             log.debug("clamping mean distribution at %.0e before log", INTERIOR_CLAMP)
-            q_bar = np.maximum(q_bar, INTERIOR_CLAMP)
-        s = np.log(q_bar)
-    else:
-        s = q_bar
-    return s - s.mean(axis=-1, keepdims=True)
+            np.maximum(q_bar, INTERIOR_CLAMP, out=q_bar)
+        np.log(q_bar, out=q_bar)
+    return q_bar - np.add.reduce(q_bar, axis=-1, keepdims=True) / q_bar.shape[-1]
 
 
 def partial_min_surrogate(q: np.ndarray, gamma: np.ndarray, kappa: float,
                           kind: RegularizerKind) -> np.ndarray:
     """Surrogate minimized over the common score, in closed form, for (N, K)
     rows of q and costs gamma, or one per entry of a (..., N, K) stack."""
+    n = q.shape[-2]
+    values, bar_value = _value_terms(q, kind)
+    return np.einsum("...ij,...ij->...", gamma, q) / n + (kappa / n) * (values - n * bar_value)
+
+
+def _value_terms(q: np.ndarray, kind: RegularizerKind) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i Omega(q_i) and Omega(mean_i q_i) of the (..., N, K) stack q, the
+    negentropy's reduced over the outer axes of an (N, K, ...) copy."""
     n, k = q.shape[-2:]
-    cost_part = np.einsum("...ij,...ij->...", gamma, q) / n
-    values = value_rows(q.reshape(-1, k), kind).reshape(q.shape[:-1]).sum(axis=-1)
-    q_bar = q.mean(axis=-2)
-    bar_value = value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1])
-    return cost_part + (kappa / n) * (values - n * bar_value)
+    if kind.tag == NEGENTROPY:
+        atoms = np.moveaxis(q, (-2, -1), (0, 1)).copy()
+        q_bar = np.add.reduce(atoms, axis=0) / n
+        return (_row_order_sum(_row_order_sum(negentropy_terms(atoms), 1), 0),
+                _row_order_sum(negentropy_terms(q_bar), 0))
+    q_bar = np.add.reduce(q, axis=-2) / n  # q.mean(axis=-2) bit for bit
+    return (value_rows(q.reshape(-1, k), kind).reshape(q.shape[:-1]).sum(axis=-1),
+            value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1]))
 
 
 def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float | np.ndarray:
@@ -179,11 +205,9 @@ def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float | np.ndarr
     q = ensure_finite(q_product, "distribution")
     if q.ndim not in (2, 3):
         raise InputError("a product distribution must be an (N, |Y|) array or a stack of them")
-    k = q.shape[-1]
-    rows = validate_distribution(q.reshape(-1, k), ndim=2)
-    mean_value = value_rows(rows, kind).reshape(q.shape[:-1]).mean(axis=-1)
-    q_bar = q.mean(axis=-2)
-    gap = mean_value - value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1])
+    validate_distribution(q.reshape(-1, q.shape[-1]), ndim=2)
+    values, bar_value = _value_terms(q, kind)
+    gap = values / q.shape[-2] - bar_value
     return float(gap) if q.ndim == 2 else gap
 
 
@@ -193,8 +217,11 @@ def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float | np.ndarr
 
 def random_interior_product(g: np.random.Generator, n: int, k: int) -> np.ndarray:
     """Random product of interior distributions (every entry >= 2e-3 / k)."""
-    raw = g.dirichlet(np.ones(k), size=n)
-    return (1.0 - 2e-3) * raw + 2e-3 / k
+    return _interior(g.dirichlet(np.ones(k), size=n))
+
+
+def _interior(raw: np.ndarray) -> np.ndarray:  # mixed with 2e-3 of the uniform
+    return (1.0 - 2e-3) * raw + 2e-3 / raw.shape[-1]
 
 
 def check_jensen_gap_convexity(kind: RegularizerKind, n_trials: int, rng: RngStream) -> float:
@@ -203,14 +230,15 @@ def check_jensen_gap_convexity(kind: RegularizerKind, n_trials: int, rng: RngStr
     if n_trials < 1:
         raise InputError("the convexity probe needs at least one trial")
     g = rng.generator()
+    ones = np.ones(5)
     qa, qb, t = np.empty((n_trials, 4, 5)), np.empty((n_trials, 4, 5)), np.empty(n_trials)
     for i in range(n_trials):  # each trial draws qa, then qb, then t
-        qa[i], qb[i], t[i] = (random_interior_product(g, 4, 5),
-                              random_interior_product(g, 4, 5), g.uniform(0.05, 0.95))
+        qa[i], qb[i], t[i] = (g.dirichlet(ones, size=4), g.dirichlet(ones, size=4),
+                              g.uniform(0.05, 0.95))
+    qa, qb = _interior(qa), _interior(qb)
     combo = t[:, None, None] * qa + (1.0 - t[:, None, None]) * qb
-    violation = jensen_gap(combo, kind) - (
-        t * jensen_gap(qa, kind) + (1.0 - t) * jensen_gap(qb, kind)
-    )
+    violation = jensen_gap(combo, kind) - (t * jensen_gap(qa, kind)
+                                           + (1.0 - t) * jensen_gap(qb, kind))
     return float(violation.max())
 
 
@@ -246,38 +274,50 @@ def run_alternating_exact(
     clamped at the interior floor (value changes of the order of the clamp,
     far below every certificate tolerance).  A mean that vanishes outright
     raises a ``BoundaryError`` naming the instance and the iteration.
+    The iterate is one reused atoms-major (N, K, B) array, whose softmax and
+    mean reduce over outer axes in the row-wise maps' order; the returned
+    arrays are fresh copies.
     """
     gamma = _cost_table(gamma, ndim=3)
     require_positive("kappa", kappa)
     require_samples(max_iters=max_iters)
     b, n, k = gamma.shape
-    shifted_costs = gamma / kappa
+    shifted_costs = (gamma / kappa).transpose(1, 2, 0).copy()
     s = np.asarray(s0, dtype=float)
     if s.shape != (b, k):
         raise InputError(f"s0 must hold one score row per instance, shape ({b}, {k})")
+    q, row = np.empty((n, k, b)), np.empty((n, b))  # row: each row's max, then its sum
+    q_rows, row_wide = q.transpose(2, 0, 1), row[:, None, :]
     values = np.empty((max_iters, b))
     block = np.empty((min(PRICING_BLOCK, max_iters), b, n, k))  # reused: q_t are copied in
     q_products: list[np.ndarray] = []
     scores: list[np.ndarray] = []
     for t in range(max_iters):
-        q = prediction_rows((s[:, None, :] - shifted_costs).reshape(b * n, k), kind)
-        q = q.reshape(b, n, k)
-        if t == 0:
-            first_q = q
+        np.subtract(s.T, shifted_costs, out=q)
+        if kind.tag == NEGENTROPY:  # prediction_rows' softmax
+            np.maximum.reduce(q, axis=1, out=row)
+            np.subtract(q, row_wide, out=q)
+            np.exp(q, out=q)
+            _row_order_sum(q, 1, out=row)
+            np.divide(q, row_wide, out=q)
+        else:
+            q_rows[...] = prediction_rows(q_rows.reshape(-1, k), kind).reshape(b, n, k)
         try:
-            s = exact_coordination(q, kind, strict=False)
+            s = exact_coordination(q_rows, kind, strict=False)
         except BoundaryError as err:
             err.iteration = t + 1
             raise
         filled = t % PRICING_BLOCK + 1
-        block[filled - 1] = q
+        block[filled - 1] = q_rows
         if filled == PRICING_BLOCK or t + 1 == max_iters:
             values[t + 1 - filled:t + 1] = partial_min_surrogate(block[:filled], gamma, kappa,
                                                                  kind)
+        if t == 0:
+            first_q = q_rows.copy()
         if record_iterates:
-            q_products.append(q)
+            q_products.append(q_rows.copy())
             scores.append(s)
-    return AlternatingTrajectory(values, q_products, scores, first_q, q)
+    return AlternatingTrajectory(values, q_products, scores, first_q, q_rows.copy())
 
 
 def five_point_check(
@@ -296,17 +336,18 @@ def five_point_check(
         raise InputError("the five-point check needs at least one probe")
     g = rng.generator()
     n, k = gamma.shape
+    ones = np.ones(k)
     s0, probe_q = np.empty((probes, k)), np.empty((probes, n, k))
     for p in range(probes):  # each probe draws its start score, then its product
-        start = score_scale * g.standard_normal(k)
-        s0[p], probe_q[p] = start - start.mean(), random_interior_product(g, n, k)
+        s0[p], probe_q[p] = g.standard_normal(k), g.dirichlet(ones, size=n)
+    s0 *= score_scale
+    s0 -= np.add.reduce(s0, axis=1, keepdims=True) / k
+    probe_q = _interior(probe_q)
     # One step from each start: q1 decomposes at s0, s1 coordinates q1.
-    q1 = prediction_rows((s0[:, None, :] - gamma / kappa).reshape(-1, k), kind)
-    q1 = q1.reshape(probes, n, k)
+    q1 = prediction_rows((s0[:, None, :] - gamma / kappa).reshape(-1, k), kind).reshape(-1, n, k)
     s1 = exact_coordination(q1, kind, strict=True)
-    lhs = partial_min_surrogate(probe_q, gamma, kappa, kind) - partial_min_surrogate(
-        q1, gamma, kappa, kind
-    )
+    lhs = (partial_min_surrogate(probe_q, gamma, kappa, kind)
+           - partial_min_surrogate(q1, gamma, kappa, kind))
     # Per-probe products: batched ones round differently in the last bits.
     rhs = np.array([float(np.sum(q @ s_b)) + float(np.sum(probe @ s_a))
                     - float(np.sum(probe @ s_b)) - float(np.sum(q @ s_a))
@@ -341,7 +382,7 @@ def run_mirror_descent_comparison(
         eta = n * alpha / kappa
 
     def guard(q: np.ndarray, label: str) -> np.ndarray:
-        if np.any(q < INTERIOR_CLAMP):
+        if (q < INTERIOR_CLAMP).any():
             raise BoundaryError(f"{label} iterate fell below {INTERIOR_CLAMP:.0e}")
         return q
 
@@ -361,7 +402,7 @@ def run_mirror_descent_comparison(
     primal_b: list[np.ndarray] = [q]
     for _ in range(iters - 1):
         log_q = np.log(q)
-        log_mean = np.log(guard(q.mean(axis=0), "mirror mean"))
+        log_mean = np.log(guard(np.add.reduce(q, axis=0) / n, "mirror mean"))
         mirror_points = (1.0 + log_q)  # gradient of sum q log q, rowwise
         grads = (gamma + kappa * (log_q - log_mean[None, :])) / n
         q = guard(prediction_rows(mirror_points - eta * grads, kind), "mirror")

@@ -4,22 +4,62 @@
 The lab prices the alternating scheme's surrogate in blocks of iterations
 and runs the Jensen-gap and five-point checks on stacks of all their trials.
 These are the same computations written one step at a time, on one (N, K)
-product per call; ``test_simplex_lab.py`` compares the lab with them bit
-for bit.
+product per call, with the row-wise maps that the lab's atoms-major loop
+replaced: numpy's ``mean`` and per-row sums over the last axis.
+``test_simplex_lab.py`` compares the lab with them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from costru.regularizers import prediction_rows, validate_distribution, value_rows
+from costru.regularizers import NEGENTROPY, prediction_rows, validate_distribution
 from costru.simplex_lab import (
+    INTERIOR_CLAMP,
     AlternatingTrajectory,
     BoundaryError,
-    exact_coordination,
-    partial_min_surrogate,
     random_interior_product,
 )
+
+
+def value_rows(q: np.ndarray, kind) -> np.ndarray:
+    """Omega(q) per row, summed along each row."""
+    if kind.tag == NEGENTROPY:
+        safe = np.where(q > 0.0, q, 1.0)
+        return np.sum(q * np.log(safe), axis=1)
+    return 0.5 * np.einsum("ij,ij->i", q, q)
+
+
+def exact_coordination(q: np.ndarray, kind, strict: bool = True) -> np.ndarray:
+    """The zero-sum common score whose prediction is the mean of the rows
+    of q, per entry of a (B, N, K) stack."""
+    q_bar = q.mean(axis=-2)
+    if kind.tag == NEGENTROPY:
+        if np.any(q_bar < INTERIOR_CLAMP):
+            vanished = bool(np.any(q_bar <= 0.0))
+            if strict or vanished:
+                where = np.argwhere(q_bar <= 0.0 if vanished else q_bar == q_bar.min())[0]
+                vertex = int(where[-1])
+                instance = int(where[0]) if q_bar.ndim == 2 else None
+                of = "" if instance is None else f" of instance {instance}"
+                what = "vanishes" if vanished else "below clamp"
+                raise BoundaryError(f"mean distribution{of} {what} at vertex {vertex}",
+                                    vertex=vertex, instance=instance)
+            q_bar = np.maximum(q_bar, INTERIOR_CLAMP)
+        s = np.log(q_bar)
+    else:
+        s = q_bar
+    return s - s.mean(axis=-1, keepdims=True)
+
+
+def partial_min_surrogate(q: np.ndarray, gamma: np.ndarray, kappa: float, kind) -> np.ndarray:
+    """The partial-min surrogate of (N, K) rows or of a (..., N, K) stack."""
+    n, k = q.shape[-2:]
+    cost_part = np.einsum("...ij,...ij->...", gamma, q) / n
+    values = value_rows(q.reshape(-1, k), kind).reshape(q.shape[:-1]).sum(axis=-1)
+    q_bar = q.mean(axis=-2)
+    bar_value = value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1])
+    return cost_part + (kappa / n) * (values - n * bar_value)
 
 
 def jensen_gap_py(q_product: np.ndarray, kind) -> float:

@@ -335,6 +335,33 @@ class TestBatchedLoops:
         self.assert_same_trajectory(run_alternating_exact(*args),
                                     reference.run_alternating_py(*args))
 
+    @pytest.mark.parametrize("kind,scale", [(NEG, 1.0), (L2, 0.05)])
+    @pytest.mark.parametrize("b", [1, 20])
+    @pytest.mark.parametrize("n", [1, 5, 8, 9])
+    @pytest.mark.parametrize("k", [2, 7, 8, 9, 17, 130])
+    def test_atoms_major_sums_keep_the_row_order(self, kind, scale, b, n, k):
+        """The loop sums over atoms and scenarios off the last axis, in
+        numpy's row order: left to right below 8 terms, in eight partial
+        sums from 8, in halves above 128."""
+        g = make_rng(62, k).generator()
+        gamma = scale * g.standard_normal((b, n, k))
+        args = (gamma, 0.1 * g.standard_normal((b, k)), 1.5, kind, PRICING_BLOCK + 3)
+        self.assert_same_trajectory(run_alternating_exact(*args),
+                                    reference.run_alternating_py(*args))
+
+    @pytest.mark.parametrize("kind,scale", [(NEG, 1.0), (L2, 0.05)])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_returned_arrays_are_fresh(self, kind, scale, b):
+        """No returned array is a view (of a buffer of the loop) or shares
+        memory with another."""
+        g = make_rng(63, b).generator()
+        gamma = np.stack([random_cost_table(g, 5, 6, scale) for _ in range(b)])
+        traj = run_alternating_exact(gamma, np.zeros((b, 6)), 1.0, kind, PRICING_BLOCK + 3)
+        arrays = [traj.values, traj.first_q, traj.final_q, *traj.q_products, *traj.scores]
+        assert all(a.base is None and a.flags.c_contiguous for a in arrays)
+        for i, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, other) for other in arrays[i + 1:])
+
     def test_boundary_instance_clamps_inside_blocks(self):
         """Instance seed 21 clamps in 1 632 of its first 2 000 iterations,
         at every position of a block."""
