@@ -137,27 +137,58 @@ def fy_loss_exact(
 # Monte-Carlo maps through a linear oracle (sparse perturbation)
 # ---------------------------------------------------------------------------
 
-def _tilts(rng: RngStream, theta: np.ndarray, eps: float, m: int) -> np.ndarray:
-    """The (m, d) tilts theta + eps z_r of a finite (d,) theta for the m
-    standard normal draws z_r of rng."""
+_DRAW_BLOCK = 4096  # draws whose tilts, scores and maximizers exist at once
+
+
+def _scaled_draws(rng: RngStream, theta, eps: float, m: int, stack: bool = False):
+    """A finite (d,) theta, or with ``stack`` an (n, d) stack too, and eps
+    times the (m, d) standard normal draws of rng."""
     theta = ensure_finite(theta, "theta")
-    if theta.ndim != 1:
-        raise InputError("theta must be a one-dimensional array")
+    if theta.ndim != 1 and not (stack and theta.ndim == 2):
+        raise InputError("theta must be a one-dimensional array"
+                         + (" or an (n, d) stack of them" if stack else ""))
     require_perturbation(eps, m)
-    return theta[None, :] + eps * rng.standard_normal((m, theta.shape[0]))
+    noise = rng.standard_normal((m, theta.shape[-1]))
+    noise *= eps
+    return theta, noise
 
 
 def perturbed_argmax_stats(
     oracle: LinearOracle, theta: np.ndarray, eps: float, m: int, rng: RngStream
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
     """Monte-Carlo estimates, from one set of m draws, of the perturbed
     maximum E[max_y <theta + eps Z | y>] and of its gradient, the maximizer
     moment E[argmax_y <theta + eps Z | y>], which lies in conv(Y): the means
-    of the row values <theta + eps z_r | y_r> and of the maximizers y_r."""
-    tilted = _tilts(rng, theta, eps, m)
-    ys = oracle.argmax_linear_many(tilted)
-    # The mean of the row values bit for bit, without np.mean's Python overhead.
-    return float(np.einsum("ij,ij->i", tilted, ys).sum() / m), ys.mean(axis=0)
+    of the row values <theta + eps z_r | y_r> and of the maximizers y_r.
+
+    A (d,) theta gives a float and a (d,) moment; an (n, d) stack gives (n,)
+    values and (n, d) moments, all on the same draws.  Each direction runs
+    over the draws in row blocks, to the bits of all m rows at once for an
+    oracle whose answer to a row does not depend on the rows around it."""
+    theta, noise = _scaled_draws(rng, theta, eps, m, stack=True)
+    thetas = np.atleast_2d(theta)
+    # The last block takes up a row that would be left alone: OpenBLAS
+    # prices a one-row matrix product on another path, which can round otherwise.
+    starts = range(0, max(m - 1, 1), _DRAW_BLOCK)
+    blocks = list(zip(starts, [*starts[1:], m]))
+    values, moments, row_values = np.empty(len(thetas)), np.empty(thetas.shape), np.empty(m)
+    # A column of maximizers is summed pairwise as a whole; wider rows add
+    # up left to right, so a running sum in front of each block keeps them.
+    column = np.empty((m, 1)) if thetas.shape[1] == 1 else None
+    for i, direction in enumerate(thetas):
+        total = None
+        for start, stop in blocks:
+            tilted = direction + noise[start:stop]
+            ys = oracle.argmax_linear_many(tilted)
+            np.einsum("ij,ij->i", tilted, ys, out=row_values[start:stop])
+            if column is None:
+                total = np.add.reduce(ys if total is None else np.vstack([total, ys]), axis=0)
+            else:
+                column[start:stop] = ys
+        # The means of the rows bit for bit, without np.mean's Python overhead.
+        values[i] = row_values.sum() / m
+        moments[i] = (total if column is None else np.add.reduce(column, axis=0)) / m
+    return (float(values[0]), moments[0]) if theta.ndim == 1 else (values, moments)
 
 
 def perturbed_fy_gradient(
@@ -174,6 +205,8 @@ def perturbed_fy_gradient(
     at the target, hence "shifted"; the gradient is unaffected.  Value and
     gradient are computed from one common set of draws.
     """
+    if np.ndim(theta) != 1:  # perturbed_argmax_stats alone takes a stack
+        raise InputError("theta must be a one-dimensional array")
     target_mu = ensure_finite(target_mu, "target moment")
     if target_mu.shape != np.shape(theta):
         raise InputError("theta and target dimensions differ")
@@ -198,5 +231,5 @@ def perturbed_decomposition_target(
     interior; the returned average lies in conv(Y(x)).
     """
     require_positive("kappa", kappa)
-    ys = oracle.argmin_shifted_many(_tilts(rng, theta, eps, m), kappa, scenario)
-    return ys.mean(axis=0)
+    theta, noise = _scaled_draws(rng, theta, eps, m)
+    return oracle.argmin_shifted_many(theta + noise, kappa, scenario).mean(axis=0)

@@ -73,8 +73,8 @@ class ExplicitOracle(LinearOracle):
 
     def __init__(self, vertices):
         vertices = ensure_finite(vertices, "vertices")
-        if vertices.ndim != 2:
-            raise InputError("vertices must form a (|Y|, d) array")
+        if vertices.ndim != 2 or not len(vertices):
+            raise InputError("vertices must form a (|Y|, d) array, |Y| >= 1")
         self.matrix = vertices.T.copy()
         self.matrix.setflags(write=False)
 
@@ -84,7 +84,19 @@ class ExplicitOracle(LinearOracle):
         return direction_rows(thetas, self.matrix.shape[0], kappa) @ self.matrix
 
     def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
-        return self.matrix.T[np.argmax(self._scores(thetas), axis=1)]
+        """np.argmax of each row's scores as a scan over the vertices under a
+        strict >: ties go to the lowest index, and a row with a NaN score
+        (finite directions can overflow to inf - inf) to its first NaN."""
+        scores = self._scores(thetas)
+        best, *columns = scores.T.copy()
+        index, wins = np.zeros(len(scores), dtype=np.intp), np.empty(len(scores), dtype=bool)
+        for j, column in enumerate(columns, start=1):
+            # j exceeds every earlier index, so the last win is the maximum.
+            np.maximum(index, np.multiply(np.greater(column, best, out=wins), j), out=index)
+            np.maximum(best, column, out=best)  # a NaN stays
+        nan = np.isnan(best)
+        index[nan] = np.argmax(scores[nan], axis=1)
+        return self.matrix.T[index]
 
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         gamma = ensure_finite(scenario.noise_payload, "cost payload")

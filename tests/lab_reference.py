@@ -7,17 +7,25 @@ These are the same computations written one step at a time, on one (N, K)
 product per call, with the row-wise maps that the lab's atoms-major loop
 replaced: numpy's ``mean`` and per-row sums over the last axis.
 ``test_simplex_lab.py`` compares the lab with them bit for bit.
+
+The perturbed estimator of ``costru/regularizers.py`` prices a stack of
+directions on one draw, in row blocks; ``perturbed_argmax_stats`` here
+prices one direction on all its draws at once, and ``ArgmaxOracle`` answers
+through ``np.argmax`` of the whole score array.  ``test_regularizers.py``
+compares the estimator and ``ExplicitOracle`` with them bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from costru.core import InputError, ensure_finite, require_perturbation
 from costru.regularizers import NEGENTROPY, prediction_rows, validate_distribution
 from costru.simplex_lab import (
     INTERIOR_CLAMP,
     AlternatingTrajectory,
     BoundaryError,
+    ExplicitOracle,
     random_interior_product,
 )
 
@@ -138,3 +146,22 @@ def five_point_check_py(gamma, kappa, kind, probes, rng, score_scale=1.0) -> flo
         probe_q = random_interior_product(g, n, k)
         worst = min(worst, five_point_slack_py(s0, probe_q, gamma, kappa, kind))
     return -float(worst)
+
+
+def perturbed_argmax_stats(oracle, theta, eps, m, rng) -> tuple[float, np.ndarray]:
+    """Perturbed maximum and maximizer moment of one (d,) theta from the
+    (m, d) tilts, scores and maximizers of all m draws at once."""
+    theta = ensure_finite(theta, "theta")
+    if theta.ndim != 1:
+        raise InputError("theta must be a one-dimensional array")
+    require_perturbation(eps, m)
+    tilted = theta[None, :] + eps * rng.standard_normal((m, theta.shape[0]))
+    ys = oracle.argmax_linear_many(tilted)
+    return float(np.einsum("ij,ij->i", tilted, ys).sum() / m), ys.mean(axis=0)
+
+
+class ArgmaxOracle(ExplicitOracle):
+    """``ExplicitOracle`` answering each row through np.argmax of its scores."""
+
+    def argmax_linear_many(self, thetas: np.ndarray) -> np.ndarray:
+        return self.matrix.T[np.argmax(self._scores(thetas), axis=1)]
