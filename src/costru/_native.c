@@ -218,11 +218,14 @@ static void pool_state(const entropy_pool *ep, uint64_t *state) {
         state[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
 }
 
-/* SeedSequence(...).generate_state(4, np.uint64) of n entropy words. */
-static void seed_words(const uint32_t *entropy, int64_t n, uint64_t *words) {
-    entropy_pool ep;
-    mix_entropy(&ep, entropy, n);
-    pool_state(&ep, words);
+/* n normals of the stream of a mixed pool: generate_state(4, np.uint64),
+ * PCG64 seeded from it, then numpy's own sampler. */
+static void fill_from(const entropy_pool *ep, int64_t n, double *out) {
+    uint64_t words[POOL];
+    pcg64 rng;
+    pool_state(ep, words);
+    bitgen_t stream = pcg64_stream(&rng, words);
+    random_standard_normal_fill(&stream, n, out);
 }
 
 typedef struct {
@@ -232,37 +235,36 @@ typedef struct {
 
 enum { RUN = 16 };
 
-/* Per-call workspace, so that calls from several threads never share it. */
+/* Per-call workspace, so that calls from several threads never share it,
+ * with a buffer of n_buffer doubles for the caller. */
 typedef struct {
     const int64_t *ends;
     int64_t n_nodes;
     item *items, *tmp;
     int64_t *parent, *picks;
+    double *buffer;
 } workspace;
 
 static int open_workspace(workspace *ws, const int64_t *ends, int64_t n_edges,
-                          int64_t n_nodes) {
+                          int64_t n_nodes, int64_t n_buffer) {
     if (n_nodes < 1) return BAD_GRAPH;
     for (int64_t e = 0; e < 2 * n_edges; e++)
         if (ends[e] < 0 || ends[e] >= n_nodes) return BAD_GRAPH;
     ws->ends = ends;
     ws->n_nodes = n_nodes;
-    ws->items = malloc((size_t)(2 * n_edges + 1) * sizeof(item));
-    ws->parent = malloc((size_t)(2 * n_nodes) * sizeof(int64_t));
-    if (ws->items == NULL || ws->parent == NULL) {
-        free(ws->items);
-        free(ws->parent);
-        return NO_MEMORY;
-    }
+    /* One block: the items and tmp, parent and picks, then the buffer. */
+    ws->items = malloc((size_t)(2 * n_edges + 1) * sizeof(item)
+                       + (size_t)(2 * n_nodes) * sizeof(int64_t)
+                       + (size_t)n_buffer * sizeof(double));
+    if (ws->items == NULL) return NO_MEMORY;
     ws->tmp = ws->items + n_edges;
+    ws->parent = (int64_t *)(ws->items + 2 * n_edges + 1);
     ws->picks = ws->parent + n_nodes;
+    ws->buffer = (double *)(ws->picks + n_nodes);
     return 0;
 }
 
-static void close_workspace(workspace *ws) {
-    free(ws->items);
-    free(ws->parent);
-}
+static void close_workspace(workspace *ws) { free(ws->items); }
 
 static int64_t find(int64_t *parent, int64_t x) {
     while (parent[x] != x) {
@@ -319,45 +321,37 @@ static int64_t select_edges(workspace *ws, int64_t n, int64_t *picks) {
     return count;
 }
 
+/* Kruskal on the keys -w of the edges with w > 0: writes the chosen edges
+ * to ws->picks and their number to *count.  A non-finite w is an error, and
+ * then nothing is chosen. */
+static int forest(workspace *ws, const double *w, int64_t n_edges, int64_t *count) {
+    int status = 0;
+    int64_t n = 0;
+    for (int64_t e = 0; e < n_edges; e++) {
+        if (!isfinite(w[e])) status = NON_FINITE;
+        /* Written always and kept when w > 0: a tilt's sign is a coin
+         * flip that a branch would mispredict. */
+        ws->items[n] = (item){-w[e], e};
+        n += w[e] > 0.0;
+    }
+    *count = status == 0 ? select_edges(ws, n, ws->picks) : 0;
+    return status;
+}
+
 int64_t forest_rows(const double *w, const int64_t *ends, int64_t m, int64_t n_edges,
                     int64_t n_nodes, double *out) {
     workspace ws;
-    int status = open_workspace(&ws, ends, n_edges, n_nodes);
+    int status = open_workspace(&ws, ends, n_edges, n_nodes, 0);
     if (status != 0) return status;
     for (int64_t r = 0; r < m && status == 0; r++) {
-        const double *wr = w + r * n_edges;
         double *row = out + r * n_edges;
-        int64_t n = 0;
-        for (int64_t e = 0; e < n_edges; e++) {
-            if (!isfinite(wr[e])) status = NON_FINITE;
-            ws.items[n] = (item){-wr[e], e};
-            n += wr[e] > 0.0;
-            row[e] = 0.0;
-        }
-        int64_t count = select_edges(&ws, n, ws.picks);
+        int64_t count;
+        for (int64_t e = 0; e < n_edges; e++) row[e] = 0.0;
+        status = forest(&ws, w + r * n_edges, n_edges, &count);
         for (int64_t i = 0; i < count; i++) row[ws.picks[i]] = 1.0;
     }
     close_workspace(&ws);
     return status;
-}
-
-/* Adds the forest of the tilt theta + eps * z to sum; z holds E normals. */
-static int add_forest(workspace *ws, const double *theta, const double *z, double eps,
-                      int64_t n_edges, double *sum) {
-    int status = 0;
-    int64_t n = 0;
-    for (int64_t e = 0; e < n_edges; e++) {
-        double w = theta[e] + eps * z[e];
-        if (!isfinite(w)) status = NON_FINITE;
-        /* Written always and kept when w > 0: a tilt's sign is a coin
-         * flip that a branch would mispredict. */
-        ws->items[n] = (item){-w, e};
-        n += w > 0.0;
-    }
-    if (status != 0) return status;
-    int64_t count = select_edges(ws, n, ws->picks);
-    for (int64_t i = 0; i < count; i++) sum[ws->picks[i]] += 1.0;
-    return 0;
 }
 
 /* Kruskal on the keys min(eff, d) of one row, NaN when either is NaN:
@@ -378,7 +372,7 @@ int64_t split_rows(const double *eff, const double *d, int64_t d_stride,
                    const int64_t *ends, int64_t m, int64_t n_edges, int64_t n_nodes,
                    double *yz) {
     workspace ws;
-    int status = open_workspace(&ws, ends, n_edges, n_nodes);
+    int status = open_workspace(&ws, ends, n_edges, n_nodes, 0);
     if (status != 0) return status;
     for (int64_t r = 0; r < m && status == 0; r++) {
         const double *er = eff + r * n_edges, *dr = d + r * d_stride;
@@ -423,14 +417,14 @@ static double pairwise_sum(const double *a, int64_t n) {
 int64_t completion_sums(const double *ys, int64_t n_ys, const double *d, int64_t k_rows,
                         const int64_t *ends, int64_t n_edges, int64_t n_nodes, double *out) {
     workspace ws;
-    int status = open_workspace(&ws, ends, n_edges, n_nodes);
+    int status = open_workspace(&ws, ends, n_edges, n_nodes, n_nodes);
     if (status != 0) return status;
     /* Each row's edges of cost < +inf, sorted once by (cost, index), and
      * the costs of a completion, in selection order. */
     item *sorted = malloc((size_t)(k_rows * n_edges + 1) * sizeof(item));
     int64_t *lengths = malloc((size_t)(k_rows + 1) * sizeof(int64_t));
-    double *costs = malloc((size_t)n_nodes * sizeof(double));
-    if (sorted == NULL || lengths == NULL || costs == NULL) status = NO_MEMORY;
+    double *costs = ws.buffer;
+    if (sorted == NULL || lengths == NULL) status = NO_MEMORY;
     for (int64_t r = 0; r < k_rows && status == 0; r++) {
         const double *dr = d + r * n_edges;
         int64_t n = 0;
@@ -474,17 +468,14 @@ int64_t completion_sums(const double *ys, int64_t n_ys, const double *d, int64_t
     }
     free(sorted);
     free(lengths);
-    free(costs);
     close_workspace(&ws);
     return status;
 }
 
 void normal_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, double *out) {
-    pcg64 rng;
-    uint64_t words[POOL];
-    seed_words(entropy, n_entropy, words);
-    bitgen_t stream = pcg64_stream(&rng, words);
-    random_standard_normal_fill(&stream, n, out);
+    entropy_pool ep;
+    mix_entropy(&ep, entropy, n_entropy);
+    fill_from(&ep, n, out);
 }
 
 /* trainer.adam_step's numpy expressions, element by element, on the rows
@@ -586,13 +577,9 @@ static void relax(void) {
 
 static void draw_step(const normals *src, int64_t s, double *out) {
     entropy_pool ep = src->key;
-    uint64_t words[POOL];
-    pcg64 rng;
     if (src->by_epoch) mix_index(&ep, s / src->n_slots);
     mix_index(&ep, s % src->n_slots);
-    pool_state(&ep, words);
-    bitgen_t stream = pcg64_stream(&rng, words);
-    random_standard_normal_fill(&stream, src->count, out);
+    fill_from(&ep, src->count, out);
 }
 
 /* The helper waits until used reaches target or the pass stops. */
@@ -626,20 +613,26 @@ static void *draw_ahead(void *arg) {
     return NULL;
 }
 
-/* Starts the helper when threaded and pthread_create succeeds; otherwise
- * the caller draws every step. */
-static int open_normals(normals *src, const uint32_t *entropy, int64_t n_entropy,
-                        int by_epoch, int64_t n_slots, int64_t n_steps, int64_t count,
-                        int threaded) {
+/* Opens the frame of a fused pass: its workspace, with n_buffer doubles of
+ * its own followed by the normals' buffers, and the normals of n_steps
+ * steps of count each.  Starts the helper when threaded and pthread_create
+ * succeeds; otherwise the caller draws every step.  Leaves nothing open
+ * when it fails. */
+static int open_pass(workspace *ws, normals *src, const int64_t *ends, int64_t n_edges,
+                     int64_t n_nodes, int64_t n_buffer, const uint32_t *entropy,
+                     int64_t n_entropy, int by_epoch, int64_t n_slots, int64_t n_steps,
+                     int64_t count, int threaded) {
+    threaded = threaded && n_steps > 1;
+    int status = open_workspace(ws, ends, n_edges, n_nodes,
+                                n_buffer + (threaded ? DEPTH + 1 : 1) * count);
+    if (status != 0) return status;
     mix_entropy(&src->key, entropy, n_entropy);
     src->by_epoch = by_epoch;
     src->n_slots = n_slots;
     src->n_steps = n_steps;
     src->count = count;
     src->threaded = 0;
-    threaded = threaded && n_steps > 1;
-    src->own = malloc((size_t)((threaded ? DEPTH + 1 : 1) * count + 1) * sizeof(double));
-    if (src->own == NULL) return NO_MEMORY;
+    src->own = ws->buffer + n_buffer;
     src->ring = src->own + count;
     if (!threaded) return 0;
     atomic_init(&src->drawn, 0);
@@ -675,8 +668,9 @@ static void release_step(normals *src, int64_t s) {
     }
 }
 
-/* Stops and joins the helper, on every return path of a pass. */
-static void close_normals(normals *src) {
+/* Stops and joins the helper and frees the workspace, on every return
+ * path of a pass that open_pass opened. */
+static void close_pass(workspace *ws, normals *src) {
     if (src->threaded) {
         atomic_store(&src->stop, 1);
         pthread_mutex_lock(&src->lock);
@@ -686,7 +680,7 @@ static void close_normals(normals *src) {
         pthread_cond_destroy(&src->wake);
         pthread_mutex_destroy(&src->lock);
     }
-    free(src->own);
+    close_workspace(ws);
 }
 
 int64_t perturbed_adam_pass(const double *const *features, const double *const *targets,
@@ -698,27 +692,23 @@ int64_t perturbed_adam_pass(const double *const *features, const double *const *
                             int64_t threaded, int64_t *step) {
     workspace ws;
     normals src;
-    int status = open_workspace(&ws, ends, n_edges, n_nodes);
-    int64_t t = 0;
+    int64_t t = 0, count;
+    int status = open_pass(&ws, &src, ends, n_edges, n_nodes, 3 * n_edges, entropy, n_entropy,
+                           1, n_slots, n_epochs * n_slots, m * n_edges, (int)threaded);
     *step = 0;
     if (status != 0) return status;
-    double *theta = malloc((size_t)(2 * n_edges + 1) * sizeof(double));
-    status = theta == NULL ? NO_MEMORY
-                           : open_normals(&src, entropy, n_entropy, 1, n_slots,
-                                          n_epochs * n_slots, m * n_edges, (int)threaded);
-    if (status != 0) {
-        free(theta);
-        close_workspace(&ws);
-        return status;
-    }
-    double *g = theta + n_edges, *w = adam, *gradient = adam + p;
+    double *theta = ws.buffer, *tilt = theta + n_edges, *g = tilt + n_edges;
+    double *w = adam, *gradient = adam + p;
     for (; t < n_epochs * n_slots; t++) {
         int64_t slot = t % n_slots;
         matvec(blas, features[slot], n_edges, p, 0, w, theta);
         const double *z = step_normals(&src, t);
         for (int64_t e = 0; e < n_edges; e++) g[e] = 0.0;
-        for (int64_t r = 0; r < m && status == 0; r++)
-            status = add_forest(&ws, theta, z + r * n_edges, eps, n_edges, g);
+        for (int64_t r = 0; r < m && status == 0; r++) {
+            for (int64_t e = 0; e < n_edges; e++) tilt[e] = theta[e] + eps * z[r * n_edges + e];
+            status = forest(&ws, tilt, n_edges, &count);
+            for (int64_t i = 0; i < count; i++) g[ws.picks[i]] += 1.0;
+        }
         release_step(&src, t);
         if (status != 0) break;
         for (int64_t e = 0; e < n_edges; e++) g[e] /= (double)m;
@@ -729,9 +719,7 @@ int64_t perturbed_adam_pass(const double *const *features, const double *const *
                                 1.0 - pow(beta2, (double)(t0 + t + 1)));
         if (status != 0) break;
     }
-    close_normals(&src);
-    free(theta);
-    close_workspace(&ws);
+    close_pass(&ws, &src);
     *step = t;
     return status;
 }
@@ -743,19 +731,12 @@ int64_t perturbed_split_pass(const double *thetas, const double *const *first,
                              int64_t n_nodes, int64_t threaded, double *out, int64_t *step) {
     workspace ws;
     normals src;
-    int status = open_workspace(&ws, ends, n_edges, n_nodes);
-    int64_t s = 0;
+    int64_t s = 0, count;
+    int status = open_pass(&ws, &src, ends, n_edges, n_nodes, m * n_edges, entropy, n_entropy,
+                           0, n_slots, n_slots, m * n_edges, (int)threaded);
     *step = 0;
     if (status != 0) return status;
-    double *eff = malloc((size_t)(m * n_edges + 1) * sizeof(double));
-    status = eff == NULL ? NO_MEMORY
-                         : open_normals(&src, entropy, n_entropy, 0, n_slots, n_slots,
-                                        m * n_edges, (int)threaded);
-    if (status != 0) {
-        free(eff);
-        close_workspace(&ws);
-        return status;
-    }
+    double *eff = ws.buffer;
     for (; s < n_slots; s++) {
         const double *theta = thetas + s * n_edges, *c = first[s], *d = second[s];
         double *mean = out + s * n_edges;
@@ -774,7 +755,6 @@ int64_t perturbed_split_pass(const double *thetas, const double *const *first,
         for (int64_t e = 0; e < n_edges; e++) mean[e] = 0.0;
         for (int64_t r = 0; r < m && status == 0; r++) {
             const double *er = eff + r * n_edges;
-            int64_t count;
             status = split_row(&ws, er, d, n_edges, &count);
             for (int64_t i = 0; i < count; i++)
                 mean[ws.picks[i]] += er[ws.picks[i]] <= d[ws.picks[i]];
@@ -782,9 +762,7 @@ int64_t perturbed_split_pass(const double *thetas, const double *const *first,
         if (status != 0) break;
         for (int64_t e = 0; e < n_edges; e++) mean[e] /= (double)m;
     }
-    close_normals(&src);
-    free(eff);
-    close_workspace(&ws);
+    close_pass(&ws, &src);
     *step = s;
     return status;
 }

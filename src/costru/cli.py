@@ -47,10 +47,6 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _dataclass_section(cls, skip: tuple[str, ...] = ()) -> tuple[dict, dict]:
     """(key -> type, key -> default) of a config section that mirrors ``cls``."""
     types = typing.get_type_hints(cls)
@@ -94,9 +90,9 @@ def _sweep_epsilons(cfg: dict[str, dict]) -> list[float]:
     try:
         epsilons = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"bad value for sweep.epsilons: {raw!r}") from exc
+        raise InputError(f"bad value for sweep.epsilons: {raw!r}") from exc
     if not epsilons or not all(np.isfinite(eps) and eps > 0 for eps in epsilons):
-        raise ConfigError(f"sweep.epsilons must list finite positive values: {raw!r}")
+        raise InputError(f"sweep.epsilons must list finite positive values: {raw!r}")
     return epsilons
 
 
@@ -105,45 +101,45 @@ def load_config(path: str | None) -> dict[str, dict]:
     parser = configparser.ConfigParser()
     try:
         if path is not None and not parser.read(path):
-            raise ConfigError(f"config file not found: {path}")
+            raise InputError(f"config file not found: {path}")
         sections = {section: parser.items(section) for section in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
+        raise InputError(f"cannot parse config file {path}: {exc}") from exc
     cfg: dict[str, dict] = {}
     for section, items in sections.items():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise InputError(f"unknown config section [{section}]")
         cfg[section] = {}
         for key, raw in items:
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                raise InputError(f"unknown key {key!r} in section [{section}]")
             typ = _SCHEMA[section][key]
             try:
                 cfg[section][key] = typ(raw) if typ is not str else raw
             except ValueError as exc:
-                raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from exc
+                raise InputError(f"bad value for {section}.{key}: {raw!r}") from exc
     for section, defaults in _DEFAULTS.items():
         merged = dict(defaults)
         merged.update(cfg.get(section, {}))
         cfg[section] = merged
     if cfg["run"]["seed"] < 0:
-        raise ConfigError(f"run.seed must be >= 0, not {cfg['run']['seed']}")
+        raise InputError(f"run.seed must be >= 0, not {cfg['run']['seed']}")
     kind = cfg["problem"]["kind"]
     if kind not in ("toy", "mst"):
-        raise ConfigError(f"problem.kind must be toy or mst, not {kind!r}")
+        raise InputError(f"problem.kind must be toy or mst, not {kind!r}")
     train_defaults = experiments.TOY_DEFAULTS if kind == "toy" else experiments.MST_DEFAULTS
     merged = dict(train_defaults)
     merged.update(cfg.get("train", {}))
     cfg["train"] = merged
     _sweep_epsilons(cfg)
     if cfg["sweep"]["nb_seeds"] < 1:
-        raise ConfigError("sweep.nb_seeds must be >= 1")
+        raise InputError("sweep.nb_seeds must be >= 1")
     # A suite run on zero samples would pass without checking anything.
     for key in ("probes", "trials", "iterations", "draws"):
         if cfg["verify"][key] < 1:
-            raise ConfigError(f"verify.{key} must be >= 1")
+            raise InputError(f"verify.{key} must be >= 1")
     if cfg["verify"]["instances"] < 0:
-        raise ConfigError("verify.instances must be >= 0 (0 keeps each suite's default)")
+        raise InputError("verify.instances must be >= 0 (0 keeps each suite's default)")
     return cfg
 
 
@@ -176,7 +172,7 @@ def _run_setup(args: argparse.Namespace) -> tuple[dict[str, dict], int, str]:
     random stream has no negative seed) and the config hash."""
     cfg = load_config(args.config)
     if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, not {args.seed}")
+        raise InputError(f"--seed must be >= 0, not {args.seed}")
     seed = cfg["run"]["seed"] if args.seed is None else args.seed
     return cfg, seed, config_hash(cfg)
 
@@ -186,11 +182,11 @@ def _load_weights(path: str, width: int) -> np.ndarray:
     finite 1-D array with one entry per feature."""
     arrays = read_npz(path, ("final_average", "weights"))
     if not arrays:
-        raise ConfigError(f"{path} holds neither final_average nor weights")
+        raise InputError(f"{path} holds neither final_average nor weights")
     key, w = next(iter(arrays.items()))
     if w.shape != (width,) or w.dtype.kind not in "iuf" or not np.isfinite(w).all():
-        raise ConfigError(f"the {key} in {path} must be {width} finite numbers, one per "
-                          f"feature; it is a {w.dtype} array of shape {w.shape}")
+        raise InputError(f"the {key} in {path} must be {width} finite numbers, one per "
+                         f"feature; it is a {w.dtype} array of shape {w.shape}")
     return w.astype(float)
 
 
@@ -209,7 +205,7 @@ def _load_mst_data(data_dir: Path):
     for split in ("train", "val", "test"):
         path = data_dir / f"{split}.npz"
         if not path.exists():
-            raise ConfigError(f"missing dataset file {path}")
+            raise InputError(f"missing dataset file {path}")
         splits[split] = ds.load_split(path)
     train, train_data = splits["train"][0][0], splits["train"][1]
     for split, (instances, data) in splits.items():
@@ -349,7 +345,7 @@ def run_verify_suite(suite: str, cfg: dict, seed: int) -> list[CheckRow]:
         return verification.run_oracle_suite(draws=v["draws"], seed=seed)
     if suite == "gradients":
         return verification.run_gradient_suite(seed=seed)
-    raise ConfigError(f"unknown suite {suite!r}")
+    raise InputError(f"unknown suite {suite!r}")
 
 
 def _write_verify_trace(suite: str, cfg: dict, seed: int, out: Path, chash: str) -> None:
@@ -399,8 +395,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_sweep_epsilon(args: argparse.Namespace) -> int:
     cfg, seed, chash = _run_setup(args)
     if cfg["problem"]["kind"] != "toy":
-        raise ConfigError("sweep-epsilon runs the toy problem; problem.kind is "
-                          f"{cfg['problem']['kind']!r}, not 'toy'")
+        raise InputError("sweep-epsilon runs the toy problem; problem.kind is "
+                         f"{cfg['problem']['kind']!r}, not 'toy'")
     overrides = {key: value for key, value in cfg["train"].items() if key != "epsilon"}
     results = experiments.run_toy_epsilon_sweep(
         _sweep_epsilons(cfg), cfg["sweep"]["nb_seeds"], base_seed=seed, **overrides)
@@ -474,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError) as exc:
+    except InputError as exc:
         log.error("%s", exc)
         print(f"costru: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

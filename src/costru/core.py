@@ -137,11 +137,16 @@ class RngStream:
         key = (self.stream_id, *self.path)
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
+    def entropy(self) -> bytes:
+        """The stream's assembled entropy words (uint32), from which the
+        native library seeds the stream as ``generator()`` does."""
+        return native.entropy(self.seed, (self.stream_id, *self.path))
+
     def standard_normal(self, shape) -> np.ndarray:
         """``generator().standard_normal(shape)`` bit for bit, drawn by the
         native library in one call from the stream's entropy words."""
         out = np.empty(shape)
-        key = native.entropy(self.seed, (self.stream_id, *self.path))
+        key = self.entropy()
         native._compiled_kernel().normal_fill(key, len(key) // 4, out.size, out.ctypes.data)
         return out
 

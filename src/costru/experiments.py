@@ -162,9 +162,6 @@ class MstBenchmarkResult:
     fully_coordinated_gaps: np.ndarray
     val_tv_ratios: np.ndarray  # TV(averaged-weights series) / TV(current-weights)
 
-    def mean(self, name: str) -> float:
-        return float(getattr(self, f"{name}_gaps").mean())
-
 
 def run_mst_method_benchmark(seeds=range(5)) -> MstBenchmarkResult:
     """Four-method comparison on the small-grid benchmark, one dataset and

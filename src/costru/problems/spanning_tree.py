@@ -228,10 +228,6 @@ class GridInstance:
             arr.setflags(write=False)
 
     @property
-    def n_edges(self) -> int:
-        return self.first_stage_costs.shape[0]
-
-    @property
     def n_scenarios(self) -> int:
         return self.scenario_costs.shape[0]
 
@@ -244,8 +240,6 @@ class MstOracle(LinearOracle):
     """Linear oracle over the forests of a fixed grid graph."""
 
     def __init__(self, rows: int, cols: int):
-        self.rows = rows
-        self.cols = cols
         self.edges = grid_edges(rows, cols)
         self.n_nodes = rows * cols
         self.n_edges = len(self.edges)
@@ -276,7 +270,7 @@ class MstOracle(LinearOracle):
                 for f, mu in zip(features, targets)):
             raise InputError("each example needs (E, p) features and an (E,) target")
         require_perturbation(eps, m)
-        key = native.entropy(rng.seed, (rng.stream_id, *rng.path))
+        key = rng.entropy()
         pointers, step = ctypes.c_void_p * len(features), ctypes.c_int64()
         status = native._compiled_kernel().perturbed_adam_pass(
             pointers(*(f.ctypes.data for f in features)),
@@ -308,7 +302,7 @@ class MstOracle(LinearOracle):
             raise InputError("stage costs need one entry per edge")
         require_positive("kappa", kappa)
         require_perturbation(eps, m)
-        key = native.entropy(rng.seed, (rng.stream_id, *rng.path))
+        key = rng.entropy()
         pointers, step = ctypes.c_void_p * len(batch), ctypes.c_int64()
         out = np.empty((len(batch), self.n_edges))
         status = native._compiled_kernel().perturbed_split_pass(

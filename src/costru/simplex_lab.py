@@ -69,6 +69,12 @@ class ExplicitOracle(LinearOracle):
 
     For the cost-shifted problem, the scenario's ``noise_payload`` must be
     the cost score vector (c(y, xi))_y over the same vertex order.
+
+    Its scores are one BLAS product per call, so its answer to a row can
+    depend on the rows around it: on OpenBLAS's Haswell core at d = 60 a
+    tail block of rows rounds otherwise than the same rows of a larger
+    product, which breaks ``perturbed_argmax_stats``' block contract unless
+    no maximizer flips.  At the gradient suite's d = 4 the rows agree.
     """
 
     def __init__(self, vertices):
@@ -139,25 +145,21 @@ def _cost_table(gamma, ndim: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def surrogate_value(
-    s_product: np.ndarray,
+    s_common: np.ndarray,
     q_product: np.ndarray,
     gamma: np.ndarray,
     kappa: float,
     kind: RegularizerKind,
 ) -> float:
-    """(1/N) sum_i [<gamma_i|q_i> + kappa * FY(s_i; q_i)] for an (N, K) cost
-    table gamma.
-
-    ``s_product`` may be one common score vector or one row per scenario.
-    """
+    """(1/N) sum_i [<gamma_i|q_i> + kappa * FY(s; q_i)] for one common score
+    vector s (K,), an (N, K) product q and an (N, K) cost table gamma."""
     q = validate_distribution(q_product, ndim=2)
     gamma = _cost_table(gamma)
     n, k = q.shape
-    s = np.asarray(s_product, dtype=float)
-    if s.ndim == 1:
-        s = np.broadcast_to(s, (n, k))
-    if s.shape != (n, k) or gamma.shape != (n, k):
+    s = np.asarray(s_common, dtype=float)
+    if s.shape != (k,) or gamma.shape != (n, k):
         raise InputError("inconsistent surrogate dimensions")
+    s = np.broadcast_to(s, (n, k))
     fy = conjugate_rows(s, kind) + value_rows(q, kind) - np.einsum("ij,ij->i", s, q)
     per_scenario = np.einsum("ij,ij->i", gamma, q) + kappa * fy
     return float(per_scenario.mean())
@@ -211,16 +213,15 @@ def _value_terms(q: np.ndarray, kind: RegularizerKind) -> tuple[np.ndarray, np.n
             value_rows(q_bar.reshape(-1, k), kind).reshape(q_bar.shape[:-1]))
 
 
-def jensen_gap(q_product: np.ndarray, kind: RegularizerKind) -> float | np.ndarray:
-    """(1/N) sum_i Psi(q_i) - Psi(mean q_i), nonnegative by convexity, of an
-    (N, K) product; of a (B, N, K) stack, a (B,) array of one per entry."""
-    q = ensure_finite(q_product, "distribution")
-    if q.ndim not in (2, 3):
-        raise InputError("a product distribution must be an (N, |Y|) array or a stack of them")
+def jensen_gap(q_products: np.ndarray, kind: RegularizerKind) -> np.ndarray:
+    """(1/N) sum_i Psi(q_i) - Psi(mean q_i), nonnegative by convexity, of
+    each (N, K) product of a (B, N, K) stack: a (B,) array."""
+    q = ensure_finite(q_products, "distribution")
+    if q.ndim != 3:
+        raise InputError("a stack of product distributions must be a (B, N, |Y|) array")
     validate_distribution(q.reshape(-1, q.shape[-1]), ndim=2)
     values, bar_value = _value_terms(q, kind)
-    gap = values / q.shape[-2] - bar_value
-    return float(gap) if q.ndim == 2 else gap
+    return values / q.shape[-2] - bar_value
 
 
 # ---------------------------------------------------------------------------

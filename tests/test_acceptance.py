@@ -151,10 +151,10 @@ def test_09_risk_bound():
 
 def test_10_mst_method_ordering(mst_benchmark):
     result, elapsed = mst_benchmark
-    med = result.mean("median")
-    unc = result.mean("uncoordinated")
-    pd = result.mean("primal_dual")
-    fc = result.mean("fully_coordinated")
+    med = float(result.median_gaps.mean())
+    unc = float(result.uncoordinated_gaps.mean())
+    pd = float(result.primal_dual_gaps.mean())
+    fc = float(result.fully_coordinated_gaps.mean())
     ok = (
         med - unc >= 0.02
         and unc - pd >= 0.005

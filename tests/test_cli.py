@@ -10,7 +10,7 @@ import pytest
 
 from costru import cli, experiments, native, simplex_lab
 from costru.baselines import SaaConfig
-from costru.core import CheckRow, make_rng
+from costru.core import CheckRow, InputError, make_rng
 from costru.problems.datasets import GenConfig
 from costru.problems.spanning_tree import InfeasibleError
 from costru.regularizers import RegularizerKind, prediction_rows
@@ -105,13 +105,13 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[train]\nwarp_factor = 9\n")
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(InputError):
             cli.load_config(str(path))
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[teleport]\nx = 1\n")
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(InputError):
             cli.load_config(str(path))
 
     def test_defaults_by_problem_kind(self, tmp_path):
@@ -139,14 +139,14 @@ class TestConfig:
     def test_unparsable_config_exits_two(self, tmp_path, capsys, text):
         path = tmp_path / "bad.ini"
         path.write_bytes(text)
-        with pytest.raises(cli.ConfigError, match="cannot parse config file"):
+        with pytest.raises(InputError, match="cannot parse config file"):
             cli.load_config(str(path))
         assert cli.main(["verify", "oracles", "--config", str(path),
                          "--out", str(tmp_path / "report.csv")]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file(self):
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(InputError):
             cli.load_config("/nonexistent/path.ini")
 
     def test_config_hash_stable(self, toy_config):
@@ -178,6 +178,13 @@ class TestShippedConfigs:
                     == experiments.mst_bench_imitation_config(seed))
             assert (TrainConfig(**fc["train"], seed=seed)
                     == experiments.mst_bench_imitation_config(seed, epsilon=0.5))
+
+    def test_no_coordination_ablation_is_mst_small_at_tiny_kappa(self):
+        small = cli.load_config(str(CONFIGS / "mst-small.ini"))
+        ablation = cli.load_config(str(CONFIGS / "mst-small-no-coordination.ini"))
+        assert ablation["train"]["kappa"] == 2.0 ** -40
+        ablation["train"]["kappa"] = small["train"]["kappa"]
+        assert ablation == small
 
     def test_cli_gives_the_method_benchmark_gaps(self, tmp_path):
         """``costru train`` on the shipped mst-small files gives the four
@@ -541,7 +548,7 @@ class TestVerify:
             expected.append([str(t)] + [format(v, ".17g") for v in (
                 simplex_lab.surrogate_value(s, q, costs, 1.0, kind),
                 simplex_lab.partial_min_surrogate(q, costs, 1.0, kind),
-                simplex_lab.jensen_gap(q, kind))])
+                simplex_lab.jensen_gap(q[None], kind)[0])])
             s = simplex_lab.exact_coordination(q, kind, strict=False)
         rows = read_rows(tmp_path / "report_trace.csv")
         assert rows[0] == ["iteration", "surrogate_value", "partial_min_value", "jensen_gap"]

@@ -1,12 +1,15 @@
 """Every name that a package module imports is used in that module, every
 public function, class, method or property of the package has a caller in
-the package or the benchmark, and every entry of the native library has
-one in the package."""
+the package or the benchmark, no method or property is named like an
+attribute of an array, a dict or a list, and every entry of the native
+library has one in the package."""
 
 import ast
 import re
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from costru import native
 
@@ -112,6 +115,17 @@ def test_public_names_have_callers():
                 for name, line in _public_definitions(tree).items()
                 if name.rpartition(".")[2] not in referenced and name not in _UNCALLED]
     assert not uncalled, "\n".join(uncalled)
+
+
+def test_no_method_shares_a_name_with_an_array_dict_or_list_attribute():
+    """``test_public_names_have_callers`` matches callers by name, so a
+    method named like an attribute of ``np.ndarray``, ``dict`` or ``list``
+    (``mean``, ``items``, ``count``) always looks called, whoever calls it."""
+    shared = set(dir(np.ndarray)) | set(dir(dict)) | set(dir(list))
+    clashes = [f"{module}:{line} defines {name}" for module, path in _modules()
+               for name, line in _public_definitions(ast.parse(path.read_text())).items()
+               if "." in name and name.rpartition(".")[2] in shared]
+    assert not clashes, "\n".join(clashes)
 
 
 def test_uncalled_entries_are_still_defined():

@@ -25,7 +25,7 @@ from costru.regularizers import (
     validate_distribution,
     value_rows,
 )
-from costru.simplex_lab import ExplicitOracle
+from costru.simplex_lab import ExplicitOracle, random_binary_oracle
 from costru.trainer import AdamState
 from costru.verification import run_gradient_suite
 
@@ -340,6 +340,13 @@ class TestStackedStats:
     @pytest.mark.parametrize("problem, d", [("explicit", 1), ("explicit", 2), ("explicit", 4),
                                             ("explicit", 60), ("mst", 7), ("toy", 1)])
     def test_stack_equals_rows_and_reference(self, problem, d, m):
+        """At d = 60 on OpenBLAS's Haswell core, an ``ExplicitOracle``
+        product on a tail block can round otherwise than the same rows of
+        one product on all the draws (m = 8 193 among these sizes), so the
+        oracle breaks the estimator's block contract there; the explicit
+        d = 60 cases pass on that core only because no maximizer flips on
+        their draws.  ``test_gradient_suite_products_ignore_blocks`` pins
+        the shape on which lab-verify's digest rests."""
         g = make_rng(40 + d, 0).generator()
         oracle, twin = oracle_twins(problem, d, g)
         thetas = g.standard_normal((3, d))
@@ -352,6 +359,34 @@ class TestStackedStats:
                 assert isinstance(value, float)
                 assert np.float64(value).tobytes() == values[i].tobytes()
                 assert moment.tobytes() == moments[i].tobytes()
+
+    @pytest.mark.parametrize("m", [4097, 8193, 100_000])
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_gradient_suite_products_ignore_blocks(self, seed, m):
+        """At the gradient suite's shape (six binary vertices in R^4, its
+        oracle and directions), the scores of each block of draws that the
+        estimator prices equal the same rows of one product on all of them,
+        bit for bit: the estimator's block contract, on which lab-verify's
+        digest rests, holds for this oracle there.  CI reruns it on
+        OpenBLAS's Haswell and Sandybridge cores."""
+        blocks = []
+
+        class Recording(ExplicitOracle):
+            def argmax_linear_many(self, thetas):
+                blocks.append(thetas.copy())
+                return super().argmax_linear_many(thetas)
+
+        g = make_rng(seed, 72).generator()
+        oracle = Recording(random_binary_oracle(g, 4, 6).matrix.T)
+        theta = g.standard_normal(4)
+        thetas = np.vstack([theta, theta + 1e-3 * np.eye(4), theta - 1e-3 * np.eye(4)])
+        perturbed_argmax_stats(oracle, thetas, 1.0, m, make_rng(seed, 73))
+        per_direction = -(-(m - 1) // regularizers._DRAW_BLOCK)
+        assert len(blocks) == len(thetas) * per_direction
+        for i in range(len(thetas)):
+            own = blocks[i * per_direction:(i + 1) * per_direction]
+            whole = oracle._scores(np.vstack(own))
+            assert np.vstack([oracle._scores(b) for b in own]).tobytes() == whole.tobytes()
 
     def test_stack_draws_once(self, monkeypatch):
         calls = []

@@ -56,11 +56,16 @@ def decompose(s, gamma, kappa):
 class TestSurrogateValue:
     def test_equality_at_dual_pairs(self):
         g = make_rng(31, 0).generator()
-        s = g.standard_normal((3, 5))
-        q = prediction_rows(s, NEG)
+        s = g.standard_normal(5)
+        q = prediction_rows(np.tile(s, (3, 1)), NEG)
         costs = random_cost_table(g, 3, 5)
         cost_part = float(np.einsum("ij,ij->", costs, q)) / 3
         assert surrogate_value(s, q, costs, 1.0, NEG) == pytest.approx(cost_part, abs=1e-12)
+
+    def test_one_common_score_vector_only(self):
+        q = np.full((3, 5), 0.2)
+        with pytest.raises(InputError, match="inconsistent"):
+            surrogate_value(np.zeros((3, 5)), q, np.zeros((3, 5)), 1.0, NEG)
 
     def test_kl_only_term(self):
         costs = np.zeros((1, 2))
@@ -149,7 +154,7 @@ class TestPartialMinAndJensen:
         cost_part = float(np.einsum("ij,ij->", costs, q)) / 4
         value = partial_min_surrogate(q, costs, 2.0, NEG)
         assert value == pytest.approx(cost_part, abs=1e-12)
-        assert jensen_gap(q, NEG) == pytest.approx(0.0, abs=1e-14)
+        assert jensen_gap(q[None], NEG)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_surrogate_at_coordination(self):
         g = make_rng(39, 0).generator()
@@ -162,8 +167,8 @@ class TestPartialMinAndJensen:
 
     def test_jensen_gap_examples(self):
         q = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert jensen_gap(q, L2) == pytest.approx(0.25)
-        assert jensen_gap(q, NEG) == pytest.approx(np.log(2))
+        assert jensen_gap(q[None], L2)[0] == pytest.approx(0.25)
+        assert jensen_gap(q[None], NEG)[0] == pytest.approx(np.log(2))
 
     def test_lemma_decomposition_identity(self):
         """Partial minimizer = expected cost + kappa * Jensen gap, exactly."""
@@ -173,7 +178,7 @@ class TestPartialMinAndJensen:
             costs = random_cost_table(g, 5, 6)
             cost_part = float(np.einsum("ij,ij->", costs, q)) / 5
             lhs = partial_min_surrogate(q, costs, kappa, NEG)
-            rhs = cost_part + kappa * jensen_gap(q, NEG)
+            rhs = cost_part + kappa * jensen_gap(q[None], NEG)[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -196,8 +201,8 @@ class TestJensenGapConvexity:
         qb = random_interior_product(g, 3, 4)
         for t in (0.0, 1.0):
             combo = t * qa + (1 - t) * qb
-            lhs = jensen_gap(combo, NEG)
-            rhs = t * jensen_gap(qa, NEG) + (1 - t) * jensen_gap(qb, NEG)
+            lhs = jensen_gap(combo[None], NEG)[0]
+            rhs = t * jensen_gap(qa[None], NEG)[0] + (1 - t) * jensen_gap(qb[None], NEG)[0]
             assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -232,7 +237,7 @@ class TestAlternatingScheme:
             q = traj.q_products[t][0]
             for i in (1, 2):
                 np.testing.assert_allclose(q[i], q[0], atol=1e-14)
-            assert jensen_gap(q, NEG) == pytest.approx(0.0, abs=1e-13)
+            assert jensen_gap(q[None], NEG)[0] == pytest.approx(0.0, abs=1e-13)
 
     def test_monotone_descent(self):
         g = make_rng(45, 0).generator()
@@ -413,6 +418,8 @@ class TestBatchedLoops:
             jensen_gap(np.concatenate([stack, 2.0 * stack[:1]]), NEG)
         with pytest.raises(InputError, match="product distribution"):
             jensen_gap(stack[0, 0], NEG)
+        with pytest.raises(InputError, match="product distribution"):
+            jensen_gap(stack[0], NEG)
 
 
 class TestRateCertificate:

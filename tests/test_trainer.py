@@ -377,7 +377,7 @@ def mst_batch():
     inst = generate_mst_split(cfg, 0, "train")[0]
     g = make_rng(63, 0).generator()
     batch = [inst.scenario(0, k) for k in range(3)]
-    return MstOracle(3, 3), batch, [g.uniform(0.0, 1.0, inst.n_edges) for _ in batch]
+    return MstOracle(3, 3), batch, [g.uniform(0.0, 1.0, len(inst.first_stage_costs)) for _ in batch]
 
 
 def random_batch(rows, cols, p, n_contexts, per_context=2):
