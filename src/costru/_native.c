@@ -40,10 +40,17 @@
  * does, and seeds PCG64 from them as numpy's SeedSequence and PCG64 do.
  * The normals are numpy's own sampler's, Generator.standard_normal bit for
  * bit, and a tilt theta + eps * z rounds as numpy rounds it (the library
- * is built with -ffp-contract=off, so no fused multiply-add).
+ * is built with -ffp-contract=off, so no fused multiply-add).  The
+ * sampler's fast path, which ends about 99.3 % of draws, runs inline, on
+ * numpy's own tables and with the sign put in without a branch; the wedge
+ * and the tail are numpy's own code (see "numpy's standard normal sampler"
+ * below).
  *
  *   normal_fill      n standard normals of the stream of n_entropy entropy
  *                    words: numpy's Generator.standard_normal(n).
+ *                    Returns 1 when the fast path ran inline, 0 when the
+ *                    tables failed their first-use check and every draw
+ *                    was numpy's own fill's (the same numbers, slower).
  *   adam_step        one bias-corrected Adam update, in place, of the
  *                    rows (w, g, m, v) of a (4, n) state: the weights w
  *                    and the moments m and v from the gradient g, with
@@ -109,44 +116,58 @@ typedef struct {
 } bitgen_t;
 
 /* From numpy's libnpyrandom.a, which the build links. */
+double random_standard_normal(bitgen_t *bitgen_state);
 void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt, double *out);
 
 /* numpy/random/src/pcg64: PCG64, a 128-bit LCG with the XSL-RR output,
  * advanced before each output; next_uint32 hands out the low half of a
- * 64-bit output and buffers the high half, as numpy's does. */
+ * 64-bit output and buffers the high half, as numpy's does.  The bitgen_t
+ * of a stream hands out a word handed back to it (has_word) before the
+ * next output, and counts its 64-bit outputs (calls). */
 typedef unsigned __int128 u128;
 #define PCG_MULTIPLIER (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
 
 typedef struct {
     u128 state, inc;
-    int has_uint32;
+    int has_uint32, has_word;
     uint32_t uinteger;
+    uint64_t word;
+    int64_t calls;
 } pcg64;
 
 static void pcg64_step(pcg64 *rng) { rng->state = rng->state * PCG_MULTIPLIER + rng->inc; }
 
-static uint64_t pcg64_next64(void *st) {
-    pcg64 *rng = st;
+static uint64_t pcg64_next64(pcg64 *rng) {
     pcg64_step(rng);
     uint64_t xored = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
     unsigned rot = (unsigned)(rng->state >> 122);
     return (xored >> rot) | (xored << ((64 - rot) & 63));
 }
 
-static uint32_t pcg64_next32(void *st) {
+static uint64_t stream_next64(void *st) {
+    pcg64 *rng = st;
+    rng->calls++;
+    if (rng->has_word) {
+        rng->has_word = 0;
+        return rng->word;
+    }
+    return pcg64_next64(rng);
+}
+
+static uint32_t stream_next32(void *st) {
     pcg64 *rng = st;
     if (rng->has_uint32) {
         rng->has_uint32 = 0;
         return rng->uinteger;
     }
-    uint64_t next = pcg64_next64(st);
+    uint64_t next = stream_next64(st);
     rng->has_uint32 = 1;
     rng->uinteger = (uint32_t)(next >> 32);
     return (uint32_t)next;
 }
 
-static double pcg64_next_double(void *st) {
-    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+static double stream_next_double(void *st) {
+    return (double)(stream_next64(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
 /* pcg64_set_seed on generate_state(4, np.uint64): words 0-1 are the
@@ -159,9 +180,11 @@ static bitgen_t pcg64_stream(pcg64 *rng, const uint64_t *words) {
     pcg64_step(rng);
     rng->state += initstate;
     pcg64_step(rng);
-    rng->has_uint32 = 0;
+    rng->has_uint32 = rng->has_word = 0;
     rng->uinteger = 0;
-    return (bitgen_t){rng, pcg64_next64, pcg64_next32, pcg64_next_double, pcg64_next64};
+    rng->word = 0;
+    rng->calls = 0;
+    return (bitgen_t){rng, stream_next64, stream_next32, stream_next_double, stream_next64};
 }
 
 /* numpy/random/bit_generator.pyx: SeedSequence with its default pool of
@@ -218,14 +241,110 @@ static void pool_state(const entropy_pool *ep, uint64_t *state) {
         state[i] = (uint64_t)words[2 * i] | (uint64_t)words[2 * i + 1] << 32;
 }
 
+/* numpy's standard normal sampler (random_standard_normal) is a ziggurat of
+ * 256 layers.  Each try takes one word r: idx = r & 0xff, sign bit 8, rabs
+ * bits 9-60, and x = rabs * wi[idx], negated when the sign bit is set.  When
+ * rabs < ki[idx], about 99.3 % of words, x is the draw (the fast path);
+ * otherwise numpy tests the wedge or draws the tail with next_double
+ * (exp, log1p) and may start again on a new word.  numpy's fill costs
+ * several times its PCG64 words: its "if (sign) x = -x" is a branch that
+ * mispredicts half the time, and every word is a call through the
+ * bitgen_t's function pointer.  So ziggurat_fill runs the fast path inline,
+ * on pcg64_next64 called directly and with the sign put in by XOR of the
+ * sign bit (which flips what -x flips, 0.0 included), and hands every other
+ * word back to the stream for numpy's own random_standard_normal, which
+ * takes that word first and then the stream's next ones: the wedge, the
+ * tail and the words they use are numpy's.  The draws are numpy's fill's
+ * bit for bit, and so is the stream's state after them.
+ *
+ * numpy exports neither table, so read_tables reads them off numpy's
+ * sampler once, on a stream that hands out a chosen word first and then
+ * PCG64's words, so that numpy's rejection loop ends; a draw that took one
+ * word took the fast path.  ki[i] is the smallest rabs whose word leaves
+ * the fast path, by binary search, and wi[i] the draw of the word of
+ * rabs = 1, which must take the fast path in every layer that has one
+ * (numpy's layer 1 has none: ki[1] = 0).  Then the inlined fill must
+ * equal numpy's fill on a fixed stream, draws and state; if it does not,
+ * which only another layout of numpy's sampler could cause, every fill is
+ * numpy's own. */
+enum { LAYERS = 256, CHECK_BLOCK = 1024, CHECK_BLOCKS = 64 };
+#define RABS_BITS 52
+
+static uint64_t ki[LAYERS];
+static double wi[LAYERS];
+static int inlined;
+static pthread_once_t tables_once = PTHREAD_ONCE_INIT;
+
+static void ziggurat_fill(bitgen_t *stream, int64_t n, double *out) {
+    pcg64 *rng = stream->state;
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t r = pcg64_next64(rng);
+        uint64_t idx = r & 0xff, rabs = r >> 9 & (((uint64_t)1 << RABS_BITS) - 1);
+        if (rabs < ki[idx]) {
+            double x = (double)(int64_t)rabs * wi[idx];
+            uint64_t bits;
+            memcpy(&bits, &x, sizeof bits);
+            bits ^= (r & 0x100) << 55;
+            memcpy(out + i, &bits, sizeof bits);
+        } else {
+            rng->word = r;
+            rng->has_word = 1;
+            out[i] = random_standard_normal(stream);
+        }
+    }
+}
+
+/* numpy's draw from a stream whose next word is word; *calls its words. */
+static double probe(bitgen_t *stream, uint64_t word, int64_t *calls) {
+    pcg64 *rng = stream->state;
+    rng->word = word;
+    rng->has_word = 1;
+    rng->calls = 0;
+    double x = random_standard_normal(stream);
+    *calls = rng->calls;
+    return x;
+}
+
+static void read_tables(void) {
+    static const uint64_t probe_words[POOL] = {1, 2, 3, 4}, check_words[POOL] = {5, 6, 7, 8};
+    pcg64 rng, a, b;
+    bitgen_t stream = pcg64_stream(&rng, probe_words);
+    int64_t calls;
+    int same = 1;
+    for (uint64_t i = 0; i < LAYERS; i++) {
+        uint64_t lo = 0, hi = (uint64_t)1 << RABS_BITS;
+        while (lo < hi) {
+            uint64_t mid = lo + (hi - lo) / 2;
+            probe(&stream, mid << 9 | i, &calls);
+            if (calls > 1) hi = mid;
+            else lo = mid + 1;
+        }
+        ki[i] = lo;
+        wi[i] = probe(&stream, (uint64_t)1 << 9 | i, &calls);
+        same = same && (ki[i] == 0 || calls == 1);
+    }
+    bitgen_t numpys = pcg64_stream(&a, check_words), ours = pcg64_stream(&b, check_words);
+    double want[CHECK_BLOCK], got[CHECK_BLOCK];
+    for (int k = 0; k < CHECK_BLOCKS && same; k++) {
+        random_standard_normal_fill(&numpys, CHECK_BLOCK, want);
+        ziggurat_fill(&ours, CHECK_BLOCK, got);
+        same = memcmp(want, got, sizeof want) == 0;
+    }
+    inlined = same && a.state == b.state && a.has_uint32 == b.has_uint32
+              && a.uinteger == b.uinteger;
+}
+
 /* n normals of the stream of a mixed pool: generate_state(4, np.uint64),
- * PCG64 seeded from it, then numpy's own sampler. */
+ * PCG64 seeded from it, then numpy's sampler, its fast path inlined when
+ * the tables passed their check. */
 static void fill_from(const entropy_pool *ep, int64_t n, double *out) {
     uint64_t words[POOL];
     pcg64 rng;
     pool_state(ep, words);
     bitgen_t stream = pcg64_stream(&rng, words);
-    random_standard_normal_fill(&stream, n, out);
+    pthread_once(&tables_once, read_tables);
+    if (inlined) ziggurat_fill(&stream, n, out);
+    else random_standard_normal_fill(&stream, n, out);
 }
 
 typedef struct {
@@ -472,10 +591,11 @@ int64_t completion_sums(const double *ys, int64_t n_ys, const double *d, int64_t
     return status;
 }
 
-void normal_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, double *out) {
+int64_t normal_fill(const uint32_t *entropy, int64_t n_entropy, int64_t n, double *out) {
     entropy_pool ep;
     mix_entropy(&ep, entropy, n_entropy);
     fill_from(&ep, n, out);
+    return inlined;
 }
 
 /* trainer.adam_step's numpy expressions, element by element, on the rows

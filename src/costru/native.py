@@ -12,6 +12,16 @@ missing or the build or the load fails.  Its seven entries are those of
 normals ahead (``_cpu_count``); the coordination pass, and no other entry,
 calls numpy's own BLAS (``_numpy_blas``).  Nothing here runs at import
 time.
+
+The normals are ``Generator.standard_normal``'s bit for bit.  The library
+runs the fast path of numpy's ziggurat, which ends about 99.3 % of draws,
+inline: numpy's fill negates a draw with a branch that mispredicts half the
+time and takes each PCG64 word through a function pointer, and these cost
+more than the word itself.  The tables are numpy's, read off its sampler on
+first use, and every draw off the fast path (the wedge and the tail) is
+numpy's own ``random_standard_normal``, on the same words.  ``normal_fill``
+returns 1 when the inlined path passed its first-use check against numpy's
+fill, and 0 when every draw is numpy's fill's (the same numbers, slower).
 """
 
 from __future__ import annotations
@@ -43,7 +53,7 @@ _ENTRIES = (
     ("forest_rows", [_PTR, _PTR, _SIZE, _SIZE, _SIZE, _PTR], _SIZE),
     ("split_rows", [_PTR, _PTR, _SIZE, _PTR, _SIZE, _SIZE, _SIZE, _PTR], _SIZE),
     ("completion_sums", [_PTR, _SIZE, _PTR, _SIZE, _PTR, _SIZE, _SIZE, _PTR], _SIZE),
-    ("normal_fill", [_PTR, _SIZE, _SIZE, _PTR], None),
+    ("normal_fill", [_PTR, _SIZE, _SIZE, _PTR], _SIZE),
     ("adam_step", [_PTR, _SIZE, _REAL, _REAL, _REAL, _REAL, _REAL, _REAL], _SIZE),
     ("perturbed_adam_pass", [_PTR, _PTR, _SIZE, _SIZE, _SIZE, _PTR, _SIZE, _REAL, _SIZE, _PTR,
                              _SIZE, _SIZE, _PTR, _SIZE, _REAL, _REAL, _REAL, _REAL, _PTR, _SIZE,
@@ -59,8 +69,8 @@ class NativeLibraryError(RuntimeError):
 
 
 def _npyrandom_archive() -> Path:
-    """numpy's static random library, whose ``random_standard_normal_fill``
-    the native library links."""
+    """numpy's static random library, whose ``random_standard_normal`` and
+    ``random_standard_normal_fill`` the native library links."""
     return Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
 
 

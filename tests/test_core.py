@@ -153,7 +153,30 @@ class TestNativeSeedState:
 
 class TestNativeDraws:
     """The library's PCG64 stream, seeded from a stream's entropy words, is
-    numpy's bit for bit: its raw words and its standard normals."""
+    numpy's bit for bit: its raw words and its standard normals.  The
+    library runs the fast path of numpy's ziggurat inline and hands every
+    other word to numpy's own sampler, which tests the wedge (accepting or
+    rejecting) or draws the tail; the normals are still numpy's, and the
+    inlined path must pass its first-use check, or every draw is numpy's
+    slower fill."""
+
+    def test_fast_path_is_inlined(self):
+        key = make_rng(0).entropy()
+        out = np.empty(3)
+        assert native._compiled_kernel().normal_fill(key, len(key) // 4, out.size,
+                                                      out.ctypes.data) == 1
+        assert out.tobytes() == make_rng(0).generator().standard_normal(3).tobytes()
+
+    @pytest.mark.parametrize("stream", [make_rng(0), make_rng(3, 1).split(2),
+                                        make_rng(2 ** 40, 7).split(1, 9),
+                                        make_rng(17, 2).split(0, 0, 5)],
+                             ids=["plain", "split", "wide-seed", "deep-path"])
+    def test_million_normals_equal_numpy(self, stream):
+        """10**6 draws: some 7 000 leave the fast path for numpy's wedge
+        test or tail, rejections included, on the words handed back."""
+        got = stream.standard_normal(10 ** 6)
+        assert np.abs(got).max() > 3.6541528853610088
+        assert got.tobytes() == stream.generator().standard_normal(10 ** 6).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(_WIDE, _WIDE, st.lists(_WIDE, max_size=4), st.integers(0, 10 ** 5))
