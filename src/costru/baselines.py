@@ -19,6 +19,7 @@ from .problems.spanning_tree import (
     TwoStageCosts,
     second_stage_value,
     second_stage_values,
+    stage_costs,
     two_stage_splits,
 )
 # evaluate_fixed_solutions is also this module's: it prices the median
@@ -46,15 +47,10 @@ class SaaConfig:
 
 def _shared_costs(scenarios: list[Scenario]) -> tuple[np.ndarray, np.ndarray]:
     """First-stage costs (shared) and stacked second-stage costs of a context."""
-    payloads = [s.noise_payload for s in scenarios]
-    for p in payloads:
-        if not isinstance(p, TwoStageCosts):
-            raise InputError("expected TwoStageCosts payloads")
-    c = payloads[0].first_stage
-    for p in payloads[1:]:
-        if not np.array_equal(p.first_stage, c):
-            raise InputError("scenarios of one context must share first-stage costs")
-    return c, np.stack([p.second_stage for p in payloads])
+    first, second = stage_costs(scenarios)
+    if not all(np.array_equal(c, first[0]) for c in first[1:]):
+        raise InputError("scenarios of one context must share first-stage costs")
+    return first[0], np.stack(second)
 
 
 def _anticipative_solution(oracle: LinearOracle, scenario: Scenario) -> np.ndarray:
@@ -79,13 +75,9 @@ def median_policy_solution(
 ) -> np.ndarray:
     """Solve the single-scenario problem with the unknown second-stage cost
     vector replaced by its (pooled) median estimator."""
-    if not isinstance(context.noise_payload, TwoStageCosts):
-        raise InputError("expected a TwoStageCosts payload")
-    synthetic = Scenario(
-        context.context_id,
-        context.features,
-        TwoStageCosts(context.noise_payload.first_stage, median_second_stage),
-    )
+    (first,), _ = stage_costs([context])
+    synthetic = Scenario(context.context_id, context.features,
+                         TwoStageCosts(first, median_second_stage))
     return _anticipative_solution(oracle, synthetic)
 
 

@@ -236,6 +236,14 @@ class GridInstance:
         return Scenario(context_id=context_id, features=self.features, noise_payload=payload)
 
 
+def stage_costs(scenarios) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """First- and second-stage costs of scenarios with TwoStageCosts payloads."""
+    payloads = [s.noise_payload for s in scenarios]
+    if not all(isinstance(p, TwoStageCosts) for p in payloads):
+        raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
+    return [p.first_stage for p in payloads], [p.second_stage for p in payloads]
+
+
 class MstOracle(LinearOracle):
     """Linear oracle over the forests of a fixed grid graph."""
 
@@ -294,10 +302,7 @@ class MstOracle(LinearOracle):
         if len(thetas) != len(batch) or any(np.shape(t) != (self.n_edges,) for t in thetas):
             raise InputError("thetas need one (E,) row per scenario")
         thetas = np.ascontiguousarray(thetas, dtype=np.float64)
-        if not all(isinstance(s.noise_payload, TwoStageCosts) for s in batch):
-            raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
-        costs = [np.ascontiguousarray(getattr(s.noise_payload, stage))
-                 for stage in ("first_stage", "second_stage") for s in batch]
+        costs = [np.ascontiguousarray(c) for stage in stage_costs(batch) for c in stage]
         if any(c.shape != (self.n_edges,) for c in costs):
             raise InputError("stage costs need one entry per edge")
         require_positive("kappa", kappa)
@@ -318,38 +323,50 @@ class MstOracle(LinearOracle):
     def argmin_shifted_many(self, theta_tildes, kappa, scenario: Scenario) -> np.ndarray:
         """First stages of the two-stage splits under c - kappa * theta_tilde,
         the minimizers of c.y + Q(y; xi) - kappa <theta_tilde|y>."""
-        payload = scenario.noise_payload
-        if not isinstance(payload, TwoStageCosts):
-            raise InputError("spanning-tree scenarios need TwoStageCosts payloads")
+        (c,), (d,) = stage_costs([scenario])
         thetas = direction_rows(theta_tildes, self.n_edges, kappa)
-        eff = payload.first_stage[None, :] - kappa * thetas
-        y, _ = two_stage_splits(eff, payload.second_stage, self.edges, self.n_nodes)
+        y, _ = two_stage_splits(c[None, :] - kappa * thetas, d, self.edges, self.n_nodes)
         return y
 
 
 class MstEvaluator:
-    """True two-stage cost and anticipative optimum for policy evaluation."""
+    """True two-stage cost and anticipative optimum for policy evaluation:
+    ``policy_cost`` and ``anticipative_cost`` are row 0 of ``context_costs``,
+    which prices one context's scenarios at once, each row bit for bit."""
 
     def __init__(self, oracle: MstOracle):
         self.oracle = oracle
         self._anticipative_cache: dict[bytes, float] = {}
 
+    def context_costs(self, y: np.ndarray, scenarios) -> tuple[np.ndarray, np.ndarray]:
+        """The (K,) true costs of the forest y and anticipative costs."""
+        c, d = stage_costs(scenarios)
+        return self._policy_costs(y, c, d), self._anticipative_costs(c, d)
+
     def policy_cost(self, y: np.ndarray, scenario: Scenario) -> float:
-        payload = scenario.noise_payload
-        completion = second_stage_value(
-            y, payload.second_stage, self.oracle.edges, self.oracle.n_nodes
-        )
-        return float(payload.first_stage @ y) + completion
+        return float(self._policy_costs(y, *stage_costs([scenario]))[0])
 
     def anticipative_cost(self, scenario: Scenario) -> float:
-        payload = scenario.noise_payload
-        key = payload.first_stage.tobytes() + payload.second_stage.tobytes()
-        cached = self._anticipative_cache.get(key)
-        if cached is None:
-            c, d = payload.first_stage, payload.second_stage
-            y, z = two_stage_splits(c[None, :], d, self.oracle.edges, self.oracle.n_nodes)
-            cached = self._anticipative_cache[key] = float(c @ y[0] + d @ z[0])
-        return cached
+        return float(self._anticipative_costs(*stage_costs([scenario]))[0])
+
+    def _policy_costs(self, y, c: list, d: list) -> np.ndarray:
+        """c.y + Q(y; d) per cost pair by one completion call.  Each c.y is
+        its own dot: a matrix product over the rows would round otherwise."""
+        costs = second_stage_value(y, d, self.oracle.edges, self.oracle.n_nodes)
+        costs += [float(ck @ y) for ck in c]
+        return costs
+
+    def _anticipative_costs(self, c: list, d: list) -> np.ndarray:
+        """min c.y + d.z over the spanning pairs per cost pair, cached by the
+        costs' bytes; the misses are split in one call."""
+        keys = [ck.tobytes() + dk.tobytes() for ck, dk in zip(c, d)]
+        cache = self._anticipative_cache
+        if misses := [k for k, key in enumerate(keys) if key not in cache]:
+            y, z = two_stage_splits([c[k] for k in misses], [d[k] for k in misses],
+                                    self.oracle.edges, self.oracle.n_nodes)
+            cache.update((keys[k], float(c[k] @ yk + d[k] @ zk))
+                         for k, yk, zk in zip(misses, y, z))
+        return np.array([cache[key] for key in keys])
 
 
 # ---------------------------------------------------------------------------

@@ -53,8 +53,8 @@ from costru.problems.toy import (
     toy_scenarios,
 )
 from costru.simplex_lab import ExplicitOracle
-from costru.trainer import (AdamState, TrainConfig, evaluate_policy, score_instance,
-                            train_primal_dual)
+from costru.trainer import (AdamState, TrainConfig, evaluate_fixed_solutions, evaluate_policy,
+                            score_instance, train_primal_dual)
 from costru.verification import _SMALL_GRAPHS, enumeration_gap
 
 
@@ -958,21 +958,64 @@ class TestOneCallPricing:
                                                                     n_nodes).tobytes()
 
 
-def _per_scenario_policy(weights, data, oracle, evaluator):
-    """evaluate_policy's reference: one argmax per scenario, then the mean
-    cost and gap in data order."""
+def _per_scenario_gaps(decide, data, oracle):
+    """The evaluator's reference: each scenario priced on its own, c.y plus
+    the single-row completion of y and c.y + d.z of the single-row split,
+    then the mean cost and gap in data order."""
     costs, gaps = [], []
     for s in data:
-        cost = evaluator.policy_cost(oracle.argmax_linear(score_instance(weights, s)), s)
-        anticipative = evaluator.anticipative_cost(s)
+        c, d = s.noise_payload.first_stage, s.noise_payload.second_stage
+        y = decide(s)
+        cost = float(c @ y) + second_stage_value(y, d, oracle.edges, oracle.n_nodes)
+        ya, za = split_row(c, d, oracle.edges, oracle.n_nodes)
+        anticipative = float(c @ ya + d @ za)
         costs.append(cost)
         denom = abs(anticipative)
         gaps.append((cost - anticipative) / denom if denom > 1e-9 else cost - anticipative)
     return float(np.mean(costs)), float(np.mean(gaps))
 
 
+def _per_scenario_policy(weights, data, oracle):
+    """evaluate_policy's reference: one argmax per scenario."""
+    return _per_scenario_gaps(lambda s: oracle.argmax_linear(score_instance(weights, s)),
+                              data, oracle)
+
+
 _PER_CONTEXT_CFG = GenConfig(rows=2, cols=3, train_instances=3, val_instances=1,
                              test_instances=1, scenarios_per_instance=3)
+_UNEQUAL_CFG = GenConfig(rows=6, cols=6, train_instances=4, val_instances=1,
+                         test_instances=1, scenarios_per_instance=5)
+
+
+def _unequal_contexts(seed: int, first_stage: str):
+    """Four 6x6 contexts of 5, 1, 3 and 2 scenarios, interleaved in data
+    order, and a random forest per context.  ``first_stage`` "shared" keeps
+    each context's one first-stage array, "distinct" gives every scenario
+    its own first-stage costs."""
+    scenarios = []
+    for ctx, inst in enumerate(generate_mst_split(_UNEQUAL_CFG, seed, "train")):
+        for k in range((5, 1, 3, 2)[ctx]):
+            s = inst.scenario(ctx, k)
+            if first_stage == "distinct":
+                c = s.noise_payload.first_stage * (1.0 + 0.1 * k)
+                s = Scenario(ctx, s.features, TwoStageCosts(c, s.noise_payload.second_stage))
+            scenarios.append(s)
+    # Interleave: data positions 0, 3, 6, ..., then 1, 4, 7, ..., then 2, 5, 8, ...
+    scenarios = scenarios[0::3] + scenarios[1::3] + scenarios[2::3]
+    oracle = MstOracle(6, 6)
+    g = make_rng(seed, 9).generator()
+    decisions = {ctx: max_forest(g.standard_normal(oracle.n_edges), oracle.edges, oracle.n_nodes)
+                 for ctx in range(4)}
+    return Dataset(tuple(scenarios)), decisions, oracle
+
+
+class _ScenarioEvaluator:
+    """An evaluator that prices one scenario at a time, as the benchmark's
+    tracing wrapper does."""
+
+    def __init__(self, inner):
+        self.policy_cost = inner.policy_cost
+        self.anticipative_cost = inner.anticipative_cost
 
 
 class TestPerContextEvaluation:
@@ -992,8 +1035,78 @@ class TestPerContextEvaluation:
         data = Dataset(tuple(scenarios))
         oracle = MstOracle(2, 3)
         w = np.array(weights, dtype=float) / 4
-        expected = _per_scenario_policy(w, data, oracle, MstEvaluator(oracle))
+        expected = _per_scenario_policy(w, data, oracle)
         assert evaluate_policy(w, data, oracle, MstEvaluator(oracle)) == expected
+
+    @pytest.mark.parametrize("first_stage", ["shared", "distinct"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fixed_solutions_equal_per_scenario_reference(self, seed, first_stage):
+        """Contexts of unequal size, interleaved: the mean cost and gap are
+        the per-scenario reference's bit for bit, and so are both arrays of
+        ``context_costs``, row by row."""
+        data, decisions, oracle = _unequal_contexts(seed, first_stage)
+        evaluator = MstEvaluator(oracle)
+        assert evaluate_fixed_solutions(decisions, data, evaluator) == _per_scenario_gaps(
+            lambda s: decisions[s.context_id], data, oracle)
+        for ctx, group in data.by_context().items():
+            costs, anticipatives = evaluator.context_costs(decisions[ctx], group)
+            assert costs.tolist() == [evaluator.policy_cost(decisions[ctx], s) for s in group]
+            assert anticipatives.tolist() == [MstEvaluator(oracle).anticipative_cost(s)
+                                              for s in group]
+
+    def test_zero_anticipative_cost_takes_the_absolute_gap(self):
+        """On one edge, a first-stage cost of 0 makes the anticipative cost
+        0, and those scenarios contribute cost - 0."""
+        oracle = MstOracle(1, 2)
+        costs = [(0.0, 2.0, 0), (0.0, 3.0, 1), (1.5, 0.5, 0), (3.0, 0.5, 1), (-0.0, 1.0, 0)]
+        data = Dataset(tuple(Scenario(ctx, np.zeros((1, 1)),
+                                      TwoStageCosts(np.array([c]), np.array([d])))
+                             for c, d, ctx in costs))
+        decisions = {0: np.zeros(1), 1: np.ones(1)}
+        result = evaluate_fixed_solutions(decisions, data, MstEvaluator(oracle))
+        assert result == _per_scenario_gaps(lambda s: decisions[s.context_id], data, oracle)
+        assert result == (1.3, 1.6)  # costs 2, 0, 0.5, 3, 1; gaps 2, 0, 0, 5, 1
+
+    @pytest.mark.parametrize("first_stage", ["shared", "distinct"])
+    def test_per_scenario_evaluator_gives_the_same_tuple(self, first_stage):
+        """An evaluator with only ``policy_cost`` and ``anticipative_cost``
+        is priced scenario by scenario, to the same numbers."""
+        data, decisions, oracle = _unequal_contexts(1, first_stage)
+        expected = evaluate_fixed_solutions(decisions, data, MstEvaluator(oracle))
+        scenario_evaluator = _ScenarioEvaluator(MstEvaluator(oracle))
+        assert evaluate_fixed_solutions(decisions, data, scenario_evaluator) == expected
+
+    def test_one_completion_and_at_most_one_split_per_context(self, monkeypatch):
+        calls = dict.fromkeys(["second_stage_values", "two_stage_splits"], 0)
+        for name in calls:
+            def counted(*args, _original=getattr(spanning_tree, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(spanning_tree, name, counted)
+        data, decisions, oracle = _unequal_contexts(2, "shared")
+        evaluator = MstEvaluator(oracle)
+        cold = evaluate_fixed_solutions(decisions, data, evaluator)
+        assert calls == {"second_stage_values": 4, "two_stage_splits": 4}
+        calls.update(second_stage_values=0, two_stage_splits=0)
+        assert evaluate_fixed_solutions(decisions, data, evaluator) == cold
+        assert calls == {"second_stage_values": 4, "two_stage_splits": 0}
+
+    def test_a_context_without_a_decision_is_named(self):
+        data, decisions, oracle = _unequal_contexts(0, "shared")
+        del decisions[2]
+        with pytest.raises(InputError, match="no decision for context 2"):
+            evaluate_fixed_solutions(decisions, data, MstEvaluator(oracle))
+
+    def test_evaluator_rejects_other_payloads(self):
+        """As the oracle does: a payload that is not ``TwoStageCosts`` is an
+        input error, not an AttributeError."""
+        scenario = Scenario(0, np.zeros((7, 1)), noise_payload=0)
+        evaluator = MstEvaluator(MstOracle(2, 3))
+        for price in (lambda: evaluator.policy_cost(np.zeros(7), scenario),
+                      lambda: evaluator.anticipative_cost(scenario),
+                      lambda: evaluator.context_costs(np.zeros(7), [scenario])):
+            with pytest.raises(InputError, match="TwoStageCosts payloads"):
+                price()
 
     def test_distinct_features_in_one_context_are_rejected(self):
         """A context is one feature matrix; a dataset that gives one context
