@@ -6,15 +6,18 @@
  * perturbed_split_pass.  numpy seeds and draws a stream's ordinary draws
  * itself; the library draws the Monte-Carlo tilts from the same stream.
  *
- * Every Kruskal entry runs the rule of kruskal_rows_py, the Python
- * reference in tests/kruskal_reference.py that the property tests compare
- * each entry with byte for byte, on keys it builds from the oracle's own
- * inputs: per row, take the edges whose key is < +inf (never +inf or NaN)
- * in increasing key order, ties to the lower index (-0.0 == 0.0), skip
- * cycles, stop at n_nodes - 1 edges.
+ * Every Kruskal entry chooses the edge set of the rule of kruskal_rows_py,
+ * the Python reference in tests/kruskal_reference.py that the property
+ * tests compare each entry with byte for byte, on keys it builds from the
+ * oracle's own inputs: per row, take the edges whose key is < +inf (never
+ * +inf or NaN) in increasing key order, ties to the lower index (-0.0 ==
+ * 0.0), skip cycles, stop at n_nodes - 1 edges.
  *
  *   forest_rows      w (m, E); key -w where w > 0.  Writes the 0/1 rows of
- *                    the chosen edges.  A non-finite weight is an error.
+ *                    the chosen edges.  When a row's positive edges close
+ *                    no cycle, the rule takes them all: they are chosen in
+ *                    index order, without a sort.  A non-finite weight is
+ *                    an error.
  *   split_rows       eff (m, E), d (E,) or (m, E) (row stride 0 or E); key
  *                    min(eff, d), NaN when either is NaN.  Writes the
  *                    (m, E) rows of y (chosen, eff <= d), then those of z
@@ -440,12 +443,15 @@ static int64_t select_edges(workspace *ws, int64_t n, int64_t *picks) {
     return count;
 }
 
-/* Kruskal on the keys -w of the edges with w > 0: writes the chosen edges
- * to ws->picks and their number to *count.  A non-finite w is an error, and
- * then nothing is chosen. */
+/* The rule's forest on the keys -w of the edges with w > 0: writes its
+ * edges to ws->picks and their number to *count.  When the positive edges
+ * close no cycle, the rule takes them all, so they are the forest, picked
+ * in index order without a sort; at the first cycle, select_edges sorts
+ * them and picks in selection order.  Both callers read the picks as a
+ * set.  A non-finite w is an error, and then nothing is chosen. */
 static int forest(workspace *ws, const double *w, int64_t n_edges, int64_t *count) {
     int status = 0;
-    int64_t n = 0;
+    int64_t n = 0, *parent = ws->parent;
     for (int64_t e = 0; e < n_edges; e++) {
         if (!isfinite(w[e])) status = NON_FINITE;
         /* Written always and kept when w > 0: a tilt's sign is a coin
@@ -453,8 +459,23 @@ static int forest(workspace *ws, const double *w, int64_t n_edges, int64_t *coun
         ws->items[n] = (item){-w[e], e};
         n += w[e] > 0.0;
     }
-    *count = status == 0 ? select_edges(ws, n, ws->picks) : 0;
-    return status;
+    *count = 0;
+    if (status != 0) return status;
+    for (int64_t v = 0; v < ws->n_nodes; v++) parent[v] = v;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t edge = ws->items[i].edge;
+        int64_t ru = find(parent, ws->ends[2 * edge]);
+        int64_t rv = find(parent, ws->ends[2 * edge + 1]);
+        if (ru == rv) {
+            *count = select_edges(ws, n, ws->picks);
+            return 0;
+        }
+        parent[ru] = rv;
+        /* Edges 0..i close no cycle, so i < n_nodes - 1. */
+        ws->picks[i] = edge;
+    }
+    *count = n;
+    return 0;
 }
 
 int64_t forest_rows(const double *w, const int64_t *ends, int64_t m, int64_t n_edges,

@@ -1,10 +1,15 @@
 """Python references of the compiled Kruskal kernel (``costru/_native.c``).
 
-``kruskal_rows_py`` is the greedy rule that every kernel entry runs, and the
-``*_py`` functions around it are the numpy glue that builds each oracle's
-keys and reads its picks.  The property tests in ``test_problems.py``
-compare every kernel entry with its reference byte for byte, the exception
-type included.
+``kruskal_rows_py`` is the greedy rule whose edge set every kernel entry
+chooses, and the ``*_py`` functions around it are the numpy glue that builds
+each oracle's keys and reads its picks.  The property tests in
+``test_problems.py`` compare every kernel entry with its reference byte for
+byte, the exception type included.
+
+The reference runs the plain rule on every row.  The forest entry does not
+sort a row whose positive edges close no cycle: the rule takes them all, so
+the entry selects them in index order rather than in key order, which
+gives the same edge set.
 """
 
 from __future__ import annotations

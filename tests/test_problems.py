@@ -53,8 +53,8 @@ from costru.problems.toy import (
     toy_scenarios,
 )
 from costru.simplex_lab import ExplicitOracle
-from costru.trainer import (AdamState, TrainConfig, evaluate_fixed_solutions, evaluate_policy,
-                            score_instance, train_primal_dual)
+from costru.trainer import (AdamState, TrainConfig, coordination_pass, evaluate_fixed_solutions,
+                            evaluate_policy, score_instance, train_primal_dual)
 from costru.verification import _SMALL_GRAPHS, enumeration_gap
 
 
@@ -534,6 +534,30 @@ def kernel_cases(draw, values=_KEYS):
     return edges, n_nodes, arr[len(edges):].reshape(m, len(edges)), arr[:len(edges)]
 
 
+@st.composite
+def one_cycle_or_acyclic_rows(draw):
+    """(cycle, edges, n_nodes, (m, E) weights) on the 6x6 grid, m in 1..4.
+    Without ``cycle`` each row's positive edges are a random subset of a
+    random spanning tree; with it, the whole tree and one edge off it, so
+    that they close exactly one cycle.  Positive weights are tied integers
+    (1 or 2 with a cycle, so that its edges tie), the others -0.0, 0.0 or
+    negative integers."""
+    edges, n_nodes = grid_edges(6, 6), 36
+    cycle = draw(st.booleans())
+    order = np.array(draw(st.permutations(range(len(edges)))), dtype=float)
+    tree = reference.kruskal_rows_py(order[None, :], edges, n_nodes)[0]
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        if cycle:
+            positive = {*tree, draw(st.sampled_from(sorted(set(range(len(edges))) - set(tree))))}
+        else:
+            positive = {e for e in tree if draw(st.booleans())}
+        high = st.integers(1, 2 if cycle else 3).map(float)
+        low = st.sampled_from([-0.0, 0.0, -1.0, -2.0, -3.0])
+        rows.append([draw(high if e in positive else low) for e in range(len(edges))])
+    return cycle, edges, n_nodes, np.array(rows)
+
+
 def _outcome(fn):
     try:
         return fn()
@@ -610,23 +634,54 @@ class TestCompiledKernel:
         _assert_same(lambda: (second_stage_values(ys, d, edges, n_nodes),),
                      lambda: (reference.completion_sums_py(ys, d, edges, n_nodes),))
 
+    @settings(max_examples=150, deadline=None)
+    @given(one_cycle_or_acyclic_rows())
+    def test_acyclic_and_one_cycle_rows_match_python_reference(self, case):
+        """Rows whose positive edges close no cycle, which the entry takes
+        without a sort, and rows whose positive edges close exactly one
+        cycle of tied weights, which it sorts."""
+        cycle, edges, n_nodes, w = case
+        for row in w:
+            assert is_forest((row > 0.0).astype(float), edges, n_nodes) is not cycle
+        _assert_same(lambda: (max_weight_forests(w, edges, n_nodes),),
+                     lambda: (reference.max_weight_forests_py(w, edges, n_nodes),))
+
+    @pytest.mark.parametrize("pairs, n_nodes, w", [
+        ([(1, 1), (0, 1), (1, 2)], 3, [1.0, 2.0, 1.0]),
+        ([(0, 1), (1, 2), (2, 2)], 3, [1.0, 1.0, 3.0]),
+        ([(0, 1), (0, 1), (1, 2)], 3, [1.0, 1.0, 2.0]),
+        ([(0, 1), (1, 2), (1, 0)], 3, [1.0, -1.0, 3.0]),
+        ([(2, 3), (0, 1), (3, 2)], 4, [2.0, 1.0, 2.0]),
+    ], ids=["self-loop-first", "self-loop-last", "parallel-tied", "parallel-heavier-later",
+            "parallel-tied-reversed"])
+    def test_positive_self_loop_and_parallel_edges(self, pairs, n_nodes, w):
+        """A positive self-loop or pair of parallel edges closes a cycle, so
+        the row is sorted; the result is the reference's."""
+        edges = edge_array(pairs)
+        w = np.array([w])
+        _assert_same(lambda: (max_weight_forests(w, edges, n_nodes),),
+                     lambda: (reference.max_weight_forests_py(w, edges, n_nodes),))
+
     @pytest.mark.parametrize("kernel", ["compiled", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_forest_weights_raise(self, kernel, bad):
         """The oracle and the reference reject a NaN or infinite weight with
-        the same error."""
+        the same error, in a row of positive weights and in a row whose
+        other positive edges (the 2x3 grid's horizontal edges and its first
+        vertical one) close no cycle."""
         oracle = MstOracle(2, 3)
-        thetas = np.ones((3, oracle.n_edges))
-        thetas[1, 2] = bad
-        if kernel == "compiled":
-            calls = [lambda: oracle.argmax_linear_many(thetas),
-                     lambda: oracle.argmax_linear(thetas[1])]
-        else:
-            calls = [lambda: reference.max_weight_forests_py(thetas, oracle.edges,
-                                                             oracle.n_nodes)]
-        for call in calls:
-            with pytest.raises(InputError, match="weights must be finite"):
-                call()
+        for thetas in (np.ones((3, oracle.n_edges)),
+                       np.where(np.arange(oracle.n_edges) < 5, 1.0, -1.0) * np.ones((3, 1))):
+            thetas[1, 2] = bad
+            if kernel == "compiled":
+                calls = [lambda: oracle.argmax_linear_many(thetas),
+                         lambda: oracle.argmax_linear(thetas[1])]
+            else:
+                calls = [lambda: reference.max_weight_forests_py(thetas, oracle.edges,
+                                                                 oracle.n_nodes)]
+            for call in calls:
+                with pytest.raises(InputError, match="weights must be finite"):
+                    call()
 
     def test_concurrent_calls_match_sequential(self):
         """The kernel runs without the GIL on a per-call workspace, so calls
@@ -805,6 +860,53 @@ class TestPerturbedForestStats:
         edges, n_nodes, theta, eps, m, stream = case
         expected = _forest_mean(theta, eps, m, stream.split(0, 0), edges, n_nodes)
         assert _kernel_mean(theta, eps, m, stream, edges, n_nodes).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tilt_cases())
+    def test_sparse_positive_tilts_match_python_reference(self, case):
+        """Theta shifted so that about 15 % of the tilts are positive, where
+        their edges mostly close no cycle: the mean is the reference
+        forests' mean bit for bit."""
+        edges, n_nodes, theta, eps, m, stream = case
+        z = stream.split(0, 0).generator().standard_normal((m, len(edges)))
+        if z.size:
+            theta = theta - np.quantile(theta + eps * z, 0.85)
+        forests = reference.max_weight_forests_py(theta[None, :] + eps * z, edges, n_nodes)
+        assert (_kernel_mean(theta, eps, m, stream, edges, n_nodes).tobytes()
+                == forests.mean(axis=0).tobytes())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_positive_pass_equals_generic_path(self, seed):
+        """A pass on the 6x6 grid whose scores start about one epsilon
+        below zero, so that about 15 % of the tilts are positive and most,
+        not all, rows' positive edges close no cycle: the first step's
+        mean is the reference forests' mean, and the fused pass gives the
+        generic path's weights bit for bit."""
+        oracle = MstOracle(6, 6)
+        g = make_rng(seed, 5).generator()
+        batch, targets = [], []
+        for ctx in range(3):
+            features = g.uniform(-0.3, 0.3, (oracle.n_edges, 3))
+            features[:, 0] = 1.0
+            batch.append(Scenario(ctx, features, None))
+            targets.append(g.uniform(0.0, 0.3, oracle.n_edges))
+        config = TrainConfig(nb_iterations=1, nb_scenarios=1, nb_samples=40, nb_epochs=2,
+                             lr_init=0.05, epsilon=1.0)
+        w0, root = np.array([-1.0, 0.2, -0.2]), make_rng(seed, 6)
+        theta = batch[0].features @ w0
+        tilts = theta + root.split(0, 0).generator().standard_normal((40, oracle.n_edges))
+        acyclic = [is_forest((t > 0.0).astype(float), oracle.edges, oracle.n_nodes)
+                   for t in tilts]
+        assert 0.1 < (tilts > 0.0).mean() < 0.25
+        assert 0.5 < np.mean(acyclic) < 1.0
+        forests = reference.max_weight_forests_py(tilts, oracle.edges, oracle.n_nodes)
+        assert (_kernel_mean(theta, 1.0, 40, root, oracle.edges, oracle.n_nodes).tobytes()
+                == forests.mean(axis=0).tobytes())
+        fused = coordination_pass(w0, batch, targets, oracle, config, root)
+        generic = coordination_pass(w0, batch, targets,
+                                    SimpleNamespace(argmax_linear_many=oracle.argmax_linear_many),
+                                    config, root)
+        assert fused.tobytes() == generic.tobytes()
 
     @pytest.mark.parametrize("kernel", ["identity", "pass", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "overflow"])
