@@ -84,10 +84,10 @@
  *
  * Both passes may start one helper thread, which draws the normals of the
  * coming steps while the calling thread runs Kruskal, the products and
- * Adam (see "The normals of a pass" below); they run inline when the
- * caller passes threaded = 0 or pthread_create fails.  The helper is
- * joined before the pass returns, so a pass is still one blocking call:
- * Ctrl-C waits for it.
+ * Adam, and hands them over through two atomic counters, with no lock (see
+ * "The normals of a pass" below); they run inline when the caller passes
+ * threaded = 0 or pthread_create fails.  The helper is joined before the
+ * pass returns, so a pass is still one blocking call: Ctrl-C waits for it.
  *
  * Each stream's PCG64 state lives on the stack of the thread that draws
  * from it, so calls from several threads never share one.
@@ -98,6 +98,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 enum {
     NO_MEMORY = -1,    /* no workspace */
@@ -367,6 +368,11 @@ typedef struct {
     double *buffer;
 } workspace;
 
+static void close_workspace(workspace *ws) {
+    free(ws->items);
+    free(ws->buffer);
+}
+
 static int open_workspace(workspace *ws, const int64_t *ends, int64_t n_edges,
                           int64_t n_nodes, int64_t n_buffer) {
     if (n_nodes < 1) return BAD_GRAPH;
@@ -374,19 +380,20 @@ static int open_workspace(workspace *ws, const int64_t *ends, int64_t n_edges,
         if (ends[e] < 0 || ends[e] >= n_nodes) return BAD_GRAPH;
     ws->ends = ends;
     ws->n_nodes = n_nodes;
-    /* One block: the items and tmp, parent and picks, then the buffer. */
+    /* One block for the items and tmp, parent and picks, and one for the
+     * buffer, so that AddressSanitizer sees a write past picks. */
     ws->items = malloc((size_t)(2 * n_edges + 1) * sizeof(item)
-                       + (size_t)(2 * n_nodes) * sizeof(int64_t)
-                       + (size_t)n_buffer * sizeof(double));
-    if (ws->items == NULL) return NO_MEMORY;
+                       + (size_t)(2 * n_nodes) * sizeof(int64_t));
+    ws->buffer = malloc((size_t)(n_buffer + 1) * sizeof(double));
+    if (ws->items == NULL || ws->buffer == NULL) {
+        close_workspace(ws);
+        return NO_MEMORY;
+    }
     ws->tmp = ws->items + n_edges;
     ws->parent = (int64_t *)(ws->items + 2 * n_edges + 1);
     ws->picks = ws->parent + n_nodes;
-    ws->buffer = (double *)(ws->picks + n_nodes);
     return 0;
 }
-
-static void close_workspace(workspace *ws) { free(ws->items); }
 
 static int64_t find(int64_t *parent, int64_t x) {
     while (parent[x] != x) {
@@ -692,29 +699,23 @@ static void mix_index(entropy_pool *ep, int64_t index) {
  * to the caller's position.  used is the caller's: the steps before it are
  * released, and the helper draws step t only while t < used + DEPTH, so it
  * never overwrites a slot that the caller reads.  When the ring is full
- * the helper spins briefly, then posts the count it waits for (half the
- * ring free) as wanted and sleeps; the caller wakes it once used reaches
- * wanted.  Sequentially consistent atomics make the helper's check of used
- * and the caller's check of wanted see at least one of the two writes. */
-enum { DEPTH = 16, SPIN = 64 };
+ * the helper naps for NAP_NS and reads used again, until the pass sets
+ * stop.  A nap of 10 us, which Linux's default timer slack of 50 us
+ * stretches to 60-70 us, is short against the DEPTH steps of a full ring
+ * (a step takes 30 us to over 1 ms), so the ring does not drain while the
+ * helper naps, and long against the read of used that follows it, so a
+ * napping helper takes next to no CPU from the caller. */
+enum { DEPTH = 16, NAP_NS = 10000 };
 
 typedef struct {
     entropy_pool key;
     int64_t n_slots, n_steps, count;
     int by_epoch, threaded;
     double *own, *ring;
-    _Atomic int64_t drawn, used, wanted; /* wanted: the helper's target, else INT64_MAX */
+    _Atomic int64_t drawn, used;
     _Atomic int stop;
-    pthread_mutex_t lock;
-    pthread_cond_t wake;
     pthread_t helper;
 } normals;
-
-static void relax(void) {
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#endif
-}
 
 static void draw_step(const normals *src, int64_t s, double *out) {
     entropy_pool ep = src->key;
@@ -723,33 +724,20 @@ static void draw_step(const normals *src, int64_t s, double *out) {
     fill_from(&ep, src->count, out);
 }
 
-/* The helper waits until used reaches target or the pass stops. */
-static void wait_for_used(normals *src, int64_t target) {
-    for (int i = 0; i < SPIN; i++) {
-        if (atomic_load(&src->used) >= target || atomic_load(&src->stop)) return;
-        relax();
-    }
-    pthread_mutex_lock(&src->lock);
-    atomic_store(&src->wanted, target);
-    while (atomic_load(&src->used) < target && !atomic_load(&src->stop))
-        pthread_cond_wait(&src->wake, &src->lock);
-    atomic_store(&src->wanted, INT64_MAX);
-    pthread_mutex_unlock(&src->lock);
-}
-
 static void *draw_ahead(void *arg) {
     normals *src = arg;
+    const struct timespec nap = {0, NAP_NS};
     int64_t s = 0;
     while (!atomic_load(&src->stop)) {
         int64_t used = atomic_load(&src->used);
         if (s < used) s = used; /* the caller has drawn these itself */
         if (s >= src->n_steps) break;
         if (s - used >= DEPTH) {
-            wait_for_used(src, s - DEPTH / 2 + 1);
-            continue;
+            nanosleep(&nap, NULL);
+        } else {
+            draw_step(src, s, src->ring + (s % DEPTH) * src->count);
+            atomic_store(&src->drawn, ++s);
         }
-        draw_step(src, s, src->ring + (s % DEPTH) * src->count);
-        atomic_store(&src->drawn, ++s);
     }
     return NULL;
 }
@@ -772,23 +760,12 @@ static int open_pass(workspace *ws, normals *src, const int64_t *ends, int64_t n
     src->n_slots = n_slots;
     src->n_steps = n_steps;
     src->count = count;
-    src->threaded = 0;
     src->own = ws->buffer + n_buffer;
     src->ring = src->own + count;
-    if (!threaded) return 0;
     atomic_init(&src->drawn, 0);
     atomic_init(&src->used, 0);
-    atomic_init(&src->wanted, INT64_MAX);
     atomic_init(&src->stop, 0);
-    if (pthread_mutex_init(&src->lock, NULL) != 0) return 0;
-    if (pthread_cond_init(&src->wake, NULL) == 0) {
-        if (pthread_create(&src->helper, NULL, draw_ahead, src) == 0) {
-            src->threaded = 1;
-            return 0;
-        }
-        pthread_cond_destroy(&src->wake);
-    }
-    pthread_mutex_destroy(&src->lock);
+    src->threaded = threaded && pthread_create(&src->helper, NULL, draw_ahead, src) == 0;
     return 0;
 }
 
@@ -799,27 +776,14 @@ static const double *step_normals(normals *src, int64_t s) {
     return src->own;
 }
 
-static void release_step(normals *src, int64_t s) {
-    if (!src->threaded) return;
-    atomic_store(&src->used, s + 1);
-    if (atomic_load(&src->wanted) <= s + 1) {
-        pthread_mutex_lock(&src->lock);
-        pthread_cond_signal(&src->wake);
-        pthread_mutex_unlock(&src->lock);
-    }
-}
+static void release_step(normals *src, int64_t s) { atomic_store(&src->used, s + 1); }
 
 /* Stops and joins the helper and frees the workspace, on every return
  * path of a pass that open_pass opened. */
 static void close_pass(workspace *ws, normals *src) {
     if (src->threaded) {
         atomic_store(&src->stop, 1);
-        pthread_mutex_lock(&src->lock);
-        pthread_cond_signal(&src->wake);
-        pthread_mutex_unlock(&src->lock);
         pthread_join(src->helper, NULL);
-        pthread_cond_destroy(&src->wake);
-        pthread_mutex_destroy(&src->lock);
     }
     close_workspace(ws);
 }

@@ -9,9 +9,10 @@ those; numpy seeds and draws every other random number without it.
 ``_compiled_kernel()`` raises ``NativeLibraryError`` when the archive is
 missing or the build or the load fails.  Its seven entries are those of
 ``_ENTRIES``.  Each fused pass may start one helper thread that draws the
-normals ahead (``_cpu_count``); the coordination pass, and no other entry,
-calls numpy's own BLAS (``_numpy_blas``).  Nothing here runs at import
-time.
+normals ahead (``_cpu_count``) and hands them over through two atomic
+counters: the calling thread never waits for it, and it naps 10 µs at a
+time on a full ring.  Only the coordination pass calls numpy's own BLAS
+(``_numpy_blas``).  Nothing here runs at import time.
 
 The normals are ``Generator.standard_normal``'s bit for bit.  The library
 runs the fast path of numpy's ziggurat, which ends about 99.3 % of draws,
@@ -41,7 +42,7 @@ import numpy as np
 
 # -ffp-contract=off forbids fused multiply-adds, so that theta + eps * z
 # rounds twice, as numpy's two array operations round it; -pthread for the
-# passes' helper thread.
+# passes' helper thread, which hands steps over through C11 atomics, no lock.
 _FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 # numpy's SeedSequence pool size, in 32-bit words.
 _POOL = 4

@@ -565,6 +565,46 @@ class TestHelperThread:
         assert adam.step_count == 13
         assert _threads() - before == set()
 
+    @needs_proc
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="pins the process to one CPU with os.sched_setaffinity")
+    def test_starved_helper_equals_inline(self, monkeypatch):
+        """With the helper forced on but the process pinned to one CPU, the
+        caller overtakes the helper and the helper jumps to the caller's
+        step; a pass that fails midway stops a helper that is napping on a
+        full ring, or drawing.  The bits, the failing step and the error are
+        the inline run's, and no thread is left."""
+        oracle, batch, targets = split_batch(6, 6, 2, 100)
+        config = toy_config(nb_epochs=4, nb_samples=10, lr_init=0.1, epsilon=0.5)
+        w0 = np.array([0.2, -0.1])
+        bad_features = [s.features for s in batch]
+        bad_features[150] = np.full((oracle.n_edges, 2), 1e308)
+        bad_targets = list(targets)
+        bad_targets[150] = np.full(oracle.n_edges, -1.0)
+
+        def run(cpus):
+            _with_cpus(monkeypatch, cpus)
+            moments = decomposition_pass(w0, batch, oracle, config, make_rng(5).split(1))
+            weights = coordination_pass(w0, batch, targets, oracle, config, make_rng(5).split(2))
+            adam = AdamState(w0)
+            with pytest.raises(FloatingPointError) as failed, np.errstate(over="ignore"):
+                oracle.perturbed_adam_pass(adam, bad_features, bad_targets, 0.5, 10, 1, 0.1,
+                                           make_rng(5).split(3))
+            return (np.stack(moments).tobytes(), weights.tobytes(), adam.weights.tobytes(),
+                    adam.step_count, str(failed.value))
+
+        inline = run(1)
+        before = _threads()
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(allowed)})
+        try:
+            starved = run(2)
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert inline[3:] == (150, "non-finite gradient at epoch 0, example 150")
+        assert starved == inline
+        assert _threads() - before == set()
+
     def test_python_threads_match_sequential(self, monkeypatch):
         """Four Python threads, each running passes with its own helper,
         give the sequential results."""
